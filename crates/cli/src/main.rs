@@ -33,10 +33,11 @@
 //!
 //! `--check memory` derives three-valued null-deref / use-after-free /
 //! double-free / leak verdicts per statement from the fixed-point RSRSGs
-//! and validates every abstract `safe` claim against `--seeds N` concrete
-//! executions; a `violation` verdict or a refuted `safe` claim exits
-//! nonzero. `--check` accepts a comma-separated list
-//! (`--check asserts,memory`).
+//! and validates every abstract `safe` and `violation` claim against
+//! `--seeds N` concrete executions; a `violation` verdict or a refuted
+//! claim exits nonzero. The `--json` report always carries the same
+//! verdicts in its `"memory"` section. `--check` accepts a comma-separated
+//! list (`--check asserts,memory`).
 
 use psa_core::api::{AnalysisOptions, Analyzer};
 use psa_core::engine::AnalysisResult;
@@ -73,7 +74,6 @@ struct Flags {
     dot_dir: Option<String>,
     stmt_dump: bool,
     parallel_report: bool,
-    leak_report: bool,
     annotate: bool,
     json: bool,
     stats: bool,
@@ -112,7 +112,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         dot_dir: None,
         stmt_dump: false,
         parallel_report: false,
-        leak_report: false,
         annotate: false,
         json: false,
         stats: false,
@@ -204,7 +203,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             }
             "--stmt-dump" => f.stmt_dump = true,
             "--parallel-report" => f.parallel_report = true,
-            "--leak-report" => f.leak_report = true,
             "--annotate" => f.annotate = true,
             "--json" => f.json = true,
             "--stats" => f.stats = true,
@@ -273,7 +271,7 @@ fn run(args: &[String]) -> Result<(), String> {
 
 fn usage() -> String {
     "usage:\n  psa analyze <file.c> [--level L1|L2|L3|auto] [--function NAME] \
-     [--dot DIR] [--stmt-dump] [--parallel-report] [--leak-report] [--annotate] [--json] [--stats]\n  \
+     [--dot DIR] [--stmt-dump] [--parallel-report] [--annotate] [--json] [--stats]\n  \
      \x20            [--budget-nodes N] [--budget-rsgs N] [--budget-ms N] [--trace FILE]\n  \
      \x20            [--check asserts,memory] [--seeds N] [--threads N]\n  \
      \x20            [--save-cache FILE] [--load-cache FILE]\n  psa ir <file.c> [--function NAME]\n  \
@@ -296,7 +294,6 @@ fn serve(flags: Flags) -> Result<(), String> {
     let server = psa_core::serve::Server::with_tables(
         tables,
         psa_core::serve::ServeOptions {
-            parallel: flags.threads.is_some(),
             parallel_threads: flags.threads,
         },
     );
@@ -419,7 +416,6 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         level: flags.level,
         budget: flags.budget,
         trace: flags.trace.is_some(),
-        parallel: flags.threads.is_some(),
         parallel_threads: flags.threads,
         tables,
     };
@@ -502,7 +498,7 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
     // Soft budget caps yield a *partial* result: report everything we have,
     // then exit nonzero (but cleanly — no panic) so scripts notice. A
     // concretely refuted assertion, a memory `violation` verdict or a
-    // refuted memory `safe` claim also fails the run.
+    // concretely refuted memory verdict also fails the run.
     let stopped = result.stopped;
     let refuted = assert_report.as_ref().and_then(|r| {
         r.outcomes
@@ -512,7 +508,7 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
     let refuted_text = refuted.map(|o| o.assertion.text.clone());
     let memory_failure = memory_reports.as_ref().and_then(|(abs, diff)| {
         if let Some(m) = diff.mismatches.first() {
-            Some(format!("memory `safe` claim refuted concretely: {m}"))
+            Some(format!("memory verdict refuted concretely: {m}"))
         } else if abs.num_violations() > 0 {
             Some(format!(
                 "{} memory violation verdict(s) (program faults on every path reaching them)",
@@ -684,11 +680,6 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         for rep in parallel::loop_reports(ir, &result) {
             print!("  {rep}");
         }
-    }
-
-    if flags.leak_report {
-        println!("leak / dead-code report:");
-        print!("{}", psa_core::leaks::leak_report(ir, &result));
     }
 
     if flags.annotate {

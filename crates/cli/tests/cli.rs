@@ -232,15 +232,19 @@ fn budget_json_carries_degradation_fields() {
     assert!(stats.get("stopped").unwrap().as_str().is_some());
 }
 
+/// The builder-plus-traversal input of the stopped-run tests.
+fn list_with_traversal() -> String {
+    LIST.replace(
+        "    return 0;",
+        "    p = list;\n    while (p != NULL) {\n        p->v = 0;\n        p = p->nxt;\n    }\n    return 0;",
+    )
+}
+
 #[test]
 fn stopped_run_reports_every_loop_sequential() {
     // A builder loop then an update traversal: both loops are parallel on a
     // complete run, but a run stopped by the RSG cap proves nothing.
-    let src = LIST.replace(
-        "    return 0;",
-        "    p = list;\n    while (p != NULL) {\n        p->v = 0;\n        p = p->nxt;\n    }\n    return 0;",
-    );
-    let f = write_tmp("list_stopped.c", &src);
+    let f = write_tmp("list_stopped.c", &list_with_traversal());
     let path = f.to_str().unwrap();
     let full = psa()
         .args(["analyze", path, "--level", "L1", "--parallel-report"])
@@ -279,6 +283,47 @@ fn stopped_run_reports_every_loop_sequential() {
     for l in loops {
         assert_eq!(l.get("parallelizable").unwrap().as_bool(), Some(false));
     }
+}
+
+#[test]
+fn stopped_run_json_makes_no_memory_claims() {
+    // The memory section is the report's only leak/crash surface: a run
+    // stopped by the RSG cap marks it inconclusive with zero sites, and no
+    // other top-level key can read as a clean leak result.
+    let f = write_tmp("list_stopped_json.c", &list_with_traversal());
+    let out = psa()
+        .args([
+            "analyze",
+            f.to_str().unwrap(),
+            "--json",
+            "--budget-rsgs",
+            "1",
+        ])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "soft stop exits nonzero");
+    let v = psa_core::json::Json::parse(String::from_utf8_lossy(&out.stdout).trim())
+        .expect("valid JSON");
+    let mem = v.get("memory").expect("memory section present");
+    assert!(mem.get("inconclusive").unwrap().as_str().is_some());
+    assert!(mem.get("sites").unwrap().as_array().unwrap().is_empty());
+    let psa_core::json::Json::Obj(fields) = &v else {
+        panic!("report is an object")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "function",
+            "stats",
+            "exit_graphs",
+            "exit_nodes",
+            "exit_links",
+            "pvars",
+            "loops",
+            "memory"
+        ]
+    );
 }
 
 #[test]
@@ -322,18 +367,6 @@ fn annotate_emits_source_with_verdicts() {
         stdout.contains("p->nxt = list;"),
         "original source preserved"
     );
-}
-
-#[test]
-fn leak_report_flag_runs() {
-    let f = write_tmp("list_leak.c", LIST);
-    let out = psa()
-        .args(["analyze", f.to_str().unwrap(), "--leak-report"])
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("leak / dead-code report"));
 }
 
 const UAF: &str = r#"

@@ -1,13 +1,18 @@
 //! Differential validation of the memory-safety checker: every abstract
-//! **`Safe`** claim must survive concrete execution.
+//! **`Safe`** and **`Violation`** claim must survive concrete execution.
 //!
-//! The oracle rule is asymmetric, mirroring what the abstraction can
-//! promise. A `MayFail` is never refutable (the admitted fault may live on
-//! a path no seed drives), and a `Violation` claim is checked only in
-//! spirit (a seed that reaches the statement must fault). But a `Safe`
-//! verdict is a *proof claim*: a concrete execution faulting at a
-//! statement the checker called safe — or leaking a cell at a rebind the
-//! checker called leak-safe — is an analyzer bug, reported as a mismatch.
+//! A `MayFail` is never refutable (the admitted fault may live on a path
+//! no seed drives). The other two verdicts are *proof claims*, and a
+//! concrete execution contradicting one is an analyzer bug, reported as a
+//! mismatch:
+//!
+//! * `Safe` — a concrete execution faulting at a statement the checker
+//!   called safe, or leaking a cell at a rebind the checker called
+//!   leak-safe, refutes it.
+//! * `Violation` — every execution reaching the statement faults there.
+//!   A root-frame trace point at the statement means the interpreter ran
+//!   it without faulting, which refutes a null-deref, use-after-free or
+//!   double-free violation there.
 
 use crate::heap::Loc;
 use crate::interp::{ExecOutcome, InterpConfig, Interpreter};
@@ -26,7 +31,8 @@ pub struct MemDiffReport {
     /// Concrete leak events observed (cells that became unreachable while
     /// still allocated), across all runs.
     pub concrete_leaks: usize,
-    /// Descriptions of refuted `Safe` claims (empty = validated).
+    /// Descriptions of refuted `Safe` and `Violation` claims (empty =
+    /// validated).
     pub mismatches: Vec<String>,
     /// `Some(reason)` when the analysis stopped on a budget: the abstract
     /// report carries no claims, so nothing was validated.
@@ -34,7 +40,7 @@ pub struct MemDiffReport {
 }
 
 impl MemDiffReport {
-    /// True when analysis completed and no `Safe` claim was refuted.
+    /// True when analysis completed and no claim was refuted.
     pub fn is_validated(&self) -> bool {
         self.inconclusive.is_none() && self.mismatches.is_empty()
     }
@@ -51,7 +57,8 @@ fn fault_check(outcome: &ExecOutcome) -> Option<(StmtId, MemCheck)> {
 }
 
 /// Analyze `src`, build the abstract memory report, then execute under
-/// `seeds` and refute `Safe` claims against observed faults and leaks.
+/// `seeds` and refute `Safe` claims against observed faults and leaks and
+/// `Violation` claims against statements that ran without faulting.
 ///
 /// # Panics
 /// On frontend errors (inputs are test programs). Budget-stopped analyses
@@ -92,6 +99,13 @@ pub fn validate_memory_report(
         report.inconclusive = Some(reason.clone());
         return report;
     }
+    // Statements claimed to fault on every execution that reaches them.
+    let must_fault: BTreeSet<StmtId> = abs
+        .sites
+        .iter()
+        .filter(|s| s.verdict == MemVerdict::Violation && s.check != MemCheck::Leak)
+        .map(|s| s.stmt)
+        .collect();
 
     for &seed in seeds {
         report.runs += 1;
@@ -112,7 +126,11 @@ pub fn validate_memory_report(
         // Leak events: cells that turned unreachable-but-allocated between
         // consecutive trace points, attributed to the statement executed.
         let mut prev_leaked: BTreeSet<Loc> = BTreeSet::new();
+        let mut ran_clean: BTreeSet<StmtId> = BTreeSet::new();
         for point in &exec.trace {
+            if must_fault.contains(&point.stmt) {
+                ran_clean.insert(point.stmt);
+            }
             let now: BTreeSet<Loc> = point.state.leaked().into_iter().collect();
             let fresh = now.difference(&prev_leaked).count();
             if fresh > 0 {
@@ -127,6 +145,12 @@ pub fn validate_memory_report(
                 );
             }
             prev_leaked = now;
+        }
+        for sid in ran_clean {
+            report.mismatches.push(format!(
+                "seed {seed}: {sid} ({}) ran without faulting, refuting abstract `violation` claim",
+                psa_ir::pretty::stmt(ir, &ir.stmt(sid).stmt),
+            ));
         }
     }
     report
@@ -245,6 +269,44 @@ mod tests {
             "dropped cell must register as leaked"
         );
         assert!(rep.is_validated(), "{:#?}", rep.mismatches);
+    }
+
+    #[test]
+    fn forged_violation_at_an_executed_statement_is_refuted() {
+        let src = r#"
+            struct node { int v; struct node *nxt; };
+            int main() {
+                struct node *p;
+                p = (struct node *) malloc(sizeof(struct node));
+                p->v = 1;
+                free(p);
+                return 0;
+            }
+        "#;
+        let (program, table) = psa_cfront::parse_and_type(src).unwrap();
+        let ir = psa_ir::lower_program(&program, &table, "main").unwrap();
+        let result = Engine::new(&ir, EngineConfig::at_level(Level::L1))
+            .run()
+            .unwrap();
+        let mut abs = memory_report(&ir, &result);
+        let honest = validate_memory_report(&ir, &abs, InterpConfig::default(), &[1]);
+        assert!(honest.is_validated(), "{:#?}", honest.mismatches);
+
+        // `p->v = 1` dereferences a fresh cell: every run executes it.
+        let store = abs
+            .sites
+            .iter_mut()
+            .find(|s| s.check == MemCheck::NullDeref)
+            .expect("the store is null-deref checked");
+        assert_eq!(store.verdict, MemVerdict::Safe);
+        store.verdict = MemVerdict::Violation;
+        let forged = validate_memory_report(&ir, &abs, InterpConfig::default(), &[1, 2]);
+        assert_eq!(forged.mismatches.len(), 2, "{:#?}", forged.mismatches);
+        assert!(
+            forged.mismatches[0].contains("refuting abstract `violation` claim"),
+            "{:#?}",
+            forged.mismatches
+        );
     }
 
     #[test]

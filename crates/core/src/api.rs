@@ -17,11 +17,8 @@ pub struct AnalysisOptions {
     pub level: Option<Level>,
     /// Resource budget.
     pub budget: Budget,
-    /// Parallel per-graph transfers.
-    pub parallel: bool,
-    /// Pin the parallel fan-out to exactly this many worker threads
-    /// (`None` = available parallelism). Only meaningful with `parallel`;
-    /// the knob behind the bench-report `--threads` scaling sweeps.
+    /// Parallel per-graph transfers on this many worker threads (`None` =
+    /// sequential); see [`EngineConfig::parallel_threads`].
     pub parallel_threads: Option<usize>,
     /// Record a run-wide trace journal ([`psa_rsg::trace::Tracer`]);
     /// retrieve it with [`Analyzer::trace_events`]. Off by default:
@@ -42,7 +39,6 @@ impl Default for AnalysisOptions {
             function: "main".to_string(),
             level: Some(Level::L1),
             budget: Budget::default(),
-            parallel: false,
             parallel_threads: None,
             trace: false,
             tables: None,
@@ -155,7 +151,6 @@ impl Analyzer {
         EngineConfig {
             level,
             budget: self.options.budget,
-            parallel: self.options.parallel,
             parallel_threads: self.options.parallel_threads,
             ..EngineConfig::at_level(level)
         }

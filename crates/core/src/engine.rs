@@ -11,11 +11,12 @@
 //!
 //! The engine stores the RSRSG *after every statement* — the paper's
 //! "RSRSG associated with each sentence" — plus timing and structural-byte
-//! accounting for the Table 1 harness. Setting [`EngineConfig::parallel`]
-//! fans the per-graph statement transfers of large RSRSGs out across
-//! threads (std scoped threads) with dynamic work claiming; results are
-//! re-unioned in canonical order, so parallel and sequential runs produce
-//! identical RSRSGs. All paths — sequential, fan-out workers, and the
+//! accounting for the Table 1 harness. Setting
+//! [`EngineConfig::parallel_threads`] fans the per-graph statement
+//! transfers of large RSRSGs out across that many threads (std scoped
+//! threads) with dynamic work claiming; results are re-unioned in
+//! canonical order, so parallel and sequential runs produce identical
+//! RSRSGs. All paths — sequential, fan-out workers, and the
 //! progressive driver when it reuses one [`ShapeCtx`] — share the run-wide
 //! interner, subsumption memo, and transfer memo of
 //! [`psa_rsg::intern::SharedTables`].
@@ -44,6 +45,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Soft cap on graphs per RSRSG before the widening join kicks in
+/// (force-joining graphs with equal widening signatures). Keeps the
+/// analysis practicable on codes whose control flow fragments the RSRSG;
+/// see [`Rsrsg::widen`].
+const WIDEN_CAP: usize = 12;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -51,20 +58,12 @@ pub struct EngineConfig {
     pub level: Level,
     /// Resource budget.
     pub budget: Budget,
-    /// Process the graphs of large RSRSGs on multiple threads.
-    pub parallel: bool,
     /// Minimum graphs in an RSRSG before parallel fan-out pays off.
     pub parallel_threshold: usize,
-    /// Worker-thread count for parallel fan-out. `None` (the default) uses
-    /// the machine's available parallelism; `Some(n)` pins exactly `n`
-    /// workers — the knob behind the bench-report `--threads` scaling
-    /// sweeps. Capped at the fan-out width either way.
+    /// Parallel fan-out of the graphs of large RSRSGs. `None` (the
+    /// default) runs sequentially; `Some(n)` fans out on `n` worker
+    /// threads, capped at the fan-out width — the CLI's `--threads N`.
     pub parallel_threads: Option<usize>,
-    /// Soft cap on graphs per RSRSG before the widening join kicks in
-    /// (force-joining graphs with equal widening signatures). Keeps the
-    /// analysis practicable on codes whose control flow fragments the
-    /// RSRSG; see [`Rsrsg::widen`].
-    pub widen_cap: usize,
     /// Lower provable sharing flags after every statement (§4.2). Disable
     /// only to reproduce the paper's "stale sharing blocks pruning"
     /// behaviour in the ablation benches.
@@ -89,10 +88,8 @@ impl Default for EngineConfig {
         EngineConfig {
             level: Level::L1,
             budget: Budget::default(),
-            parallel: false,
             parallel_threshold: 8,
             parallel_threads: None,
-            widen_cap: 12,
             sharing_relaxation: true,
             pessimistic_sharing: false,
             reference: false,
@@ -859,9 +856,9 @@ impl<'a> Engine<'a> {
                 let si = succ.0 as usize;
                 let mut succ_in = Rsrsg::from_interned(&block_in_ids[si], &self.ctx);
                 let mut changed = succ_in.union_with(&contrib, &self.ctx, level);
-                if succ_in.len() > self.config.widen_cap {
+                if succ_in.len() > WIDEN_CAP {
                     let before = succ_in.signature();
-                    succ_in.widen(&self.ctx, level, self.config.widen_cap);
+                    succ_in.widen(&self.ctx, level, WIDEN_CAP);
                     changed = succ_in.signature() != before || changed;
                 }
                 charge(&mut in_bytes[si], &mut live_in, succ_in.approx_bytes());
@@ -959,7 +956,6 @@ impl<'a> Engine<'a> {
     ) -> Rsrsg {
         stats.stmt_transfers += 1;
         let level = self.config.level;
-        let cap = self.config.widen_cap;
         let info = self.ir.stmt(sid);
         let action = match &info.stmt {
             // Identity: untracked scalar ops pass the set through. `free`
@@ -967,7 +963,7 @@ impl<'a> Engine<'a> {
             // retained cell; the memory-safety client interprets it.
             Stmt::Scalar(_) | Stmt::ScalarStore(_, _) | Stmt::Free(_) => {
                 let mut out = cur;
-                out.widen(&self.ctx, level, cap);
+                out.widen(&self.ctx, level, WIDEN_CAP);
                 return out;
             }
             // Calls go through the summary machinery, bypassing the delta
@@ -977,7 +973,7 @@ impl<'a> Engine<'a> {
             // through and `interproc_stop` soft-stops the run.
             Stmt::Call(c) => {
                 let mut out = crate::interproc::transfer_call(self, c, &cur, sid, deadline, stats);
-                out.widen(&self.ctx, level, cap);
+                out.widen(&self.ctx, level, WIDEN_CAP);
                 return out;
             }
             Stmt::ScalarConst(v, k) => GraphAction::Scalar(*v, Some(*k)),
@@ -1007,7 +1003,7 @@ impl<'a> Engine<'a> {
                 GraphAction::Ptr(p) => transfer_rsrsg(&cur, p, &tcx, stats),
                 GraphAction::Scalar(v, k) => transfer_scalar(&cur, v, k, &self.ctx, level),
             };
-            out.widen(&self.ctx, level, cap);
+            out.widen(&self.ctx, level, WIDEN_CAP);
             return out;
         }
 
@@ -1039,7 +1035,7 @@ impl<'a> Engine<'a> {
         };
         self.fold_transfer(&mut out, &cur, skip, &action, slot, epoch, &tcx, stats);
         let prewiden = out.canon_ids();
-        out.widen(&self.ctx, level, cap);
+        out.widen(&self.ctx, level, WIDEN_CAP);
         *cache = Some(StmtDelta {
             input_ids: in_ids,
             prewiden,
@@ -1052,7 +1048,7 @@ impl<'a> Engine<'a> {
     /// transfer and fold the compressed, interned outputs into `out` in
     /// input order. Fans out across scoped threads with dynamic work
     /// claiming when the slice is large enough and
-    /// [`EngineConfig::parallel`] is set.
+    /// [`EngineConfig::parallel_threads`] is set.
     #[allow(clippy::too_many_arguments)]
     fn fold_transfer(
         &self,
@@ -1072,12 +1068,17 @@ impl<'a> Engine<'a> {
             .metrics
             .delta_graphs_transferred
             .fetch_add(graphs.len() as u64, Ordering::Relaxed);
-        if self.config.parallel && graphs.len() >= self.parallel_threshold() {
+        let fanout = self
+            .config
+            .parallel_threads
+            .filter(|_| graphs.len() >= self.parallel_threshold());
+        if let Some(threads) = fanout {
             // Dynamic work claiming: a shared atomic index hands one graph
             // at a time to whichever worker is free, so one pathological
             // graph no longer serializes a whole static chunk. Results are
             // merged in input order, keeping the fold deterministic.
-            let nthreads = self.fanout_threads(graphs.len());
+            // Spawning more workers than graphs is pure overhead.
+            let nthreads = threads.max(1).min(graphs.len());
             let next = AtomicUsize::new(0);
             let mut partials: Vec<TransferPartial> = std::thread::scope(|scope| {
                 let mut handles = Vec::new();
@@ -1152,21 +1153,6 @@ impl<'a> Engine<'a> {
 
     fn parallel_threshold(&self) -> usize {
         self.config.parallel_threshold.max(2)
-    }
-
-    /// Worker count for a fan-out over `width` graphs: the configured
-    /// override, or the machine's available parallelism, capped at the
-    /// fan-out width (spawning more workers than graphs is pure overhead).
-    fn fanout_threads(&self, width: usize) -> usize {
-        self.config
-            .parallel_threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(4)
-            })
-            .max(1)
-            .min(width)
     }
 }
 
@@ -1358,7 +1344,7 @@ mod tests {
             &ir,
             EngineConfig {
                 level: Level::L1,
-                parallel: true,
+                parallel_threads: Some(2),
                 parallel_threshold: 1,
                 ..Default::default()
             },

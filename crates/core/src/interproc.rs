@@ -739,7 +739,7 @@ fn run_callee_once(
     deadline: Option<Instant>,
 ) -> Result<crate::engine::AnalysisResult, InterprocReason> {
     let mut config = eng.config().clone();
-    config.parallel = false;
+    config.parallel_threads = None;
     if let Some(dl) = deadline {
         let remaining = dl.saturating_duration_since(Instant::now());
         if remaining.is_zero() {

@@ -16,16 +16,15 @@
 //!   structure classification) used to validate the Fig. 3 claims;
 //! * [`parallel`] — the "future work" client pass: a loop-level
 //!   independence report built on the SHARED/SHSEL/TOUCH properties;
-//! * [`leaks`] — a second client pass: dead statements and potential memory
-//!   leak sites read off the per-statement RSRSGs;
 //! * [`interproc`] — interprocedural call transfer: localization of the
 //!   callee-reachable subheap (with cutpoint anchors and the
 //!   unshared-summary split), the per-(function, entry) summary cache
 //!   tabulated to a fixed point, and the glue step that re-attaches the
 //!   caller's frame;
-//! * [`memsafe`] — the memory-safety checker: three-valued null-deref,
-//!   use-after-free, double-free and leak verdicts per statement, validated
-//!   differentially against the concrete interpreter;
+//! * [`memsafe`] — the memory-safety client pass: three-valued null-deref,
+//!   use-after-free, double-free and leak verdicts per statement read off
+//!   the per-statement RSRSGs, validated differentially against the
+//!   concrete interpreter;
 //! * [`annotate`] — the §6 conclusion, closed: re-emit the analyzed source
 //!   with parallelizability annotations on every loop;
 //! * [`report`] — serializable (JSON) analysis reports for downstream
@@ -42,7 +41,6 @@ pub mod asserts;
 pub mod engine;
 pub mod interproc;
 pub mod json;
-pub mod leaks;
 pub mod memsafe;
 pub mod parallel;
 pub mod progressive;

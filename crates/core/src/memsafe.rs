@@ -1,7 +1,8 @@
-//! Memory-safety verdicts — the third "subsequent analysis" client on top
-//! of the per-statement RSRSGs (after parallelization and leak reporting):
-//! per-statement **null-dereference**, **use-after-free**, **double-free**
-//! and **leak** verdicts, each three-valued like the assertion verdicts.
+//! Memory-safety verdicts — the "subsequent analysis" client that reads
+//! leaks and crashes off the per-statement RSRSGs (next to loop
+//! parallelization): per-statement **null-dereference**,
+//! **use-after-free**, **double-free** and **leak** verdicts, each
+//! three-valued like the assertion verdicts.
 //!
 //! # Verdict lattice
 //!
@@ -32,9 +33,9 @@
 //!   `Violation`; `free` of one is the double-free analogue.
 //! * **Leak** (at non-temp rebinds): per input graph, the nodes
 //!   exclusively reachable through the rebound pvar
-//!   ([`crate::leaks::nodes_dropped_in_graph`]). Dropped nodes in some
-//!   graph ⇒ `MayFail`. `Safe` is claimed only when provable — `x` NULL in
-//!   every graph, so nothing can be dropped. A rebind that drops nothing
+//!   ([`nodes_dropped_in_graph`]). Dropped nodes in some graph ⇒
+//!   `MayFail`. `Safe` is claimed only when provable — `x` NULL in every
+//!   graph, so nothing can be dropped. A rebind that drops nothing
 //!   but has `x` possibly bound gets **no verdict**: may-edges
 //!   over-approximate reachability, so "still reachable elsewhere" in the
 //!   abstraction is not a proof that the concrete cell is.
@@ -49,7 +50,7 @@
 //! from "unproven because coarsened".
 
 use crate::engine::AnalysisResult;
-use crate::leaks::nodes_dropped_in_graph;
+use crate::queries::reachable_from;
 use crate::rsrsg::Rsrsg;
 use psa_ir::{BlockId, FuncIr, PtrStmt, PvarId, Stmt, StmtId};
 use std::collections::BTreeSet;
@@ -135,7 +136,7 @@ pub type MemCounts = [[usize; 3]; 4];
 #[derive(Debug, Clone, Default)]
 pub struct MemReport {
     /// Every checked site with its verdict (including `Safe` — the
-    /// differential harness validates exactly those claims).
+    /// differential harness validates the `Safe` and `Violation` claims).
     pub sites: Vec<MemSite>,
     /// `Some(reason)` when the analysis stopped on a budget before its
     /// fixed point: no verdicts are derivable from the partial result.
@@ -430,8 +431,7 @@ fn check_stmt(
 ) {
     let info = ir.stmt(sid);
     // An empty input on a completed analysis means the statement is
-    // unreachable — there is nothing to fault (the leak/dead report covers
-    // dead code separately).
+    // unreachable — there is nothing to fault.
     if pre.is_empty() && !degraded {
         return;
     }
@@ -557,6 +557,35 @@ fn check_stmt(
     }
 }
 
+/// Nodes of one input graph `g` that the rebind of `x` by `stmt` makes
+/// unreachable: `x`'s old region minus everything reachable through the
+/// other pvars or the statement's new root. The leak check's kernel, also
+/// used by the differential recomputation test.
+pub fn nodes_dropped_in_graph(stmt: &Stmt, g: &psa_rsg::Rsg, x: PvarId) -> usize {
+    let Some(old) = g.pl(x) else { return 0 };
+    let region = reachable_from(g, old);
+    let mut reachable_elsewhere = BTreeSet::new();
+    for (p, root) in g.pl_iter() {
+        if p == x {
+            continue;
+        }
+        reachable_elsewhere.extend(reachable_from(g, root));
+    }
+    // x = x->sel / x = y: the new binding also keeps its region alive.
+    let new_root = match *stmt {
+        Stmt::Ptr(PtrStmt::Copy(_, y)) => g.pl(y),
+        Stmt::Ptr(PtrStmt::Load(_, y, sel)) => g.pl(y).and_then(|ny| g.succs(ny, sel).first()),
+        _ => None,
+    };
+    if let Some(nr) = new_root {
+        reachable_elsewhere.extend(reachable_from(g, nr));
+    }
+    region
+        .iter()
+        .filter(|n| !reachable_elsewhere.contains(n))
+        .count()
+}
+
 /// UAF/double-free verdict for using pvar `p` under dangling state `st`.
 fn dangling_verdict(st: &DanglingState, p: PvarId, name: &str) -> (MemVerdict, String) {
     if st.must.contains(&p) {
@@ -632,21 +661,35 @@ mod tests {
                 .all(|s| s.verdict == MemVerdict::Safe),
             "{rep}"
         );
+        assert!(rep.flagged().all(|s| s.check != MemCheck::Leak), "{rep}");
     }
 
     #[test]
     fn definite_null_deref_is_a_violation() {
+        // The crash site is the violation; nothing after it is reached, so
+        // the following rebind carries no verdict at all.
         let src = r#"
             struct node { int v; struct node *nxt; };
             int main() {
                 struct node *p;
                 p = NULL;
                 p->nxt = NULL;
+                p = (struct node *) malloc(sizeof(struct node));
                 return 0;
             }
         "#;
-        let vs = verdicts_of(src, MemCheck::NullDeref);
-        assert!(vs.contains(&MemVerdict::Violation), "{vs:?}");
+        let (a, r) = analyze(src);
+        let rep = memory_report(a.ir(), &r);
+        let crash = rep
+            .sites
+            .iter()
+            .find(|s| s.verdict == MemVerdict::Violation)
+            .unwrap_or_else(|| panic!("definite NULL dereference: {rep}"));
+        assert_eq!(crash.check, MemCheck::NullDeref, "{rep}");
+        assert!(
+            rep.sites.iter().all(|s| s.stmt <= crash.stmt),
+            "statements after a certain crash get no verdict: {rep}"
+        );
     }
 
     #[test]
@@ -798,6 +841,49 @@ mod tests {
                 .any(|s| s.check == MemCheck::Leak && s.verdict == MemVerdict::MayFail),
             "{rep}"
         );
+    }
+
+    #[test]
+    fn dropping_the_only_head_reference_is_flagged() {
+        let src = r#"
+            struct node { int v; struct node *nxt; };
+            int main() {
+                struct node *list; struct node *p; int i;
+                list = NULL;
+                for (i = 0; i < 6; i++) {
+                    p = (struct node *) malloc(sizeof(struct node));
+                    p->nxt = list;
+                    list = p;
+                }
+                p = NULL;
+                list = NULL;   /* whole list leaks here */
+                return 0;
+            }
+        "#;
+        let (a, r) = analyze(src);
+        let rep = memory_report(a.ir(), &r);
+        assert!(
+            rep.flagged()
+                .any(|s| s.check == MemCheck::Leak && s.rendered.contains("list = NULL")),
+            "{rep}"
+        );
+    }
+
+    #[test]
+    fn rebinding_with_other_references_is_not_flagged() {
+        let src = r#"
+            struct node { int v; struct node *nxt; };
+            int main() {
+                struct node *a; struct node *b;
+                a = (struct node *) malloc(sizeof(struct node));
+                b = a;
+                a = NULL;   /* b still holds it: no leak */
+                return 0;
+            }
+        "#;
+        let (an, r) = analyze(src);
+        let rep = memory_report(an.ir(), &r);
+        assert!(rep.flagged().all(|s| s.check != MemCheck::Leak), "{rep}");
     }
 
     #[test]

@@ -229,10 +229,6 @@ pub struct AnalysisReport {
     pub pvars: Vec<PvarReport>,
     /// Per-loop parallelism verdicts.
     pub loops: Vec<LoopVerdict>,
-    /// Dead statements (unreachable at the fixed point).
-    pub dead_statements: Vec<u32>,
-    /// Potential leak sites: `(statement id, rendered, nodes dropped)`.
-    pub leaks: Vec<(u32, String, usize)>,
     /// Trace digest, present only when the run recorded a trace journal;
     /// the `"trace"` key is absent from the JSON otherwise, keeping
     /// untraced output bit-identical.
@@ -408,24 +404,6 @@ impl AnalysisReport {
             "loops",
             self.loops.iter().map(|l| l.to_json()).collect::<Json>(),
         );
-        j.set(
-            "dead_statements",
-            self.dead_statements.iter().copied().collect::<Json>(),
-        );
-        j.set(
-            "leaks",
-            self.leaks
-                .iter()
-                .map(|(sid, rendered, dropped)| {
-                    // Tuples serialize as arrays, mirroring serde.
-                    Json::Arr(vec![
-                        Json::Int(*sid as i128),
-                        Json::Str(rendered.clone()),
-                        Json::Int(*dropped as i128),
-                    ])
-                })
-                .collect::<Json>(),
-        );
         if let Some(t) = &self.trace {
             j.set("trace", t.to_json());
         }
@@ -494,7 +472,6 @@ pub fn build_report(ir: &FuncIr, result: &AnalysisResult) -> AnalysisReport {
             reasons: l.reasons,
         })
         .collect();
-    let leak_rep = crate::leaks::leak_report(ir, result);
     AnalysisReport {
         function: ir.name.clone(),
         stats: StatsReport {
@@ -516,12 +493,6 @@ pub fn build_report(ir: &FuncIr, result: &AnalysisResult) -> AnalysisReport {
         exit_links: result.exit.total_links(),
         pvars,
         loops,
-        dead_statements: leak_rep.dead_statements.iter().map(|s| s.0).collect(),
-        leaks: leak_rep
-            .leaks
-            .into_iter()
-            .map(|l| (l.stmt.0, l.rendered, l.max_nodes_dropped))
-            .collect(),
         trace: None,
         asserts: Vec::new(),
         memory: Some(MemorySection::from_report(&crate::memsafe::memory_report(

@@ -58,10 +58,8 @@ use std::time::Duration;
 /// level, budget, trace — arrive in each request's params).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {
-    /// Parallel per-graph transfers inside each request.
-    pub parallel: bool,
-    /// Worker threads for the parallel fan-out (`None` = available
-    /// parallelism).
+    /// Parallel per-graph transfers inside each request on this many
+    /// worker threads (`None` = sequential).
     pub parallel_threads: Option<usize>,
 }
 
@@ -236,7 +234,6 @@ impl Server {
             function,
             level: Some(level),
             budget,
-            parallel: self.options.parallel,
             parallel_threads: self.options.parallel_threads,
             trace,
             tables: Some(Arc::clone(&session)),

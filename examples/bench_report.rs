@@ -91,7 +91,6 @@ fn time_parallel_run(
     for _ in 0..reps {
         let cfg = EngineConfig {
             level,
-            parallel: true,
             parallel_threads: Some(threads),
             ..Default::default()
         };

@@ -1,11 +1,12 @@
-//! Leak and dead-code hunting with the RSRSG clients.
+//! Leak hunting with the memory-safety client: leak verdicts read off the
+//! per-statement RSRSGs.
 //!
 //! ```sh
 //! cargo run --release --example leak_hunt
 //! ```
 
 use psa::core::api::{AnalysisOptions, Analyzer};
-use psa::core::leaks::leak_report;
+use psa::core::memsafe::{memory_report, MemCheck};
 
 const LEAKY: &str = r#"
 struct node { int v; struct node *nxt; };
@@ -43,22 +44,24 @@ fn main() {
     let analyzer = Analyzer::new(LEAKY, AnalysisOptions::default()).expect("program lowers");
     let result = analyzer.run().expect("analysis converges");
 
-    let report = leak_report(analyzer.ir(), &result);
-    println!("=== leak / dead-code report ===");
+    let report = memory_report(analyzer.ir(), &result);
+    println!("=== memory-safety report ===");
     print!("{report}");
 
     // Note the precision: `list = tmp` inside the loop is NOT flagged —
     // the build cursor `p` still reaches every element. The leak happens
     // exactly when `p = NULL` drops the last reference to the chain.
+    let leak_at = |stmt: &str| {
+        report
+            .flagged()
+            .any(|s| s.check == MemCheck::Leak && s.rendered.contains(stmt))
+    };
     assert!(
-        report.leaks.iter().any(|l| l.rendered.contains("p = NULL")),
+        leak_at("p = NULL"),
         "dropping the build cursor orphans the chain: {report}"
     );
     assert!(
-        !report
-            .leaks
-            .iter()
-            .any(|l| l.rendered.contains("list = tmp")),
+        !leak_at("list = tmp"),
         "the traversal itself leaks nothing while p is alive"
     );
     println!("\n(`p = NULL` drops the last reference — no free() anywhere)");

@@ -6,6 +6,7 @@
 use psa::codes::{barnes_hut, sparse_lu, sparse_matvec, table1_codes, Sizes};
 use psa::core::api::{AnalysisOptions, Analyzer};
 use psa::core::engine::{AnalysisError, BudgetKind, Engine, EngineConfig};
+use psa::core::memsafe::{memory_report, nodes_dropped_in_graph, MemCheck, MemVerdict};
 use psa::core::stats::Budget;
 use psa::rsg::Level;
 use std::time::Duration;
@@ -102,11 +103,11 @@ fn barnes_hut_l3_completes_under_node_cap() {
     );
 }
 
-/// Regression for the leak/memory clients' degradation discipline: under a
-/// node cap that forces summarization on Barnes-Hut, no budget-degraded
-/// statement may carry a dead-statement claim, a leak claim, or a `safe`
-/// memory verdict — degraded state is sound but too coarse to certify
-/// anything.
+/// Regression for the memory client's degradation discipline: under a
+/// node cap that forces summarization on Barnes-Hut, every verdict on a
+/// budget-degraded statement is a `may_fail` flagged `degraded` — never a
+/// `safe` or `violation` claim, never a leak claim with evidence. Degraded
+/// state is sound but too coarse to certify anything.
 #[test]
 fn node_capped_barnes_hut_withholds_claims_on_degraded_statements() {
     let budget = Budget {
@@ -119,47 +120,31 @@ fn node_capped_barnes_hut_withholds_claims_on_degraded_statements() {
         .expect("node cap degrades, never errors");
     assert!(res.any_degraded(), "cap must bite for this regression test");
 
-    let leaks = psa::core::leaks::leak_report(a.ir(), &res);
-    assert!(leaks.inconclusive.is_none(), "completed run is conclusive");
-    for sid in res.degraded_stmts() {
-        assert!(
-            !leaks.dead_statements.contains(&sid),
-            "{sid}: dead claim on a degraded statement"
-        );
-        assert!(
-            leaks.leaks.iter().all(|l| l.stmt != sid),
-            "{sid}: leak claim on a degraded statement"
-        );
-        assert!(
-            leaks.downgraded_statements.contains(&sid),
-            "{sid}: degraded statement missing from the downgraded list"
-        );
-    }
-
-    let mem = psa::core::memsafe::memory_report(a.ir(), &res);
-    assert!(mem.inconclusive.is_none());
+    let mem = memory_report(a.ir(), &res);
+    assert!(mem.inconclusive.is_none(), "completed run is conclusive");
+    let mut degraded_sites = 0;
     for site in &mem.sites {
         if res.degraded[site.stmt.0 as usize] {
+            degraded_sites += 1;
             assert!(site.degraded, "{}: degraded flag missing", site.stmt);
-            assert_ne!(
+            assert_eq!(
                 site.verdict,
-                psa::core::memsafe::MemVerdict::Safe,
-                "{}: `safe` claim on a degraded statement",
-                site.stmt
+                MemVerdict::MayFail,
+                "{}: {} claim on a degraded statement",
+                site.stmt,
+                site.verdict.name()
             );
-            assert_ne!(
-                site.verdict,
-                psa::core::memsafe::MemVerdict::Violation,
-                "{}: `violation` claim on a degraded statement",
-                site.stmt
-            );
+        } else {
+            assert!(!site.degraded, "{}: spurious degraded flag", site.stmt);
         }
     }
+    assert!(degraded_sites > 0, "some degraded statement is checked");
 }
 
-/// A budget-stopped (not merely degraded) run yields an inconclusive leak
-/// report with zero claims — never-visited statements have empty RSRSGs
-/// that mean "not analyzed", not "unreachable".
+/// A budget-stopped (not merely degraded) run yields an inconclusive
+/// memory report with zero sites — never-visited statements have empty
+/// RSRSGs that mean "not analyzed", not "unreachable", and a partial
+/// result under-approximates: no leak, no crash, no `safe` claim.
 #[test]
 fn stopped_run_leak_report_is_inconclusive_with_no_claims() {
     let budget = Budget {
@@ -169,15 +154,14 @@ fn stopped_run_leak_report_is_inconclusive_with_no_claims() {
     let a = analyzer_with_budget(&barnes_hut(Sizes::default()), budget);
     let res = a.run_at(Level::L1).expect("deadline stops softly");
     assert!(res.stopped.is_some(), "zero deadline must stop the engine");
-    let rep = psa::core::leaks::leak_report(a.ir(), &res);
+    let rep = memory_report(a.ir(), &res);
     assert!(rep.inconclusive.is_some());
-    assert!(rep.dead_statements.is_empty());
-    assert!(rep.leaks.is_empty());
+    assert!(rep.sites.is_empty(), "{rep}");
 }
 
-/// Differential check on the leak report's arithmetic: every reported
-/// `max_nodes_dropped` must equal a direct recomputation from the
-/// statement's fixed-point inputs (`AnalysisResult::input_at`), so the
+/// Differential check on the leak verdicts' arithmetic: the drop count in
+/// every rebind leak site's detail must equal a direct recomputation from
+/// the statement's fixed-point inputs (`AnalysisResult::input_at`), so the
 /// report can never go stale against the engine's stored states.
 #[test]
 fn leak_drop_counts_match_direct_recomputation() {
@@ -198,10 +182,17 @@ fn leak_drop_counts_match_direct_recomputation() {
     "#;
     let a = Analyzer::new(src, AnalysisOptions::default()).unwrap();
     let res = a.run_at(Level::L1).unwrap();
-    let rep = psa::core::leaks::leak_report(a.ir(), &res);
-    assert!(!rep.leaks.is_empty(), "the head drop must be reported");
+    let rep = memory_report(a.ir(), &res);
     let ir = a.ir();
-    for site in &rep.leaks {
+    let mut checked = 0;
+    for site in rep.flagged().filter(|s| s.check == MemCheck::Leak) {
+        let reported: usize = site
+            .detail
+            .split("may drop up to ")
+            .nth(1)
+            .and_then(|rest| rest.split(' ').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("{}: no drop count in `{}`", site.stmt, site.detail));
         let (bid, pos) = ir
             .blocks
             .iter()
@@ -224,15 +215,17 @@ fn leak_drop_counts_match_direct_recomputation() {
         let recomputed = res
             .input_at(ir, bid, pos)
             .iter()
-            .map(|g| psa::core::leaks::nodes_dropped_in_graph(&info.stmt, g, x))
+            .map(|g| nodes_dropped_in_graph(&info.stmt, g, x))
             .max()
             .unwrap_or(0);
         assert_eq!(
-            site.max_nodes_dropped, recomputed,
+            reported, recomputed,
             "{}: reported drop count diverges from recomputation",
             site.stmt
         );
+        checked += 1;
     }
+    assert!(checked > 0, "the head drop must be reported: {rep}");
 }
 
 /// A 1 ms deadline on sparse LU yields a partial result, not an error and

@@ -1,9 +1,11 @@
 //! Differential validation of the memory-safety checker: every abstract
-//! `safe` verdict must survive concrete execution. The pinned corpus under
-//! `tests/corpus/` and a fixed-seed batch of generated programs are both
-//! replayed through [`psa::concrete::validate_memory_report`], which runs
-//! the interpreter and refutes any `safe` claim contradicted by an observed
-//! null-deref / use-after-free / double-free fault or leak event.
+//! `safe` and `violation` verdict must survive concrete execution. The
+//! pinned corpus under `tests/corpus/` and a fixed-seed batch of generated
+//! programs are both replayed through
+//! [`psa::concrete::validate_memory_report`], which runs the interpreter
+//! and refutes any `safe` claim contradicted by an observed null-deref /
+//! use-after-free / double-free fault or leak event, and any `violation`
+//! claim at a statement a run executed without faulting.
 //!
 //! Per-verdict behaviour (one targeted program per check kind) is asserted
 //! at the bottom — these are the soundness contracts DESIGN.md §14 states.
@@ -30,7 +32,7 @@ fn corpus_files() -> Vec<PathBuf> {
 }
 
 /// Parse, inline, lower, analyze at `level`, and differentially validate
-/// the memory report. Panics with `ctx` on any refuted `safe` claim.
+/// the memory report. Panics with `ctx` on any refuted claim.
 fn validate(src: &str, level: Level, ctx: &str) {
     let (p, t) = psa::cfront::parse_and_type(src).unwrap_or_else(|e| panic!("{ctx}: parse: {e}"));
     let p2 = psa::ir::inline_program(&p, "main").unwrap_or_else(|e| panic!("{ctx}: inline: {e}"));
@@ -42,7 +44,7 @@ fn validate(src: &str, level: Level, ctx: &str) {
     let diff = validate_memory_report(&ir, &abs, InterpConfig::default(), SEEDS);
     assert!(
         diff.is_validated(),
-        "{ctx}: abstract `safe` claim refuted concretely: {:#?}",
+        "{ctx}: abstract claim refuted concretely: {:#?}",
         diff.mismatches
     );
 }

@@ -14,7 +14,7 @@ fn dll_source() -> String {
 fn options(trace: bool, parallel: bool) -> AnalysisOptions {
     AnalysisOptions {
         trace,
-        parallel,
+        parallel_threads: parallel.then_some(2),
         ..AnalysisOptions::at_level(Level::L2)
     }
 }
