@@ -94,7 +94,7 @@ fn ablation(c: &mut Criterion) {
     // the RSRSGs (the paper's L1 exhibited exactly this on Barnes-Hut).
     let src = psa_codes::barnes_hut(psa_codes::Sizes::default());
     let (prog, table) = psa_cfront::parse_and_type(&src).unwrap();
-    let ir = psa_ir::lower_main(&prog, &table).unwrap();
+    let ir = psa_ir::lower_program(&prog, &table, "main").unwrap();
     let run_with = |pessimistic: bool| {
         let cfg = psa_core::engine::EngineConfig {
             pessimistic_sharing: pessimistic,

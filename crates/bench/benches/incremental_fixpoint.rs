@@ -9,12 +9,12 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use psa_cfront::parse_and_type;
 use psa_codes::generators;
 use psa_core::engine::{Engine, EngineConfig};
-use psa_ir::{lower_main, FuncIr};
+use psa_ir::{lower_program, FuncIr};
 use psa_rsg::Level;
 
 fn ir_for(src: &str) -> FuncIr {
     let (p, t) = parse_and_type(src).expect("parse");
-    lower_main(&p, &t).expect("lower")
+    lower_program(&p, &t, "main").expect("lower")
 }
 
 fn run(ir: &FuncIr, level: Level, incremental: bool) {

@@ -259,6 +259,167 @@ impl Stmt {
     }
 }
 
+/// A borrowed child of a statement: one of its expressions or one of its
+/// nested statements.
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+/// The mutable counterpart of [`Node`].
+#[derive(Debug)]
+pub enum NodeMut<'a> {
+    Stmt(&'a mut Stmt),
+    Expr(&'a mut Expr),
+}
+
+// The one list of each node kind's children, in source order. Match
+// ergonomics bind the same arms by `&` or by `&mut` depending on the
+// scrutinee, so the read-only and the mutable traversal share the list.
+macro_rules! expr_children {
+    ($e:expr, $f:ident) => {
+        match $e {
+            Expr::IntLit(..)
+            | Expr::FloatLit(..)
+            | Expr::StrLit(..)
+            | Expr::Null(_)
+            | Expr::Ident(..)
+            | Expr::SizeOf(..) => {}
+            Expr::Unary(_, x, _) | Expr::Member(x, _, _, _) | Expr::Cast(_, x, _) => $f(x),
+            Expr::Binary(_, a, b, _) | Expr::Assign(a, b, _) => {
+                $f(a);
+                $f(b);
+            }
+            Expr::Call(_, args, _) => {
+                for a in args {
+                    $f(a);
+                }
+            }
+            Expr::Cond(c, a, b, _) => {
+                $f(c);
+                $f(a);
+                $f(b);
+            }
+        }
+    };
+}
+
+macro_rules! stmt_children {
+    ($s:expr, $f:ident, $node:ident) => {
+        match $s {
+            Stmt::Decl(Decl { init, .. }) | Stmt::Return(init, _) => {
+                if let Some(e) = init {
+                    $f($node::Expr(e));
+                }
+            }
+            Stmt::Expr(e) => $f($node::Expr(e)),
+            Stmt::If(c, t, e, _) => {
+                $f($node::Expr(c));
+                $f($node::Stmt(t));
+                if let Some(e) = e {
+                    $f($node::Stmt(e));
+                }
+            }
+            Stmt::While(c, b, _) => {
+                $f($node::Expr(c));
+                $f($node::Stmt(b));
+            }
+            Stmt::DoWhile(b, c, _) => {
+                $f($node::Stmt(b));
+                $f($node::Expr(c));
+            }
+            Stmt::For(init, c, step, b, _) => {
+                if let Some(i) = init {
+                    $f($node::Stmt(i));
+                }
+                if let Some(c) = c {
+                    $f($node::Expr(c));
+                }
+                if let Some(s) = step {
+                    $f($node::Expr(s));
+                }
+                $f($node::Stmt(b));
+            }
+            Stmt::Switch(scrutinee, arms, _) => {
+                $f($node::Expr(scrutinee));
+                for (_, body) in arms {
+                    for s in body {
+                        $f($node::Stmt(s));
+                    }
+                }
+            }
+            Stmt::Block(body, _) => {
+                for s in body {
+                    $f($node::Stmt(s));
+                }
+            }
+            Stmt::Break(_) | Stmt::Continue(_) | Stmt::Empty(_) => {}
+        }
+    };
+}
+
+impl Expr {
+    /// Call `f` on each direct sub-expression, in source order.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
+        expr_children!(self, f)
+    }
+
+    /// Call `f` on each direct sub-expression, mutably, in source order.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(&mut Expr)) {
+        expr_children!(self, f)
+    }
+
+    /// Call `f` on this expression and every expression nested in it,
+    /// parents before children.
+    pub fn walk(&self, f: &mut impl FnMut(&Expr)) {
+        f(self);
+        self.for_each_child(|c| c.walk(f));
+    }
+
+    /// Mutable [`Expr::walk`]: `f` sees a node before its (possibly
+    /// rewritten) children.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(&mut Expr)) {
+        f(self);
+        self.for_each_child_mut(|c| c.walk_mut(f));
+    }
+}
+
+impl Stmt {
+    /// Call `f` on each direct child, in source order: the statement's own
+    /// expressions (a declaration's initializer, conditions, all three
+    /// `for` clauses, the `switch` scrutinee) and its nested statements
+    /// (branches, loop bodies, block and `switch`-arm statements).
+    pub fn for_each_child(&self, mut f: impl FnMut(Node<'_>)) {
+        stmt_children!(self, f, Node)
+    }
+
+    /// Call `f` on each direct child, mutably, in source order.
+    pub fn for_each_child_mut(&mut self, mut f: impl FnMut(NodeMut<'_>)) {
+        stmt_children!(self, f, NodeMut)
+    }
+
+    /// Call `f` on this statement and on every statement and expression
+    /// nested in it, parents before children.
+    pub fn walk(&self, f: &mut impl FnMut(Node<'_>)) {
+        f(Node::Stmt(self));
+        self.for_each_child(|c| match c {
+            Node::Stmt(s) => s.walk(f),
+            Node::Expr(e) => e.walk(&mut |x| f(Node::Expr(x))),
+        });
+    }
+
+    /// Mutable [`Stmt::walk`]: `f` sees a node before its (possibly
+    /// rewritten) children.
+    pub fn walk_mut(&mut self, f: &mut impl FnMut(NodeMut<'_>)) {
+        f(NodeMut::Stmt(self));
+        self.for_each_child_mut(|c| match c {
+            NodeMut::Stmt(s) => s.walk_mut(f),
+            NodeMut::Expr(e) => e.walk_mut(&mut |x| f(NodeMut::Expr(x))),
+        });
+    }
+}
+
 /// One function parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Param {
@@ -345,5 +506,56 @@ mod tests {
         assert!(Expr::IntLit(0, Span::SYNTH).is_zero());
         assert!(!Expr::IntLit(1, Span::SYNTH).is_zero());
         assert!(!Expr::FloatLit(0.0, Span::SYNTH).is_zero());
+    }
+
+    const NESTED: &str = r#"
+        int main() {
+            int i;
+            int k;
+            for (i = a(); i < b(); i = c()) {
+                switch (k) {
+                    case 1: { int v = d(k); } break;
+                    default: if (e()) { return f(); } break;
+                }
+            }
+            do { g(); } while (h(i ? j() : 0));
+            return 0;
+        }
+    "#;
+
+    #[test]
+    fn walks_reach_for_clauses_switch_arms_and_nested_expressions() {
+        let mut f = crate::parse(NESTED).unwrap().functions.remove(0);
+        let (mut calls, mut returns) = (Vec::new(), 0);
+        for s in &f.body {
+            s.walk(&mut |n| match n {
+                Node::Expr(Expr::Call(name, _, _)) => calls.push(name.clone()),
+                Node::Stmt(Stmt::Return(..)) => returns += 1,
+                _ => {}
+            });
+        }
+        assert_eq!(calls, ["a", "b", "c", "d", "e", "f", "g", "h", "j"]);
+        assert_eq!(returns, 2);
+
+        for s in &mut f.body {
+            s.walk_mut(&mut |n| match n {
+                NodeMut::Stmt(Stmt::Decl(Decl { name, .. }))
+                | NodeMut::Expr(Expr::Ident(name, _)) => name.insert(0, '_'),
+                _ => {}
+            });
+        }
+        let mut names = Vec::new();
+        for s in &f.body {
+            s.walk(&mut |n| match n {
+                Node::Stmt(Stmt::Decl(Decl { name, .. })) | Node::Expr(Expr::Ident(name, _)) => {
+                    names.push(name.clone())
+                }
+                _ => {}
+            });
+        }
+        assert_eq!(
+            names,
+            ["_i", "_k", "_i", "_i", "_i", "_k", "_v", "_k", "_i"]
+        );
     }
 }

@@ -434,7 +434,8 @@ mod tests {
             for src in [dll_mutator_program(seed, 8), tree_mutator_program(seed, 8)] {
                 let (p, t) = psa_cfront::parse_and_type(&src)
                     .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
-                psa_ir::lower_main(&p, &t).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
+                psa_ir::lower_program(&p, &t, "main")
+                    .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{src}"));
             }
         }
     }
@@ -454,7 +455,7 @@ mod tests {
             list_of_lists_program(5, 4),
         ] {
             let (p, t) = psa_cfront::parse_and_type(&src).unwrap();
-            psa_ir::lower_main(&p, &t).unwrap();
+            psa_ir::lower_program(&p, &t, "main").unwrap();
         }
     }
 
@@ -464,7 +465,7 @@ mod tests {
             let src = random_program(seed, 24, 4);
             let (p, t) = psa_cfront::parse_and_type(&src)
                 .unwrap_or_else(|e| panic!("seed {seed}: parse error {e}\n{src}"));
-            psa_ir::lower_main(&p, &t)
+            psa_ir::lower_program(&p, &t, "main")
                 .unwrap_or_else(|e| panic!("seed {seed}: lower error {e}\n{src}"));
         }
     }

@@ -473,8 +473,8 @@ mod tests {
     fn all_codes_lower() {
         for (name, src) in table1_codes(Sizes::default()) {
             let (p, t) = psa_cfront::parse_and_type(&src).unwrap();
-            let ir =
-                psa_ir::lower_main(&p, &t).unwrap_or_else(|e| panic!("{name} fails to lower: {e}"));
+            let ir = psa_ir::lower_program(&p, &t, "main")
+                .unwrap_or_else(|e| panic!("{name} fails to lower: {e}"));
             assert!(
                 ir.num_ptr_stmts() > 5,
                 "{name} must contain pointer statements"
@@ -487,7 +487,7 @@ mod tests {
     fn barnes_hut_has_traversal_ipvars() {
         let src = barnes_hut(Sizes::default());
         let (p, t) = psa_cfront::parse_and_type(&src).unwrap();
-        let ir = psa_ir::lower_main(&p, &t).unwrap();
+        let ir = psa_ir::lower_program(&p, &t, "main").unwrap();
         let b = ir.pvar_id("b").unwrap();
         let top = ir.pvar_id("top").unwrap();
         // Some loop must traverse via b (body list), some via top (stack).

@@ -5,8 +5,10 @@
 //! helpers automatically and summarizes the recursive ones, so nothing
 //! here needs the paper's manual flattening. The `*_flat` variants keep
 //! the earlier recursion-free sources (explicit stacks, as the paper's
-//! manual transformation produced) for differential comparison between
-//! the summary path and the purely-inlined path.
+//! manual transformation produced). They go through the same
+//! `lower_program` as everything else; they are kept as soundness inputs,
+//! being the suite's only explicit-stack tree traversals under the
+//! coverage oracle.
 //!
 //! * [`treeadd`] builds a binary tree with a **recursive** `treealloc` and
 //!   sums it with a **recursive** `treeadd` — the suite's canonical

@@ -426,11 +426,11 @@ impl<'a> Interpreter<'a> {
 mod tests {
     use super::*;
     use psa_cfront::parse_and_type;
-    use psa_ir::lower_main;
+    use psa_ir::lower_program;
 
     fn run(src: &str, seed: u64) -> (FuncIr, ExecResult) {
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let res = Interpreter::new(
             &ir,
             InterpConfig {
@@ -560,7 +560,7 @@ mod tests {
             }
         "#;
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let res = Interpreter::new(
             &ir,
             InterpConfig {

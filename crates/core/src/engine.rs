@@ -1174,11 +1174,11 @@ struct StmtDelta {
 mod tests {
     use super::*;
     use psa_cfront::parse_and_type;
-    use psa_ir::lower_main;
+    use psa_ir::lower_program;
 
     fn analyze(src: &str, level: Level) -> (FuncIr, AnalysisResult) {
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let engine = Engine::new(&ir, EngineConfig::at_level(level));
         let res = engine.run().unwrap();
         (ir, res)
@@ -1336,7 +1336,7 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let seq = Engine::new(&ir, EngineConfig::at_level(Level::L1))
             .run()
             .unwrap();
@@ -1360,7 +1360,7 @@ mod tests {
     #[test]
     fn budget_out_of_memory_trips() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
@@ -1381,7 +1381,7 @@ mod tests {
     #[test]
     fn budget_graph_cap_names_statement() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
@@ -1402,7 +1402,7 @@ mod tests {
     #[test]
     fn node_cap_degrades_but_completes() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L2,
             budget: Budget {
@@ -1425,7 +1425,7 @@ mod tests {
     #[test]
     fn zero_deadline_returns_partial_without_poisoning() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
@@ -1452,7 +1452,7 @@ mod tests {
     #[test]
     fn rsg_cap_stops_softly() {
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
@@ -1477,7 +1477,7 @@ mod tests {
         // one-hour deadline never does — the stop reason must name the
         // table cap, and the cancel token must carry the true cause.
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
@@ -1518,7 +1518,7 @@ mod tests {
     fn budgets_unset_results_match_reference() {
         // The budget layer must be inert when no degradation cap is set.
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let plain = Engine::new(&ir, EngineConfig::at_level(Level::L2))
             .run()
             .unwrap();

@@ -163,12 +163,12 @@ mod tests {
     use super::*;
     use crate::engine::{Engine, EngineConfig};
     use psa_cfront::parse_and_type;
-    use psa_ir::lower_main;
+    use psa_ir::lower_program;
     use psa_rsg::Level;
 
     fn analyze(src: &str, level: Level) -> (FuncIr, AnalysisResult) {
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let res = Engine::new(&ir, EngineConfig::at_level(level))
             .run()
             .unwrap();
@@ -375,7 +375,7 @@ mod tests {
 
     fn analyze_with_budget(level: Level, budget: crate::stats::Budget) -> (FuncIr, AnalysisResult) {
         let (p, t) = parse_and_type(BUILD_THEN_UPDATE).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let config = EngineConfig {
             budget,
             ..EngineConfig::at_level(level)

@@ -224,7 +224,7 @@ impl<'a> ProgressiveRunner<'a> {
 mod tests {
     use super::*;
     use psa_cfront::parse_and_type;
-    use psa_ir::lower_main;
+    use psa_ir::lower_program;
 
     const SLL: &str = r#"
         struct node { int v; struct node *nxt; };
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn no_goals_stops_at_l1() {
         let (p, t) = parse_and_type(SLL).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let outcome = ProgressiveRunner::new(&ir, vec![]).run();
         assert_eq!(outcome.satisfied_at, Some(Level::L1));
         assert_eq!(outcome.levels.len(), 1);
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn satisfiable_goal_stops_at_l1() {
         let (p, t) = parse_and_type(SLL).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let list = ir.pvar_id("list").unwrap();
         let outcome =
             ProgressiveRunner::new(&ir, vec![Goal::NotSharedInRegion { pvar: list }]).run();
@@ -276,7 +276,7 @@ mod tests {
             }
         "#;
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let a = ir.pvar_id("a").unwrap();
         let outcome = ProgressiveRunner::new(&ir, vec![Goal::NotSharedInRegion { pvar: a }]).run();
         assert_eq!(outcome.satisfied_at, None);
@@ -290,7 +290,7 @@ mod tests {
         // goals are met (even the empty goal list), and best() surfaces a
         // partial result only because nothing completed.
         let (p, t) = parse_and_type(SLL).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             budget: crate::stats::Budget {
                 deadline: Some(std::time::Duration::ZERO),
@@ -307,7 +307,7 @@ mod tests {
     #[test]
     fn goal_descriptions_render() {
         let (p, t) = parse_and_type(SLL).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let list = ir.pvar_id("list").unwrap();
         let nxt = ir.types.selector_id("nxt").unwrap();
         let g = Goal::NotShselInRegion {

@@ -362,12 +362,12 @@ impl std::fmt::Display for StructureReport {
 mod tests {
     use super::*;
     use psa_cfront::parse_and_type;
-    use psa_ir::lower_main;
+    use psa_ir::lower_program;
     use psa_rsg::Level;
 
     fn analyze(src: &str, level: Level) -> (psa_ir::FuncIr, crate::engine::AnalysisResult) {
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         let res = crate::engine::Engine::new(&ir, crate::engine::EngineConfig::at_level(level))
             .run()
             .unwrap();

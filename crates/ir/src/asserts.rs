@@ -129,7 +129,7 @@ mod tests {
 
     fn lower(src: &str) -> FuncIr {
         let (p, t) = parse_and_type(src).unwrap();
-        crate::lower_main(&p, &t).unwrap()
+        crate::lower_program(&p, &t, "main").unwrap()
     }
 
     const SRC: &str = r#"

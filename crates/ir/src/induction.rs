@@ -162,7 +162,7 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower_main;
+    use crate::lower::lower_program;
     use psa_cfront::parse_and_type;
 
     fn lower(body: &str) -> FuncIr {
@@ -171,7 +171,7 @@ mod tests {
              int main() {{ {body} return 0; }}"
         );
         let (p, t) = parse_and_type(&src).unwrap();
-        lower_main(&p, &t).unwrap()
+        lower_program(&p, &t, "main").unwrap()
     }
 
     #[test]
@@ -275,7 +275,7 @@ mod tests {
             }
         "#;
         let (p, t) = psa_cfront::parse_and_type(src).unwrap();
-        let ir = crate::lower::lower_main(&p, &t).unwrap();
+        let ir = crate::lower::lower_program(&p, &t, "main").unwrap();
         let top = ir.pvar_id("top").unwrap();
         let cur = ir.pvar_id("cur").unwrap();
         assert!(ir.loops[0].ipvars.contains(&top));

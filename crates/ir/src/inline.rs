@@ -2,41 +2,39 @@
 //! hand ("we have manually carried out the inline of the subroutine",
 //! §5.1) and lists as future work.
 //!
-//! The inliner rewrites the AST so the entry function contains no calls to
-//! user-defined functions:
+//! [`crate::lower_program`] runs the inliner over the entry function and
+//! over every recursive function, which stay behind as summarized callees:
 //!
-//! * every call site `f(a1, …)` (statement position) or `x = f(a1, …)`
-//!   (assignment position) is replaced by fresh parameter locals, the
-//!   renamed body, and — for value-returning calls — an assignment from the
-//!   return expression;
+//! * a call `f(a1, …)` in statement position, as the whole right-hand side
+//!   of an assignment `x = f(a1, …)`, or as a declaration's initializer —
+//!   also inside `if`/loop bodies and `switch` arms — is replaced by fresh
+//!   parameter locals, the renamed body, and, for value-returning calls, an
+//!   assignment from the return expression;
+//! * a callee's trailing `return g(…)` expands `g` into the original
+//!   call's own target;
 //! * locals and parameters of the callee are α-renamed
 //!   (`__inl<k>_<name>`), so repeated call sites never collide;
 //! * inlining recurses into the substituted bodies up to a depth limit;
-//!   **recursive calls are rejected** with a diagnostic telling the user to
-//!   apply the paper's stack transformation (Barnes-Hut style);
+//!   calls to the recursive functions are left in place for the lowering
+//!   to summarize;
 //! * callee restrictions: a single `return` as the last statement (or none
 //!   for `void`); early returns are rejected.
+//!
+//! A call in any other position (a condition, a `for` step, an operand, an
+//! argument) is left in place, and `lower_program` rejects it with a hoist
+//! error.
 
-use psa_cfront::ast::{Decl, Expr, Function, Program, Stmt};
+use psa_cfront::ast::{Decl, Expr, Node, NodeMut, Program, Stmt};
 use psa_cfront::diag::{Diagnostic, Span};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Maximum nesting of inlined bodies.
 pub const MAX_INLINE_DEPTH: usize = 16;
 
-/// Inline every user-function call reachable from `entry`, returning a new
-/// program whose entry function is call-free (except the intrinsic
-/// `malloc`/`free`/`printf` family).
-pub fn inline_program(program: &Program, entry: &str) -> Result<Program, Diagnostic> {
-    inline_program_keep(program, entry, &BTreeSet::new())
-}
-
-/// Like [`inline_program`], but calls to functions in `opaque` are left in
-/// place — both in the entry body and inside the opaque bodies themselves,
-/// which also get their *other* (inlinable) calls expanded. The lowering
-/// summarizes the surviving calls; `lower_program` passes the recursive
-/// functions here.
-pub fn inline_program_keep(
+/// Inline every call to a defined function reachable from `entry` and from
+/// the `opaque` functions, except calls to the `opaque` functions
+/// themselves, returning the rewritten program.
+pub(crate) fn inline_program(
     program: &Program,
     entry: &str,
     opaque: &BTreeSet<String>,
@@ -48,22 +46,21 @@ pub fn inline_program_keep(
     };
     let mut out = program.clone();
     for name in std::iter::once(entry).chain(opaque.iter().map(|s| s.as_str())) {
-        let f = program.function(name).ok_or_else(|| {
-            Diagnostic::error(Span::SYNTH, format!("function `{name}` not found"))
-        })?;
-        let mut stack = vec![name.to_string()];
-        let body = ctx.inline_block(&f.body, &mut stack, 0)?;
-        let inlined = Function { body, ..f.clone() };
-        if let Some(slot) = out.functions.iter_mut().find(|g| g.name == name) {
-            *slot = inlined;
-        }
+        let f = out
+            .functions
+            .iter_mut()
+            .find(|g| g.name == name)
+            .ok_or_else(|| {
+                Diagnostic::error(Span::SYNTH, format!("function `{name}` not found"))
+            })?;
+        f.body = ctx.inline_block(std::mem::take(&mut f.body), 0)?;
     }
     Ok(out)
 }
 
 /// Functions treated as intrinsics (never inlined; the lowering handles
 /// them).
-fn is_intrinsic(name: &str) -> bool {
+pub(crate) fn is_intrinsic(name: &str) -> bool {
     matches!(
         name,
         "malloc"
@@ -90,91 +87,36 @@ struct Inliner<'a> {
 }
 
 impl<'a> Inliner<'a> {
-    fn inline_block(
-        &mut self,
-        stmts: &[Stmt],
-        stack: &mut Vec<String>,
-        depth: usize,
-    ) -> Result<Vec<Stmt>, Diagnostic> {
+    fn inline_block(&mut self, stmts: Vec<Stmt>, depth: usize) -> Result<Vec<Stmt>, Diagnostic> {
         let mut out = Vec::with_capacity(stmts.len());
         for s in stmts {
-            self.inline_stmt(s, stack, depth, &mut out)?;
+            self.inline_stmt(s, depth, &mut out)?;
         }
         Ok(out)
     }
 
     fn inline_stmt(
         &mut self,
-        s: &Stmt,
-        stack: &mut Vec<String>,
+        mut s: Stmt,
         depth: usize,
         out: &mut Vec<Stmt>,
     ) -> Result<(), Diagnostic> {
-        match s {
+        match &mut s {
             // Call in statement position.
             Stmt::Expr(Expr::Call(name, args, span)) if self.inlinable(name) => {
-                self.expand_call(name, args, None, *span, stack, depth, out)?;
+                return self.expand_call(name, args, None, *span, depth, out);
             }
             // Call in assignment position: lhs = f(args).
             Stmt::Expr(Expr::Assign(lhs, rhs, span)) => {
                 if let Expr::Call(name, args, _) = &**rhs {
                     if self.inlinable(name) {
-                        self.expand_call(
-                            name,
-                            args,
-                            Some((**lhs).clone()),
-                            *span,
-                            stack,
-                            depth,
-                            out,
-                        )?;
-                        return Ok(());
+                        let target = Some((**lhs).clone());
+                        return self.expand_call(name, args, target, *span, depth, out);
                     }
                 }
-                out.push(s.clone());
             }
-            Stmt::Block(inner, span) => {
-                let inlined = self.inline_block(inner, stack, depth)?;
-                out.push(Stmt::Block(inlined, *span));
-            }
-            Stmt::If(c, t, e, span) => {
-                let t2 = self.inline_one(t, stack, depth)?;
-                let e2 = match e {
-                    Some(e) => Some(Box::new(self.inline_one(e, stack, depth)?)),
-                    None => None,
-                };
-                self.check_expr_callfree(c)?;
-                out.push(Stmt::If(c.clone(), Box::new(t2), e2, *span));
-            }
-            Stmt::While(c, b, span) => {
-                self.check_expr_callfree(c)?;
-                let b2 = self.inline_one(b, stack, depth)?;
-                out.push(Stmt::While(c.clone(), Box::new(b2), *span));
-            }
-            Stmt::DoWhile(b, c, span) => {
-                self.check_expr_callfree(c)?;
-                let b2 = self.inline_one(b, stack, depth)?;
-                out.push(Stmt::DoWhile(Box::new(b2), c.clone(), *span));
-            }
-            Stmt::For(init, c, step, b, span) => {
-                let init2 = match init {
-                    Some(i) => Some(Box::new(self.inline_one(i, stack, depth)?)),
-                    None => None,
-                };
-                if let Some(c) = c {
-                    self.check_expr_callfree(c)?;
-                }
-                let b2 = self.inline_one(b, stack, depth)?;
-                out.push(Stmt::For(
-                    init2,
-                    c.clone(),
-                    step.clone(),
-                    Box::new(b2),
-                    *span,
-                ));
-            }
+            // An initializer that is a user call: split into decl + call.
             Stmt::Decl(d) => {
-                // An initializer that is a user call: split into decl + call.
                 if let Some(Expr::Call(name, args, span)) = &d.init {
                     if self.inlinable(name) {
                         out.push(Stmt::Decl(Decl {
@@ -182,28 +124,50 @@ impl<'a> Inliner<'a> {
                             ..d.clone()
                         }));
                         let lhs = Expr::Ident(d.name.clone(), d.span);
-                        self.expand_call(name, args, Some(lhs), *span, stack, depth, out)?;
-                        return Ok(());
+                        return self.expand_call(name, args, Some(lhs), *span, depth, out);
                     }
                 }
-                out.push(s.clone());
             }
-            other => out.push(other.clone()),
+            // A statement list's expansions splice into the list itself, so a
+            // declaration split off an initializer stays in scope for the
+            // statements after it.
+            Stmt::Block(inner, _) => *inner = self.inline_block(std::mem::take(inner), depth)?,
+            Stmt::Switch(_, arms, _) => {
+                for (_, body) in arms {
+                    *body = self.inline_block(std::mem::take(body), depth)?;
+                }
+            }
+            // `for (init; …)` runs as `{ init; for (; …) }`, for the same
+            // reason.
+            Stmt::For(init @ Some(_), _, _, _, span) => {
+                let (init, span) = (init.take().expect("matched `Some`"), *span);
+                out.push(Stmt::Block(self.inline_block(vec![*init, s], depth)?, span));
+                return Ok(());
+            }
+            // Every other nested statement (branches, loop bodies) is inlined
+            // on its own; expressions stay as they are.
+            _ => {
+                let mut result = Ok(());
+                s.for_each_child_mut(|c| {
+                    if let (NodeMut::Stmt(child), true) = (c, result.is_ok()) {
+                        let taken = std::mem::replace(child, Stmt::Empty(Span::SYNTH));
+                        result = self.inline_one(taken, depth).map(|new| *child = new);
+                    }
+                });
+                result?;
+            }
         }
+        out.push(s);
         Ok(())
     }
 
-    fn inline_one(
-        &mut self,
-        s: &Stmt,
-        stack: &mut Vec<String>,
-        depth: usize,
-    ) -> Result<Stmt, Diagnostic> {
+    fn inline_one(&mut self, s: Stmt, depth: usize) -> Result<Stmt, Diagnostic> {
+        let span = s.span();
         let mut v = Vec::new();
-        self.inline_stmt(s, stack, depth, &mut v)?;
+        self.inline_stmt(s, depth, &mut v)?;
         Ok(match v.len() {
             1 => v.pop().unwrap(),
-            _ => Stmt::Block(v, s.span()),
+            _ => Stmt::Block(v, span),
         })
     }
 
@@ -211,36 +175,12 @@ impl<'a> Inliner<'a> {
         !is_intrinsic(name) && !self.opaque.contains(name) && self.program.function(name).is_some()
     }
 
-    /// Conditions may not contain user calls (we would have to hoist them).
-    fn check_expr_callfree(&self, e: &Expr) -> Result<(), Diagnostic> {
-        let mut bad = None;
-        walk_expr(e, &mut |x| {
-            if let Expr::Call(name, _, span) = x {
-                if self.inlinable(name) {
-                    bad = Some((name.clone(), *span));
-                }
-            }
-        });
-        match bad {
-            Some((name, span)) => Err(Diagnostic::error(
-                span,
-                format!(
-                    "call to `{name}` inside a condition cannot be inlined; \
-                     hoist it into a statement"
-                ),
-            )),
-            None => Ok(()),
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn expand_call(
         &mut self,
         name: &str,
         args: &[Expr],
         target: Option<Expr>,
         span: Span,
-        stack: &mut Vec<String>,
         depth: usize,
         out: &mut Vec<Stmt>,
     ) -> Result<(), Diagnostic> {
@@ -248,16 +188,6 @@ impl<'a> Inliner<'a> {
             return Err(Diagnostic::error(
                 span,
                 format!("inline depth limit reached at call to `{name}`"),
-            ));
-        }
-        if stack.iter().any(|s| s == name) {
-            return Err(Diagnostic::error(
-                span,
-                format!(
-                    "recursive call to `{name}` cannot be inlined; convert the \
-                     recursion to a loop with an explicit stack (as the paper \
-                     does for Barnes-Hut)"
-                ),
             ));
         }
         let callee = self.program.function(name).expect("inlinable checked");
@@ -281,15 +211,18 @@ impl<'a> Inliner<'a> {
         for p in &callee.params {
             bound.insert(p.name.clone(), rename(&p.name));
         }
-        collect_decls(&callee.body, &mut |d: &Decl| {
-            bound
-                .entry(d.name.clone())
-                .or_insert_with(|| rename(&d.name));
-        });
+        for s in &callee.body {
+            s.walk(&mut |n| {
+                if let Node::Stmt(Stmt::Decl(d)) = n {
+                    bound
+                        .entry(d.name.clone())
+                        .or_insert_with(|| rename(&d.name));
+                }
+            });
+        }
 
         // Parameter locals + argument assignments.
         for (p, a) in callee.params.iter().zip(args) {
-            self.check_expr_callfree(a)?;
             out.push(Stmt::Decl(Decl {
                 name: bound[&p.name].clone(),
                 ty: p.ty.clone(),
@@ -299,16 +232,30 @@ impl<'a> Inliner<'a> {
         }
 
         // The body with renamed locals; the trailing return is split off.
-        let mut body: Vec<Stmt> = callee.body.iter().map(|s| rename_stmt(s, &bound)).collect();
-        let ret_expr = match body.last() {
-            Some(Stmt::Return(e, _)) => {
-                let e = e.clone();
-                body.pop();
-                e
+        let mut body = callee.body.clone();
+        for s in &mut body {
+            s.walk_mut(&mut |n| match n {
+                NodeMut::Stmt(Stmt::Decl(Decl { name, .. }))
+                | NodeMut::Expr(Expr::Ident(name, _)) => {
+                    if let Some(r) = bound.get(name.as_str()) {
+                        *name = r.clone();
+                    }
+                }
+                _ => {}
+            });
+        }
+        let ret_expr = match body.pop() {
+            Some(Stmt::Return(e, _)) => e,
+            last => {
+                body.extend(last);
+                None
             }
-            _ => None,
         };
-        if contains_return(&body) {
+        let mut early_return = false;
+        for s in &body {
+            s.walk(&mut |n| early_return |= matches!(n, Node::Stmt(Stmt::Return(..))));
+        }
+        if early_return {
             return Err(Diagnostic::error(
                 span,
                 format!(
@@ -318,15 +265,17 @@ impl<'a> Inliner<'a> {
             ));
         }
 
-        stack.push(name.to_string());
-        let body = self.inline_block(&body, stack, depth + 1)?;
-        stack.pop();
+        let body = self.inline_block(body, depth + 1)?;
         // Splice the body directly (not as a `Block`): the return-value
         // assignment below references the callee's renamed locals, which a
         // block scope would hide. α-renaming already prevents collisions.
         out.extend(body);
 
         match (target, ret_expr) {
+            // `return g(…)`: `g`'s body lands in this call's own target.
+            (target, Some(Expr::Call(g, g_args, g_span))) if self.inlinable(&g) => {
+                self.expand_call(&g, &g_args, target, g_span, depth + 1, out)?;
+            }
             (Some(lhs), Some(e)) => {
                 out.push(Stmt::Expr(Expr::Assign(Box::new(lhs), Box::new(e), span)));
             }
@@ -336,171 +285,23 @@ impl<'a> Inliner<'a> {
                     format!("`{name}` returns no value but the result is used"),
                 ));
             }
+            // A discarded result still runs the calls inside it.
+            (None, Some(e)) if self.calls_defined_function(&e) => out.push(Stmt::Expr(e)),
             (None, _) => {}
         }
         Ok(())
     }
-}
 
-/// Visit every expression node.
-fn walk_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    f(e);
-    match e {
-        Expr::Unary(_, x, _) => walk_expr(x, f),
-        Expr::Binary(_, a, b, _) | Expr::Assign(a, b, _) => {
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
-        Expr::Member(x, _, _, _) | Expr::Cast(_, x, _) => walk_expr(x, f),
-        Expr::Call(_, args, _) => {
-            for a in args {
-                walk_expr(a, f);
+    /// True if `e` calls a function defined in the program (inlinable or
+    /// summarized).
+    fn calls_defined_function(&self, e: &Expr) -> bool {
+        let mut found = false;
+        e.walk(&mut |x| {
+            if let Expr::Call(n, _, _) = x {
+                found |= !is_intrinsic(n) && self.program.function(n).is_some();
             }
-        }
-        Expr::Cond(c, a, b, _) => {
-            walk_expr(c, f);
-            walk_expr(a, f);
-            walk_expr(b, f);
-        }
-        _ => {}
-    }
-}
-
-/// Visit every declaration in a statement list (all nesting levels).
-fn collect_decls(stmts: &[Stmt], f: &mut impl FnMut(&Decl)) {
-    for s in stmts {
-        collect_decls_stmt(s, f);
-    }
-}
-
-fn collect_decls_stmt(s: &Stmt, f: &mut impl FnMut(&Decl)) {
-    match s {
-        Stmt::Decl(d) => f(d),
-        Stmt::Block(v, _) => collect_decls(v, f),
-        Stmt::If(_, t, e, _) => {
-            collect_decls_stmt(t, f);
-            if let Some(e) = e {
-                collect_decls_stmt(e, f);
-            }
-        }
-        Stmt::While(_, b, _) | Stmt::DoWhile(b, _, _) => collect_decls_stmt(b, f),
-        Stmt::For(init, _, _, b, _) => {
-            if let Some(i) = init {
-                collect_decls_stmt(i, f);
-            }
-            collect_decls_stmt(b, f);
-        }
-        _ => {}
-    }
-}
-
-/// True if any (non-trailing) return remains.
-fn contains_return(stmts: &[Stmt]) -> bool {
-    let mut found = false;
-    for s in stmts {
-        stmt_has_return(s, &mut found);
-    }
-    found
-}
-
-fn stmt_has_return(s: &Stmt, found: &mut bool) {
-    match s {
-        Stmt::Return(_, _) => *found = true,
-        Stmt::Block(v, _) => {
-            for s in v {
-                stmt_has_return(s, found);
-            }
-        }
-        Stmt::If(_, t, e, _) => {
-            stmt_has_return(t, found);
-            if let Some(e) = e {
-                stmt_has_return(e, found);
-            }
-        }
-        Stmt::While(_, b, _) | Stmt::DoWhile(b, _, _) => stmt_has_return(b, found),
-        Stmt::For(_, _, _, b, _) => stmt_has_return(b, found),
-        _ => {}
-    }
-}
-
-/// α-rename bound identifiers in a statement.
-fn rename_stmt(s: &Stmt, bound: &BTreeMap<String, String>) -> Stmt {
-    match s {
-        Stmt::Decl(d) => Stmt::Decl(Decl {
-            name: bound
-                .get(&d.name)
-                .cloned()
-                .unwrap_or_else(|| d.name.clone()),
-            ty: d.ty.clone(),
-            init: d.init.as_ref().map(|e| rename_expr(e, bound)),
-            span: d.span,
-        }),
-        Stmt::Expr(e) => Stmt::Expr(rename_expr(e, bound)),
-        Stmt::Block(v, span) => {
-            Stmt::Block(v.iter().map(|s| rename_stmt(s, bound)).collect(), *span)
-        }
-        Stmt::If(c, t, e, span) => Stmt::If(
-            rename_expr(c, bound),
-            Box::new(rename_stmt(t, bound)),
-            e.as_ref().map(|e| Box::new(rename_stmt(e, bound))),
-            *span,
-        ),
-        Stmt::While(c, b, span) => Stmt::While(
-            rename_expr(c, bound),
-            Box::new(rename_stmt(b, bound)),
-            *span,
-        ),
-        Stmt::DoWhile(b, c, span) => Stmt::DoWhile(
-            Box::new(rename_stmt(b, bound)),
-            rename_expr(c, bound),
-            *span,
-        ),
-        Stmt::For(init, c, step, b, span) => Stmt::For(
-            init.as_ref().map(|i| Box::new(rename_stmt(i, bound))),
-            c.as_ref().map(|c| rename_expr(c, bound)),
-            step.as_ref().map(|s| rename_expr(s, bound)),
-            Box::new(rename_stmt(b, bound)),
-            *span,
-        ),
-        Stmt::Return(e, span) => Stmt::Return(e.as_ref().map(|e| rename_expr(e, bound)), *span),
-        other => other.clone(),
-    }
-}
-
-fn rename_expr(e: &Expr, bound: &BTreeMap<String, String>) -> Expr {
-    match e {
-        Expr::Ident(n, span) => match bound.get(n) {
-            Some(r) => Expr::Ident(r.clone(), *span),
-            None => e.clone(),
-        },
-        Expr::Unary(op, x, span) => Expr::Unary(*op, Box::new(rename_expr(x, bound)), *span),
-        Expr::Binary(op, a, b, span) => Expr::Binary(
-            *op,
-            Box::new(rename_expr(a, bound)),
-            Box::new(rename_expr(b, bound)),
-            *span,
-        ),
-        Expr::Assign(a, b, span) => Expr::Assign(
-            Box::new(rename_expr(a, bound)),
-            Box::new(rename_expr(b, bound)),
-            *span,
-        ),
-        Expr::Member(x, f, arrow, span) => {
-            Expr::Member(Box::new(rename_expr(x, bound)), f.clone(), *arrow, *span)
-        }
-        Expr::Call(n, args, span) => Expr::Call(
-            n.clone(),
-            args.iter().map(|a| rename_expr(a, bound)).collect(),
-            *span,
-        ),
-        Expr::Cast(t, x, span) => Expr::Cast(t.clone(), Box::new(rename_expr(x, bound)), *span),
-        Expr::Cond(c, a, b, span) => Expr::Cond(
-            Box::new(rename_expr(c, bound)),
-            Box::new(rename_expr(a, bound)),
-            Box::new(rename_expr(b, bound)),
-            *span,
-        ),
-        other => other.clone(),
+        });
+        found
     }
 }
 
@@ -511,8 +312,7 @@ mod tests {
 
     fn inline_and_lower(src: &str) -> crate::FuncIr {
         let (p, t) = parse_and_type(src).unwrap();
-        let p2 = inline_program(&p, "main").unwrap();
-        crate::lower_main(&p2, &t).unwrap()
+        crate::lower_program(&p, &t, "main").unwrap()
     }
 
     #[test]
@@ -564,15 +364,7 @@ mod tests {
         // Two expansions: two renamed locals.
         assert!(ir.pvar_id("__inl0_p").is_some());
         assert!(ir.pvar_id("__inl1_p").is_some());
-        // Shape analysis over the result: a -> b chain, unshared.
-        let res = psa_core_check(&ir);
-        assert!(res);
-    }
-
-    /// Minimal shape sanity without depending on psa-core (dev-dep cycle):
-    /// just validate the IR.
-    fn psa_core_check(ir: &crate::FuncIr) -> bool {
-        ir.validate().is_ok()
+        ir.validate().unwrap();
     }
 
     #[test]
@@ -629,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn recursion_rejected_with_guidance() {
+    fn recursion_is_left_to_summaries() {
         let src = r#"
             struct node { int v; struct node *nxt; };
             void walk(void) {
@@ -637,34 +429,9 @@ mod tests {
             }
             int main() { walk(); return 0; }
         "#;
-        let (p, _t) = parse_and_type(src).unwrap();
-        let err = inline_program(&p, "main").unwrap_err();
-        assert!(err.message.contains("recursive"));
-        assert!(err.message.contains("stack"));
-    }
-
-    #[test]
-    fn early_return_rejected() {
-        let src = r#"
-            struct node { int v; struct node *nxt; };
-            int f(int c) {
-                if (c > 0) { return 1; }
-                return 0;
-            }
-            int main() { int x; x = f(3); return 0; }
-        "#;
-        let (p, _t) = parse_and_type(src).unwrap();
-        assert!(inline_program(&p, "main").is_err());
-    }
-
-    #[test]
-    fn call_in_condition_rejected() {
-        let src = r#"
-            int f(void) { return 1; }
-            int main() { if (f() > 0) { return 1; } return 0; }
-        "#;
-        let (p, _t) = parse_and_type(src).unwrap();
-        assert!(inline_program(&p, "main").is_err());
+        let ir = inline_and_lower(src);
+        assert_eq!(ir.callees.len(), 1);
+        assert_eq!(ir.callees[0].name, "walk");
     }
 
     #[test]
@@ -700,7 +467,7 @@ mod tests {
             }
         "#;
         let (p, _t) = parse_and_type(src).unwrap();
-        let p2 = inline_program(&p, "main").unwrap();
+        let p2 = inline_program(&p, "main", &BTreeSet::new()).unwrap();
         // Unchanged body length (no expansion happened).
         assert_eq!(
             p.function("main").unwrap().body.len(),

@@ -6,11 +6,12 @@
 //! simple ones and temporal variables" (§2). This crate performs that
 //! normalization:
 //!
-//! * [`lower::lower_function`] flattens arbitrary access chains into the six
-//!   statements plus compiler temporaries, lowers structured control flow
-//!   into a [`func::FuncIr`] control-flow graph, and desugars conditions into
-//!   short-circuit branches whose leaves are NULL tests, pointer equalities
-//!   or opaque scalar tests;
+//! * [`lower_program`], the one lowering entry point, inlines non-recursive
+//!   calls, summarizes recursive ones, flattens arbitrary access chains into
+//!   the six statements plus compiler temporaries, lowers structured control
+//!   flow into a [`func::FuncIr`] control-flow graph, and desugars
+//!   conditions into short-circuit branches whose leaves are NULL tests,
+//!   pointer equalities or opaque scalar tests;
 //! * [`func`] defines the statement/block/loop data model, including the
 //!   **loop-exit edge actions** the engine uses to erase per-loop TOUCH sets;
 //! * [`induction`] implements the preprocessing pass the paper attributes to
@@ -18,7 +19,7 @@
 //!   (traversal pvars) of every loop, the only pvars eligible for TOUCH;
 //! * [`inline`] automates the call inlining the paper performed by hand
 //!   (non-recursive user functions are expanded at their call sites before
-//!   lowering).
+//!   lowering; recursive ones stay behind as summarized callees).
 
 pub mod asserts;
 pub mod func;
@@ -32,8 +33,7 @@ pub use func::{
     Block, BlockId, CallArg, CallScalarArg, CallStmt, CalleeFunc, Cond, FuncIr, LoopId, LoopInfo,
     PtrStmt, PvarId, PvarInfo, ScalarId, Stmt, StmtId, StmtInfo, Terminator,
 };
-pub use inline::{inline_program, inline_program_keep};
-pub use lower::{lower_function, lower_main, lower_program, LowerError};
+pub use lower::{lower_program, LowerError};
 
 #[cfg(test)]
 mod tests {
@@ -55,7 +55,7 @@ mod tests {
             }
         "#;
         let (program, table) = parse_and_type(src).unwrap();
-        let ir = lower_main(&program, &table).unwrap();
+        let ir = lower_program(&program, &table, "main").unwrap();
         assert!(ir.blocks.len() >= 3);
         assert_eq!(ir.loops.len(), 1);
         // `p` must be detected as an induction pointer of the loop.

@@ -12,7 +12,8 @@
 //! [`Cond::PtrEq`] or [`Cond::Opaque`].
 
 use crate::func::*;
-use psa_cfront::ast::{self, BinOp, Expr, Stmt as AStmt, TypeExpr, UnOp};
+use crate::inline::{inline_program, is_intrinsic};
+use psa_cfront::ast::{self, BinOp, Expr, Node, Stmt as AStmt, TypeExpr, UnOp};
 use psa_cfront::diag::{Diagnostic, Span};
 use psa_cfront::types::{SemType, StructId, TypeTable};
 use std::collections::{BTreeMap, BTreeSet};
@@ -20,124 +21,65 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Errors produced during lowering.
 pub type LowerError = Diagnostic;
 
-/// Lower the `main` function of a program.
-pub fn lower_main(program: &ast::Program, table: &TypeTable) -> Result<FuncIr, LowerError> {
-    lower_function(program, table, "main")
-}
-
-/// Lower the named function of a program.
+/// Lower a whole program rooted at `entry`: the one way from a parsed
+/// program to IR.
 ///
-/// The analyzed function plays the role of a whole program after inlining
-/// (which [`crate::lower_program`] performs automatically): it must not
+/// User function calls are handled automatically: non-recursive calls are
+/// inlined (see [`crate::inline`]), and functions on a call-graph cycle are
+/// lowered as [`CalleeFunc`] bodies over a single shared pvar/scalar
+/// universe, with their call sites becoming [`Stmt::Call`] statements that
+/// the engine analyzes via entry/exit summaries. A call to a defined
+/// function that is neither inlined nor summarized is an error.
+///
+/// The entry function plays the role of a whole program: it must not
 /// receive pointer parameters, because the analysis starts from an empty
-/// heap. Global pointer variables are registered as pvars; global
-/// initializers run before the body.
-pub fn lower_function(
-    program: &ast::Program,
-    table: &TypeTable,
-    name: &str,
-) -> Result<FuncIr, LowerError> {
-    let func = program
-        .function(name)
-        .ok_or_else(|| Diagnostic::error(Span::SYNTH, format!("function `{name}` not found")))?;
-    let mut lw = Lowerer::new(table.clone(), name.to_string());
-
-    // Globals become top-level bindings.
-    for g in &program.globals {
-        lw.declare(&g.name, &g.ty, g.span)?;
-    }
-    for g in &program.globals {
-        if let Some(init) = &g.init {
-            let lhs = Expr::Ident(g.name.clone(), g.span);
-            lw.lower_assign(&lhs, init, g.span)?;
-            lw.flush_temps();
-        }
-    }
-
-    for p in &func.params {
-        let sem = table.resolve(&p.ty, func.span)?;
-        if sem.pointee_struct().is_some() {
-            return Err(Diagnostic::error(
-                func.span,
-                format!(
-                    "function `{name}` takes pointer parameter `{}`; the analysis \
-                     starts from an empty heap, so the entry function must not \
-                     receive pointers (use `lower_program`, which inlines callers \
-                     automatically and summarizes recursive ones)",
-                    p.name
-                ),
-            ));
-        }
-        let tracked = matches!(sem, SemType::Int);
-        lw.declare_scalar(&p.name, tracked);
-    }
-
-    lw.push_scope();
-    for s in &func.body {
-        lw.lower_stmt(s)?;
-    }
-    lw.pop_scope();
-    lw.finish()
-}
-
-/// Lower a whole program rooted at `entry`, handling user function calls
-/// automatically: non-recursive calls are inlined bottom-up over the call
-/// graph (fresh renaming per call site), and functions on a call-graph
-/// cycle are lowered as [`CalleeFunc`] bodies over a single shared
-/// pvar/scalar universe, with their call sites becoming [`Stmt::Call`]
-/// statements that the engine analyzes via entry/exit summaries.
-///
-/// With no recursion in sight this is exactly `inline_program` +
-/// [`lower_function`] — bit-identical output to the manual pipeline.
+/// heap. Global variables are registered by the same rule as locals, and
+/// their initializers run before the body.
 pub fn lower_program(
     program: &ast::Program,
     table: &TypeTable,
     entry: &str,
 ) -> Result<FuncIr, LowerError> {
     let recursive = recursive_functions(program, entry);
-    let inlined = crate::inline::inline_program_keep(program, entry, &recursive)?;
-    if recursive.is_empty() {
-        return lower_function(&inlined, table, entry);
+    let inlined = inline_program(program, entry, &recursive)?;
+    let defined: BTreeSet<String> = program
+        .functions
+        .iter()
+        .map(|f| f.name.clone())
+        .filter(|n| !is_intrinsic(n))
+        .collect();
+
+    // --- pass 1: shared universe seeds — globals, then per-callee formals,
+    // anchors and return slots, in sorted name order so ids are stable.
+    let mut global_scope = Lowerer::new(table.clone(), entry.to_string());
+    for g in &inlined.globals {
+        global_scope.declare(&g.name, &g.ty, g.span)?;
     }
+    let Lowerer {
+        table: root_table,
+        mut pvars,
+        mut scalars,
+        mut scopes,
+        ..
+    } = global_scope;
+    let globals = scopes.pop().expect("the global scope");
     // The localized call transfer strips every binding from the callee's
     // entry graph, which would make a global read inside a recursive callee
     // see NULL/unknown and a global write be lost at glue time. Refuse the
     // combination rather than analyze it wrong.
-    for g in &inlined.globals {
-        let sem = table.resolve(&g.ty, g.span)?;
-        if sem.pointee_struct().is_some() || matches!(sem, SemType::Int) {
-            return Err(Diagnostic::error(
-                g.span,
-                format!(
-                    "global variable `{}` is not supported together with \
-                     recursive functions (pass it as a parameter instead)",
-                    g.name
-                ),
-            ));
-        }
-    }
-
-    // --- pass 1: shared universe seeds — globals, then per-callee formals,
-    // anchors and return slots, in sorted name order so ids are stable.
-    let mut pvars: Vec<PvarInfo> = Vec::new();
-    let mut scalars: Vec<String> = Vec::new();
-    let mut globals: BTreeMap<String, Binding> = BTreeMap::new();
-    for g in &inlined.globals {
-        let sem = table.resolve(&g.ty, g.span)?;
-        if let Some(sid) = sem.pointee_struct() {
-            let id = PvarId(pvars.len() as u32);
-            pvars.push(PvarInfo {
-                name: g.name.clone(),
-                pointee: sid,
-                is_temp: false,
-            });
-            globals.insert(g.name.clone(), Binding::Ptr(id));
-        } else if matches!(sem, SemType::Int) {
-            let id = ScalarId(scalars.len() as u32);
-            scalars.push(g.name.clone());
-            globals.insert(g.name.clone(), Binding::Scalar(Some(id)));
-        } else {
-            globals.insert(g.name.clone(), Binding::Scalar(None));
+    if !recursive.is_empty() {
+        for g in &inlined.globals {
+            let sem = table.resolve(&g.ty, g.span)?;
+            if sem.pointee_struct().is_some() || matches!(sem, SemType::Int) {
+                return Err(Diagnostic::error(
+                    g.span,
+                    format!(
+                        "global variable `{}` is not supported together with \
+                         recursive functions (pass it as a parameter instead)",
+                        g.name
+                    ),
+                ));
+            }
         }
     }
 
@@ -145,9 +87,7 @@ pub fn lower_program(
     let mut sigs: BTreeMap<String, CallSig> = BTreeMap::new();
     let mut seeds: Vec<CalleeSeed> = Vec::new();
     for (index, name) in names.iter().enumerate() {
-        let f = inlined.function(name).ok_or_else(|| {
-            Diagnostic::error(Span::SYNTH, format!("function `{name}` not found"))
-        })?;
+        let f = inlined.function(name).expect("inlined above");
         let mut params = Vec::new();
         let mut bindings = globals.clone();
         let mut params_ptr = Vec::new();
@@ -250,7 +190,7 @@ pub fn lower_program(
     let mut callee_irs: Vec<FuncIr> = Vec::new();
     let mut owned: Vec<(Vec<PvarId>, Vec<ScalarId>)> = Vec::new();
     for seed in &seeds {
-        let f = inlined.function(&seed.name).expect("checked in pass 1");
+        let f = inlined.function(&seed.name).expect("inlined above");
         let mut lw = Lowerer::new_seeded(
             table.clone(),
             seed.name.clone(),
@@ -258,17 +198,14 @@ pub fn lower_program(
             std::mem::take(&mut scalars),
             seed.bindings.clone(),
             sigs.clone(),
+            defined.clone(),
             format!("{}.", seed.name),
             seed.ret_ptr,
             seed.ret_scalar,
         );
         let body_start_pvar = lw.pvars.len();
         let body_start_scalar = lw.scalars.len();
-        lw.push_scope();
-        for s in &f.body {
-            lw.lower_stmt(s)?;
-        }
-        lw.pop_scope();
+        lw.lower_scoped(&f.body)?;
         let ir = lw.finish()?;
         // Owned slots: formals + anchors + return slot registered in pass 1
         // (the contiguous range starting at the seed's watermark) plus body
@@ -299,19 +236,18 @@ pub fn lower_program(
 
     // --- pass 3: the root, over the final callee tables.
     let mut lw = Lowerer::new_seeded(
-        table.clone(),
+        root_table,
         entry.to_string(),
         pvars,
         scalars,
         globals,
-        sigs.clone(),
+        sigs,
+        defined,
         String::new(),
         None,
         None,
     );
-    let func = inlined
-        .function(entry)
-        .ok_or_else(|| Diagnostic::error(Span::SYNTH, format!("function `{entry}` not found")))?;
+    let func = inlined.function(entry).expect("inlined above");
     for g in &inlined.globals {
         if let Some(init) = &g.init {
             let lhs = Expr::Ident(g.name.clone(), g.span);
@@ -334,11 +270,7 @@ pub fn lower_program(
         let tracked = matches!(sem, SemType::Int);
         lw.declare_scalar(&p.name, tracked);
     }
-    lw.push_scope();
-    for s in &func.body {
-        lw.lower_stmt(s)?;
-    }
-    lw.pop_scope();
+    lw.lower_scoped(&func.body)?;
     let mut root = lw.finish()?;
 
     // --- pass 4: every FuncIr carries the final full tables, and callees
@@ -429,127 +361,37 @@ fn body_hash(ir: &FuncIr) -> u64 {
 /// summary-based analysis instead.
 fn recursive_functions(program: &ast::Program, entry: &str) -> BTreeSet<String> {
     // Direct-call edges among defined functions.
-    let mut edges: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
     for f in &program.functions {
         let mut callees = BTreeSet::new();
-        collect_calls(&f.body, &mut |name| {
-            if program.function(name).is_some() {
-                callees.insert(name.to_string());
-            }
-        });
-        edges.insert(f.name.clone(), callees);
-    }
-    // Reachable set from entry.
-    let mut reach: BTreeSet<String> = BTreeSet::new();
-    let mut stack = vec![entry.to_string()];
-    while let Some(n) = stack.pop() {
-        if !reach.insert(n.clone()) {
-            continue;
+        for s in &f.body {
+            s.walk(&mut |n| {
+                if let Node::Expr(Expr::Call(name, _, _)) = n {
+                    if let Some(g) = program.function(name) {
+                        callees.insert(g.name.as_str());
+                    }
+                }
+            });
         }
-        if let Some(cs) = edges.get(&n) {
-            stack.extend(cs.iter().cloned());
-        }
+        edges.insert(&f.name, callees);
     }
-    // A function is recursive iff it can reach itself.
-    let mut out = BTreeSet::new();
-    for f in &reach {
+    // The functions reachable from `from` through one or more calls.
+    let reach = |from: &str| {
         let mut seen: BTreeSet<&str> = BTreeSet::new();
-        let mut stack: Vec<&str> = edges
-            .get(f)
-            .map(|cs| cs.iter().map(|s| s.as_str()).collect())
-            .unwrap_or_default();
+        let mut stack: Vec<&str> = edges.get(from).into_iter().flatten().copied().collect();
         while let Some(n) = stack.pop() {
-            if n == f {
-                out.insert(f.clone());
-                break;
-            }
-            if !seen.insert(n) {
-                continue;
-            }
-            if let Some(cs) = edges.get(n) {
-                stack.extend(cs.iter().map(|s| s.as_str()));
+            if seen.insert(n) {
+                stack.extend(edges.get(n).into_iter().flatten());
             }
         }
-    }
-    out
-}
-
-/// Visit every call name in a statement list.
-fn collect_calls(stmts: &[AStmt], f: &mut impl FnMut(&str)) {
-    for s in stmts {
-        collect_calls_stmt(s, f);
-    }
-}
-
-fn collect_calls_stmt(s: &AStmt, f: &mut impl FnMut(&str)) {
-    match s {
-        AStmt::Decl(d) => {
-            if let Some(e) = &d.init {
-                walk_calls(e, f);
-            }
-        }
-        AStmt::Expr(e) => walk_calls(e, f),
-        AStmt::Block(v, _) => collect_calls(v, f),
-        AStmt::If(c, t, e, _) => {
-            walk_calls(c, f);
-            collect_calls_stmt(t, f);
-            if let Some(e) = e {
-                collect_calls_stmt(e, f);
-            }
-        }
-        AStmt::While(c, b, _) => {
-            walk_calls(c, f);
-            collect_calls_stmt(b, f);
-        }
-        AStmt::DoWhile(b, c, _) => {
-            collect_calls_stmt(b, f);
-            walk_calls(c, f);
-        }
-        AStmt::For(init, c, step, b, _) => {
-            if let Some(i) = init {
-                collect_calls_stmt(i, f);
-            }
-            if let Some(c) = c {
-                walk_calls(c, f);
-            }
-            if let Some(s) = step {
-                walk_calls(s, f);
-            }
-            collect_calls_stmt(b, f);
-        }
-        AStmt::Switch(scrut, arms, _) => {
-            walk_calls(scrut, f);
-            for (_, body) in arms {
-                collect_calls(body, f);
-            }
-        }
-        AStmt::Return(Some(e), _) => walk_calls(e, f),
-        _ => {}
-    }
-}
-
-fn walk_calls(e: &Expr, f: &mut impl FnMut(&str)) {
-    if let Expr::Call(name, _, _) = e {
-        f(name);
-    }
-    match e {
-        Expr::Unary(_, x, _) | Expr::Member(x, _, _, _) | Expr::Cast(_, x, _) => walk_calls(x, f),
-        Expr::Binary(_, a, b, _) | Expr::Assign(a, b, _) => {
-            walk_calls(a, f);
-            walk_calls(b, f);
-        }
-        Expr::Call(_, args, _) => {
-            for a in args {
-                walk_calls(a, f);
-            }
-        }
-        Expr::Cond(c, a, b, _) => {
-            walk_calls(c, f);
-            walk_calls(a, f);
-            walk_calls(b, f);
-        }
-        _ => {}
-    }
+        seen
+    };
+    // A function is recursive iff it can reach itself.
+    std::iter::once(entry)
+        .chain(reach(entry))
+        .filter(|f| reach(f).contains(f))
+        .map(str::to_string)
+        .collect()
 }
 
 /// Signature of a summarized (recursive) callee, known to every lowerer.
@@ -626,6 +468,8 @@ struct Lowerer {
     prefix: String,
     /// Signatures of summarized (recursive) callees visible at call sites.
     call_sigs: BTreeMap<String, CallSig>,
+    /// The functions defined in the program, intrinsics excepted.
+    defined: BTreeSet<String>,
     /// Where `return e;` stores a pointer result, in callee mode.
     ret_ptr_slot: Option<PvarId>,
     /// Where `return e;` stores a tracked-int result, in callee mode.
@@ -656,6 +500,7 @@ impl Lowerer {
             pending_temps: Vec::new(),
             prefix: String::new(),
             call_sigs: BTreeMap::new(),
+            defined: BTreeSet::new(),
             ret_ptr_slot: None,
             ret_scalar_slot: None,
         }
@@ -673,6 +518,7 @@ impl Lowerer {
         scalars: Vec<String>,
         bindings: BTreeMap<String, Binding>,
         call_sigs: BTreeMap<String, CallSig>,
+        defined: BTreeSet<String>,
         prefix: String,
         ret_ptr_slot: Option<PvarId>,
         ret_scalar_slot: Option<ScalarId>,
@@ -682,6 +528,7 @@ impl Lowerer {
         lw.scalars = scalars;
         lw.scopes = vec![bindings];
         lw.call_sigs = call_sigs;
+        lw.defined = defined;
         lw.prefix = prefix;
         lw.ret_ptr_slot = ret_ptr_slot;
         lw.ret_scalar_slot = ret_scalar_slot;
@@ -874,14 +721,7 @@ impl Lowerer {
                 self.flush_temps();
                 Ok(())
             }
-            AStmt::Block(stmts, _) => {
-                self.push_scope();
-                for st in stmts {
-                    self.lower_stmt(st)?;
-                }
-                self.pop_scope();
-                Ok(())
-            }
+            AStmt::Block(stmts, _) => self.lower_scoped(stmts),
             AStmt::Empty(_) => Ok(()),
             AStmt::If(cond, then, els, _) => {
                 let then_bb = self.new_block();
@@ -971,6 +811,7 @@ impl Lowerer {
             AStmt::Switch(scrutinee, arms, span) => {
                 // Lower to an if/else chain on equality tests; tracked
                 // scalars get precise ScalarEq refinement for free.
+                self.check_no_user_call(scrutinee)?;
                 let join = self.new_block();
                 for (label, body) in arms {
                     match label {
@@ -985,21 +826,11 @@ impl Lowerer {
                             );
                             self.lower_cond(&test, arm_bb, next_bb)?;
                             self.switch_to(arm_bb);
-                            self.push_scope();
-                            for st in body {
-                                self.lower_stmt(st)?;
-                            }
-                            self.pop_scope();
+                            self.lower_scoped(body)?;
                             self.seal(Terminator::Goto(join));
                             self.switch_to(next_bb);
                         }
-                        None => {
-                            self.push_scope();
-                            for st in body {
-                                self.lower_stmt(st)?;
-                            }
-                            self.pop_scope();
-                        }
+                        None => self.lower_scoped(body)?,
                     }
                 }
                 self.seal(Terminator::Goto(join));
@@ -1068,6 +899,16 @@ impl Lowerer {
         }
     }
 
+    /// Lower `stmts` in a scope of their own.
+    fn lower_scoped(&mut self, stmts: &[AStmt]) -> Result<(), Diagnostic> {
+        self.push_scope();
+        for s in stmts {
+            self.lower_stmt(s)?;
+        }
+        self.pop_scope();
+        Ok(())
+    }
+
     fn begin_loop(&mut self, header: BlockId, continue_bb: BlockId, break_bb: BlockId) -> LoopId {
         let id = LoopId(self.loops.len() as u32);
         let parent = self.loop_stack.last().map(|l| l.id);
@@ -1120,18 +961,7 @@ impl Lowerer {
 
     /// Lower `cond`, branching to `t` when true and `f` when false.
     fn lower_cond(&mut self, cond: &Expr, t: BlockId, f: BlockId) -> Result<(), Diagnostic> {
-        // Calls to summarized functions may mutate the heap; hiding one
-        // inside a (possibly re-evaluated, possibly opaque) condition would
-        // drop those effects, so require it to be hoisted.
-        if let Some(n) = self.first_user_call(cond) {
-            return Err(Diagnostic::error(
-                cond.span(),
-                format!(
-                    "call to `{n}` inside a condition cannot be summarized; \
-                     assign its result to a variable and test that"
-                ),
-            ));
-        }
+        self.check_no_user_call(cond)?;
         match cond {
             Expr::Binary(BinOp::And, a, b, _) => {
                 let mid = self.new_block();
@@ -1284,32 +1114,21 @@ impl Lowerer {
         }
     }
 
-    /// The first call to a summarized function inside `e`, if any.
-    fn first_user_call(&self, e: &Expr) -> Option<String> {
-        let mut found: Option<String> = None;
-        walk_calls(e, &mut |n| {
-            if found.is_none() && self.call_sigs.contains_key(n) {
-                found = Some(n.to_string());
+    /// Reject a call to a function defined in the program inside `e`, an
+    /// expression about to be lowered opaquely (a condition, scalar
+    /// arithmetic, an intrinsic's argument, …): dropping the call would drop
+    /// its heap effects. Hoisted into its own statement, the call is inlined
+    /// or summarized.
+    fn check_no_user_call(&self, e: &Expr) -> Result<(), Diagnostic> {
+        let mut found: Option<Diagnostic> = None;
+        e.walk(&mut |x| {
+            if let Expr::Call(n, _, span) = x {
+                if found.is_none() && self.defined.contains(n) {
+                    found = Some(hoist_error(n, *span));
+                }
             }
         });
-        found
-    }
-
-    /// Reject calls to summarized functions buried inside an expression that
-    /// is otherwise lowered opaquely (scalar havoc, untracked stores, …) —
-    /// dropping the call would drop its heap effects.
-    fn check_no_user_call(&self, e: &Expr) -> Result<(), Diagnostic> {
-        if let Some(n) = self.first_user_call(e) {
-            return Err(Diagnostic::error(
-                e.span(),
-                format!(
-                    "call to `{n}` is only supported as a statement or as the \
-                     entire right-hand side of an assignment; hoist it into \
-                     its own statement"
-                ),
-            ));
-        }
-        Ok(())
+        found.map_or(Ok(()), Err)
     }
 
     /// If `base->field` is a selector access, return its ids.
@@ -1417,10 +1236,13 @@ impl Lowerer {
                 self.emit_call(name, args, Some(t), None, *sp)?;
                 Ok(Operand::Pvar(t))
             }
-            other => Err(Diagnostic::error(
-                other.span(),
-                format!("unsupported pointer expression: {}", short_desc(other)),
-            )),
+            other => {
+                self.check_no_user_call(other)?;
+                Err(Diagnostic::error(
+                    other.span(),
+                    format!("unsupported pointer expression: {}", short_desc(other)),
+                ))
+            }
         }
     }
 
@@ -1590,14 +1412,17 @@ impl Lowerer {
                 // `x = f(...)` for a summarized callee: return straight into x.
                 self.emit_call(cname, cargs, Some(x), None, *sp)
             }
-            other => Err(Diagnostic::error(
-                other.span(),
-                format!(
-                    "unsupported pointer right-hand side: {} (pointer arithmetic \
-                     and calls to undefined functions are outside the subset)",
-                    short_desc(other)
-                ),
-            )),
+            other => {
+                self.check_no_user_call(other)?;
+                Err(Diagnostic::error(
+                    other.span(),
+                    format!(
+                        "unsupported pointer right-hand side: {} (pointer arithmetic \
+                         and calls to undefined functions are outside the subset)",
+                        short_desc(other)
+                    ),
+                ))
+            }
         }
     }
 
@@ -1606,8 +1431,9 @@ impl Lowerer {
     fn malloc_struct(&mut self, e: &Expr) -> Result<Option<StructId>, Diagnostic> {
         match e {
             Expr::Cast(ty, inner, span) => {
-                if let Expr::Call(name, _, _) = &**inner {
+                if let Expr::Call(name, args, _) = &**inner {
                     if name == "malloc" || name == "calloc" {
+                        args.iter().try_for_each(|a| self.check_no_user_call(a))?;
                         let sem = self.table.resolve(ty, *span)?;
                         return match sem.pointee_struct() {
                             Some(sid) => Ok(Some(sid)),
@@ -1621,6 +1447,7 @@ impl Lowerer {
                 Ok(None)
             }
             Expr::Call(name, args, span) if name == "malloc" || name == "calloc" => {
+                args.iter().try_for_each(|a| self.check_no_user_call(a))?;
                 // Uncast malloc: try to infer from sizeof argument.
                 for a in args {
                     if let Expr::SizeOf(ty, _) = a {
@@ -1642,45 +1469,38 @@ impl Lowerer {
 
     /// Lower a call in statement position.
     fn lower_call(&mut self, name: &str, args: &[Expr], span: Span) -> Result<(), Diagnostic> {
-        match name {
-            "free" => {
-                // The paper's analysis treats deallocation as shape-identity
-                // (freed locations are never accessed again by a correct
-                // program), but the memory-safety client needs the freed
-                // pvar, so a pointer argument lowers to a real statement.
-                match args {
-                    [arg] if self.is_pointerish(arg) => {
-                        match self.lower_ptr_operand(arg, span)? {
-                            Operand::Pvar(p) => self.emit(Stmt::Free(p), span),
-                            // free(NULL) is a no-op in C.
-                            Operand::Null => {
-                                self.emit(Stmt::Scalar("free(NULL)".to_string()), span);
-                            }
-                        }
+        let desc = match name {
+            // The paper's analysis treats deallocation as shape-identity
+            // (freed locations are never accessed again by a correct
+            // program), but the memory-safety client needs the freed pvar,
+            // so a pointer argument lowers to a real statement.
+            "free" => match args {
+                [arg] if self.is_pointerish(arg) => {
+                    match self.lower_ptr_operand(arg, span)? {
+                        Operand::Pvar(p) => self.emit(Stmt::Free(p), span),
+                        // free(NULL) is a no-op in C.
+                        Operand::Null => self.emit(Stmt::Scalar("free(NULL)".to_string()), span),
                     }
-                    _ => self.emit(Stmt::Scalar("free(...)".to_string()), span),
+                    return Ok(());
                 }
-                Ok(())
-            }
-            "printf" | "fprintf" | "puts" | "exit" | "srand" | "assert" => {
-                self.emit(Stmt::Scalar(format!("{name}(...)")), span);
-                Ok(())
-            }
-            "malloc" | "calloc" => {
-                // Result discarded: allocate-and-leak has no observable shape.
-                self.emit(Stmt::Scalar("malloc (discarded)".to_string()), span);
-                Ok(())
-            }
+                _ => "free(...)".to_string(),
+            },
+            "printf" | "fprintf" | "puts" | "exit" | "srand" | "assert" => format!("{name}(...)"),
+            // Result discarded: allocate-and-leak has no observable shape.
+            "malloc" | "calloc" => "malloc (discarded)".to_string(),
+            // Result-discarding call to a summarized callee.
             _ if self.call_sigs.contains_key(name) => {
-                // Result-discarding call to a summarized callee.
-                self.emit_call(name, args, None, None, span)
+                return self.emit_call(name, args, None, None, span);
             }
+            // A function defined in the translation unit that is neither
+            // summarized nor inlined: the inliner left it in place (a `for`
+            // step), and lowering it as a no-op would drop its effects.
+            _ if self.defined.contains(name) => return Err(hoist_error(name, span)),
             _ => {
                 // Undefined call: allowed only if no pointer-to-struct argument
                 // could leak/mutate heap structure. (Calls to functions defined
-                // in the translation unit never reach this point: the inliner
-                // expands the non-recursive ones and `call_sigs` covers the
-                // recursive ones.)
+                // in the translation unit never reach this point: the two arms
+                // above take them.)
                 for a in args {
                     if self.is_pointerish(a) {
                         return Err(Diagnostic::error(
@@ -1694,10 +1514,15 @@ impl Lowerer {
                         ));
                     }
                 }
-                self.emit(Stmt::Scalar(format!("{name}(...)")), span);
-                Ok(())
+                format!("{name}(...)")
             }
+        };
+        // The call lowers to a no-op, and its arguments with it.
+        for a in args {
+            self.check_no_user_call(a)?;
         }
+        self.emit(Stmt::Scalar(desc), span);
+        Ok(())
     }
 
     /// Emit a [`Stmt::Call`] to a summarized callee, checking arity and
@@ -1803,6 +1628,15 @@ enum Operand {
     Pvar(PvarId),
 }
 
+/// The error for a call to a defined function in a position where it is
+/// neither inlined nor summarized.
+fn hoist_error(name: &str, span: Span) -> Diagnostic {
+    Diagnostic::error(
+        span,
+        format!("call to `{name}` cannot be inlined here; hoist it into its own statement"),
+    )
+}
+
 /// A short printable description of an expression for Scalar traces.
 fn short_desc(e: &Expr) -> String {
     match e {
@@ -1895,66 +1729,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lower_program_matches_inline_path_when_no_recursion() {
-        let src = r#"
-            struct node { int v; struct node *nxt; };
-            struct node *mk(void) {
-                struct node *p;
-                p = (struct node *) malloc(sizeof(struct node));
-                p->nxt = NULL;
-                return p;
-            }
-            int main() {
-                struct node *a;
-                a = mk();
-                return 0;
-            }
-        "#;
-        let (p, t) = parse_and_type(src).unwrap();
-        let via_program = lower_program(&p, &t, "main").unwrap();
-        let p2 = crate::inline::inline_program(&p, "main").unwrap();
-        let via_inline = lower_main(&p2, &t).unwrap();
-        assert_eq!(
-            format!("{:?}", via_program.stmts),
-            format!("{:?}", via_inline.stmts)
-        );
-        assert_eq!(
-            format!("{:?}", via_program.blocks),
-            format!("{:?}", via_inline.blocks)
-        );
-        assert!(via_program.callees.is_empty());
-    }
-
-    #[test]
-    fn call_in_condition_rejected_with_hoist_hint() {
-        let src = r#"
-            struct node { int v; struct node *nxt; };
-            int depth(struct node *p) {
-                int d;
-                if (p == NULL) { return 0; }
-                d = depth(p->nxt);
-                return d + 1;
-            }
-            int main() {
-                struct node *l;
-                l = NULL;
-                if (depth(l) == 0) { return 1; }
-                return 0;
-            }
-        "#;
-        let (p, t) = parse_and_type(src).unwrap();
-        let err = lower_program(&p, &t, "main").unwrap_err();
-        assert!(err.message.contains("condition"), "{}", err.message);
-    }
-
     fn lower(body: &str) -> FuncIr {
         let src = format!(
             "struct node {{ int v; struct node *nxt; struct node *prv; }};\n\
              int main() {{ {body} return 0; }}"
         );
         let (p, t) = parse_and_type(&src).unwrap();
-        lower_main(&p, &t).unwrap()
+        lower_program(&p, &t, "main").unwrap()
     }
 
     fn ptr_stmts(ir: &FuncIr) -> Vec<PtrStmt> {
@@ -2189,7 +1970,7 @@ mod tests {
             int main() { struct node *p; frob(p); return 0; }
         "#;
         let (p, t) = parse_and_type(src).unwrap();
-        assert!(lower_main(&p, &t).is_err());
+        assert!(lower_program(&p, &t, "main").is_err());
     }
 
     #[test]
@@ -2200,7 +1981,7 @@ mod tests {
             int main() { return 0; }
         "#;
         let (p, t) = parse_and_type(src).unwrap();
-        assert!(lower_function(&p, &t, "work").is_err());
+        assert!(lower_program(&p, &t, "work").is_err());
     }
 
     #[test]
@@ -2212,7 +1993,7 @@ mod tests {
             int main() { head = NULL; return 0; }
         "#;
         let (p, t) = parse_and_type(src).unwrap();
-        let ir = lower_main(&p, &t).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
         assert!(ir.pvar_id("head").is_some());
     }
 

@@ -144,7 +144,7 @@ pub fn func(ir: &FuncIr) -> String {
 
 #[cfg(test)]
 mod tests {
-    use crate::lower::lower_main;
+    use crate::lower::lower_program;
     use psa_cfront::parse_and_type;
 
     #[test]
@@ -160,7 +160,7 @@ mod tests {
             }
         "#;
         let (prog, table) = parse_and_type(src).unwrap();
-        let ir = lower_main(&prog, &table).unwrap();
+        let ir = lower_program(&prog, &table, "main").unwrap();
         let text = super::func(&ir);
         assert!(text.contains("p = p->nxt"));
         assert!(text.contains("l = NULL"));
@@ -181,7 +181,7 @@ mod tests {
             }
         "#;
         let (prog, table) = parse_and_type(src).unwrap();
-        let ir = lower_main(&prog, &table).unwrap();
+        let ir = lower_program(&prog, &table, "main").unwrap();
         let text = super::func(&ir);
         assert!(text.contains("p = malloc(struct node)"));
         assert!(text.contains("p->nxt = p"));

@@ -236,7 +236,7 @@ mod tests {
             }
         "#;
         let (p, t) = psa_cfront::parse_and_type(src).unwrap();
-        let ir = psa_ir::lower_main(&p, &t).unwrap();
+        let ir = psa_ir::lower_program(&p, &t, "main").unwrap();
         let ctx = ShapeCtx::from_ir(&ir);
         assert_eq!(ctx.num_structs, 2);
         assert_eq!(ctx.num_selectors, 2);

@@ -304,8 +304,7 @@ fn hard_byte_cap_is_a_typed_error() {
 #[test]
 fn deadline_cancellation_leaves_shared_state_clean() {
     let (program, table) = psa::cfront::parse_and_type(&sparse_matvec(Sizes::default())).unwrap();
-    let program = psa::ir::inline_program(&program, "main").unwrap();
-    let ir = psa::ir::lower_function(&program, &table, "main").unwrap();
+    let ir = psa::ir::lower_program(&program, &table, "main").unwrap();
     let cancelled_cfg = EngineConfig {
         budget: Budget {
             deadline: Some(Duration::ZERO),

@@ -14,12 +14,12 @@
 //! retained for a canonical form.
 
 use psa::core::engine::{AnalysisError, AnalysisResult, Engine, EngineConfig};
-use psa::ir::{lower_main, FuncIr};
+use psa::ir::{lower_program, FuncIr};
 use psa::rsg::Level;
 
 pub fn lower(src: &str) -> FuncIr {
     let (p, t) = psa::cfront::parse_and_type(src).expect("program parses");
-    lower_main(&p, &t).expect("program lowers")
+    lower_program(&p, &t, "main").expect("program lowers")
 }
 
 /// Analyze `src` at `level` on the default path and on the reference

@@ -31,12 +31,11 @@ fn corpus_files() -> Vec<PathBuf> {
     files
 }
 
-/// Parse, inline, lower, analyze at `level`, and differentially validate
+/// Parse, lower, analyze at `level`, and differentially validate
 /// the memory report. Panics with `ctx` on any refuted claim.
 fn validate(src: &str, level: Level, ctx: &str) {
     let (p, t) = psa::cfront::parse_and_type(src).unwrap_or_else(|e| panic!("{ctx}: parse: {e}"));
-    let p2 = psa::ir::inline_program(&p, "main").unwrap_or_else(|e| panic!("{ctx}: inline: {e}"));
-    let ir = psa::ir::lower_main(&p2, &t).unwrap_or_else(|e| panic!("{ctx}: lower: {e}"));
+    let ir = psa::ir::lower_program(&p, &t, "main").unwrap_or_else(|e| panic!("{ctx}: lower: {e}"));
     let result = Engine::new(&ir, EngineConfig::at_level(level))
         .run()
         .unwrap_or_else(|e| panic!("{ctx}: engine: {e}"));
@@ -79,7 +78,7 @@ fn fuzz_batch_safe_verdicts_survive_concrete_execution() {
 /// Build a report for `src` at L1 and return the verdicts.
 fn report(src: &str) -> (psa::ir::FuncIr, psa::core::memsafe::MemReport) {
     let (p, t) = psa::cfront::parse_and_type(src).unwrap();
-    let ir = psa::ir::lower_main(&p, &t).unwrap();
+    let ir = psa::ir::lower_program(&p, &t, "main").unwrap();
     let result = Engine::new(&ir, EngineConfig::at_level(Level::L1))
         .run()
         .unwrap();

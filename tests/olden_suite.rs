@@ -148,8 +148,16 @@ fn olden_codes_differentially_sound() {
     // inlining for non-recursive calls, summaries for the recursive ones —
     // and every root-level abstract state must cover the frame-aware
     // interpreter's concrete state at the same point (for a call statement
-    // that is the *glued* post-call state).
-    for (name, src) in psa::codes::olden::olden_codes(Sizes::tiny()) {
+    // that is the *glued* post-call state). The hand-flattened twins of the
+    // recursive codes are the only explicit-stack tree traversals under
+    // this oracle, so they are checked the same way.
+    let flat_twins = psa::codes::olden::olden_codes_flat(Sizes::tiny())
+        .into_iter()
+        .filter(|(name, _)| RECURSIVE_OLDEN.contains(name));
+    for (name, src) in psa::codes::olden::olden_codes(Sizes::tiny())
+        .into_iter()
+        .chain(flat_twins)
+    {
         let rep = check_soundness(&src, Level::L1, &[1, 2]);
         assert!(
             rep.inconclusive.is_none(),
@@ -158,96 +166,54 @@ fn olden_codes_differentially_sound() {
         );
         assert!(rep.is_sound(), "{name}: {:#?}", rep.violations);
     }
-    // The recursion-free variants exercise the explicit-inliner path over
-    // the same workloads; both pipelines must be sound on the same shapes.
-    for (name, src) in psa::codes::olden::olden_codes_flat(Sizes::tiny()) {
-        if !RECURSIVE_OLDEN.contains(&name) {
-            continue; // identical source to the natural form, checked above
-        }
-        let (p, t) = psa_cfront::parse_and_type(&src).unwrap();
-        let p2 = psa::ir::inline_program(&p, "main").unwrap();
-        let ir = psa::ir::lower_main(&p2, &t).unwrap();
-        let engine = psa::core::engine::Engine::new(
-            &ir,
-            psa::core::engine::EngineConfig::at_level(Level::L1),
-        );
-        let result = engine.run().unwrap_or_else(|e| panic!("{name}: {e}"));
-        for seed in [1u64, 2] {
-            let exec = psa::concrete::Interpreter::new(
-                &ir,
-                psa::concrete::InterpConfig {
-                    seed,
-                    ..Default::default()
-                },
-            )
-            .run();
-            for point in &exec.trace {
-                let rsrsg = result.at(point.stmt);
-                assert!(
-                    psa::concrete::cover::any_covers(rsrsg.iter(), &point.state, Level::L1),
-                    "{name} (flat): uncovered after {} (seed {seed})",
-                    point.stmt
-                );
-            }
-        }
+}
+
+/// FNV-1a, 64-bit — `corpus_canon.rs`'s exit-signature scheme.
+fn fnv64(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h ^= b as u64;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
 }
 
+/// `(code, L1 hash, L2 hash, L3 hash)` of the exit RSRSG's canonical
+/// signature at `Sizes::tiny()`. The five non-recursive codes were pinned
+/// from the retired explicit inline-then-lower pipeline and the three
+/// recursive ones from `lower_program`, before `lower_program` became the
+/// only lowering entry point.
+#[rustfmt::skip]
+const OLDEN_EXIT_PINS: &[(&str, u64, u64, u64)] = &[
+    ("treeadd", 0xdc2679afb3ccafed, 0x03d9fc54bab0a1b6, 0x03d9fc54bab0a1b6),
+    ("power", 0x737f1b1017dcd339, 0xe872545cf93e3a46, 0xd7f9f60a3c4091e4),
+    ("em3d", 0x552bde7a5a6a2eba, 0x75f50b37d264f53f, 0x75f50b37d264f53f),
+    ("bisort", 0x84a5afbdda5494f2, 0x6792203a3e796b8f, 0x6792203a3e796b8f),
+    ("tsp", 0xd1012b2e849d33eb, 0x11b2b6c35f807308, 0x631bd4fd814a26c8),
+    ("health", 0xbd467ae2a3c44452, 0xbd467ae2a3c44452, 0xbd467ae2a3c44452),
+    ("perimeter", 0x1eaa4c041bd75755, 0x193694cb3049fde5, 0x193694cb3049fde5),
+    ("voronoi", 0xebc2651730142508, 0x7f4e5a049d1aae99, 0x7f4e5a049d1aae99),
+];
+
 #[test]
 fn auto_inlined_reports_match_explicit_inlining_bit_for_bit() {
-    // For non-recursive multi-function sources, the automatic inliner in
-    // `lower_program` and the explicit `inline_program` + `lower_main`
-    // pipeline must agree on everything the report says: same verdicts,
-    // same shapes, same statement-level sections. Only wall-clock counters
-    // (elapsed_ms, peak_bytes, *_ns) may differ between the two runs.
-    fn stable(report: &str) -> String {
-        report
-            .lines()
-            .filter(|l| {
-                !(l.contains("_ns\":") || l.contains("elapsed_ms") || l.contains("peak_bytes"))
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-    for (name, src) in psa::codes::olden::olden_codes(Sizes::tiny()) {
-        if RECURSIVE_OLDEN.contains(&name) {
-            continue; // summaries, not inlining — no flattened twin exists
-        }
-        let (p, t) = psa_cfront::parse_and_type(&src).unwrap();
-        for level in Level::ALL {
-            let auto = {
-                let ir = psa::ir::lower_program(&p, &t, "main")
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                let engine = psa::core::engine::Engine::new(
-                    &ir,
-                    psa::core::engine::EngineConfig::at_level(level),
-                );
-                let result = engine
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name}/{level}: {e}"));
-                psa::core::report::build_report(&ir, &result)
-                    .to_json()
-                    .pretty()
-            };
-            let explicit = {
-                let p2 = psa::ir::inline_program(&p, "main").unwrap();
-                let ir = psa::ir::lower_main(&p2, &t).unwrap();
-                let engine = psa::core::engine::Engine::new(
-                    &ir,
-                    psa::core::engine::EngineConfig::at_level(level),
-                );
-                let result = engine
-                    .run()
-                    .unwrap_or_else(|e| panic!("{name}/{level}: {e}"));
-                psa::core::report::build_report(&ir, &result)
-                    .to_json()
-                    .pretty()
-            };
-            assert_eq!(
-                stable(&auto),
-                stable(&explicit),
-                "{name}/{level}: the two inlining pipelines diverged"
-            );
+    // Every Olden code's exit RSRSG at L1–L3 is pinned to the hash it had
+    // when the automatic inliner was still checked against the explicit
+    // pipeline, so the one remaining pipeline stays bit-identical to both.
+    let codes = psa::codes::olden::olden_codes(Sizes::tiny());
+    assert_eq!(codes.len(), OLDEN_EXIT_PINS.len());
+    for ((name, src), &(pinned, l1, l2, l3)) in codes.iter().zip(OLDEN_EXIT_PINS) {
+        assert_eq!(*name, pinned);
+        let a = analyzer(src);
+        for (level, want) in Level::ALL.into_iter().zip([l1, l2, l3]) {
+            let res = a
+                .run_at(level)
+                .unwrap_or_else(|e| panic!("{name}/{level}: {e}"));
+            assert!(res.stopped.is_none(), "{name}/{level} stopped");
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for bytes in res.exit.signature() {
+                fnv64(&mut h, &bytes);
+                fnv64(&mut h, &[0xFF, 0x00]);
+            }
+            assert_eq!(h, want, "{name}/{level}: exit signature {h:#018x} drifted");
         }
     }
 }

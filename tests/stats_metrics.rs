@@ -7,12 +7,12 @@ use psa::codes::generators::dll_program;
 use psa::core::engine::{Engine, EngineConfig};
 use psa::core::progressive::{Goal, ProgressiveRunner};
 use psa::core::stats::OpStats;
-use psa::ir::lower_main;
+use psa::ir::lower_program;
 use psa::rsg::Level;
 
 fn dll_ir() -> psa::ir::FuncIr {
     let (p, t) = psa::cfront::parse_and_type(&dll_program(8)).unwrap();
-    lower_main(&p, &t).unwrap()
+    lower_program(&p, &t, "main").unwrap()
 }
 
 /// Copy with the wall-clock fields zeroed, for whole-struct comparison.
@@ -82,7 +82,7 @@ fn progressive_levels_share_the_cache() {
         }
     "#;
     let (prog, types) = psa::cfront::parse_and_type(DLL_BUILD).unwrap();
-    let ir = lower_main(&prog, &types).unwrap();
+    let ir = lower_program(&prog, &types, "main").unwrap();
     let list = ir.pvar_id("list").unwrap();
     let outcome = ProgressiveRunner::new(&ir, vec![Goal::NotSharedInRegion { pvar: list }]).run();
     assert_eq!(
