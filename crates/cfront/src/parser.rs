@@ -507,7 +507,8 @@ impl Parser {
                     {
                         return Err(Diagnostic::error(
                             self.span(),
-                            "switch arms must end with `break` (fallthrough is                              outside the C subset)",
+                            "switch arms must end with `break` (fallthrough is \
+                             outside the C subset)",
                         ));
                     }
                     arms.push((label, body));

@@ -16,10 +16,11 @@
 //! [`psa_rsg::intern::SharedTables`].
 
 use psa_rsg::compress::compress;
-use psa_rsg::intern::{CanonEntry, CanonId, Fingerprint};
+use psa_rsg::intern::{CanonEntry, CanonId, Fingerprint, PinSignature};
 use psa_rsg::join::{compatible, join};
 use psa_rsg::trace::TraceKind;
 use psa_rsg::{Level, Rsg, ShapeCtx};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -162,11 +163,13 @@ impl Rsrsg {
                     i += 1;
                 }
             }
-            // COMPATIBLE requires exact pvar-domain and scalar-fact
-            // equality, both of which the fingerprint hashes — gate the
-            // expensive structural check (alias classes + spaths) on them.
+            // COMPATIBLE requires equal pinning signatures, which the
+            // fingerprint hashes: gate the expensive structural check
+            // (alias classes + spaths) on them, except in the reference
+            // oracle.
             if let Some(i) = self.canon.iter().zip(&self.graphs).position(|(me, mg)| {
-                Fingerprint::may_be_compatible(&me.fp, &e.fp) && compatible(mg, &cand, level)
+                (!t.cache_enabled() || Fingerprint::may_be_compatible(&me.fp, &e.fp))
+                    && compatible(mg, &cand, level)
             }) {
                 let member = self.graphs.remove(i);
                 self.canon.remove(i);
@@ -280,63 +283,41 @@ impl Rsrsg {
         out
     }
 
-    /// The **widening signature** of a graph: the part of COMPATIBLE that a
-    /// forced join must preserve — PL domain, alias classes, and per-pvar
-    /// TYPE / SHARED / SHSEL / TOUCH of the pointed node. Graphs agreeing on
-    /// it can always be joined: `MERGE_NODES` reconciles differing reference
-    /// patterns by intersecting must-sets and widening possible-sets.
-    /// Sharing flags stay in the signature: joining an "already linked"
-    /// state into a "not yet linked" one plants alternative may-links whose
-    /// sharing evidence later stores cannot distinguish from real second
-    /// references (this is precisely the Barnes-Hut `SHSEL(body)` story of
-    /// §5.1).
-    fn widen_signature(g: &Rsg) -> Vec<u8> {
-        let mut sig = Vec::new();
-        // Known scalar facts: widening must not merge configurations that a
-        // tracked flag distinguishes (`done == 0` vs `done == 1`), or the
-        // flag tracking would be erased exactly where it matters.
-        for (v, k) in g.scalars() {
-            sig.extend_from_slice(&v.to_le_bytes());
-            sig.extend_from_slice(&k.to_le_bytes());
-        }
-        sig.push(0xFE);
-        // Alias partition, with node identities canonicalized by first
-        // occurrence among the (sorted) pl entries.
-        let mut seen: Vec<psa_rsg::NodeId> = Vec::new();
-        for (p, n) in g.pl_iter() {
-            sig.extend_from_slice(&p.0.to_le_bytes());
-            let canon_id = match seen.iter().position(|&m| m == n) {
-                Some(i) => i,
-                None => {
-                    seen.push(n);
-                    seen.len() - 1
-                }
-            };
-            sig.extend_from_slice(&(canon_id as u32).to_le_bytes());
-            let nd = g.node(n);
-            sig.extend_from_slice(&nd.ty.0.to_le_bytes());
-            sig.push(nd.shared as u8);
-            sig.extend_from_slice(&nd.shsel.0.to_le_bytes());
-            for t in nd.touch.iter() {
-                sig.extend_from_slice(&t.0.to_le_bytes());
-            }
-            sig.push(0xFF);
-        }
-        sig
-    }
-
     /// Widening: while the set holds more than `soft_cap` graphs, force-join
-    /// pairs sharing a widening signature. This is the lattice widening that
-    /// keeps the paper's analysis practicable on codes whose control flow
-    /// would otherwise fragment the RSRSG combinatorially; it only coarsens
-    /// (join over-approximates both inputs), never drops configurations.
+    /// pairs sharing a widening signature ([`PinSignature`]); each round
+    /// joins the first two members of the lexicographically smallest
+    /// signature group with two or more members. This is the lattice
+    /// widening that keeps the paper's analysis practicable on codes whose
+    /// control flow would otherwise fragment the RSRSG combinatorially; it
+    /// only coarsens (join over-approximates both inputs), never drops
+    /// configurations.
     pub fn widen(&mut self, ctx: &ShapeCtx, level: Level, soft_cap: usize) {
+        // Signatures computed so far in this call. The set changes between
+        // rounds, but a surviving member keeps its id and its signature.
+        let mut sigs: HashMap<CanonId, Vec<u8>> = HashMap::new();
+        let keyed = ctx.tables.cache_enabled();
         while self.len() > soft_cap {
+            // Equal signatures have equal keys, so a member whose key no
+            // other member shares is alone in its group and never needs its
+            // signature. The reference oracle computes every member's.
+            let mut key_count: HashMap<u32, usize> = HashMap::new();
+            if keyed {
+                for e in &self.canon {
+                    *key_count.entry(e.fp.sig_key()).or_default() += 1;
+                }
+            }
+            for (e, g) in self.canon.iter().zip(&self.graphs) {
+                if !keyed || key_count[&e.fp.sig_key()] > 1 {
+                    sigs.entry(e.id)
+                        .or_insert_with(|| PinSignature::of(g).bytes);
+                }
+            }
             // Group indices by widening signature.
-            let mut groups: std::collections::BTreeMap<Vec<u8>, Vec<usize>> =
-                std::collections::BTreeMap::new();
-            for (i, g) in self.graphs.iter().enumerate() {
-                groups.entry(Self::widen_signature(g)).or_default().push(i);
+            let mut groups: BTreeMap<&[u8], Vec<usize>> = BTreeMap::new();
+            for (i, e) in self.canon.iter().enumerate() {
+                if let Some(sig) = sigs.get(&e.id) {
+                    groups.entry(sig).or_default().push(i);
+                }
             }
             let Some(pair) = groups.values().find(|v| v.len() >= 2) else {
                 return; // nothing joinable: give up (budget may trip later)

@@ -21,11 +21,12 @@
 //!   earlier engine run sharing the tables) is answered by lookup. Entries
 //!   record the diagnostics (warnings, TOUCH revisits) the original
 //!   transfer produced so a hit replays them;
-//! * [`Fingerprint`] — a constant-size structural summary (pvar domain,
+//! * [`Fingerprint`] — a constant-size structural summary (pvar pinning,
 //!   node type/touch blooms, link selector set, scalar facts) whose
-//!   [`Fingerprint::may_subsume`] is a **necessary** condition for
-//!   subsumption, rejecting most pairs in a few word operations before the
-//!   exponential search ever runs;
+//!   [`Fingerprint::may_subsume`] and [`Fingerprint::may_be_compatible`]
+//!   are **necessary** conditions for subsumption and COMPATIBLE,
+//!   rejecting most pairs in a few word operations before the exponential
+//!   search or the spath comparison ever runs;
 //! * [`SubsumeCache`] — a `(CanonId, CanonId) → bool` memo table, so a
 //!   subsumption query for a pair of canonical forms runs the backtracking
 //!   search at most once per analysis run;
@@ -94,11 +95,16 @@ pub struct CanonId(pub u32);
 /// subset checks in [`Fingerprint::may_subsume`] stay *necessary*
 /// conditions: a `false` answer proves `subsumes` would return `false`,
 /// while `true` means "run the real search".
+///
+/// The struct is exactly 64 bytes (asserted below): it is copied into every
+/// [`CanonEntry`], and `CanonEntry`'s size is part of each RSRSG's
+/// `approx_bytes`, so growing it would move the reported peak RSRSG bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Fingerprint {
-    /// Exact hash of the ordered pvar domain (`PL` keys). Subsumption
-    /// requires identical domains.
-    dom_hash: u64,
+    /// [`PinSignature::pin_hash`]: the pvar domain, alias partition and
+    /// TYPE/TOUCH of every pvar-pointed node. Subsumption requires them
+    /// equal.
+    pin_hash: u64,
     /// Bloom over `(TYPE, TOUCH)` of every node. An embedding maps each
     /// specific node onto a general node with equal type and touch set.
     node_bloom: u64,
@@ -124,6 +130,82 @@ pub struct Fingerprint {
     /// NL link count. Under an injective embedding (no general summary
     /// nodes) distinct specific links map onto distinct general links.
     num_links: u32,
+    /// 32-bit hash of the full [`PinSignature::bytes`]. COMPATIBLE
+    /// requires equal signatures. It fills what would otherwise be the
+    /// struct's padding.
+    sig_key: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Fingerprint>() == 64);
+
+/// The **pvar-pinning signature** of a graph: everything
+/// [`crate::join::compatible`] compares before it builds simple paths.
+/// That is the known scalar facts, the alias partition of the bound pvars,
+/// and each pvar-pointed node's TYPE / SHARED / SHSEL / TOUCH.
+///
+/// Equal signatures are necessary for COMPATIBLE, and the forced widening
+/// join groups RSRSG members by them. Graphs agreeing on it can always be
+/// joined: `MERGE_NODES` reconciles differing reference patterns by
+/// intersecting must-sets and widening possible-sets. Sharing flags stay in
+/// the signature: joining an "already linked" state into a "not yet linked"
+/// one plants alternative may-links whose sharing evidence later stores
+/// cannot distinguish from real second references (this is precisely the
+/// Barnes-Hut `SHSEL(body)` story of §5.1). Known scalar facts stay too:
+/// widening must not merge configurations that a tracked flag distinguishes
+/// (`done == 0` vs `done == 1`), or the flag tracking would be erased
+/// exactly where it matters.
+#[derive(Debug, Clone)]
+pub struct PinSignature {
+    /// The full signature. Node identities are canonicalized by first
+    /// occurrence among the (sorted) PL entries, so isomorphic graphs get
+    /// equal bytes.
+    pub bytes: Vec<u8>,
+    /// Hash of the part that subsumption preserves as well: the pvar
+    /// domain, the alias partition and each pinned node's TYPE/TOUCH. An
+    /// embedding maps every pvar's node onto the same pvar's node, and
+    /// pvar-pointed nodes are singular (an [`Rsg`] invariant), so a general
+    /// graph covers a specific one only if both agree on this part.
+    /// SHARED/SHSEL may grow and scalar facts may shrink from specific to
+    /// general, so they are left out.
+    pub pin_hash: u64,
+}
+
+impl PinSignature {
+    /// Compute the signature of a graph.
+    pub fn of(g: &Rsg) -> PinSignature {
+        let mut bytes = Vec::new();
+        for (v, k) in g.scalars() {
+            bytes.extend_from_slice(&v.to_le_bytes());
+            bytes.extend_from_slice(&k.to_le_bytes());
+        }
+        bytes.push(0xFE);
+        let mut pin_hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut seen: Vec<crate::NodeId> = Vec::new();
+        for (p, n) in g.pl_iter() {
+            let class = match seen.iter().position(|&m| m == n) {
+                Some(i) => i,
+                None => {
+                    seen.push(n);
+                    seen.len() - 1
+                }
+            } as u32;
+            let nd = g.node(n);
+            bytes.extend_from_slice(&p.0.to_le_bytes());
+            bytes.extend_from_slice(&class.to_le_bytes());
+            bytes.extend_from_slice(&nd.ty.0.to_le_bytes());
+            bytes.push(nd.shared as u8);
+            bytes.extend_from_slice(&nd.shsel.0.to_le_bytes());
+            pin_hash = mix(pin_hash ^ (u64::from(p.0) << 32 | u64::from(class)));
+            pin_hash = mix(pin_hash ^ u64::from(nd.ty.0));
+            for t in nd.touch.iter() {
+                bytes.extend_from_slice(&t.0.to_le_bytes());
+                pin_hash = mix(pin_hash ^ (u64::from(t.0) + 0x1000));
+            }
+            bytes.push(0xFF);
+            pin_hash = mix(pin_hash ^ 0xFF);
+        }
+        PinSignature { bytes, pin_hash }
+    }
 }
 
 fn mix(h: u64) -> u64 {
@@ -139,8 +221,8 @@ fn bloom_bit(h: u64) -> u64 {
 }
 
 /// FNV-1a over a byte slice, used to pick the interner shard for a
-/// canonical serialization. Equal bytes always land on one shard, so the
-/// per-shard maps still dedup exactly.
+/// canonical serialization (equal bytes always land on one shard, so the
+/// per-shard maps still dedup exactly) and to key pinning signatures.
 fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -158,12 +240,13 @@ fn shard_of(h: u64) -> usize {
 impl Fingerprint {
     /// Compute the fingerprint of a graph.
     pub fn of(g: &Rsg) -> Fingerprint {
-        let mut fp = Fingerprint::default();
-        let mut dom: u64 = 0xcbf2_9ce4_8422_2325;
-        for (p, _) in g.pl_iter() {
-            dom = mix(dom ^ (p.0 as u64 + 1));
-        }
-        fp.dom_hash = dom;
+        let sig = PinSignature::of(g);
+        let sig_hash = mix(fnv64(&sig.bytes));
+        let mut fp = Fingerprint {
+            pin_hash: sig.pin_hash,
+            sig_key: (sig_hash ^ (sig_hash >> 32)) as u32,
+            ..Fingerprint::default()
+        };
         let mut node_keys = vec![0u64; g.num_slots()];
         for n in g.node_ids() {
             let nd = g.node(n);
@@ -195,19 +278,26 @@ impl Fingerprint {
     }
 
     /// Necessary condition for `compatible(a, b)` (see
-    /// [`crate::join::compatible`]): COMPATIBLE requires the exact same
-    /// pvar domain and identical known scalar facts, so differing domain
-    /// hashes or scalar blooms prove the structural check would fail.
-    /// `true` is inconclusive.
+    /// [`crate::join::compatible`]): COMPATIBLE requires equal
+    /// [`PinSignature`]s, so differing pinning hashes, signature keys or
+    /// scalar blooms prove the structural check would fail. `true` is
+    /// inconclusive.
     pub fn may_be_compatible(a: &Fingerprint, b: &Fingerprint) -> bool {
-        a.dom_hash == b.dom_hash && a.scalar_bloom == b.scalar_bloom
+        a.pin_hash == b.pin_hash && a.sig_key == b.sig_key && a.scalar_bloom == b.scalar_bloom
+    }
+
+    /// The 32-bit key of the graph's full [`PinSignature`]: graphs with
+    /// different keys have different signatures.
+    pub fn sig_key(&self) -> u32 {
+        self.sig_key
     }
 
     /// Necessary condition for `subsumes(general, specific)`: `false`
     /// proves the embedding search would fail, `true` is inconclusive.
     pub fn may_subsume(general: &Fingerprint, specific: &Fingerprint) -> bool {
-        // Pvar domains must agree exactly.
-        general.dom_hash == specific.dom_hash
+        // Pvar domains, alias partitions and pinned TYPE/TOUCH must agree
+        // exactly.
+        general.pin_hash == specific.pin_hash
             // Every specific (TYPE, TOUCH) class needs a general host.
             && specific.node_bloom & !general.node_bloom == 0
             // Specific summary nodes need general summary hosts.

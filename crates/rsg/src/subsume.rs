@@ -26,7 +26,10 @@
 //! its working state — specific node ids, per-node candidate sets (a flat
 //! buffer plus `(start, len)` spans), the assignment order and the partial
 //! assignment — checks out of the thread-local [`crate::scratch`] pools
-//! instead of allocating per call.
+//! instead of allocating per call. Since pvar bindings pin each
+//! pvar-pointed specific node to exactly one general host, those pairs get
+//! the node-local test first; most failing searches end there, before any
+//! candidate set is built.
 
 use crate::graph::Rsg;
 use crate::node::{NodeId, NodeRef};
@@ -54,6 +57,15 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
             return false;
         }
     }
+    // Every pvar-pointed specific node can only map onto the same pvar's
+    // general node: check those pairs before building any candidate set
+    // (which then takes that node as the pinned node's only candidate).
+    for (p, sn) in specific.pl_iter() {
+        let gn = general.pl(p).expect("domains agree");
+        if !node_weaker(general.node(gn), specific.node(sn)) {
+            return false;
+        }
+    }
 
     let mut s_ids = crate::scratch::node_buf();
     s_ids.extend(specific.node_ids());
@@ -71,26 +83,26 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
     let mut spans = crate::scratch::span_buf();
     for &sn in s_ids.iter() {
         let start = cand_flat.len();
-        cand_flat.extend(
-            general
-                .node_ids()
-                .filter(|&gn| node_weaker(general.node(gn), specific.node(sn))),
-        );
-        for (p, target) in specific.pl_iter() {
-            if target == sn {
-                let pin = general.pl(p).expect("domains agree");
-                let mut w = start;
-                for r in start..cand_flat.len() {
-                    if cand_flat[r] == pin {
-                        cand_flat[w] = cand_flat[r];
-                        w += 1;
-                    }
-                }
-                cand_flat.truncate(w);
+        let mut pins = specific
+            .pl_iter()
+            .filter(|&(_, target)| target == sn)
+            .map(|(p, _)| general.pl(p).expect("domains agree"));
+        if let Some(pin) = pins.next() {
+            // The pinned pair passed `node_weaker` above; aliased pvars
+            // must also agree on their general node.
+            if pins.any(|other| other != pin) {
+                return false;
             }
-        }
-        if cand_flat.len() == start {
-            return false;
+            cand_flat.push(pin);
+        } else {
+            cand_flat.extend(
+                general
+                    .node_ids()
+                    .filter(|&gn| node_weaker(general.node(gn), specific.node(sn))),
+            );
+            if cand_flat.len() == start {
+                return false;
+            }
         }
         spans.push((start as u32, (cand_flat.len() - start) as u32));
     }

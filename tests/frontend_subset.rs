@@ -278,8 +278,13 @@ fn switch_fallthrough_rejected() {
             return 0;
         }
     "#;
-    let err = Analyzer::new(src, AnalysisOptions::default());
-    assert!(err.is_err(), "fallthrough is outside the subset");
+    let err = Analyzer::new(src, AnalysisOptions::default())
+        .err()
+        .expect("fallthrough is outside the subset");
+    assert_eq!(
+        err.to_string(),
+        "7:17: error: switch arms must end with `break` (fallthrough is outside the C subset)"
+    );
 }
 
 /// Shared by most lowering-boundary probes: `push`/`pushc` prepend a

@@ -9,31 +9,88 @@ use psa::ir::PvarId;
 use psa::rsg::canon::canonical_bytes;
 use psa::rsg::compress::compress;
 use psa::rsg::intern::{Fingerprint, SharedTables};
+use psa::rsg::join::compatible;
 use psa::rsg::subsume::subsumes;
 use psa::rsg::{builder, Level, Rsg, ShapeCtx};
 use psa_cfront::types::{SelectorId, StructId};
 
-/// Random structurally valid RSG: a list with an optional tree spliced in,
-/// mirroring `tests/prop_rsg.rs`.
-fn arb_rsg() -> impl Strategy<Value = Rsg> {
-    (2usize..6, 0usize..3, any::<bool>()).prop_map(|(len, depth, second)| {
-        let mut g = builder::singly_linked_list(len, 3, PvarId(0), SelectorId(0));
-        if depth > 0 {
-            let t = builder::binary_tree(depth, 1, PvarId(0), SelectorId(0), SelectorId(1));
-            let mut map = std::collections::BTreeMap::new();
-            for n in t.node_ids() {
-                map.insert(n, g.add_node(t.node(n).to_node()));
-            }
-            for (a, s, b) in t.links() {
-                g.add_link(map[&a], s, map[&b]);
-            }
-            if second {
-                g.set_pl(PvarId(1), map[&t.pl(PvarId(0)).unwrap()]);
-            }
+/// A list with an optional tree spliced in, mirroring `tests/prop_rsg.rs`:
+/// list length, tree depth (0 = no tree), and whether `p1` binds the root.
+type Shape = (usize, usize, bool);
+
+fn arb_shape() -> impl Strategy<Value = Shape> {
+    (2usize..6, 0usize..3, any::<bool>())
+}
+
+/// Pinning decorations as a bit mask over the list head (`p0`'s node), so
+/// the fingerprint's pinning keys see every input they hash: bit 0 aliases
+/// `p2` with `p0`, bit 1 sets SHARED, bit 2 SHSEL(s0), bit 3 TOUCH{p1},
+/// bit 4 records the scalar fact `v0 == (bit 5)`.
+fn arb_pinning() -> impl Strategy<Value = u8> {
+    0u8..64
+}
+
+fn build(shape: Shape, pinning: u8) -> Rsg {
+    let (len, depth, second) = shape;
+    let mut g = builder::singly_linked_list(len, 3, PvarId(0), SelectorId(0));
+    if depth > 0 {
+        let t = builder::binary_tree(depth, 1, PvarId(0), SelectorId(0), SelectorId(1));
+        let mut map = std::collections::BTreeMap::new();
+        for n in t.node_ids() {
+            map.insert(n, g.add_node(t.node(n).to_node()));
         }
-        g.gc();
-        g
-    })
+        for (a, s, b) in t.links() {
+            g.add_link(map[&a], s, map[&b]);
+        }
+        if second {
+            g.set_pl(PvarId(1), map[&t.pl(PvarId(0)).unwrap()]);
+        }
+    }
+    g.gc();
+    let head = g.pl(PvarId(0)).unwrap();
+    if pinning & 1 != 0 {
+        g.set_pl(PvarId(2), head);
+    }
+    let n = g.node_mut(head);
+    *n.shared |= pinning & 2 != 0;
+    if pinning & 4 != 0 {
+        n.shsel.insert(SelectorId(0));
+    }
+    if pinning & 8 != 0 {
+        n.touch.insert(PvarId(1));
+    }
+    if pinning & 16 != 0 {
+        g.set_scalar(0, i64::from(pinning >> 5));
+    }
+    g
+}
+
+/// Random structurally valid RSG with random pinning decorations.
+fn arb_rsg() -> impl Strategy<Value = Rsg> {
+    (arb_shape(), arb_pinning()).prop_map(|(shape, pinning)| build(shape, pinning))
+}
+
+/// Two random graphs whose pinning decorations are equal or differ in one
+/// bit, and whose shapes are equal half of the time, so COMPATIBLE and
+/// subsumption hold, or fail on a single decoration, often enough for the
+/// keys' soundness properties to bite.
+fn arb_pair() -> impl Strategy<Value = (Rsg, Rsg)> {
+    (
+        arb_shape(),
+        arb_shape(),
+        any::<bool>(),
+        arb_pinning(),
+        0u8..12,
+    )
+        .prop_map(|(sa, sb, same_shape, pinning, flip)| {
+            let other = if flip < 6 {
+                pinning ^ (1 << flip)
+            } else {
+                pinning
+            };
+            let sb = if same_shape { sa } else { sb };
+            (build(sa, pinning), build(sb, other))
+        })
 }
 
 /// The same graph rebuilt with node ids permuted (reverse insertion order).
@@ -49,6 +106,9 @@ fn renumbered(g: &Rsg) -> Rsg {
     }
     for (p, n) in g.pl_iter() {
         h.set_pl(p, map[&n]);
+    }
+    for (v, k) in g.scalars() {
+        h.set_scalar(*v, *k);
     }
     h
 }
@@ -88,19 +148,6 @@ proptest! {
     }
 
     #[test]
-    fn fingerprint_is_a_sound_prefilter(a in arb_rsg(), b in arb_rsg()) {
-        // The pre-filter may only reject pairs the raw search also rejects:
-        // subsumes(a, b) must imply may_subsume(fp(a), fp(b)).
-        let (fa, fb) = (Fingerprint::of(&a), Fingerprint::of(&b));
-        if subsumes(&a, &b) {
-            prop_assert!(Fingerprint::may_subsume(&fa, &fb));
-        }
-        if subsumes(&b, &a) {
-            prop_assert!(Fingerprint::may_subsume(&fb, &fa));
-        }
-    }
-
-    #[test]
     fn memoized_path_agrees_with_raw_search(a in arb_rsg(), b in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = (compress(&a, &ctx, Level::L1), compress(&b, &ctx, Level::L1));
@@ -132,6 +179,46 @@ proptest! {
     }
 }
 
+proptest! {
+    // The key properties hold or fail on single decorations; more cases
+    // make every decoration bit meet a subsuming or compatible pair.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn fingerprint_is_a_sound_prefilter(pair in arb_pair()) {
+        // The pre-filter may only reject pairs the raw search also rejects:
+        // subsumes(a, b) must imply may_subsume(fp(a), fp(b)). Compressed
+        // forms cover longer lists, so true subsumptions occur too.
+        let ctx = ShapeCtx::synthetic(3, 2);
+        let (a, b) = pair;
+        let ca = compress(&a, &ctx, Level::L1);
+        let cb = compress(&b, &ctx, Level::L1);
+        for (x, y) in [(&a, &b), (&b, &a), (&ca, &b), (&cb, &a), (&ca, &cb), (&cb, &ca)] {
+            if subsumes(x, y) {
+                prop_assert!(Fingerprint::may_subsume(&Fingerprint::of(x), &Fingerprint::of(y)));
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_is_a_sound_compatibility_filter(pair in arb_pair()) {
+        // compatible(a, b, L) must imply may_be_compatible(fp(a), fp(b)) at
+        // every level, on raw and on compressed forms.
+        let ctx = ShapeCtx::synthetic(3, 2);
+        let (a, b) = pair;
+        for level in [Level::L1, Level::L2, Level::L3] {
+            let (ca, cb) = (compress(&a, &ctx, level), compress(&b, &ctx, level));
+            for (x, y) in [(&a, &b), (&ca, &cb)] {
+                let (fx, fy) = (Fingerprint::of(x), Fingerprint::of(y));
+                if compatible(x, y, level) {
+                    prop_assert!(Fingerprint::may_be_compatible(&fx, &fy));
+                    prop_assert_eq!(fx.sig_key(), fy.sig_key());
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn interner_is_shared_across_shape_ctx_clones() {
     let ctx = ShapeCtx::synthetic(3, 2);
@@ -146,12 +233,16 @@ fn interner_is_shared_across_shape_ctx_clones() {
 
 #[test]
 fn fingerprint_distinguishes_node_types() {
-    // Same shape, different struct type: dom hashes differ only via the
-    // node-kind keys, and neither direction may pass as equal-domain.
+    // Same shape, different struct type: the pvar-pointed node's TYPE is
+    // part of the pinning hash, so the fingerprints differ and neither
+    // direction may pass the subsumption pre-filter.
     let a = builder::singly_linked_list(3, 2, PvarId(0), SelectorId(0));
     let mut b = a.clone();
     for n in b.node_ids().collect::<Vec<_>>() {
         *b.node_mut(n).ty = StructId(7);
     }
-    assert_ne!(Fingerprint::of(&a), Fingerprint::of(&b));
+    let (fa, fb) = (Fingerprint::of(&a), Fingerprint::of(&b));
+    assert_ne!(fa, fb);
+    assert!(!Fingerprint::may_subsume(&fa, &fb));
+    assert!(!Fingerprint::may_subsume(&fb, &fa));
 }
