@@ -22,8 +22,9 @@
 //! `--trace FILE` records a run-wide event journal (statement transfers,
 //! graph kernels, cache traffic, budget events) and writes it as Chrome
 //! trace JSON loadable in Perfetto / `chrome://tracing`; the CLI summary
-//! then includes a compact text timeline, `--stats` gains latency
-//! histograms, and the `--json` report gains a `"trace"` section.
+//! then includes a compact text timeline, `--stats` gains the exclusive
+//! self-time ledger and latency histograms, and the `--json` report gains
+//! a `"trace"` section.
 //!
 //! `--check asserts` evaluates `// @assert` comments (`shape`, `shared`,
 //! `reach`, `alias`, `acyclic`, each optionally negated) both abstractly
@@ -385,20 +386,6 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
     println!(
         "  shard occupancy peaks: interner {}, subsume memo {}, transfer memo {}",
         ops.interner_shard_peak, ops.subsume_shard_peak, ops.transfer_shard_peak
-    );
-    println!(
-        "  time: intern {:.2?}, subsume {:.2?}, join {:.2?}, compress {:.2?}, transfer {:.2?}",
-        std::time::Duration::from_nanos(ops.intern_ns),
-        std::time::Duration::from_nanos(ops.subsume_ns),
-        std::time::Duration::from_nanos(ops.join_ns),
-        std::time::Duration::from_nanos(ops.compress_ns),
-        std::time::Duration::from_nanos(ops.transfer_ns),
-    );
-    println!(
-        "        prune {:.2?}, divide {:.2?}, canon {:.2?}",
-        std::time::Duration::from_nanos(ops.prune_ns),
-        std::time::Duration::from_nanos(ops.divide_ns),
-        std::time::Duration::from_nanos(ops.canon_ns),
     );
 }
 

@@ -64,14 +64,6 @@ pub struct EngineConfig {
     /// default) runs sequentially; `Some(n)` fans out on `n` worker
     /// threads, capped at the fan-out width — the CLI's `--threads N`.
     pub parallel_threads: Option<usize>,
-    /// Lower provable sharing flags after every statement (§4.2). Disable
-    /// only to reproduce the paper's "stale sharing blocks pruning"
-    /// behaviour in the ablation benches.
-    pub sharing_relaxation: bool,
-    /// Ablation: stores mark their targets SHARED/SHSEL unconditionally
-    /// (the paper's L1-imprecision emulation; see
-    /// [`crate::semantics::TransferCtx::pessimistic_sharing`]).
-    pub pessimistic_sharing: bool,
     /// Test and bench oracle, not a tuning knob: run the recompute-everything
     /// reference pipeline the default path must match bit for bit. Subsumption
     /// goes through the raw backtracking search
@@ -90,8 +82,6 @@ impl Default for EngineConfig {
             budget: Budget::default(),
             parallel_threshold: 8,
             parallel_threads: None,
-            sharing_relaxation: true,
-            pessimistic_sharing: false,
             reference: false,
         }
     }
@@ -493,8 +483,9 @@ impl<'a> Engine<'a> {
     }
 
     /// The epoch key of this run's transfer-relevant configuration: the
-    /// analysis universe ([`ShapeCtx::universe_key`]) plus every config knob
-    /// [`crate::semantics::transfer_one`] consults. Runs sharing a
+    /// analysis universe ([`ShapeCtx::universe_key`]) plus the level, the
+    /// only config field a memoized [`crate::semantics::transfer_one`]
+    /// consults (the reference oracle never memoizes). Runs sharing a
     /// [`ShapeCtx`] only share memoized transfers when their keys agree — a
     /// progressive driver re-running at the same level hits, L1 results never
     /// leak into L3, and incompatible universes never alias.
@@ -507,13 +498,7 @@ impl<'a> Engine<'a> {
     /// universe therefore share its memoized transfers, which is what makes
     /// warm-start and incremental re-analysis pay off.
     pub(crate) fn config_key(&self) -> u64 {
-        let repr = format!(
-            "{:x}|{}|{}|{}",
-            self.ctx.universe_key(),
-            self.config.level,
-            self.config.sharing_relaxation,
-            self.config.pessimistic_sharing
-        );
+        let repr = format!("{:x}|{}", self.ctx.universe_key(), self.config.level);
         // FNV-1a, deterministic across processes.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in repr.as_bytes() {
@@ -706,9 +691,12 @@ impl<'a> Engine<'a> {
                     &mut deltas[si],
                     &mut stats,
                 );
-                if let Some(t0) = span_t0 {
-                    tracer.span_since(TraceKind::StmtTransfer, t0, sid.0 as u64, in_width as u64);
-                }
+                tracer.span_since(
+                    TraceKind::StmtTransfer,
+                    span_t0,
+                    sid.0 as u64,
+                    in_width as u64,
+                );
                 // Node cap: forced summarization keeps the fixed point
                 // going with sound-but-coarser graphs; mark the statement.
                 if let Some(cap) = budget.max_nodes {
@@ -897,7 +885,7 @@ impl<'a> Engine<'a> {
         stats.ops = self.ctx.tables.snapshot().delta(&ops_start);
         tracer.span_since(
             TraceKind::Run,
-            start,
+            Some(start),
             crate::trace::level_ordinal(level),
             iterations as u64,
         );
@@ -989,8 +977,6 @@ impl<'a> Engine<'a> {
             ctx: &self.ctx,
             level,
             active_ipvars: &active,
-            sharing_relaxation: self.config.sharing_relaxation,
-            pessimistic_sharing: self.config.pessimistic_sharing,
             reference_prune: self.config.reference,
             deadline,
             table_bytes_limit: self.config.budget.max_table_bytes,

@@ -169,14 +169,6 @@ pub fn ops_to_json(ops: &OpStats) -> Json {
     j.set("summary_recursive_hits", ops.summary_recursive_hits);
     j.set("summary_misses", ops.summary_misses);
     j.set("summary_hit_rate", ops.summary_hit_rate());
-    j.set("intern_ns", ops.intern_ns);
-    j.set("subsume_ns", ops.subsume_ns);
-    j.set("join_ns", ops.join_ns);
-    j.set("compress_ns", ops.compress_ns);
-    j.set("transfer_ns", ops.transfer_ns);
-    j.set("prune_ns", ops.prune_ns);
-    j.set("divide_ns", ops.divide_ns);
-    j.set("canon_ns", ops.canon_ns);
     j
 }
 

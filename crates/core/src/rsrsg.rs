@@ -102,11 +102,8 @@ impl Rsrsg {
         let t = &ctx.tables;
         let m = &t.metrics;
         m.insert_calls.fetch_add(1, Ordering::Relaxed);
-        let c0 = Instant::now();
         let cand = compress(&g, ctx, level);
         m.compress_calls.fetch_add(1, Ordering::Relaxed);
-        m.compress_ns
-            .fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.reduce_in(Arc::new(cand), None, ctx, level);
     }
 
@@ -175,10 +172,8 @@ impl Rsrsg {
                 self.canon.remove(i);
                 m.join_calls.fetch_add(1, Ordering::Relaxed);
                 m.compress_calls.fetch_add(1, Ordering::Relaxed);
-                let j0 = Instant::now();
+                let j0 = t.tracer.enabled().then(Instant::now);
                 let joined = compress(&join(&member, &cand, level), ctx, level);
-                m.join_ns
-                    .fetch_add(j0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 t.tracer.span_since(TraceKind::Join, j0, 0, 0);
                 pending.push((Arc::new(joined), None));
             } else {

@@ -39,14 +39,6 @@ pub struct TransferCtx<'a> {
     /// Induction pvars of the loops enclosing the current statement —
     /// the only pvars eligible for TOUCH (empty below L3).
     pub active_ipvars: &'a [PvarId],
-    /// Lower provable SHARED/SHSEL flags after each statement (§4.2's
-    /// precision lever). Disabled only by the ablation benches.
-    pub sharing_relaxation: bool,
-    /// Ablation: mark every store target SHARED/SHSEL unconditionally,
-    /// emulating the imprecise sharing maintenance the paper attributes to
-    /// its L1 — stale `true` flags block the aggressive pruning of §4.2 and
-    /// inflate the RSRSGs (the Barnes-Hut inversion mechanism of Table 1).
-    pub pessimistic_sharing: bool,
     /// Route every PRUNE through the whole-graph rescan reference
     /// implementation instead of the worklist. Set only by the reference
     /// oracle ([`crate::engine::EngineConfig::reference`]); see
@@ -67,14 +59,12 @@ pub struct TransferCtx<'a> {
 }
 
 impl<'a> TransferCtx<'a> {
-    /// A default-configured context (relaxation on, no deadline).
+    /// A default-configured context (worklist PRUNE, no deadline).
     pub fn new(ctx: &'a ShapeCtx, level: Level, active_ipvars: &'a [PvarId]) -> Self {
         TransferCtx {
             ctx,
             level,
             active_ipvars,
-            sharing_relaxation: true,
-            pessimistic_sharing: false,
             reference_prune: false,
             deadline: None,
             table_bytes_limit: None,
@@ -132,35 +122,24 @@ impl<'a> TransferCtx<'a> {
         counter(&self.ctx.tables.metrics).fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Accumulate elapsed wall time since `t0` into a cumulative-ns gauge.
-    fn add_ns(&self, field: impl Fn(&psa_rsg::intern::OpMetrics) -> &AtomicU64, t0: Instant) {
-        field(&self.ctx.tables.metrics)
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// Prune through the configured implementation, timing it.
+    /// Prune through the configured implementation, as a traced span.
     fn prune(&self, g: &Rsg) -> Option<Rsg> {
         self.count(|m| &m.prune_calls);
-        let t0 = Instant::now();
+        let tracer = &self.ctx.tables.tracer;
+        let t0 = tracer.enabled().then(Instant::now);
         let out = prune_with(g, self.reference_prune);
-        self.add_ns(|m| &m.prune_ns, t0);
-        self.ctx
-            .tables
-            .tracer
-            .span_since(TraceKind::Prune, t0, self.stmt as u64, 0);
+        tracer.span_since(TraceKind::Prune, t0, self.stmt as u64, 0);
         out
     }
 
-    /// Divide through the configured prune implementation, timing it.
+    /// Divide through the configured prune implementation, as a traced
+    /// span.
     fn divide(&self, g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
         self.count(|m| &m.divide_calls);
-        let t0 = Instant::now();
+        let tracer = &self.ctx.tables.tracer;
+        let t0 = tracer.enabled().then(Instant::now);
         let out = divide_with(g, x, sel, self.reference_prune);
-        self.add_ns(|m| &m.divide_ns, t0);
-        self.ctx
-            .tables
-            .tracer
-            .span_since(TraceKind::Divide, t0, self.stmt as u64, 0);
+        tracer.span_since(TraceKind::Divide, t0, self.stmt as u64, 0);
         out
     }
 }
@@ -271,17 +250,14 @@ pub fn transfer_one_cached(
     m.transfer_memo_misses.fetch_add(1, Ordering::Relaxed);
     t.tracer
         .instant(TraceKind::TransferMemoMiss, tcx.stmt as u64, e.id.0 as u64);
-    let t0 = Instant::now();
     let mut scratch = AnalysisStats::default();
     let raw = action.apply(g, tcx, &mut scratch);
     let compressed: Vec<Arc<Rsg>> = raw
         .into_iter()
         .map(|o| {
-            let c0 = Instant::now();
+            let c0 = t.tracer.enabled().then(Instant::now);
             let c = compress(&o, tcx.ctx, tcx.level);
             m.compress_calls.fetch_add(1, Ordering::Relaxed);
-            m.compress_ns
-                .fetch_add(c0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             t.tracer
                 .span_since(TraceKind::Compress, c0, tcx.stmt as u64, 0);
             Arc::new(c)
@@ -290,8 +266,6 @@ pub fn transfer_one_cached(
     let refs: Vec<&Rsg> = compressed.iter().map(|c| &**c).collect();
     let entries = t.intern_batch(&refs);
     let outs: Vec<(Arc<Rsg>, CanonEntry)> = compressed.into_iter().zip(entries).collect();
-    m.transfer_ns
-        .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     let outcome = TransferOutcome {
         outs: outs.iter().map(|(_, oe)| oe.id).collect(),
         warnings: scratch.warnings.clone(),
@@ -438,9 +412,8 @@ fn store(
             if let Some(n_y) = gd.pl(y) {
                 // Does the target already carry other references? (Checked
                 // against the in-links as they stood *before* the new link.)
-                let other_sel =
-                    tcx.pessimistic_sharing || gd.in_links(n_y).iter().any(|&(_, s)| s == sel);
-                let any_other = tcx.pessimistic_sharing || !gd.in_links(n_y).is_empty();
+                let other_sel = gd.in_links(n_y).iter().any(|&(_, s)| s == sel);
+                let any_other = !gd.in_links(n_y).is_empty();
                 gd.add_link(n_x, sel, n_y);
                 gd.node_mut(n_x).set_must_out(sel);
                 {
@@ -654,6 +627,34 @@ mod tests {
         let t = tcx(ctx, level, &[]);
         let mut stats = AnalysisStats::default();
         transfer_one(g, &stmt, &t, &mut stats)
+    }
+
+    /// §4.2's precision lever: a LOAD that materializes out of a list's
+    /// summary node. With the built sharing flags pruning keeps one link
+    /// per selector; with every SHARED and SHSEL flag forced true (stale
+    /// sharing, as the paper describes its L1) the materialized node keeps
+    /// the extra may-links the aggressive pruning rules would have dropped.
+    #[test]
+    fn stale_sharing_flags_keep_extra_links_after_a_materializing_load() {
+        let (x, y, nxt) = (PvarId(0), PvarId(1), sel(0));
+        let ctx = ShapeCtx::synthetic(2, 1);
+        let list = compress(&builder::singly_linked_list(8, 2, x, nxt), &ctx, Level::L1);
+        let mut stale = list.clone();
+        for n in stale.node_ids().collect::<Vec<_>>() {
+            let node = stale.node_mut(n);
+            *node.shared = true;
+            node.shsel.insert(nxt);
+        }
+        let shape = |g: &Rsg| {
+            let outs = run(g, PtrStmt::Load(y, x, nxt), &ctx, Level::L1);
+            (
+                outs.len(),
+                outs.iter().map(Rsg::num_nodes).sum::<usize>(),
+                outs.iter().map(Rsg::num_links).sum::<usize>(),
+            )
+        };
+        assert_eq!(shape(&list), (1, 4, 5));
+        assert_eq!(shape(&stale), (1, 4, 7));
     }
 
     #[test]

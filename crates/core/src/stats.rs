@@ -10,11 +10,12 @@
 //! L2/L3 on 128 MB).
 //!
 //! Beyond the paper's coarse numbers, each run carries [`OpStats`]: op-level
-//! counters and timings (insert/subsume/join/compress/prune calls, memo-hit
-//! vs. search fallbacks, interner occupancy, peak set widths) snapshotted
-//! from the run-wide [`psa_rsg::intern::SharedTables`]. They are deltas over
-//! the run, so a progressive driver sharing one table set still reports
-//! per-level numbers.
+//! work counters (insert/subsume/join/compress/prune calls, memo-hit vs.
+//! search fallbacks, interner occupancy, peak set widths) snapshotted from
+//! the run-wide [`psa_rsg::intern::SharedTables`]. They are deltas over the
+//! run, so a progressive driver sharing one table set still reports
+//! per-level numbers. They hold no kernel times: where the time went is the
+//! trace journal's exclusive self-time ledger ([`crate::trace`]).
 
 pub use psa_rsg::intern::OpStats;
 use std::time::Duration;

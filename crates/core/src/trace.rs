@@ -1,13 +1,22 @@
-//! Trace export and digestion: Chrome-trace JSON, latency summaries and a
-//! compact text timeline over the journal recorded by
-//! [`psa_rsg::trace::Tracer`].
+//! Trace export and digestion: Chrome-trace JSON, the exclusive self-time
+//! ledger, latency summaries and a compact text timeline over the journal
+//! recorded by [`psa_rsg::trace::Tracer`].
 //!
 //! The raw journal lives in `psa-rsg` (so the interner and graph kernels
 //! can record without a dependency cycle); this module owns everything
 //! that *reads* the journal: the `--trace out.json` export loadable in
-//! Perfetto / `chrome://tracing`, the per-statement and per-loop latency
-//! histograms folded into `--stats` and the JSON report, and the text
-//! timeline printed in the CLI summary.
+//! Perfetto / `chrome://tracing`, the cost ledger and the per-statement
+//! and per-loop latency histograms folded into `--stats`, the JSON report
+//! and traced serve responses, and the text timeline printed in the CLI
+//! summary.
+//!
+//! The ledger is the analyzer's one account of where time went. Spans
+//! recorded on one track (thread) nest: a kernel span lies inside the
+//! statement transfer that called it, which lies inside its engine run. A
+//! span's *self-time* is its duration minus the part covered by its direct
+//! children, so the self-times of every span kind add up exactly to the
+//! outermost spans (`root_ns`), and `wall_ns - root_ns` is the time no
+//! span accounts for.
 
 use crate::json::Json;
 use psa_ir::FuncIr;
@@ -67,6 +76,7 @@ fn event_args(e: &TraceEvent) -> Json {
         }
         TraceKind::Canon => {
             a.set("bytes", e.arg);
+            a.set("graphs", e.arg2);
         }
         TraceKind::Subsume => {
             a.set("general", e.arg);
@@ -231,7 +241,7 @@ fn write_args(out: &mut String, e: &TraceEvent) {
         | TraceKind::Divide
         | TraceKind::Prune
         | TraceKind::ForceCompress => write!(out, "{{\"stmt\": {}}}", e.arg),
-        TraceKind::Canon => write!(out, "{{\"bytes\": {}}}", e.arg),
+        TraceKind::Canon => write!(out, "{{\"bytes\": {}, \"graphs\": {}}}", e.arg, e.arg2),
         TraceKind::Subsume => write!(out, "{{\"general\": {}, \"specific\": {}}}", e.arg, e.arg2),
         TraceKind::InternHit | TraceKind::InternMiss => write!(out, "{{\"id\": {}}}", e.arg),
         TraceKind::TransferMemoHit | TraceKind::TransferMemoMiss => {
@@ -252,7 +262,7 @@ fn write_args(out: &mut String, e: &TraceEvent) {
 /// ~4.3 s per span.
 pub const HIST_BUCKETS: usize = 32;
 
-/// Aggregate over a set of spans.
+/// Latency aggregate over a set of spans (inclusive durations).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpanStat {
     /// Number of spans.
@@ -276,12 +286,25 @@ impl SpanStat {
     }
 }
 
+/// One line of the cost ledger: a span kind's exclusive self-time and the
+/// latency of its spans.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KindTime {
+    /// The span kind.
+    pub kind: TraceKind,
+    /// Exclusive self-time in nanoseconds: the kind's span durations minus
+    /// the parts covered by their direct children.
+    pub self_ns: u64,
+    /// Count, mean and max of the kind's (inclusive) span durations.
+    pub latency: SpanStat,
+}
+
 /// The log2 bucket index of a span duration.
 fn bucket(ns: u64) -> usize {
     ((64 - ns.leading_zeros() as usize).saturating_sub(1)).min(HIST_BUCKETS - 1)
 }
 
-/// Digested journal: per-kind kernel timings, cache/instant counts, and
+/// Digested journal: the self-time ledger, cache/instant counts, and
 /// per-statement / per-loop statement-transfer latency.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSummary {
@@ -291,8 +314,14 @@ pub struct TraceSummary {
     pub threads: usize,
     /// End of the last event minus start of the first, in nanoseconds.
     pub wall_ns: u64,
-    /// Span statistics per kind, insertion-ordered by first occurrence.
-    pub spans: Vec<(TraceKind, SpanStat)>,
+    /// Summed duration of the outermost spans of every track; the kinds'
+    /// self-times add up to exactly this.
+    pub root_ns: u64,
+    /// `wall_ns - root_ns`: time inside the journal's extent that no span
+    /// covers (saturating at 0 when parallel tracks overlap).
+    pub unattributed_ns: u64,
+    /// The cost ledger, one line per span kind, by descending self-time.
+    pub spans: Vec<KindTime>,
     /// Instant-event counts per kind, insertion-ordered.
     pub instants: Vec<(TraceKind, u64)>,
     /// Statement-transfer latency per statement id.
@@ -302,6 +331,39 @@ pub struct TraceSummary {
     pub per_loop: BTreeMap<u32, SpanStat>,
     /// Log2 histogram of statement-transfer durations.
     pub stmt_hist: [u64; HIST_BUCKETS],
+}
+
+/// Exclusive self-time of every span in `spans`, which this sorts parents
+/// before children (by track, start, then longest first), plus the summed
+/// duration of the outermost spans of every track.
+fn self_times(spans: &mut [&TraceEvent]) -> (Vec<u64>, u64) {
+    spans.sort_by_key(|e| (e.tid, e.ts_ns, std::cmp::Reverse(e.dur_ns)));
+    let mut covered = vec![0u64; spans.len()];
+    let mut root_ns = 0;
+    // Stack of open spans (index, end) on the current track.
+    let mut open: Vec<(usize, u64)> = Vec::new();
+    let mut track = None;
+    for (i, e) in spans.iter().enumerate() {
+        if track != Some(e.tid) {
+            open.clear();
+            track = Some(e.tid);
+        }
+        let end = e.ts_ns + e.dur_ns;
+        while open.last().is_some_and(|&(_, pend)| pend <= e.ts_ns) {
+            open.pop();
+        }
+        match open.last() {
+            Some(&(p, pend)) => covered[p] += end.min(pend) - e.ts_ns,
+            None => root_ns += e.dur_ns,
+        }
+        open.push((i, end));
+    }
+    let own = spans
+        .iter()
+        .zip(covered)
+        .map(|(e, cov)| e.dur_ns.saturating_sub(cov))
+        .collect();
+    (own, root_ns)
 }
 
 /// Digest a drained journal. Pass the analyzed function to also fold
@@ -321,6 +383,7 @@ pub fn summarize(events: &[TraceEvent], ir: Option<&FuncIr>) -> TraceSummary {
     ) {
         s.wall_ns = last - first;
     }
+    let mut spans = Vec::new();
     for e in events {
         if e.dur_ns == 0 {
             match s.instants.iter_mut().find(|(k, _)| *k == e.kind) {
@@ -329,14 +392,7 @@ pub fn summarize(events: &[TraceEvent], ir: Option<&FuncIr>) -> TraceSummary {
             }
             continue;
         }
-        match s.spans.iter_mut().find(|(k, _)| *k == e.kind) {
-            Some((_, st)) => st.add(e.dur_ns),
-            None => {
-                let mut st = SpanStat::default();
-                st.add(e.dur_ns);
-                s.spans.push((e.kind, st));
-            }
-        }
+        spans.push(e);
         if e.kind == TraceKind::StmtTransfer {
             let stmt = e.arg as u32;
             s.per_stmt.entry(stmt).or_default().add(e.dur_ns);
@@ -350,6 +406,24 @@ pub fn summarize(events: &[TraceEvent], ir: Option<&FuncIr>) -> TraceSummary {
             }
         }
     }
+    let (own, root_ns) = self_times(&mut spans);
+    let mut ledger: BTreeMap<TraceKind, (u64, SpanStat)> = BTreeMap::new();
+    for (e, own) in spans.iter().zip(own) {
+        let (self_ns, latency) = ledger.entry(e.kind).or_default();
+        *self_ns += own;
+        latency.add(e.dur_ns);
+    }
+    s.spans = ledger
+        .into_iter()
+        .map(|(kind, (self_ns, latency))| KindTime {
+            kind,
+            self_ns,
+            latency,
+        })
+        .collect();
+    s.spans.sort_by_key(|l| std::cmp::Reverse(l.self_ns));
+    s.root_ns = root_ns;
+    s.unattributed_ns = s.wall_ns.saturating_sub(root_ns);
     s
 }
 
@@ -370,9 +444,16 @@ impl TraceSummary {
         j.set("events", self.events);
         j.set("threads", self.threads);
         j.set("wall_ns", self.wall_ns);
+        j.set("root_ns", self.root_ns);
+        j.set("unattributed_ns", self.unattributed_ns);
         let mut spans = Json::obj();
-        for (k, st) in &self.spans {
-            spans.set(k.name(), stat_json(st));
+        for l in &self.spans {
+            let mut k = Json::obj();
+            k.set("count", l.latency.count);
+            k.set("self_ns", l.self_ns);
+            k.set("mean_ns", l.latency.mean_ns());
+            k.set("max_ns", l.latency.max_ns);
+            spans.set(l.kind.name(), k);
         }
         j.set("spans", spans);
         let mut inst = Json::obj();
@@ -421,30 +502,36 @@ impl TraceSummary {
         j
     }
 
-    /// Multi-line text rendering for the CLI's `--stats` output: kernel
-    /// table, cache counters and the statement-latency histogram.
+    /// Multi-line text rendering for the CLI's `--stats` output: the
+    /// self-time ledger, cache counters and the statement-latency
+    /// histogram.
     pub fn render(&self) -> String {
+        let ms = |ns: u64| ns as f64 / 1e6;
         let mut out = String::new();
         out.push_str(&format!(
             "trace: {} events on {} track(s), {:.3} ms span\n",
             self.events,
             self.threads,
-            self.wall_ns as f64 / 1e6
+            ms(self.wall_ns)
         ));
         if !self.spans.is_empty() {
-            out.push_str("  spans (count / total / mean / max):\n");
-            let mut spans = self.spans.clone();
-            spans.sort_by_key(|(_, st)| std::cmp::Reverse(st.total_ns));
-            for (k, st) in &spans {
+            out.push_str("  self time (count / self / mean / max):\n");
+            for l in &self.spans {
                 out.push_str(&format!(
                     "    {:<14} {:>8}  {:>10.3} ms  {:>8.1} us  {:>8.1} us\n",
-                    k.name(),
-                    st.count,
-                    st.total_ns as f64 / 1e6,
-                    st.mean_ns() as f64 / 1e3,
-                    st.max_ns as f64 / 1e3
+                    l.kind.name(),
+                    l.latency.count,
+                    ms(l.self_ns),
+                    l.latency.mean_ns() as f64 / 1e3,
+                    l.latency.max_ns as f64 / 1e3
                 ));
             }
+            out.push_str(&format!(
+                "    {:<14} {:>8}  {:>10.3} ms\n",
+                "unattributed",
+                "",
+                ms(self.unattributed_ns)
+            ));
         }
         if !self.instants.is_empty() {
             let parts: Vec<String> = self
@@ -666,16 +753,19 @@ mod tests {
         assert_eq!(s.events, 6);
         assert_eq!(s.threads, 2);
         assert_eq!(s.wall_ns, 5_000);
-        let stmt = s
-            .spans
-            .iter()
-            .find(|(k, _)| *k == TraceKind::StmtTransfer)
-            .unwrap()
-            .1;
-        assert_eq!(stmt.count, 3);
-        assert_eq!(stmt.total_ns, 6_000);
-        assert_eq!(stmt.max_ns, 3_000);
-        assert_eq!(stmt.mean_ns(), 2_000);
+        let line = |k| *s.spans.iter().find(|l| l.kind == k).unwrap();
+        let stmt = line(TraceKind::StmtTransfer);
+        assert_eq!(stmt.latency.count, 3);
+        assert_eq!(stmt.latency.max_ns, 3_000);
+        assert_eq!(stmt.latency.mean_ns(), 2_000);
+        // The join nested in the first transfer is not the transfer's own
+        // time.
+        assert_eq!(stmt.self_ns, 5_950);
+        assert_eq!(line(TraceKind::Join).self_ns, 50);
+        assert_eq!(s.spans[0].kind, TraceKind::StmtTransfer, "by self-time");
+        assert_eq!(s.root_ns, 6_000);
+        // The two tracks overlap, so the outermost spans exceed the extent.
+        assert_eq!(s.unattributed_ns, 0);
         assert_eq!(s.per_stmt[&3].count, 2);
         assert_eq!(s.per_stmt[&4].count, 1);
         assert_eq!(
@@ -691,7 +781,10 @@ mod tests {
         assert_eq!(s.stmt_hist[9], 1);
         let j = s.to_json();
         assert_eq!(j.get("events").unwrap().as_i64(), Some(6));
-        assert!(j.get("spans").unwrap().get("stmt").is_some());
+        assert_eq!(j.get("root_ns").unwrap().as_i64(), Some(6_000));
+        let stmt_json = j.get("spans").unwrap().get("stmt").unwrap();
+        assert_eq!(stmt_json.get("self_ns").unwrap().as_i64(), Some(5_950));
+        assert!(stmt_json.get("total_ns").is_none());
         assert_eq!(
             j.get("per_stmt").unwrap().as_array().unwrap()[0]
                 .get("stmt")
@@ -700,6 +793,45 @@ mod tests {
             Some(3)
         );
         assert!(!s.render().is_empty());
+    }
+
+    #[test]
+    fn nested_spans_partition_the_root() {
+        let events = [
+            ev(TraceKind::Run, 0, 100, 0, 1, 0),
+            ev(TraceKind::StmtTransfer, 10, 50, 0, 0, 0),
+            ev(TraceKind::Join, 20, 10, 0, 0, 0),
+            ev(TraceKind::Canon, 22, 3, 0, 0, 0),
+            ev(TraceKind::Subsume, 70, 20, 0, 0, 0),
+            // An instant is not a span.
+            ev(TraceKind::InternHit, 30, 0, 0, 0, 0),
+            // Another track is attributed on its own.
+            ev(TraceKind::Prune, 15, 40, 1, 0, 0),
+        ];
+        let s = summarize(&events, None);
+        let self_ns = |k| s.spans.iter().find(|l| l.kind == k).unwrap().self_ns;
+        assert_eq!(self_ns(TraceKind::Run), 30);
+        assert_eq!(self_ns(TraceKind::StmtTransfer), 40);
+        assert_eq!(self_ns(TraceKind::Join), 7);
+        assert_eq!(self_ns(TraceKind::Canon), 3);
+        assert_eq!(self_ns(TraceKind::Subsume), 20);
+        assert_eq!(self_ns(TraceKind::Prune), 40);
+        assert_eq!(s.root_ns, 140);
+        assert_eq!(s.spans.iter().map(|l| l.self_ns).sum::<u64>(), s.root_ns);
+    }
+
+    #[test]
+    fn unattributed_is_the_time_outside_every_outermost_span() {
+        let events = [
+            ev(TraceKind::Run, 0, 100, 0, 1, 0),
+            ev(TraceKind::LevelStart, 120, 0, 0, 2, 0),
+            ev(TraceKind::Run, 150, 50, 0, 2, 0),
+            ev(TraceKind::Compress, 160, 10, 0, 0, 0),
+        ];
+        let s = summarize(&events, None);
+        assert_eq!((s.wall_ns, s.root_ns, s.unattributed_ns), (200, 150, 50));
+        assert_eq!(s.spans.iter().map(|l| l.self_ns).sum::<u64>(), s.root_ns);
+        assert!(s.render().contains("unattributed"));
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! * [`SubsumeCache`] — a `(CanonId, CanonId) → bool` memo table, so a
 //!   subsumption query for a pair of canonical forms runs the backtracking
 //!   search at most once per analysis run;
-//! * [`OpMetrics`] / [`OpStats`] — atomic op-level counters and timings
+//! * [`OpMetrics`] / [`OpStats`] — atomic op-level work counters
 //!   (insert/subsume/join/compress/prune calls, cache hits vs. search
 //!   fallbacks, interner size, peak set widths, shard-lock contention)
 //!   that the engine snapshots into its per-run statistics;
@@ -569,7 +569,7 @@ impl Interner {
     }
 
     /// Intern a graph: serialize to canonical form, return the existing
-    /// entry or mint a fresh id. `metrics` records hit/miss and time.
+    /// entry or mint a fresh id. `metrics` records hit/miss.
     pub fn intern(&self, g: &Rsg, metrics: &OpMetrics) -> CanonEntry {
         self.intern_traced(g, metrics, None)
     }
@@ -582,51 +582,38 @@ impl Interner {
         metrics: &OpMetrics,
         tracer: Option<&Tracer>,
     ) -> CanonEntry {
-        let start = Instant::now();
+        let t0 = tracer.is_some_and(Tracer::enabled).then(Instant::now);
         let bytes = canonical_bytes(g);
-        metrics
-            .canon_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let Some(tr) = tracer {
-            tr.span_since(TraceKind::Canon, start, bytes.len() as u64, 0);
+            tr.span_since(TraceKind::Canon, t0, bytes.len() as u64, 1);
         }
-        let entry = self.intern_with_bytes(g, bytes, metrics, tracer);
-        metrics
-            .intern_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        entry
+        self.intern_with_bytes(g, bytes, metrics, tracer)
     }
 
     /// Intern a batch of graphs in input order, amortizing the
     /// canonicalization scratch (hash vectors, color arenas) across the
     /// whole batch instead of checking it out per graph. Ids mint in
     /// exactly the order a loop of [`Interner::intern`] calls would mint
-    /// them, so batch and sequential interning are bit-identical.
+    /// them, so batch and sequential interning are bit-identical. The
+    /// whole batch is one canon span (`arg` = total bytes, `arg2` = graph
+    /// count).
     pub fn intern_batch(
         &self,
         graphs: &[&Rsg],
         metrics: &OpMetrics,
         tracer: Option<&Tracer>,
     ) -> Vec<CanonEntry> {
-        let start = Instant::now();
+        let t0 = tracer.is_some_and(Tracer::enabled).then(Instant::now);
         let all_bytes = canonical_bytes_batch(graphs);
-        metrics
-            .canon_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        if let Some(tr) = tracer {
-            for b in &all_bytes {
-                tr.span_since(TraceKind::Canon, start, b.len() as u64, 0);
-            }
+        if let (Some(tr), Some(_)) = (tracer, t0) {
+            let bytes: usize = all_bytes.iter().map(Vec::len).sum();
+            tr.span_since(TraceKind::Canon, t0, bytes as u64, graphs.len() as u64);
         }
-        let out = graphs
+        graphs
             .iter()
             .zip(all_bytes)
             .map(|(g, bytes)| self.intern_with_bytes(g, bytes, metrics, tracer))
-            .collect();
-        metrics
-            .intern_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out
+            .collect()
     }
 
     /// The shared dedup-or-mint step behind the intern entry points;
@@ -1094,8 +1081,11 @@ op_metrics! {
     struct,
     snapshot:
     /// Plain-data snapshot of [`OpMetrics`], also used as a delta between
-    /// two snapshots. `*_ns` fields are cumulative nanoseconds; `peak_*`,
-    /// `interner_*` and `*_shard_peak` fields are gauges.
+    /// two snapshots. Every field is a deterministic work count except the
+    /// three `*_lock_wait_ns` fields, which are cumulative nanoseconds, and
+    /// the `peak_*`, `interner_*` and `*_shard_peak` gauges. Time per
+    /// kernel is not counted here: it is the trace journal's exclusive
+    /// self-time ([`crate::trace`]).
     snapstruct,
     /// `Rsrsg::insert` calls.
     insert_calls,
@@ -1183,23 +1173,6 @@ op_metrics! {
     transfer_shard_peak,
     /// Gauge: widest RSRSG (graph count) seen by any insert.
     peak_set_width,
-    /// Nanoseconds spent canonicalizing + interning.
-    intern_ns,
-    /// Nanoseconds spent in per-graph transfer (lookup or compute).
-    transfer_ns,
-    /// Nanoseconds spent in subsumption (pre-filter, memo and search).
-    subsume_ns,
-    /// Nanoseconds spent in JOIN + the COMPRESS that follows it.
-    join_ns,
-    /// Nanoseconds spent in COMPRESS during insertion.
-    compress_ns,
-    /// Nanoseconds spent in PRUNE (worklist or reference).
-    prune_ns,
-    /// Nanoseconds spent in DIVIDE (including its internal prunes).
-    divide_ns,
-    /// Nanoseconds spent computing canonical byte encodings (a subset of
-    /// `intern_ns`).
-    canon_ns,
     /// Nanoseconds spent waiting on contended interner shard locks.
     intern_lock_wait_ns,
     /// Nanoseconds spent waiting on contended subsumption-memo shard
@@ -1655,10 +1628,10 @@ impl SharedTables {
     /// the answer and every counter are unchanged by the ordering — but
     /// the common case (bulk fingerprint rejects) now resolves without
     /// touching a shard lock at all.
-    /// `subsume_ns` and the `Subsume` trace span cover the embedding
-    /// *searches* only: prefilter rejects and memo hits resolve with
-    /// counter bumps alone (no clock reads), which matters at the several
-    /// hundred thousand queries a large run issues.
+    /// The `Subsume` trace span covers the embedding *searches* only:
+    /// prefilter rejects and memo hits resolve with counter bumps alone,
+    /// which matters at the several hundred thousand queries a large run
+    /// issues. Untraced, a search reads no clock either.
     pub fn subsumes_interned(
         &self,
         general: (&CanonEntry, &Rsg),
@@ -1680,13 +1653,11 @@ impl SharedTables {
             }
         }
         m.subsume_searches.fetch_add(1, Ordering::Relaxed);
-        let start = Instant::now();
+        let t0 = self.tracer.enabled().then(Instant::now);
         let result = subsumes(general.1, specific.1);
-        m.subsume_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.tracer.span_since(
             TraceKind::Subsume,
-            start,
+            t0,
             general.0.id.0 as u64,
             specific.0.id.0 as u64,
         );
@@ -1768,6 +1739,26 @@ mod tests {
         assert_eq!(s1.intern_hits, s2.intern_hits);
         assert_eq!(s1.intern_misses, s2.intern_misses);
         assert_eq!(t1.interner.len(), t2.interner.len());
+    }
+
+    #[test]
+    fn intern_batch_records_one_canon_span() {
+        use crate::trace::TraceKind;
+        let t = SharedTables::new();
+        t.tracer.enable();
+        let graphs: Vec<Rsg> = [3usize, 4, 5].iter().map(|&n| sll(n)).collect();
+        let refs: Vec<&Rsg> = graphs.iter().collect();
+        let entries = t.intern_batch(&refs);
+        let canon: Vec<_> = t
+            .tracer
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == TraceKind::Canon)
+            .collect();
+        assert_eq!(canon.len(), 1, "one span for the whole batch");
+        let bytes: usize = entries.iter().map(|e| e.bytes.len()).sum();
+        assert_eq!(canon[0].arg, bytes as u64);
+        assert_eq!(canon[0].arg2, 3);
     }
 
     #[test]
@@ -1857,11 +1848,15 @@ mod tests {
         assert_eq!(hits.len(), 1);
         assert_eq!(misses[0].arg, a.id.0 as u64);
         assert_eq!(hits[0].arg, a.id.0 as u64);
-        // Each intern also timed its canonical encoding.
-        assert_eq!(
-            events.iter().filter(|e| e.kind == TraceKind::Canon).count(),
-            2
-        );
+        // Each intern also timed its canonical encoding: one graph each.
+        let canon: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == TraceKind::Canon)
+            .collect();
+        assert_eq!(canon.len(), 2);
+        assert!(canon
+            .iter()
+            .all(|e| e.arg == a.bytes.len() as u64 && e.arg2 == 1));
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //!
 //! Overhead discipline: when disabled (the default) every recording hook
 //! is a single relaxed atomic load and an early return, so analysis
-//! outputs stay bit-identical with tracing compiled in. When enabled,
-//! events go to one of a fixed set of sharded `Mutex<Vec<_>>` buffers
-//! selected by thread id, so worker threads almost never contend.
+//! outputs stay bit-identical with tracing compiled in. Span sites take
+//! their start as `tracer.enabled().then(Instant::now)`, so an untraced
+//! kernel call reads no clock at all. When enabled, events go to one of a
+//! fixed set of sharded `Mutex<Vec<_>>` buffers selected by thread id, so
+//! worker threads almost never contend.
 
 use crate::intern::lock_recover;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -40,7 +42,8 @@ pub enum TraceKind {
     Divide,
     /// A PRUNE kernel call. `arg` = statement id.
     Prune,
-    /// Canonical-byte encoding inside interning. `arg` = encoded length.
+    /// Canonical-byte encoding inside interning, one span per intern call
+    /// or batch. `arg` = encoded bytes, `arg2` = graphs encoded.
     Canon,
     /// A subsumption query (pre-filter, memo or search). `arg` = general
     /// [`crate::CanonId`], `arg2` = specific id.
@@ -211,15 +214,15 @@ impl Tracer {
         });
     }
 
-    /// Record a span that started at `t0` and ends now. Designed to reuse
-    /// the `Instant`s the op-metric counters already take, so enabling the
-    /// trace adds no extra clock reads on the hot path. No-op while
-    /// disabled.
+    /// Record a span that started at `t0` and ends now. Sites take `t0` as
+    /// `tracer.enabled().then(Instant::now)`: `None` (tracing was off when
+    /// the operation started) records nothing, so an untraced site reads
+    /// the clock neither at its start nor here. No-op while disabled.
     #[inline]
-    pub fn span_since(&self, kind: TraceKind, t0: Instant, arg: u64, arg2: u64) {
-        if !self.enabled() {
+    pub fn span_since(&self, kind: TraceKind, t0: Option<Instant>, arg: u64, arg2: u64) {
+        let Some(t0) = t0.filter(|_| self.enabled()) else {
             return;
-        }
+        };
         let dur = t0.elapsed().as_nanos() as u64;
         self.push(TraceEvent {
             kind,
@@ -271,7 +274,7 @@ mod tests {
         let t = Tracer::new();
         assert!(!t.enabled());
         t.instant(TraceKind::Cancel, 1, 0);
-        t.span_since(TraceKind::Join, Instant::now(), 0, 0);
+        t.span_since(TraceKind::Join, Some(Instant::now()), 0, 0);
         assert!(t.is_empty());
         assert!(t.drain().is_empty());
     }
@@ -280,9 +283,11 @@ mod tests {
     fn enabled_tracer_buffers_and_drains_sorted() {
         let t = Tracer::new();
         t.enable();
-        let t0 = Instant::now();
+        let t0 = t.enabled().then(Instant::now);
         t.instant(TraceKind::InternMiss, 42, 0);
         t.span_since(TraceKind::StmtTransfer, t0, 7, 3);
+        // A span whose start was taken while tracing was off records nothing.
+        t.span_since(TraceKind::Join, None, 0, 0);
         assert_eq!(t.len(), 2);
         let events = t.drain();
         assert!(t.is_empty());

@@ -80,8 +80,13 @@ fn deterministic_across_runs() {
     }
 }
 
+/// DESIGN §3 A2: loop trip counts vary while analysis cost stays flat. The
+/// cost is asserted as work, not time: the fixpoint does exactly the same
+/// iterations, COMPRESS and JOIN calls and subsumption searches, and peaks
+/// at the same structural bytes, whatever the trip count.
 #[test]
 fn results_bounded_regardless_of_trip_counts() {
+    let mut work = Vec::new();
     for n in [2usize, 10, 1000] {
         let src = psa::codes::generators::list_program(n, 1);
         let a = analyzer(&src);
@@ -91,7 +96,22 @@ fn results_bounded_regardless_of_trip_counts() {
             "n={n}: graphs bounded by widening"
         );
         assert!(res.stats.max_nodes_per_graph <= 12, "n={n}: nodes bounded");
+        let ops = &res.stats.ops;
+        work.push((
+            n,
+            (
+                res.stats.iterations,
+                ops.compress_calls,
+                ops.join_calls,
+                ops.subsume_searches,
+                res.stats.peak_bytes,
+            ),
+        ));
     }
+    assert!(
+        work.windows(2).all(|w| w[0].1 == w[1].1),
+        "analysis cost depends on the trip count: {work:?}"
+    );
 }
 
 #[test]

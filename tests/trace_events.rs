@@ -1,7 +1,7 @@
 //! Integration tests for the run-wide tracing subsystem: Chrome-trace
 //! schema on the Fig. 1 doubly-linked list program, disabled-trace
-//! bit-identity, parallel-run event-count invariants, and cancel-cause
-//! attribution.
+//! bit-identity, parallel-run event-count invariants, the self-time
+//! ledger, and cancel-cause attribution.
 
 use psa::core::trace::{chrome_trace_json, summarize};
 use psa::core::{AnalysisOptions, Analyzer, BudgetKind};
@@ -75,6 +75,63 @@ fn chrome_trace_schema_on_fig1_dll() {
             _ => {}
         }
     }
+}
+
+/// Each kernel call is one span that ends before the next call of its kind
+/// starts on that track; interning a batch is one canon span, not one per
+/// graph stamped from the batch start.
+#[test]
+fn kernel_spans_of_one_kind_never_overlap_on_a_track() {
+    let src = dll_source();
+    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
+    analyzer.run().unwrap();
+    let events = analyzer.trace_events();
+    for kind in [
+        TraceKind::Join,
+        TraceKind::Compress,
+        TraceKind::Divide,
+        TraceKind::Prune,
+        TraceKind::Canon,
+        TraceKind::Subsume,
+    ] {
+        let mut spans: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == kind && e.dur_ns > 0)
+            .collect();
+        assert!(!spans.is_empty(), "no {kind:?} spans");
+        spans.sort_by_key(|e| (e.tid, e.ts_ns));
+        for w in spans.windows(2) {
+            assert!(
+                w[0].tid != w[1].tid || w[0].ts_ns + w[0].dur_ns <= w[1].ts_ns,
+                "{kind:?} spans overlap: {:?} and {:?}",
+                w[0],
+                w[1]
+            );
+        }
+    }
+}
+
+/// The ledger adds up: on one track the kinds' self-times partition the
+/// outermost spans exactly, and the unattributed residual closes the gap
+/// to the journal's wall extent.
+#[test]
+fn sequential_self_times_add_up_to_the_wall() {
+    let src = dll_source();
+    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
+    analyzer.run().unwrap();
+    let events = analyzer.trace_events();
+    let s = summarize(&events, Some(analyzer.ir()));
+    assert_eq!(s.threads, 1);
+    assert!(s.root_ns > 0);
+    assert_eq!(s.spans.iter().map(|l| l.self_ns).sum::<u64>(), s.root_ns);
+    assert_eq!(s.root_ns + s.unattributed_ns, s.wall_ns);
+    let run = events.iter().find(|e| e.kind == TraceKind::Run).unwrap();
+    assert!(
+        s.root_ns >= run.dur_ns,
+        "the engine run is an outermost span"
+    );
+    // The ledger is sorted by self-time.
+    assert!(s.spans.windows(2).all(|w| w[0].self_ns >= w[1].self_ns));
 }
 
 #[test]

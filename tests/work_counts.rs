@@ -1,0 +1,163 @@
+//! Committed work counts: the performance gate CI checks on every change.
+//!
+//! Each row pins the deterministic work of one sequential `psa bench-code
+//! <code> --level <L>` run at default sizes: fixpoint iterations, COMPRESS
+//! and JOIN calls, subsumption searches and peak structural bytes. The
+//! counts are identical in every build profile and on every machine, so
+//! runner noise cannot trip the gate, and unlike a committed timing it
+//! cannot go stale while still passing. Timing is psa-bench's job
+//! (`psabench/`).
+//!
+//! A change that alters the work on purpose updates the table: on a
+//! mismatch the failure message prints the code's recomputed rows in the
+//! table's own syntax, ready to paste over the old ones.
+
+use psa::codes::{olden, Sizes};
+use psa::core::{AnalysisOptions, Analyzer};
+use psa::rsg::Level::{self, L1, L2, L3};
+
+/// `(code, level, iterations, COMPRESS calls, JOIN calls, subsume
+/// searches, peak bytes)`.
+type Row = (&'static str, Level, usize, u64, u64, u64, usize);
+
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    ("matvec",     L1,  178,    883,   111,     1445,    509840),
+    ("matvec",     L2,  263,   1452,   276,     2726,    813264),
+    ("matvec",     L3,  267,   2042,   288,     2992,    856356),
+    ("matmat",     L1,  573,   5699,  1421,     5038,   3696272),
+    ("matmat",     L2, 1018,   9035,   989,     9277,   4939936),
+    ("matmat",     L3, 1236,  30098,  2379,    11259,   6786280),
+    ("lu",         L1,  459,   2722,   877,     3124,   1922052),
+    ("lu",         L2,  773,   4473,   505,     7067,   2417328),
+    ("lu",         L3,  778,   9237,   832,     7986,   2747756),
+    ("barnes-hut", L1,  467,   5057,  1124,    10435,   2372600),
+    ("barnes-hut", L2,  644,   5364,   556,    12164,   2993184),
+    ("barnes-hut", L3,  664,   9915,  1134,    13498,   3636872),
+    ("treeadd",    L1,    1,    238,    31,      113,      3304),
+    ("treeadd",    L2,    1,    435,    54,      184,      4504),
+    ("treeadd",    L3,    1,    435,    54,      184,      4504),
+    ("power",      L1,  163,    740,   131,     1502,    340824),
+    ("power",      L2,  213,   1132,   228,     3877,    543852),
+    ("power",      L3,  227,   1637,   204,     3117,    530860),
+    ("em3d",       L1,  123,    594,    41,      515,    520140),
+    ("em3d",       L2,  139,    643,    18,      593,    666384),
+    ("em3d",       L3,  139,   1076,    18,      603,    669892),
+    ("bisort",     L1,    9,    284,    64,      112,     17656),
+    ("bisort",     L2,    9,    622,   156,      219,     21736),
+    ("bisort",     L3,    9,    622,   156,      219,     21736),
+    ("tsp",        L1,  456,  38111,  8544,  1630567,  32012924),
+    ("tsp",        L2,  570,   3282,   426,     9912,   2306612),
+    ("tsp",        L3,  587,   4373,   491,     9559,   2585872),
+    ("health",     L1,  236,   1051,   140,      951,    534296),
+    ("health",     L2,  350,   1989,   304,     2218,    780244),
+    ("health",     L3,  346,   2441,   335,     2182,    785516),
+    ("perimeter",  L1,    1,    376,    68,      169,      3920),
+    ("perimeter",  L2,    1,   1975,   342,      463,      7088),
+    ("perimeter",  L3,    1,   1975,   342,      463,      7088),
+    ("voronoi",    L1,  416,  10533,  1754,   179915,   7845384),
+    ("voronoi",    L2,  542,   2563,   295,     7222,   1224504),
+    ("voronoi",    L3,  556,   3311,   294,     6821,   1239724),
+];
+
+/// The row of one `psa bench-code` run: the CLI's path, at one level.
+fn measure(code: &'static str, src: &str, level: Level) -> Row {
+    let analyzer = Analyzer::new(src, AnalysisOptions::at_level(level))
+        .unwrap_or_else(|e| panic!("{code}: {e}"));
+    let res = analyzer
+        .run()
+        .unwrap_or_else(|e| panic!("{code}/{level}: {e}"));
+    let ops = &res.stats.ops;
+    (
+        code,
+        level,
+        res.stats.iterations,
+        ops.compress_calls,
+        ops.join_calls,
+        ops.subsume_searches,
+        res.stats.peak_bytes,
+    )
+}
+
+/// One row in the table's own syntax.
+fn render(&(code, level, iterations, compress, join, searches, peak): &Row) -> String {
+    let code = format!("{code:?},");
+    format!(
+        "    ({code:<13} {level}, {iterations:>4}, {compress:>6}, {join:>5}, {searches:>8}, {peak:>9}),"
+    )
+}
+
+/// Recompute `code`'s rows at L1–L3 and compare them with the table.
+fn check(code: &'static str, source: fn(Sizes) -> String) {
+    let src = source(Sizes::default());
+    let expected: Vec<Row> = TABLE.iter().filter(|r| r.0 == code).copied().collect();
+    let actual: Vec<Row> = [L1, L2, L3]
+        .into_iter()
+        .map(|level| measure(code, &src, level))
+        .collect();
+    assert!(
+        actual == expected,
+        "work counts of {code} changed; recomputed rows:\n{}",
+        actual.iter().map(render).collect::<Vec<_>>().join("\n")
+    );
+}
+
+#[test]
+fn matvec() {
+    check("matvec", psa::codes::sparse_matvec);
+}
+
+#[test]
+fn matmat() {
+    check("matmat", psa::codes::sparse_matmat);
+}
+
+#[test]
+fn lu() {
+    check("lu", psa::codes::sparse_lu);
+}
+
+#[test]
+fn barnes_hut() {
+    check("barnes-hut", psa::codes::barnes_hut);
+}
+
+#[test]
+fn treeadd() {
+    check("treeadd", olden::treeadd);
+}
+
+#[test]
+fn power() {
+    check("power", olden::power);
+}
+
+#[test]
+fn em3d() {
+    check("em3d", olden::em3d);
+}
+
+#[test]
+fn bisort() {
+    check("bisort", olden::bisort);
+}
+
+#[test]
+fn tsp() {
+    check("tsp", olden::tsp);
+}
+
+#[test]
+fn health() {
+    check("health", olden::health);
+}
+
+#[test]
+fn perimeter() {
+    check("perimeter", olden::perimeter);
+}
+
+#[test]
+fn voronoi() {
+    check("voronoi", olden::voronoi);
+}
