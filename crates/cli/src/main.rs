@@ -322,7 +322,7 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
         ops.insert_calls, ops.insert_dups, ops.insert_subsumed, ops.insert_replaced
     );
     println!(
-        "  subsumption: {} queries — {} memo hits, {} fingerprint rejects, {} searches \
+        "  subsumption: {} queries — {} memo hits, {} pre-filter rejects, {} searches \
          ({:.1}% avoided the search)",
         ops.subsume_queries,
         ops.subsume_cache_hits,

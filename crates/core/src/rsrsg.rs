@@ -12,8 +12,10 @@
 //! [`psa_rsg::intern::Interner`] carried by [`ShapeCtx`]: members store a
 //! compact [`CanonEntry`] (id + shared bytes + fingerprint) instead of owned
 //! byte vectors, duplicate detection is an id comparison, and subsumption
-//! queries go through the fingerprint pre-filter and memo table of
-//! [`psa_rsg::intern::SharedTables`].
+//! queries stay inside the candidate's pinning group and go through the
+//! pre-filters and memo table of [`psa_rsg::intern::SharedTables`]. A
+//! member is the very graph the interner keeps as its form's
+//! representative when it was the first to mint that form.
 
 use psa_rsg::compress::compress;
 use psa_rsg::intern::{CanonEntry, CanonId, Fingerprint, PinSignature};
@@ -83,11 +85,12 @@ impl Rsrsg {
     pub fn push_raw(&mut self, g: Rsg, ctx: &ShapeCtx) {
         let t = &ctx.tables;
         t.metrics.push_raw_calls.fetch_add(1, Ordering::Relaxed);
+        let g = Arc::new(g);
         let e = t.intern(&g);
         if self.contains_id(&e) {
             return;
         }
-        self.graphs.push(Arc::new(g));
+        self.graphs.push(g);
         self.canon.push(e);
     }
 
@@ -124,6 +127,13 @@ impl Rsrsg {
     /// The reduction loop shared by [`Rsrsg::insert`] and
     /// [`Rsrsg::insert_compressed`]: JOIN with compatible members, drop
     /// subsumed candidates, replace subsumed members, until reduced.
+    ///
+    /// Both subsumption scans query only the candidate's **pinning group**,
+    /// the members whose [`Fingerprint::pin_hash`] equals its own:
+    /// [`Fingerprint::may_subsume`] rejects every other pair, so skipping
+    /// them changes no verdict. The scans still walk members in order, so
+    /// member order, the duplicate check and the first-compatible JOIN are
+    /// unchanged. The reference oracle queries every member.
     fn reduce_in(
         &mut self,
         first: Arc<Rsg>,
@@ -133,6 +143,7 @@ impl Rsrsg {
     ) {
         let t = &ctx.tables;
         let m = &t.metrics;
+        let keyed = t.cache_enabled();
         let mut pending: Vec<(Arc<Rsg>, Option<CanonEntry>)> = vec![(first, first_entry)];
         while let Some((cand, known)) = pending.pop() {
             let e = known.unwrap_or_else(|| t.intern(&cand));
@@ -140,11 +151,12 @@ impl Rsrsg {
                 m.insert_dups.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
+            let in_group = |me: &CanonEntry| !keyed || me.fp.pin_hash() == e.fp.pin_hash();
             if self
                 .canon
                 .iter()
                 .zip(&self.graphs)
-                .any(|(me, mg)| t.subsumes_interned((me, &**mg), (&e, &*cand)))
+                .any(|(me, mg)| in_group(me) && t.subsumes_interned((me, &**mg), (&e, &*cand)))
             {
                 m.insert_subsumed.fetch_add(1, Ordering::Relaxed);
                 continue;
@@ -152,7 +164,9 @@ impl Rsrsg {
             // Drop members the candidate strictly generalizes.
             let mut i = 0;
             while i < self.graphs.len() {
-                if t.subsumes_interned((&e, &*cand), (&self.canon[i], &*self.graphs[i])) {
+                if in_group(&self.canon[i])
+                    && t.subsumes_interned((&e, &*cand), (&self.canon[i], &*self.graphs[i]))
+                {
                     self.graphs.remove(i);
                     self.canon.remove(i);
                     m.insert_replaced.fetch_add(1, Ordering::Relaxed);
@@ -165,7 +179,7 @@ impl Rsrsg {
             // (alias classes + spaths) on them, except in the reference
             // oracle.
             if let Some(i) = self.canon.iter().zip(&self.graphs).position(|(me, mg)| {
-                (!t.cache_enabled() || Fingerprint::may_be_compatible(&me.fp, &e.fp))
+                (!keyed || Fingerprint::may_be_compatible(&me.fp, &e.fp))
                     && compatible(mg, &cand, level)
             }) {
                 let member = self.graphs.remove(i);

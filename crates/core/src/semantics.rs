@@ -263,8 +263,7 @@ pub fn transfer_one_cached(
             Arc::new(c)
         })
         .collect();
-    let refs: Vec<&Rsg> = compressed.iter().map(|c| &**c).collect();
-    let entries = t.intern_batch(&refs);
+    let entries = t.intern_batch(&compressed);
     let outs: Vec<(Arc<Rsg>, CanonEntry)> = compressed.into_iter().zip(entries).collect();
     let outcome = TransferOutcome {
         outs: outs.iter().map(|(_, oe)| oe.id).collect(),

@@ -10,10 +10,11 @@
 //! * [`Interner`] — a run-wide table mapping canonical bytes to a compact
 //!   [`CanonId`], so duplicate detection is a hash lookup and RSRSGs store
 //!   `u32` ids plus shared `Arc<[u8]>` bytes instead of owned byte vectors.
-//!   Each entry also retains an `Arc<Rsg>` representative of its canonical
-//!   form, so an id can be resolved back into a graph — this is what lets
-//!   the engine keep its per-statement state as id vectors and the
-//!   transfer memo return interned output ids;
+//!   Each entry also retains a representative of its canonical form (the
+//!   caller's `Arc<Rsg>` that minted it, shared rather than copied), so an
+//!   id can be resolved back into a graph — this is what lets the engine
+//!   keep its per-statement state as id vectors and the transfer memo
+//!   return interned output ids;
 //! * [`TransferCache`] — a `(config-epoch, statement, CanonId) → outputs`
 //!   memo for abstract statement transfer. Transfer is deterministic per
 //!   input graph, so any graph already transferred under a statement (in a
@@ -27,9 +28,9 @@
 //!   are **necessary** conditions for subsumption and COMPATIBLE,
 //!   rejecting most pairs in a few word operations before the exponential
 //!   search or the spath comparison ever runs;
-//! * [`SubsumeCache`] — a `(CanonId, CanonId) → bool` memo table, so a
-//!   subsumption query for a pair of canonical forms runs the backtracking
-//!   search at most once per analysis run;
+//! * [`SubsumeCache`] — a `(CanonId, CanonId) → bool` memo table of
+//!   embedding verdicts, so a subsumption query for a pair of canonical
+//!   forms runs the backtracking search at most once per analysis run;
 //! * [`OpMetrics`] / [`OpStats`] — atomic op-level work counters
 //!   (insert/subsume/join/compress/prune calls, cache hits vs. search
 //!   fallbacks, interner size, peak set widths, shard-lock contention)
@@ -61,7 +62,7 @@
 
 use crate::canon::{canonical_bytes, canonical_bytes_batch};
 use crate::graph::Rsg;
-use crate::subsume::subsumes;
+use crate::subsume::{embedding_stage, pinned_stage, subsumes};
 use crate::trace::{TraceKind, Tracer};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
@@ -290,6 +291,13 @@ impl Fingerprint {
     /// different keys have different signatures.
     pub fn sig_key(&self) -> u32 {
         self.sig_key
+    }
+
+    /// The graph's [`PinSignature::pin_hash`], its **pinning group**:
+    /// subsumption holds only within one group, so an RSRSG insert queries
+    /// only the members whose key equals the candidate's.
+    pub fn pin_hash(&self) -> u64 {
+        self.pin_hash
     }
 
     /// Necessary condition for `subsumes(general, specific)`: `false`
@@ -569,8 +577,10 @@ impl Interner {
     }
 
     /// Intern a graph: serialize to canonical form, return the existing
-    /// entry or mint a fresh id. `metrics` records hit/miss.
-    pub fn intern(&self, g: &Rsg, metrics: &OpMetrics) -> CanonEntry {
+    /// entry or mint a fresh id. `metrics` records hit/miss. A fresh id
+    /// keeps a handle to `g` itself as its representative graph, so the
+    /// caller's graph and the interner's share one node arena.
+    pub fn intern(&self, g: &Arc<Rsg>, metrics: &OpMetrics) -> CanonEntry {
         self.intern_traced(g, metrics, None)
     }
 
@@ -578,7 +588,7 @@ impl Interner {
     /// a hit/miss instant into `tracer` when one is supplied and enabled.
     pub fn intern_traced(
         &self,
-        g: &Rsg,
+        g: &Arc<Rsg>,
         metrics: &OpMetrics,
         tracer: Option<&Tracer>,
     ) -> CanonEntry {
@@ -599,12 +609,13 @@ impl Interner {
     /// count).
     pub fn intern_batch(
         &self,
-        graphs: &[&Rsg],
+        graphs: &[Arc<Rsg>],
         metrics: &OpMetrics,
         tracer: Option<&Tracer>,
     ) -> Vec<CanonEntry> {
         let t0 = tracer.is_some_and(Tracer::enabled).then(Instant::now);
-        let all_bytes = canonical_bytes_batch(graphs);
+        let refs: Vec<&Rsg> = graphs.iter().map(|g| &**g).collect();
+        let all_bytes = canonical_bytes_batch(&refs);
         if let (Some(tr), Some(_)) = (tracer, t0) {
             let bytes: usize = all_bytes.iter().map(Vec::len).sum();
             tr.span_since(TraceKind::Canon, t0, bytes as u64, graphs.len() as u64);
@@ -620,7 +631,7 @@ impl Interner {
     /// `bytes` must be `canonical_bytes(g)`.
     fn intern_with_bytes(
         &self,
-        g: &Rsg,
+        g: &Arc<Rsg>,
         bytes: Vec<u8>,
         metrics: &OpMetrics,
         tracer: Option<&Tracer>,
@@ -653,7 +664,9 @@ impl Interner {
             let fp = Fingerprint::of(g);
             let arc: Arc<[u8]> = bytes.into();
             // Canonical bytes are stored twice (slab + map key arc is
-            // shared, so count once) plus the representative graph.
+            // shared, so count once) plus the representative graph. The
+            // graph is charged in full although the caller shares it, so
+            // the `max_table_bytes` budget keeps its meaning.
             let minted = arc.len() as u64 + g.approx_bytes() as u64;
             self.bytes.fetch_add(minted, Ordering::Relaxed);
             // Fill-before-publish: the slab slot must be readable before
@@ -663,7 +676,7 @@ impl Interner {
                 InternedForm {
                     bytes: arc.clone(),
                     fp,
-                    graph: Arc::new(g.clone()),
+                    graph: Arc::clone(g),
                 },
             );
             map.insert(arc.clone(), id);
@@ -717,9 +730,9 @@ impl Interner {
         self.form(id).fp
     }
 
-    /// The representative graph of an interned id: the exact graph that
-    /// first minted the entry (isomorphic to every later graph interning to
-    /// the same id). Shared, immutable. Lock-free.
+    /// The representative graph of an interned id: the graph that first
+    /// minted the entry, shared with whoever interned it (isomorphic to
+    /// every later graph interning to the same id). Immutable. Lock-free.
     ///
     /// # Panics
     /// If `id` was not minted by this interner.
@@ -1573,7 +1586,7 @@ impl SharedTables {
     /// Intern a graph through these tables' interner, metrics and tracer.
     /// The preferred call site for analysis code: interning hits/misses
     /// recorded here are attributed on the run's trace timeline.
-    pub fn intern(&self, g: &Rsg) -> CanonEntry {
+    pub fn intern(&self, g: &Arc<Rsg>) -> CanonEntry {
         self.interner
             .intern_traced(g, &self.metrics, Some(&self.tracer))
     }
@@ -1582,7 +1595,7 @@ impl SharedTables {
     /// [`Interner::intern_batch`]): one canonicalization-scratch checkout
     /// serves the whole batch, and ids mint in input order so results are
     /// bit-identical to a loop of [`SharedTables::intern`] calls.
-    pub fn intern_batch(&self, graphs: &[&Rsg]) -> Vec<CanonEntry> {
+    pub fn intern_batch(&self, graphs: &[Arc<Rsg>]) -> Vec<CanonEntry> {
         self.interner
             .intern_batch(graphs, &self.metrics, Some(&self.tracer))
     }
@@ -1618,18 +1631,21 @@ impl SharedTables {
         );
     }
 
-    /// `subsumes(general, specific)` through the fingerprint pre-filter
-    /// and memo table. With the cache disabled (the engine's reference
-    /// oracle) this is exactly the raw search (plus counters), which is what
-    /// makes default and reference runs comparable bit-for-bit.
+    /// `subsumes(general, specific)` through the pre-filters and the memo
+    /// table. With the cache disabled (the engine's reference oracle) this
+    /// is exactly the raw search (plus counters), which is what makes
+    /// default and reference runs comparable bit-for-bit.
     ///
-    /// The pre-filter runs **before** the memo lookup: prefilter-rejected
-    /// pairs are never stored in the memo (only search results are), so
-    /// the answer and every counter are unchanged by the ordering — but
-    /// the common case (bulk fingerprint rejects) now resolves without
-    /// touching a shard lock at all.
+    /// Query order: [`Fingerprint::may_subsume`] → the pinned-node stage
+    /// of [`subsumes`] → memo lookup → its embedding stage, whose verdict
+    /// is stored. A reject by either pre-filter counts as
+    /// `subsume_prefilter_rejects` and is never stored, so the common case
+    /// resolves without touching a shard lock and the memo holds embedding
+    /// verdicts only. The pinned stage is a pure function of the pair's
+    /// canonical forms, so a memo hit still answers the whole query.
+    ///
     /// The `Subsume` trace span covers the embedding *searches* only:
-    /// prefilter rejects and memo hits resolve with counter bumps alone,
+    /// pre-filter rejects and memo hits resolve with counter bumps alone,
     /// which matters at the several hundred thousand queries a large run
     /// issues. Untraced, a search reads no clock either.
     pub fn subsumes_interned(
@@ -1640,7 +1656,9 @@ impl SharedTables {
         let m = &self.metrics;
         m.subsume_queries.fetch_add(1, Ordering::Relaxed);
         if self.cache_enabled {
-            if !Fingerprint::may_subsume(&general.0.fp, &specific.0.fp) {
+            if !Fingerprint::may_subsume(&general.0.fp, &specific.0.fp)
+                || !pinned_stage(general.1, specific.1)
+            {
                 m.subsume_prefilter_rejects.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
@@ -1654,7 +1672,11 @@ impl SharedTables {
         }
         m.subsume_searches.fetch_add(1, Ordering::Relaxed);
         let t0 = self.tracer.enabled().then(Instant::now);
-        let result = subsumes(general.1, specific.1);
+        let result = if self.cache_enabled {
+            embedding_stage(general.1, specific.1)
+        } else {
+            subsumes(general.1, specific.1)
+        };
         self.tracer.span_since(
             TraceKind::Subsume,
             t0,
@@ -1700,8 +1722,8 @@ mod tests {
     use psa_cfront::types::SelectorId;
     use psa_ir::PvarId;
 
-    fn sll(n: usize) -> Rsg {
-        builder::singly_linked_list(n, 2, PvarId(0), SelectorId(0))
+    fn sll(n: usize) -> Arc<Rsg> {
+        Arc::new(builder::singly_linked_list(n, 2, PvarId(0), SelectorId(0)))
     }
 
     #[test]
@@ -1724,10 +1746,9 @@ mod tests {
     fn intern_batch_matches_sequential() {
         let t1 = SharedTables::new();
         let t2 = SharedTables::new();
-        let graphs: Vec<Rsg> = [3usize, 4, 3, 5].iter().map(|&n| sll(n)).collect();
+        let graphs: Vec<Arc<Rsg>> = [3usize, 4, 3, 5].iter().map(|&n| sll(n)).collect();
         let seq: Vec<CanonEntry> = graphs.iter().map(|g| t1.intern(g)).collect();
-        let refs: Vec<&Rsg> = graphs.iter().collect();
-        let batch = t2.intern_batch(&refs);
+        let batch = t2.intern_batch(&graphs);
         assert_eq!(seq.len(), batch.len());
         for (a, b) in seq.iter().zip(&batch) {
             assert_eq!(a.id, b.id, "ids mint in the same order");
@@ -1746,9 +1767,8 @@ mod tests {
         use crate::trace::TraceKind;
         let t = SharedTables::new();
         t.tracer.enable();
-        let graphs: Vec<Rsg> = [3usize, 4, 5].iter().map(|&n| sll(n)).collect();
-        let refs: Vec<&Rsg> = graphs.iter().collect();
-        let entries = t.intern_batch(&refs);
+        let graphs: Vec<Arc<Rsg>> = [3usize, 4, 5].iter().map(|&n| sll(n)).collect();
+        let entries = t.intern_batch(&graphs);
         let canon: Vec<_> = t
             .tracer
             .drain()
@@ -1917,6 +1937,27 @@ mod tests {
     }
 
     #[test]
+    fn pinned_stage_rejects_before_the_memo() {
+        // The fingerprint cannot see SHSEL on a pinned node, so this pair
+        // passes it; the pinned-node stage rejects it, counts a pre-filter
+        // reject and stores nothing.
+        let t = SharedTables::new();
+        let general = sll(3);
+        let mut specific = (*general).clone();
+        let head = specific.pl(PvarId(0)).unwrap();
+        specific.node_mut(head).shsel.insert(SelectorId(0));
+        let specific = Arc::new(specific);
+        let (eg, es) = (t.intern(&general), t.intern(&specific));
+        assert!(Fingerprint::may_subsume(&eg.fp, &es.fp));
+        assert!(!t.subsumes_interned((&eg, &general), (&es, &specific)));
+        assert!(!subsumes(&general, &specific));
+        let s = t.snapshot();
+        assert_eq!(s.subsume_prefilter_rejects, 1);
+        assert_eq!(s.subsume_searches, 0);
+        assert!(t.cache.is_empty());
+    }
+
+    #[test]
     fn disabled_cache_always_searches() {
         let t = SharedTables::without_cache();
         assert!(!t.cache_enabled());
@@ -1936,7 +1977,10 @@ mod tests {
         let g = sll(4);
         let e = t.interner.intern(&g, &t.metrics);
         let back = t.interner.graph(e.id);
-        assert_eq!(canonical_bytes(&back), canonical_bytes(&g));
+        assert!(
+            Arc::ptr_eq(&back, &g),
+            "the minting graph is shared, not copied"
+        );
         let (entry, graph) = t.interner.resolve(e.id);
         assert_eq!(entry.id, e.id);
         assert_eq!(entry.bytes, e.bytes);

@@ -118,10 +118,17 @@ pool!(
     (u32, u32)
 );
 pool!(
-    /// A pooled `Vec<u32>` (index orderings).
+    /// A pooled `Vec<u32>` (index orderings and slot → index tables).
     idx_buf,
     IDX_POOL,
     u32
+);
+pool!(
+    /// A pooled `Vec<u64>` (bitset words: the subsumption search's
+    /// per-node candidate rows).
+    word_buf,
+    WORD_POOL,
+    u64
 );
 
 #[cfg(test)]

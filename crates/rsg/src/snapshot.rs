@@ -393,7 +393,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SharedTables, SnapshotError> {
     // anything else means the canonicalization changed under us.
     let num_forms = r.count(24)?;
     for expect in 0..num_forms as u32 {
-        let g = r.graph()?;
+        let g = Arc::new(r.graph()?);
         let e = restored.intern(&g);
         if e.id.0 != expect {
             return Err(SnapshotError::Corrupt(format!(
@@ -497,8 +497,8 @@ mod tests {
     use crate::builder;
     use psa_cfront::types::SelectorId;
 
-    fn sll(n: usize) -> Rsg {
-        builder::singly_linked_list(n, 2, PvarId(0), SelectorId(0))
+    fn sll(n: usize) -> Arc<Rsg> {
+        Arc::new(builder::singly_linked_list(n, 2, PvarId(0), SelectorId(0)))
     }
 
     fn warm_tables() -> SharedTables {

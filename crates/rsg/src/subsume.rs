@@ -22,51 +22,67 @@
 //! already-joined contribution is recognized and discarded instead of
 //! churning the set forever.
 //!
-//! The search runs hundreds of thousands of times per fixpoint, so all of
-//! its working state — specific node ids, per-node candidate sets (a flat
-//! buffer plus `(start, len)` spans), the assignment order and the partial
-//! assignment — checks out of the thread-local [`crate::scratch`] pools
-//! instead of allocating per call. Since pvar bindings pin each
-//! pvar-pointed specific node to exactly one general host, those pairs get
-//! the node-local test first; most failing searches end there, before any
-//! candidate set is built.
+//! The check runs in two stages, and [`subsumes`] is their conjunction.
+//! Pvar bindings pin each pvar-pointed specific node to exactly one general
+//! host, so the **pinned stage** (`pinned_stage`) compares pvar domains,
+//! scalar promises and those pinned pairs with the node-local test alone;
+//! most failing queries end there. Only a pair that passes it reaches the
+//! **embedding stage** (`embedding_stage`), the backtracking search. The
+//! memoized front end ([`crate::intern::SharedTables::subsumes_interned`])
+//! runs the pinned stage before its memo, so the memo holds embedding
+//! verdicts only.
+//!
+//! The search runs tens of thousands of times per fixpoint, so all of its
+//! working state — specific node ids, the slot → row table, per-node
+//! candidate sets (a flat buffer plus `(start, len)` spans, mirrored as one
+//! bitset row per specific node for the arc-consistency probes), the
+//! assignment order and the partial assignment — checks out of the
+//! thread-local [`crate::scratch`] pools instead of allocating per call.
 
 use crate::graph::Rsg;
 use crate::node::{NodeId, NodeRef};
+use psa_ir::PvarId;
 
 /// Sentinel for "not yet assigned" in the pooled assignment buffer (a real
 /// node id never reaches `u32::MAX`).
 const UNASSIGNED: NodeId = NodeId(u32::MAX);
 
-/// Does `general` represent every configuration of `specific`?
+/// Does `general` represent every configuration of `specific`? The
+/// conjunction of the two stages: `pinned_stage`, then `embedding_stage`.
 pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
-    debug_assert_eq!(general.num_pvar_slots(), specific.num_pvar_slots());
+    pinned_stage(general, specific) && embedding_stage(general, specific)
+}
 
-    // Pvar domains must agree exactly (PL is must information).
-    if !general
-        .pl_iter()
-        .map(|(p, _)| p)
-        .eq(specific.pl_iter().map(|(p, _)| p))
-    {
-        return false;
-    }
+/// The first stage of [`subsumes`], node-local and cheap: equal pvar
+/// domains, every scalar fact `general` promises holds in `specific`, and
+/// each pvar-pointed specific node is [`node_weaker`] than the same pvar's
+/// general node (the only host an embedding may give it). `false` proves
+/// `subsumes` false.
+pub(crate) fn pinned_stage(general: &Rsg, specific: &Rsg) -> bool {
+    debug_assert_eq!(general.num_pvar_slots(), specific.num_pvar_slots());
+    // Pvar domains must agree exactly (PL is must information), and each
+    // pvar-pointed specific node can only map onto the same pvar's general
+    // node: one pass over the pvar slots checks both.
+    let pins_weaker = (0..specific.num_pvar_slots() as u32).map(PvarId).all(|p| {
+        match (general.pl(p), specific.pl(p)) {
+            (None, None) => true,
+            (Some(gn), Some(sn)) => node_weaker(general.node(gn), specific.node(sn)),
+            _ => false,
+        }
+    });
     // Every scalar fact the general graph promises must hold in the
     // specific one (extra facts in `specific` are fine — they only narrow).
-    for (v, k) in general.scalars() {
-        if specific.scalars().get(*v) != Some(*k) {
-            return false;
-        }
-    }
-    // Every pvar-pointed specific node can only map onto the same pvar's
-    // general node: check those pairs before building any candidate set
-    // (which then takes that node as the pinned node's only candidate).
-    for (p, sn) in specific.pl_iter() {
-        let gn = general.pl(p).expect("domains agree");
-        if !node_weaker(general.node(gn), specific.node(sn)) {
-            return false;
-        }
-    }
+    pins_weaker
+        && general
+            .scalars()
+            .iter()
+            .all(|(v, k)| specific.scalars().get(*v) == Some(*k))
+}
 
+/// The second stage of [`subsumes`]: the backtracking embedding search.
+/// Only meaningful for a pair that passed [`pinned_stage`] (it takes each
+/// pvar-pointed node's pinned host as that node's only candidate).
+pub(crate) fn embedding_stage(general: &Rsg, specific: &Rsg) -> bool {
     let mut s_ids = crate::scratch::node_buf();
     s_ids.extend(specific.node_ids());
     if s_ids.is_empty() {
@@ -75,6 +91,14 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
         // it has no pvar-pinned nodes — which it cannot have. Accept.
         return true;
     }
+    // Row of each specific slot: its index in `s_ids`, which also indexes
+    // `spans`, `cands` and `assign`.
+    let mut row_of = crate::scratch::idx_buf();
+    row_of.resize(specific.num_slots(), u32::MAX);
+    for (i, &sn) in s_ids.iter().enumerate() {
+        row_of[sn.0 as usize] = i as u32;
+    }
+    let index_of = |n: NodeId| row_of[n.0 as usize] as usize;
 
     // Candidate sets filtered by node-local conditions and pvar pinning:
     // one flat buffer, with `spans[i] = (start, len)` delimiting specific
@@ -88,17 +112,18 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
             .filter(|&(_, target)| target == sn)
             .map(|(p, _)| general.pl(p).expect("domains agree"));
         if let Some(pin) = pins.next() {
-            // The pinned pair passed `node_weaker` above; aliased pvars
-            // must also agree on their general node.
+            // The pinned pair passed `node_weaker` in the pinned stage;
+            // aliased pvars must also agree on their general node.
             if pins.any(|other| other != pin) {
                 return false;
             }
             cand_flat.push(pin);
         } else {
+            let s = specific.node(sn);
             cand_flat.extend(
                 general
                     .node_ids()
-                    .filter(|&gn| node_weaker(general.node(gn), specific.node(sn))),
+                    .filter(|&gn| node_weaker(general.node(gn), s)),
             );
             if cand_flat.len() == start {
                 return false;
@@ -110,15 +135,33 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
     fn seg(flat: &[NodeId], sp: (u32, u32)) -> &[NodeId] {
         &flat[sp.0 as usize..(sp.0 + sp.1) as usize]
     }
+    fn set_bit(row: &mut [u64], g: NodeId) {
+        row[g.0 as usize / 64] |= 1 << (g.0 % 64);
+    }
+    fn has_bit(row: &[u64], g: NodeId) -> bool {
+        (row[g.0 as usize / 64] >> (g.0 % 64)) & 1 != 0
+    }
+
+    // The same candidate sets as bitset rows over `general`'s slots, one
+    // row per specific node, so the prepass's "is `g` a candidate of `t`?"
+    // is one bit test.
+    let words = general.num_slots().div_ceil(64);
+    let row = |i: usize| i * words..(i + 1) * words;
+    let mut cands = crate::scratch::word_buf();
+    cands.resize(s_ids.len() * words, 0);
+    for (i, &sp) in spans.iter().enumerate() {
+        for &gn in seg(&cand_flat, sp) {
+            set_bit(&mut cands[row(i)], gn);
+        }
+    }
 
     // Arc-consistency prepass: a candidate must be able to simulate every
     // link of the specific node with *some* candidate of the neighbour.
     // Cheap, and it usually collapses the search space to (near) singleton
     // candidate sets. The filter for node `i` reads the candidate sets —
-    // including its own segment for self-links — before any of this node's
+    // including its own row for self-links — before any of this node's
     // removals apply, so survivors are collected into a pooled side buffer
     // first and copied back over the segment start (segments only shrink).
-    let index_of = |n: NodeId| s_ids.binary_search(&n).expect("specific node");
     let mut kept = crate::scratch::node_buf();
     loop {
         let mut changed = false;
@@ -132,12 +175,12 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
                     general
                         .succs(gn, sel)
                         .iter()
-                        .any(|gt| seg(&cand_flat, spans[index_of(t)]).contains(&gt))
+                        .any(|gt| has_bit(&cands[row(index_of(t))], gt))
                 }) && ins.iter().all(|&(f, sel)| {
                     general
                         .preds(gn, sel)
                         .iter()
-                        .any(|gf| seg(&cand_flat, spans[index_of(f)]).contains(&gf))
+                        .any(|gf| has_bit(&cands[row(index_of(f))], gf))
                 })
             }));
             if kept.is_empty() {
@@ -147,6 +190,11 @@ pub fn subsumes(general: &Rsg, specific: &Rsg) -> bool {
                 changed = true;
                 cand_flat[start as usize..start as usize + kept.len()].copy_from_slice(&kept);
                 spans[i].1 = kept.len() as u32;
+                let bits = &mut cands[row(i)];
+                bits.fill(0);
+                for &gn in kept.iter() {
+                    set_bit(bits, gn);
+                }
             }
         }
         if !changed {

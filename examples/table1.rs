@@ -1,9 +1,12 @@
-//! Table 1 regeneration (one-shot text form; the Criterion benches in
-//! `psa-bench` are the statistical version): time and space for the four
-//! codes at the three progressive levels.
+//! Table 1 regeneration (one-shot text form): time and space for the four
+//! codes at the three progressive levels. The statistical version, with
+//! repetitions, calibration and per-layer times, is psa-bench's `table1`
+//! workload.
 //!
 //! ```sh
 //! cargo run --release --example table1
+//! cargo run --release --manifest-path psabench/Cargo.toml -- \
+//!     run --workload table1 --seconds 25
 //! ```
 //!
 //! Like the paper — where Sparse LU exhausts the 128 MB machine at L2/L3 —

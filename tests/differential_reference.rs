@@ -55,3 +55,15 @@ fn paper_codes_identical_to_reference_all_levels() {
         }
     }
 }
+
+#[test]
+fn voronoi_identical_to_reference_all_levels() {
+    // Wide RSRSGs (up to 183 members at L1) that split into many pinning
+    // groups: the default path queries only the candidate's group, the
+    // reference oracle every member.
+    let src = psa::codes::olden::voronoi(psa::codes::Sizes::tiny());
+    for level in Level::ALL {
+        eprintln!("differential reference: voronoi at {level}");
+        assert_matches_reference(&src, level);
+    }
+}

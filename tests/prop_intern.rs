@@ -5,6 +5,7 @@
 //! backtracking search on every pair.
 
 use proptest::prelude::*;
+use psa::core::rsrsg::Rsrsg;
 use psa::ir::PvarId;
 use psa::rsg::canon::canonical_bytes;
 use psa::rsg::compress::compress;
@@ -13,6 +14,7 @@ use psa::rsg::join::compatible;
 use psa::rsg::subsume::subsumes;
 use psa::rsg::{builder, Level, Rsg, ShapeCtx};
 use psa_cfront::types::{SelectorId, StructId};
+use std::sync::Arc;
 
 /// A list with an optional tree spliced in, mirroring `tests/prop_rsg.rs`:
 /// list length, tree depth (0 = no tree), and whether `p1` binds the root.
@@ -119,6 +121,7 @@ proptest! {
     #[test]
     fn intern_roundtrips_canonical_bytes(g in arb_rsg()) {
         let t = SharedTables::new();
+        let g = Arc::new(g);
         let e = t.interner.intern(&g, &t.metrics);
         prop_assert_eq!(&e.bytes[..], &canonical_bytes(&g)[..]);
         prop_assert_eq!(&t.interner.bytes(e.id)[..], &e.bytes[..]);
@@ -128,8 +131,9 @@ proptest! {
     #[test]
     fn isomorphic_graphs_intern_to_the_same_id(g in arb_rsg()) {
         let t = SharedTables::new();
-        let a = t.interner.intern(&g, &t.metrics);
-        let b = t.interner.intern(&renumbered(&g), &t.metrics);
+        let b = Arc::new(renumbered(&g));
+        let a = t.interner.intern(&Arc::new(g), &t.metrics);
+        let b = t.interner.intern(&b, &t.metrics);
         prop_assert_eq!(a.id, b.id);
         prop_assert_eq!(a.fp, b.fp);
         prop_assert_eq!(t.interner.len(), 1);
@@ -141,8 +145,8 @@ proptest! {
     #[test]
     fn distinct_canonical_forms_get_distinct_ids(a in arb_rsg(), b in arb_rsg()) {
         let t = SharedTables::new();
-        let ea = t.interner.intern(&a, &t.metrics);
-        let eb = t.interner.intern(&b, &t.metrics);
+        let ea = t.interner.intern(&Arc::new(a), &t.metrics);
+        let eb = t.interner.intern(&Arc::new(b), &t.metrics);
         prop_assert_eq!(ea.id == eb.id, ea.bytes == eb.bytes);
         prop_assert!(t.interner.len() <= 2);
     }
@@ -151,6 +155,7 @@ proptest! {
     fn memoized_path_agrees_with_raw_search(a in arb_rsg(), b in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = (compress(&a, &ctx, Level::L1), compress(&b, &ctx, Level::L1));
+        let (a, b) = (Arc::new(a), Arc::new(b));
         let t = SharedTables::new();
         let ea = t.interner.intern(&a, &t.metrics);
         let eb = t.interner.intern(&b, &t.metrics);
@@ -169,7 +174,7 @@ proptest! {
     #[test]
     fn self_subsumption_is_cached_true(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        let g = compress(&g, &ctx, Level::L1);
+        let g = Arc::new(compress(&g, &ctx, Level::L1));
         let t = SharedTables::new();
         let e = t.interner.intern(&g, &t.metrics);
         prop_assert!(t.subsumes_interned((&e, &g), (&e, &g)));
@@ -219,11 +224,45 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn reduction_keeps_member_order(
+        graphs in proptest::collection::vec(arb_rsg(), 1..12),
+        level in 0usize..3,
+    ) {
+        // The default path queries only the candidate's pinning group and
+        // runs the pinned-node stage before its memo; the reference oracle
+        // queries every member with the raw search. Both must build the
+        // same members in the same order, because the engine's delta
+        // worklist and the first-compatible JOIN depend on that order.
+        // `arb_rsg`'s decorations spread the graphs over several groups.
+        let level = Level::ALL[level];
+        let default_ctx = ShapeCtx::synthetic(3, 2);
+        let reference_ctx =
+            ShapeCtx::synthetic(3, 2).with_tables(Arc::new(SharedTables::without_cache()));
+        let (mut a, mut b) = (Rsrsg::new(), Rsrsg::new());
+        for g in graphs {
+            a.insert(g.clone(), &default_ctx, level);
+            b.insert(g, &reference_ctx, level);
+        }
+        let members = |s: &Rsrsg| -> Vec<Arc<[u8]>> {
+            s.canon_entries().iter().map(|e| e.bytes.clone()).collect()
+        };
+        prop_assert_eq!(members(&a), members(&b));
+        let (sa, sb) = (default_ctx.tables.snapshot(), reference_ctx.tables.snapshot());
+        prop_assert_eq!(sa.insert_dups, sb.insert_dups);
+        prop_assert_eq!(sa.insert_subsumed, sb.insert_subsumed);
+        prop_assert_eq!(sa.insert_replaced, sb.insert_replaced);
+    }
+}
+
 #[test]
 fn interner_is_shared_across_shape_ctx_clones() {
     let ctx = ShapeCtx::synthetic(3, 2);
     let clone = ctx.clone();
-    let g = builder::singly_linked_list(3, 2, PvarId(0), SelectorId(0));
+    let g = Arc::new(builder::singly_linked_list(3, 2, PvarId(0), SelectorId(0)));
     let a = ctx.tables.interner.intern(&g, &ctx.tables.metrics);
     let b = clone.tables.interner.intern(&g, &clone.tables.metrics);
     assert_eq!(a.id, b.id);
