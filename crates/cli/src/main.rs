@@ -383,10 +383,6 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
         std::time::Duration::from_nanos(ops.subsume_lock_wait_ns),
         std::time::Duration::from_nanos(ops.transfer_lock_wait_ns),
     );
-    println!(
-        "  shard occupancy peaks: interner {}, subsume memo {}, transfer memo {}",
-        ops.interner_shard_peak, ops.subsume_shard_peak, ops.transfer_shard_peak
-    );
 }
 
 fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {

@@ -13,13 +13,13 @@
 //! "RSRSG associated with each sentence" — plus timing and structural-byte
 //! accounting for the Table 1 harness. Setting
 //! [`EngineConfig::parallel_threads`] fans the per-graph statement
-//! transfers of large RSRSGs out across that many threads (std scoped
-//! threads) with dynamic work claiming; results are re-unioned in
-//! canonical order, so parallel and sequential runs produce identical
-//! RSRSGs. All paths — sequential, fan-out workers, and the
-//! progressive driver when it reuses one [`ShapeCtx`] — share the run-wide
-//! interner, subsumption memo, and transfer memo of
-//! [`psa_rsg::intern::SharedTables`].
+//! transfers of RSRSGs with at least `PARALLEL_THRESHOLD` graphs out
+//! across that many threads (std scoped threads) with dynamic work
+//! claiming; results are re-unioned in canonical order, so parallel and
+//! sequential runs produce identical RSRSGs. All paths — sequential,
+//! fan-out workers, and the progressive driver when it reuses one
+//! [`ShapeCtx`] — share the run-wide interner, subsumption memo, and
+//! transfer memo of [`psa_rsg::intern::SharedTables`].
 //!
 //! The fixpoint itself is incremental (see DESIGN.md §6): per-graph
 //! transfers are memoized by `(config-epoch, stmt, CanonId)`, statements
@@ -51,6 +51,9 @@ use std::time::Instant;
 /// see [`Rsrsg::widen`].
 const WIDEN_CAP: usize = 12;
 
+/// Minimum graphs in an RSRSG before the parallel fan-out pays off.
+const PARALLEL_THRESHOLD: usize = 8;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -58,8 +61,6 @@ pub struct EngineConfig {
     pub level: Level,
     /// Resource budget.
     pub budget: Budget,
-    /// Minimum graphs in an RSRSG before parallel fan-out pays off.
-    pub parallel_threshold: usize,
     /// Parallel fan-out of the graphs of large RSRSGs. `None` (the
     /// default) runs sequentially; `Some(n)` fans out on `n` worker
     /// threads, capped at the fan-out width — the CLI's `--threads N`.
@@ -80,7 +81,6 @@ impl Default for EngineConfig {
         EngineConfig {
             level: Level::L1,
             budget: Budget::default(),
-            parallel_threshold: 8,
             parallel_threads: None,
             reference: false,
         }
@@ -499,13 +499,7 @@ impl<'a> Engine<'a> {
     /// warm-start and incremental re-analysis pay off.
     pub(crate) fn config_key(&self) -> u64 {
         let repr = format!("{:x}|{}", self.ctx.universe_key(), self.config.level);
-        // FNV-1a, deterministic across processes.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        psa_ir::fnv1a(repr.as_bytes())
     }
 
     /// The content key of one statement: the statement itself plus the
@@ -525,12 +519,7 @@ impl<'a> Engine<'a> {
             Vec::new()
         };
         let repr = format!("{:?}|{active:?}", info.stmt);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        psa_ir::fnv1a(repr.as_bytes())
     }
 
     /// Run to the fixed point (or to a budget cap; see [`Budget`]).
@@ -1057,7 +1046,7 @@ impl<'a> Engine<'a> {
         let fanout = self
             .config
             .parallel_threads
-            .filter(|_| graphs.len() >= self.parallel_threshold());
+            .filter(|_| graphs.len() >= PARALLEL_THRESHOLD);
         if let Some(threads) = fanout {
             // Dynamic work claiming: a shared atomic index hands one graph
             // at a time to whichever worker is free, so one pathological
@@ -1135,10 +1124,6 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-    }
-
-    fn parallel_threshold(&self) -> usize {
-        self.config.parallel_threshold.max(2)
     }
 }
 
@@ -1317,30 +1302,6 @@ mod tests {
             }
         }
         assert!(checked, "expected at least one multi-element DLL graph");
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let (p, t) = parse_and_type(LIST_BUILD).unwrap();
-        let ir = lower_program(&p, &t, "main").unwrap();
-        let seq = Engine::new(&ir, EngineConfig::at_level(Level::L1))
-            .run()
-            .unwrap();
-        let par = Engine::new(
-            &ir,
-            EngineConfig {
-                level: Level::L1,
-                parallel_threads: Some(2),
-                parallel_threshold: 1,
-                ..Default::default()
-            },
-        )
-        .run()
-        .unwrap();
-        assert!(seq.exit.same_as(&par.exit));
-        for (a, b) in seq.after_stmt.iter().zip(&par.after_stmt) {
-            assert!(a.same_as(b));
-        }
     }
 
     #[test]

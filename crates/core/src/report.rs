@@ -121,53 +121,15 @@ pub struct StatsReport {
 }
 
 /// Render op-level counters as a JSON object (shared by the report and the
-/// CLI's `--stats` output).
+/// CLI's `--stats` output): every counter and gauge under its field name,
+/// in declaration order, then the three derived hit rates.
 pub fn ops_to_json(ops: &OpStats) -> Json {
     let mut j = Json::obj();
-    j.set("insert_calls", ops.insert_calls);
-    j.set("insert_dups", ops.insert_dups);
-    j.set("insert_subsumed", ops.insert_subsumed);
-    j.set("insert_replaced", ops.insert_replaced);
-    j.set("subsume_queries", ops.subsume_queries);
-    j.set("subsume_cache_hits", ops.subsume_cache_hits);
-    j.set("subsume_prefilter_rejects", ops.subsume_prefilter_rejects);
-    j.set("subsume_searches", ops.subsume_searches);
+    for (name, value) in ops.fields() {
+        j.set(name, value);
+    }
     j.set("cache_hit_rate", ops.cache_hit_rate());
-    j.set("join_calls", ops.join_calls);
-    j.set("compress_calls", ops.compress_calls);
-    j.set("prune_calls", ops.prune_calls);
-    j.set("divide_calls", ops.divide_calls);
-    j.set("materialize_calls", ops.materialize_calls);
-    j.set("widen_forced_joins", ops.widen_forced_joins);
-    j.set("union_calls", ops.union_calls);
-    j.set("intern_hits", ops.intern_hits);
-    j.set("intern_misses", ops.intern_misses);
-    j.set("transfer_queries", ops.transfer_queries);
-    j.set("transfer_memo_hits", ops.transfer_memo_hits);
-    j.set("transfer_memo_misses", ops.transfer_memo_misses);
     j.set("transfer_memo_hit_rate", ops.transfer_memo_hit_rate());
-    j.set("delta_stmt_hits", ops.delta_stmt_hits);
-    j.set("delta_stmt_extends", ops.delta_stmt_extends);
-    j.set("delta_stmt_fulls", ops.delta_stmt_fulls);
-    j.set("delta_graphs_reused", ops.delta_graphs_reused);
-    j.set("delta_graphs_transferred", ops.delta_graphs_transferred);
-    j.set("interner_size", ops.interner_size);
-    j.set("cache_size", ops.cache_size);
-    j.set("transfer_cache_size", ops.transfer_cache_size);
-    j.set("peak_set_width", ops.peak_set_width);
-    j.set("intern_lock_contended", ops.intern_lock_contended);
-    j.set("subsume_lock_contended", ops.subsume_lock_contended);
-    j.set("transfer_lock_contended", ops.transfer_lock_contended);
-    j.set("intern_lock_wait_ns", ops.intern_lock_wait_ns);
-    j.set("subsume_lock_wait_ns", ops.subsume_lock_wait_ns);
-    j.set("transfer_lock_wait_ns", ops.transfer_lock_wait_ns);
-    j.set("interner_shard_peak", ops.interner_shard_peak);
-    j.set("subsume_shard_peak", ops.subsume_shard_peak);
-    j.set("transfer_shard_peak", ops.transfer_shard_peak);
-    j.set("summary_queries", ops.summary_queries);
-    j.set("summary_hits", ops.summary_hits);
-    j.set("summary_recursive_hits", ops.summary_recursive_hits);
-    j.set("summary_misses", ops.summary_misses);
     j.set("summary_hit_rate", ops.summary_hit_rate());
     j
 }

@@ -574,7 +574,7 @@ mod tests {
             let g = builder::singly_linked_list(n, 1, PvarId(0), sel(0));
             a.insert(g.clone(), &ctx1, Level::L1);
             let c = Arc::new(psa_rsg::compress::compress(&g, &ctx2, Level::L1));
-            let e = ctx2.tables.interner.intern(&c, &ctx2.tables.metrics);
+            let e = ctx2.tables.intern(&c);
             b.insert_compressed(c, e, &ctx2, Level::L1);
         }
         assert!(a.same_as(&b));

@@ -332,12 +332,12 @@ impl Server {
     /// requests, gauges kept at their observed peaks).
     fn server_section(&self) -> Json {
         let totals = psa_rsg::lock_recover(&self.totals);
-        let tables = self.tables();
+        let sizes = self.tables().snapshot();
         let mut j = Json::obj();
         j.set("requests", totals.requests);
-        j.set("interner_size", tables.interner.len());
-        j.set("subsume_entries", tables.cache.len());
-        j.set("transfer_entries", tables.transfer.len());
+        j.set("interner_size", sizes.interner_size);
+        j.set("subsume_entries", sizes.cache_size);
+        j.set("transfer_entries", sizes.transfer_cache_size);
         j.set("ops", ops_to_json(&totals.ops));
         j
     }
@@ -351,8 +351,9 @@ impl Server {
             .map_err(|e| ("snapshot".to_string(), AnalysisError::from(e).to_string()))?;
         let mut out = Json::obj();
         out.set("path", path);
-        out.set("interner_size", tables.interner.len());
-        out.set("transfer_entries", tables.transfer.len());
+        let sizes = tables.snapshot();
+        out.set("interner_size", sizes.interner_size);
+        out.set("transfer_entries", sizes.transfer_cache_size);
         Ok(out)
     }
 
@@ -364,8 +365,9 @@ impl Server {
             .map_err(|e| ("snapshot".to_string(), AnalysisError::from(e).to_string()))?;
         let mut out = Json::obj();
         out.set("path", path);
-        out.set("interner_size", restored.interner.len());
-        out.set("transfer_entries", restored.transfer.len());
+        let sizes = restored.snapshot();
+        out.set("interner_size", sizes.interner_size);
+        out.set("transfer_entries", sizes.transfer_cache_size);
         // Requests already running keep their session of the old tables;
         // new requests session off the restored ones.
         *self

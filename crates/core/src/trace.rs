@@ -47,61 +47,8 @@ fn cancel_cause_name(code: u64) -> &'static str {
     }
 }
 
-/// Kind-specific `args` object for the Chrome-trace export, naming the two
-/// raw `u64` payloads.
-fn event_args(e: &TraceEvent) -> Json {
-    let mut a = Json::obj();
-    match e.kind {
-        TraceKind::Run => {
-            a.set("level", e.arg);
-            a.set("iterations", e.arg2);
-        }
-        TraceKind::LevelStart => {
-            a.set("level", e.arg);
-        }
-        TraceKind::StmtTransfer => {
-            a.set("stmt", e.arg);
-            a.set("in_width", e.arg2);
-        }
-        TraceKind::WorklistIter => {
-            a.set("block", e.arg);
-            a.set("iteration", e.arg2);
-        }
-        TraceKind::Join
-        | TraceKind::Compress
-        | TraceKind::Divide
-        | TraceKind::Prune
-        | TraceKind::ForceCompress => {
-            a.set("stmt", e.arg);
-        }
-        TraceKind::Canon => {
-            a.set("bytes", e.arg);
-            a.set("graphs", e.arg2);
-        }
-        TraceKind::Subsume => {
-            a.set("general", e.arg);
-            a.set("specific", e.arg2);
-        }
-        TraceKind::InternHit | TraceKind::InternMiss => {
-            a.set("id", e.arg);
-        }
-        TraceKind::TransferMemoHit | TraceKind::TransferMemoMiss => {
-            a.set("stmt", e.arg);
-            a.set("input", e.arg2);
-        }
-        TraceKind::Cancel => {
-            a.set("cause", cancel_cause_name(e.arg));
-        }
-        TraceKind::LockWait => {
-            a.set("table", lock_table_name(e.arg));
-            a.set("wait_ns", e.arg2);
-        }
-    }
-    a
-}
-
 /// Human-readable shared-table name for [`TraceKind::LockWait`] events
-/// (wire values are the `LOCK_TABLE_*` constants in `psa_rsg`).
+/// (wire values are the [`psa_rsg::intern::LockTable`] discriminants).
 fn lock_table_name(code: u64) -> &'static str {
     match code {
         0 => "interner",
@@ -111,62 +58,18 @@ fn lock_table_name(code: u64) -> &'static str {
     }
 }
 
-/// Render the journal as a Chrome trace (the JSON Object Format:
-/// `{"traceEvents": [...]}`), loadable in Perfetto or `chrome://tracing`.
+/// Stream the journal as Chrome trace JSON (the JSON Object Format:
+/// `{"traceEvents": [...]}`, loadable in Perfetto or `chrome://tracing`)
+/// directly into `out`, one event per line.
 ///
 /// Spans become `ph:"X"` complete events and instants `ph:"i"`
 /// thread-scoped instant events; every track additionally gets a
 /// `thread_name` metadata record so the viewer labels the worker lanes.
 /// Timestamps and durations are microseconds (the format's native unit)
-/// with nanosecond precision preserved in the fraction.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> Json {
-    let mut out = Vec::new();
-    let mut tids: Vec<u32> = events.iter().map(|e| e.tid).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in &tids {
-        let mut m = Json::obj();
-        m.set("name", "thread_name");
-        m.set("ph", "M");
-        m.set("pid", 1u32);
-        m.set("tid", *tid);
-        let mut args = Json::obj();
-        args.set("name", format!("analysis-{tid}"));
-        m.set("args", args);
-        out.push(m);
-    }
-    for e in events {
-        let mut j = Json::obj();
-        j.set("name", e.kind.name());
-        j.set("cat", e.kind.category());
-        j.set("ph", if e.dur_ns == 0 { "i" } else { "X" });
-        j.set("ts", e.ts_ns as f64 / 1000.0);
-        if e.dur_ns == 0 {
-            // Thread-scoped instant: drawn as a tick on the event's track.
-            j.set("s", "t");
-        } else {
-            j.set("dur", e.dur_ns as f64 / 1000.0);
-        }
-        j.set("pid", 1u32);
-        j.set("tid", e.tid);
-        j.set("args", event_args(e));
-        out.push(j);
-    }
-    let mut doc = Json::obj();
-    doc.set("traceEvents", Json::Arr(out));
-    doc.set("displayTimeUnit", "ms");
-    doc
-}
-
-/// Stream the journal as Chrome trace JSON directly into `out`, one
-/// event per line.
-///
-/// Semantically identical to [`chrome_trace_json`] but avoids building a
-/// `Json` tree — on large runs the journal holds hundreds of thousands of
-/// events, and the tree plus its pretty-printing dominates the cost of
-/// the `--trace` flag (export time exceeded the analysis itself on
-/// barnes-hut at L3). The CLI uses this path; the tree form remains for
-/// tests and embedding.
+/// with nanosecond precision preserved in the fraction. No `Json` tree is
+/// built: on large runs the journal holds hundreds of thousands of events,
+/// and a tree plus its pretty-printing would dominate the cost of the
+/// `--trace` flag.
 pub fn chrome_trace_write(events: &[TraceEvent], out: &mut String) {
     use std::fmt::Write;
     out.push_str("{\"traceEvents\": [");
@@ -197,10 +100,10 @@ pub fn chrome_trace_write(events: &[TraceEvent], out: &mut String) {
             e.kind.name(),
             e.kind.category()
         );
-        // Microseconds with the nanosecond fraction, as in the tree form —
-        // rendered from the integer nanosecond value (`{}.{:03}`) rather
-        // than `f64` precision formatting, which is an order of magnitude
-        // slower and dominated export time on large journals.
+        // Microseconds with the nanosecond fraction, rendered from the
+        // integer nanosecond value (`{}.{:03}`) rather than `f64` precision
+        // formatting, which is an order of magnitude slower and dominated
+        // export time on large journals.
         if e.dur_ns == 0 {
             let _ = write!(
                 out,
@@ -225,8 +128,8 @@ pub fn chrome_trace_write(events: &[TraceEvent], out: &mut String) {
     out.push_str("\n], \"displayTimeUnit\": \"ms\"}\n");
 }
 
-/// Streaming counterpart of [`event_args`]: the same kind-specific `args`
-/// object, written compactly.
+/// The kind-specific `args` object of one event, naming its two raw `u64`
+/// payloads.
 fn write_args(out: &mut String, e: &TraceEvent) {
     use std::fmt::Write;
     let _ = match e.kind {
@@ -667,13 +570,20 @@ mod tests {
         assert_eq!(level_ordinal(Level::L3), 3);
     }
 
+    fn streamed(events: &[TraceEvent]) -> Json {
+        let mut text = String::new();
+        chrome_trace_write(events, &mut text);
+        Json::parse(&text).expect("the export is valid JSON")
+    }
+
     #[test]
     fn chrome_export_schema() {
         let events = vec![
             ev(TraceKind::StmtTransfer, 1_000, 2_500, 0, 7, 3),
             ev(TraceKind::InternHit, 1_500, 0, 1, 42, 0),
         ];
-        let doc = chrome_trace_json(&events);
+        let doc = streamed(&events);
+        assert_eq!(doc.get("displayTimeUnit").unwrap().as_str(), Some("ms"));
         let te = doc.get("traceEvents").unwrap().as_array().unwrap();
         // 2 thread_name metadata records + 2 events.
         assert_eq!(te.len(), 4);
@@ -701,33 +611,97 @@ mod tests {
             .unwrap();
         assert_eq!(inst.get("s").unwrap().as_str(), Some("t"));
         assert!(inst.get("dur").is_none());
-        // The whole document round-trips through the in-tree parser.
-        let text = doc.pretty();
-        assert_eq!(Json::parse(&text).unwrap(), doc);
     }
 
     #[test]
-    fn streaming_export_matches_tree_export() {
-        let events = vec![
-            ev(TraceKind::Run, 0, 9_000, 0, 2, 17),
-            ev(TraceKind::StmtTransfer, 1_000, 2_500, 0, 7, 3),
-            ev(TraceKind::WorklistIter, 1_200, 0, 0, 4, 11),
-            ev(TraceKind::Canon, 2_000, 300, 1, 128, 0),
-            ev(TraceKind::InternHit, 2_100, 0, 1, 42, 0),
-            ev(TraceKind::Subsume, 3_000, 400, 1, 5, 6),
-            ev(TraceKind::Cancel, 4_000, 0, 0, 4, 0),
+    fn streamed_events_carry_their_named_args() {
+        // One event of every kind, each with the args object it must carry.
+        let cases = [
+            (
+                ev(TraceKind::Run, 0, 9_000, 0, 2, 17),
+                r#"{"level": 2, "iterations": 17}"#,
+            ),
+            (
+                ev(TraceKind::LevelStart, 100, 0, 0, 3, 0),
+                r#"{"level": 3}"#,
+            ),
+            (
+                ev(TraceKind::StmtTransfer, 1_000, 2_500, 0, 7, 3),
+                r#"{"stmt": 7, "in_width": 3}"#,
+            ),
+            (
+                ev(TraceKind::WorklistIter, 1_200, 0, 0, 4, 11),
+                r#"{"block": 4, "iteration": 11}"#,
+            ),
+            (ev(TraceKind::Join, 1_300, 10, 0, 5, 0), r#"{"stmt": 5}"#),
+            (
+                ev(TraceKind::Compress, 1_400, 10, 0, 6, 0),
+                r#"{"stmt": 6}"#,
+            ),
+            (ev(TraceKind::Divide, 1_500, 10, 0, 7, 0), r#"{"stmt": 7}"#),
+            (ev(TraceKind::Prune, 1_600, 10, 0, 8, 0), r#"{"stmt": 8}"#),
+            (
+                ev(TraceKind::ForceCompress, 1_700, 10, 0, 9, 0),
+                r#"{"stmt": 9}"#,
+            ),
+            (
+                ev(TraceKind::Canon, 2_000, 300, 1, 128, 2),
+                r#"{"bytes": 128, "graphs": 2}"#,
+            ),
+            (
+                ev(TraceKind::Subsume, 3_000, 400, 1, 5, 6),
+                r#"{"general": 5, "specific": 6}"#,
+            ),
+            (
+                ev(TraceKind::InternHit, 3_500, 0, 1, 42, 0),
+                r#"{"id": 42}"#,
+            ),
+            (
+                ev(TraceKind::InternMiss, 3_600, 0, 1, 43, 0),
+                r#"{"id": 43}"#,
+            ),
+            (
+                ev(TraceKind::TransferMemoHit, 3_700, 0, 1, 9, 44),
+                r#"{"stmt": 9, "input": 44}"#,
+            ),
+            (
+                ev(TraceKind::TransferMemoMiss, 3_800, 0, 1, 9, 45),
+                r#"{"stmt": 9, "input": 45}"#,
+            ),
+            (
+                ev(TraceKind::Cancel, 4_000, 0, 0, 4, 0),
+                r#"{"cause": "rsgs"}"#,
+            ),
+            (
+                ev(TraceKind::LockWait, 4_100, 0, 1, 2, 750),
+                r#"{"table": "transfer", "wait_ns": 750}"#,
+            ),
         ];
-        let mut text = String::new();
-        chrome_trace_write(&events, &mut text);
-        let streamed = Json::parse(&text).expect("streaming export is valid JSON");
-        // Same document as the tree form, field for field (numeric
-        // values compare exactly: both sides format ns/1000 as f64).
-        assert_eq!(streamed, chrome_trace_json(&events));
+        let events: Vec<TraceEvent> = cases.iter().map(|(e, _)| *e).collect();
+        let doc = streamed(&events);
+        let te: Vec<&Json> = doc
+            .get("traceEvents")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .filter(|e| e.get("ph").unwrap().as_str() != Some("M"))
+            .collect();
+        assert_eq!(te.len(), cases.len());
+        for (j, (e, args)) in te.iter().zip(&cases) {
+            assert_eq!(j.get("name").unwrap().as_str(), Some(e.kind.name()));
+            assert_eq!(
+                j.get("args").unwrap(),
+                &Json::parse(args).unwrap(),
+                "{:?} args",
+                e.kind
+            );
+        }
     }
 
     #[test]
     fn cancel_args_name_the_cause() {
-        let doc = chrome_trace_json(&[ev(TraceKind::Cancel, 0, 0, 0, 3, 0)]);
+        let doc = streamed(&[ev(TraceKind::Cancel, 0, 0, 0, 3, 0)]);
         let te = doc.get("traceEvents").unwrap().as_array().unwrap();
         let cancel = te
             .iter()

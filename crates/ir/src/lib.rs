@@ -23,6 +23,7 @@
 
 pub mod asserts;
 pub mod func;
+mod hash;
 pub mod induction;
 pub mod inline;
 pub mod lower;
@@ -33,6 +34,7 @@ pub use func::{
     Block, BlockId, CallArg, CallScalarArg, CallStmt, CalleeFunc, Cond, FuncIr, LoopId, LoopInfo,
     PtrStmt, PvarId, PvarInfo, ScalarId, Stmt, StmtId, StmtInfo, Terminator,
 };
+pub use hash::{fnv1a, splitmix64};
 pub use lower::{lower_program, LowerError};
 
 #[cfg(test)]

@@ -339,21 +339,15 @@ pub fn lower_program(
 /// FNV-1a hash of a callee body's structural content, for the summary
 /// cache key.
 fn body_hash(ir: &FuncIr) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    };
-    eat(ir.name.as_bytes());
+    use std::fmt::Write;
+    let mut repr = ir.name.clone();
     for s in &ir.stmts {
-        eat(format!("{:?}", s.stmt).as_bytes());
+        let _ = write!(repr, "{:?}", s.stmt);
     }
     for b in &ir.blocks {
-        eat(format!("{:?}", b).as_bytes());
+        let _ = write!(repr, "{:?}", b);
     }
-    h
+    crate::fnv1a(repr.as_bytes())
 }
 
 /// The user functions reachable from `entry` that sit on a call-graph

@@ -42,12 +42,15 @@
 //! in a thread-local [`CanonScratch`] reused across calls, so steady-state
 //! canonicalization allocates only the output vector. [`canonical_bytes_batch`]
 //! runs many graphs through one scratch checkout; the exact fallback path
-//! (refinement stalled) reconstructs the `BTreeMap` form and is untouched.
+//! (refinement stalled) reconstructs the `BTreeMap` form for refinement and
+//! individualization. Both paths write their bytes through one serializer,
+//! `serialize_from_scratch`, under the node order each one found.
 //! Hashes are computed over exactly the same byte sequences as before, so
 //! the output is bit-identical to the unbatched implementation.
 
 use crate::graph::Rsg;
 use crate::node::NodeId;
+use psa_ir::{fnv1a, splitmix64 as mix};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
@@ -139,14 +142,14 @@ fn canonical_bytes_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     }
     // Exact fallback: rebuild the per-node byte-color map the refinement
     // and individualization machinery expects.
-    let init: BTreeMap<NodeId, Vec<u8>> = s
-        .ids
+    let ids = s.ids.clone();
+    let init: BTreeMap<NodeId, Vec<u8>> = ids
         .iter()
         .zip(&s.init_spans)
         .map(|(&n, &(a, b))| (n, s.init_bytes[a as usize..b as usize].to_vec()))
         .collect();
-    let colors = best_coloring(g, &s.ids, &init, 0);
-    serialize(g, &s.ids, &colors)
+    let colors = best_coloring(g, &ids, &init, 0, s);
+    serialize_colored(g, &colors, s)
 }
 
 /// Are two graphs isomorphic (as RSGs)?
@@ -154,16 +157,8 @@ pub fn isomorphic(a: &Rsg, b: &Rsg) -> bool {
     canonical_bytes(a) == canonical_bytes(b)
 }
 
-/// The exact initial color of a node: every property plus the sorted pvar
-/// set pointing at it.
-fn initial_color(g: &Rsg, n: NodeId) -> Vec<u8> {
-    let mut c = Vec::with_capacity(64);
-    initial_color_into(g, n, &mut c);
-    c
-}
-
-/// Append a node's initial color to `c` (the flat-arena form of
-/// [`initial_color`]; byte-identical output).
+/// Append a node's initial color to `c`: every property plus the sorted
+/// pvar set pointing at it.
 fn initial_color_into(g: &Rsg, n: NodeId, c: &mut Vec<u8>) {
     let nd = g.node(n);
     c.extend_from_slice(&nd.ty.0.to_le_bytes());
@@ -253,24 +248,6 @@ fn refine(g: &Rsg, ids: &[NodeId], init: &BTreeMap<NodeId, Vec<u8>>) -> BTreeMap
     }
 }
 
-/// Splitmix64 finalizer: the avalanche mixer used for hash colors.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over the initial color bytes, avalanched.
-fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    mix(h)
-}
-
 /// Distinct hash colors among the live ids, counted through the reusable
 /// `seen` buffer.
 fn count_classes(ids: &[NodeId], h: &[u64], seen: &mut Vec<u64>) -> usize {
@@ -307,7 +284,7 @@ fn wl_hash_colors(g: &Rsg, scratch: &mut CanonScratch) -> bool {
     h.resize(cap, 0);
     for (i, &id) in ids.iter().enumerate() {
         let (a, b) = init_spans[i];
-        h[id.0 as usize] = hash_bytes(&init_bytes[a as usize..b as usize]);
+        h[id.0 as usize] = mix(fnv1a(&init_bytes[a as usize..b as usize]));
     }
     let mut classes = count_classes(ids, h, seen);
     while classes < n {
@@ -357,10 +334,11 @@ fn wl_hash_colors(g: &Rsg, scratch: &mut CanonScratch) -> bool {
     true
 }
 
-/// Fast-path serialization, straight from the scratch buffers left by a
-/// successful [`wl_hash_colors`] run: nodes in `order`, initial-color
-/// bytes from the flat arena, link/pvar ranks from the dense `rank`
-/// vector. Byte-identical to [`serialize`] under the same total order.
+/// The one canonical-form writer: nodes in `order`, initial-color bytes
+/// from the flat arena, link/pvar ranks from the dense `rank` vector. The
+/// fast path leaves `order` and `rank` behind from a successful
+/// [`wl_hash_colors`] run; the exact path fills them in
+/// [`serialize_colored`].
 fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     let CanonScratch {
         ids,
@@ -421,6 +399,7 @@ fn best_coloring(
     ids: &[NodeId],
     init: &BTreeMap<NodeId, Vec<u8>>,
     depth: usize,
+    s: &mut CanonScratch,
 ) -> BTreeMap<NodeId, u32> {
     let colors = refine(g, ids, init);
     // Find the first ambiguous class (smallest color with ≥ 2 members).
@@ -449,8 +428,8 @@ fn best_coloring(
     for &cand in class {
         let mut init2 = init.clone();
         init2.get_mut(&cand).unwrap().push(0xAA); // distinguish
-        let colors2 = best_coloring(g, ids, &init2, depth + 1);
-        let ser = serialize(g, ids, &colors2);
+        let colors2 = best_coloring(g, ids, &init2, depth + 1, s);
+        let ser = serialize_colored(g, &colors2, s);
         if best.as_ref().map(|(b, _)| ser < *b).unwrap_or(true) {
             best = Some((ser, colors2));
         }
@@ -458,47 +437,20 @@ fn best_coloring(
     best.unwrap().1
 }
 
-/// Serialize a graph under a node coloring (colors must be a total order on
-/// the nodes for the output to be canonical; ties are broken by sorting the
-/// per-node records, which is stable for equal records).
-fn serialize(g: &Rsg, ids: &[NodeId], colors: &BTreeMap<NodeId, u32>) -> Vec<u8> {
-    let mut order: Vec<NodeId> = ids.to_vec();
-    order.sort_by_key(|n| colors[n]);
-    let rank: BTreeMap<NodeId, u32> = order
-        .iter()
-        .enumerate()
-        .map(|(i, &n)| (n, i as u32))
-        .collect();
-    let mut out = Vec::with_capacity(order.len() * 48);
-    out.extend_from_slice(&(order.len() as u32).to_le_bytes());
-    // Slot count: see serialize_from_scratch — keeps the two encoders
-    // bit-identical and distinguishes universes with more pvar slots.
-    out.extend_from_slice(&(g.num_pvar_slots() as u32).to_le_bytes());
-    for &n in &order {
-        out.extend_from_slice(&initial_color(g, n));
-        out.push(0xFF);
+/// Serialize a graph under a total node coloring (every coloring
+/// [`best_coloring`] returns is one): order the scratch's nodes by color,
+/// fill the dense `rank`, and write through [`serialize_from_scratch`].
+fn serialize_colored(g: &Rsg, colors: &BTreeMap<NodeId, u32>, s: &mut CanonScratch) -> Vec<u8> {
+    s.order.clear();
+    s.order.extend_from_slice(&s.ids);
+    s.order.sort_by_key(|n| colors[n]);
+    let cap = s.ids.iter().map(|id| id.0 as usize + 1).max().unwrap_or(0);
+    s.rank.clear();
+    s.rank.resize(cap, 0);
+    for (i, &id) in s.order.iter().enumerate() {
+        s.rank[id.0 as usize] = i as u32;
     }
-    let mut links: Vec<(u32, u32, u32)> = g
-        .links()
-        .map(|(a, s, b)| (rank[&a], s.0, rank[&b]))
-        .collect();
-    links.sort_unstable();
-    for (a, s, b) in links {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&s.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
-    }
-    out.push(0xFC);
-    for (p, n) in g.pl_iter() {
-        out.extend_from_slice(&p.0.to_le_bytes());
-        out.extend_from_slice(&rank[&n].to_le_bytes());
-    }
-    out.push(0xFB);
-    for (v, k) in g.scalars() {
-        out.extend_from_slice(&v.to_le_bytes());
-        out.extend_from_slice(&k.to_le_bytes());
-    }
-    out
+    serialize_from_scratch(g, s)
 }
 
 #[cfg(test)]

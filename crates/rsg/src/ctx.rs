@@ -179,13 +179,7 @@ impl ShapeCtx {
             self.selector_names,
             self.struct_names,
         );
-        // FNV-1a: deterministic across processes and platforms.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in repr.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        psa_ir::fnv1a(repr.as_bytes())
     }
 
     /// The selectors declared by struct `t`.

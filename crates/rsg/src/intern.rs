@@ -15,9 +15,9 @@
 //!   id can be resolved back into a graph — this is what lets the engine
 //!   keep its per-statement state as id vectors and the transfer memo
 //!   return interned output ids;
-//! * [`TransferCache`] — a `(config-epoch, statement, CanonId) → outputs`
-//!   memo for abstract statement transfer. Transfer is deterministic per
-//!   input graph, so any graph already transferred under a statement (in a
+//! * the **transfer memo** — `(config-epoch, statement, CanonId) → outputs`
+//!   for abstract statement transfer. Transfer is deterministic per input
+//!   graph, so any graph already transferred under a statement (in a
 //!   previous worklist iteration, by another fan-out worker, or by an
 //!   earlier engine run sharing the tables) is answered by lookup. Entries
 //!   record the diagnostics (warnings, TOUCH revisits) the original
@@ -28,32 +28,33 @@
 //!   are **necessary** conditions for subsumption and COMPATIBLE,
 //!   rejecting most pairs in a few word operations before the exponential
 //!   search or the spath comparison ever runs;
-//! * [`SubsumeCache`] — a `(CanonId, CanonId) → bool` memo table of
-//!   embedding verdicts, so a subsumption query for a pair of canonical
-//!   forms runs the backtracking search at most once per analysis run;
+//! * the **subsumption memo** — `(CanonId, CanonId) → bool` embedding
+//!   verdicts, so a subsumption query for a pair of canonical forms runs
+//!   the backtracking search at most once per analysis run;
 //! * [`OpMetrics`] / [`OpStats`] — atomic op-level work counters
 //!   (insert/subsume/join/compress/prune calls, cache hits vs. search
-//!   fallbacks, interner size, peak set widths, shard-lock contention)
+//!   fallbacks, interner size, peak set widths, stripe-lock contention)
 //!   that the engine snapshots into its per-run statistics;
 //! * [`SharedTables`] — the bundle of all three, carried by
 //!   [`crate::ShapeCtx`] behind an `Arc` so the engine worklist, the
 //!   scoped-thread fan-out path and the progressive L1→L2→L3 driver all
-//!   share one table set.
+//!   share one table set. It owns each memo's one lookup and one store.
 //!
-//! # Sharding (DESIGN.md §12)
+//! # Lock striping (DESIGN.md §12)
 //!
-//! All three tables are **lock-striped**: entries are distributed over
-//! [`TABLE_SHARDS`] segments by key hash, each behind its own `Mutex`, so
-//! parallel fan-out workers interning or memoizing different keys no
-//! longer convoy on one global lock. The interner additionally resolves
-//! ids **without any lock**: minted entries go into an append-only
-//! segmented slab of `OnceLock` slots, filled *before* the id is published
-//! (inserted into a shard map / returned to a caller), so every id a
-//! reader can legitimately hold names an already-initialized slot.
+//! The interner's dedup index and both memos are instances of one
+//! lock-striped map, `Striped`: entries are distributed over
+//! `STRIPES` segments by key hash, each behind its own `Mutex`, so
+//! parallel fan-out workers interning or memoizing different keys do not
+//! convoy on one global lock. The interner additionally resolves ids
+//! **without any lock**: minted entries go into an append-only segmented
+//! slab of `OnceLock` slots, filled *before* the id is published (inserted
+//! into the dedup index / returned to a caller), so every id a reader can
+//! legitimately hold names an already-initialized slot.
 //!
-//! Every hot-path shard-lock acquisition goes through [`lock_timed`]: an
+//! Every stripe-lock acquisition goes through `Striped::lock`: an
 //! uncontended `try_lock` costs nothing extra, while a contended fall-back
-//! to a blocking lock is timed into the per-table `*_lock_wait_ns` /
+//! to a blocking lock is timed into the [`LockTable`]'s `*_lock_wait_ns` /
 //! `*_lock_contended` counters and journaled as a
 //! [`TraceKind::LockWait`] instant when tracing is enabled.
 //!
@@ -64,23 +65,41 @@ use crate::canon::{canonical_bytes, canonical_bytes_batch};
 use crate::graph::Rsg;
 use crate::subsume::{embedding_stage, pinned_stage, subsumes};
 use crate::trace::{TraceKind, Tracer};
+use psa_ir::{fnv1a, splitmix64 as mix};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::Instant;
 
-/// Number of lock stripes per shared table. A power of two so shard
+/// Number of lock stripes per shared table. A power of two so stripe
 /// selection is a mask; 16 covers any plausible fan-out width while
 /// keeping the per-table footprint trivial.
-pub const TABLE_SHARDS: usize = 16;
+const STRIPES: usize = 16;
 
-/// Table code carried as `arg` by [`TraceKind::LockWait`] events: the
-/// canonical-form interner.
-pub const LOCK_TABLE_INTERN: u64 = 0;
-/// Table code for the subsumption memo.
-pub const LOCK_TABLE_SUBSUME: u64 = 1;
-/// Table code for the transfer memo.
-pub const LOCK_TABLE_TRANSFER: u64 = 2;
+/// The shared table a stripe lock belongs to. Its code (the discriminant)
+/// is the `arg` of a [`TraceKind::LockWait`] event, and it picks the
+/// table's `*_lock_*` counters in [`OpMetrics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockTable {
+    /// The canonical-form interner's dedup index.
+    Intern = 0,
+    /// The subsumption memo.
+    Subsume = 1,
+    /// The transfer memo.
+    Transfer = 2,
+}
+
+impl LockTable {
+    /// The table's `(wait_ns, contended)` counters.
+    fn counters(self, m: &OpMetrics) -> (&AtomicU64, &AtomicU64) {
+        match self {
+            LockTable::Intern => (&m.intern_lock_wait_ns, &m.intern_lock_contended),
+            LockTable::Subsume => (&m.subsume_lock_wait_ns, &m.subsume_lock_contended),
+            LockTable::Transfer => (&m.transfer_lock_wait_ns, &m.transfer_lock_contended),
+        }
+    }
+}
 
 /// Compact identifier of an interned canonical form. Equal ids ⇔ equal
 /// canonical bytes ⇔ isomorphic graphs (within one [`Interner`]).
@@ -209,40 +228,15 @@ impl PinSignature {
     }
 }
 
-fn mix(h: u64) -> u64 {
-    // splitmix64 finalizer: cheap, well-distributed.
-    let mut z = h.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn bloom_bit(h: u64) -> u64 {
     1u64 << (mix(h) & 63)
-}
-
-/// FNV-1a over a byte slice, used to pick the interner shard for a
-/// canonical serialization (equal bytes always land on one shard, so the
-/// per-shard maps still dedup exactly) and to key pinning signatures.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Shard index for a 64-bit key hash.
-fn shard_of(h: u64) -> usize {
-    (mix(h) & (TABLE_SHARDS as u64 - 1)) as usize
 }
 
 impl Fingerprint {
     /// Compute the fingerprint of a graph.
     pub fn of(g: &Rsg) -> Fingerprint {
         let sig = PinSignature::of(g);
-        let sig_hash = mix(fnv64(&sig.bytes));
+        let sig_hash = mix(fnv1a(&sig.bytes));
         let mut fp = Fingerprint {
             pin_hash: sig.pin_hash,
             sig_key: (sig_hash ^ (sig_hash >> 32)) as u32,
@@ -348,8 +342,6 @@ struct InternedForm {
     graph: Arc<Rsg>,
 }
 
-/// One dedup shard: `canonical bytes → id` behind its stripe lock.
-type ByteShard = Mutex<HashMap<Arc<[u8]>, u32>>;
 /// One lazily materialized slab segment of published forms.
 type SlabSegment = Box<[OnceLock<InternedForm>]>;
 
@@ -359,16 +351,90 @@ const SLAB_SEG_LEN: usize = 1 << 10;
 /// above any real run; exceeding it is a hard panic, not silent loss.
 const SLAB_MAX_SEGS: usize = 1 << 12;
 
+/// A hash map split over [`STRIPES`] mutex-guarded stripes, picked by a
+/// mixed 64-bit key hash, so workers touching different keys do not convoy
+/// on one lock. The interner's dedup index and both memos are instances;
+/// the [`LockTable`] tag says which, for contention accounting.
+#[derive(Debug)]
+pub(crate) struct Striped<K, V> {
+    table: LockTable,
+    stripes: Box<[Mutex<HashMap<K, V>>]>,
+}
+
+impl<K: Eq + Hash, V> Striped<K, V> {
+    fn new(table: LockTable) -> Self {
+        Striped {
+            table,
+            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+        }
+    }
+
+    /// Lock the stripe of `hash` with contention accounting: an
+    /// uncontended `try_lock` returns immediately (no clock read), while a
+    /// contended acquisition falls back to the blocking lock, adds the wait
+    /// to the table's `*_lock_wait_ns` / `*_lock_contended` counters in
+    /// `metrics`, and journals a [`TraceKind::LockWait`] instant (`arg` =
+    /// table code, `arg2` = nanoseconds waited) when tracing is on.
+    /// Poisoning recovers exactly like [`lock_recover`]. Equal keys must
+    /// pass equal hashes.
+    fn lock(
+        &self,
+        hash: u64,
+        metrics: &OpMetrics,
+        tracer: &Tracer,
+    ) -> MutexGuard<'_, HashMap<K, V>> {
+        let stripe = &self.stripes[(mix(hash) & (STRIPES as u64 - 1)) as usize];
+        match stripe.try_lock() {
+            Ok(g) => return g,
+            Err(TryLockError::Poisoned(p)) => return p.into_inner(),
+            Err(TryLockError::WouldBlock) => {}
+        }
+        let start = Instant::now();
+        let g = lock_recover(stripe);
+        let ns = start.elapsed().as_nanos() as u64;
+        let (wait_ns, contended) = self.table.counters(metrics);
+        wait_ns.fetch_add(ns, Ordering::Relaxed);
+        contended.fetch_add(1, Ordering::Relaxed);
+        tracer.instant(TraceKind::LockWait, self.table as u64, ns);
+        g
+    }
+
+    /// Number of entries (sums the stripes).
+    pub(crate) fn len(&self) -> usize {
+        self.stripes.iter().map(|s| lock_recover(s).len()).sum()
+    }
+}
+
+impl<K: Ord + Clone, V: Clone> Striped<K, V> {
+    /// Every entry, sorted by key for deterministic output (snapshot
+    /// codec).
+    pub(crate) fn entries(&self) -> Vec<(K, V)> {
+        let mut v: Vec<(K, V)> = self
+            .stripes
+            .iter()
+            .flat_map(|s| {
+                lock_recover(s)
+                    .iter()
+                    .map(|(k, v)| (k.clone(), v.clone()))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        v
+    }
+}
+
 /// Run-wide hash-consing table for canonical forms.
 ///
-/// Dedup maps are lock-striped over [`TABLE_SHARDS`] mutexes keyed by a
-/// hash of the canonical bytes; id → entry resolution is lock-free through
-/// an append-only segmented slab whose slots are filled before their ids
-/// are published.
+/// The dedup index is a `Striped` map keyed by the canonical bytes;
+/// id → entry resolution is lock-free through an append-only segmented
+/// slab whose slots are filled before their ids are published. Graphs are
+/// interned through [`SharedTables::intern`] and
+/// [`SharedTables::intern_batch`].
 #[derive(Debug)]
 pub struct Interner {
     /// `canonical bytes → id`, striped by byte hash.
-    shards: Box<[ByteShard]>,
+    index: Striped<Arc<[u8]>, u32>,
     /// Append-only id → form slab. Segments materialize on demand; each
     /// slot is written exactly once, before its id escapes the minting
     /// thread, so readers never observe an empty slot for a valid id.
@@ -386,9 +452,7 @@ pub struct Interner {
 impl Default for Interner {
     fn default() -> Self {
         Interner {
-            shards: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            index: Striped::new(LockTable::Intern),
             segments: (0..SLAB_MAX_SEGS).map(|_| OnceLock::new()).collect(),
             next: AtomicU32::new(0),
             published: AtomicU64::new(0),
@@ -402,38 +466,9 @@ impl Default for Interner {
 /// tables is a single map operation, so the protected data stays consistent
 /// even when the panic unwound through it. All lock sites in the analysis —
 /// here and in downstream crates — go through this helper or
-/// [`lock_timed`] so the recovery policy cannot drift per call site.
-pub fn lock_recover<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+/// `Striped::lock` so the recovery policy cannot drift per call site.
+pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Lock a shard mutex with contention accounting: an uncontended
-/// `try_lock` returns immediately (no clock read), while a contended
-/// acquisition falls back to the blocking lock, adds the wait to
-/// `wait_ns`/`contended`, and journals a [`TraceKind::LockWait`] instant
-/// (`arg` = table code, `arg2` = nanoseconds waited) when tracing is on.
-/// Poisoning recovers exactly like [`lock_recover`].
-fn lock_timed<'a, T>(
-    m: &'a Mutex<T>,
-    wait_ns: &AtomicU64,
-    contended: &AtomicU64,
-    table: u64,
-    tracer: Option<&Tracer>,
-) -> std::sync::MutexGuard<'a, T> {
-    match m.try_lock() {
-        Ok(g) => return g,
-        Err(std::sync::TryLockError::Poisoned(p)) => return p.into_inner(),
-        Err(std::sync::TryLockError::WouldBlock) => {}
-    }
-    let start = Instant::now();
-    let g = lock_recover(m);
-    let ns = start.elapsed().as_nanos() as u64;
-    wait_ns.fetch_add(ns, Ordering::Relaxed);
-    contended.fetch_add(1, Ordering::Relaxed);
-    if let Some(tr) = tracer {
-        tr.instant(TraceKind::LockWait, table, ns);
-    }
-    g
 }
 
 /// Why a [`CancelToken`] was raised. The first raiser wins: later raises
@@ -542,7 +577,7 @@ impl Interner {
     }
 
     /// Fill the slab slot for a freshly minted id. Must happen before the
-    /// id is inserted into a shard map or handed to a caller
+    /// id is inserted into the dedup index or handed to a caller
     /// (fill-before-publish).
     fn publish(&self, id: u32, form: InternedForm) {
         let seg = id as usize / SLAB_SEG_LEN;
@@ -576,91 +611,27 @@ impl Interner {
             .expect("CanonId not minted by this interner")
     }
 
-    /// Intern a graph: serialize to canonical form, return the existing
-    /// entry or mint a fresh id. `metrics` records hit/miss. A fresh id
-    /// keeps a handle to `g` itself as its representative graph, so the
-    /// caller's graph and the interner's share one node arena.
-    pub fn intern(&self, g: &Arc<Rsg>, metrics: &OpMetrics) -> CanonEntry {
-        self.intern_traced(g, metrics, None)
-    }
-
-    /// Like [`Interner::intern`], additionally journaling a canon span and
-    /// a hit/miss instant into `tracer` when one is supplied and enabled.
-    pub fn intern_traced(
-        &self,
-        g: &Arc<Rsg>,
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) -> CanonEntry {
-        let t0 = tracer.is_some_and(Tracer::enabled).then(Instant::now);
-        let bytes = canonical_bytes(g);
-        if let Some(tr) = tracer {
-            tr.span_since(TraceKind::Canon, t0, bytes.len() as u64, 1);
-        }
-        self.intern_with_bytes(g, bytes, metrics, tracer)
-    }
-
-    /// Intern a batch of graphs in input order, amortizing the
-    /// canonicalization scratch (hash vectors, color arenas) across the
-    /// whole batch instead of checking it out per graph. Ids mint in
-    /// exactly the order a loop of [`Interner::intern`] calls would mint
-    /// them, so batch and sequential interning are bit-identical. The
-    /// whole batch is one canon span (`arg` = total bytes, `arg2` = graph
-    /// count).
-    pub fn intern_batch(
-        &self,
-        graphs: &[Arc<Rsg>],
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) -> Vec<CanonEntry> {
-        let t0 = tracer.is_some_and(Tracer::enabled).then(Instant::now);
-        let refs: Vec<&Rsg> = graphs.iter().map(|g| &**g).collect();
-        let all_bytes = canonical_bytes_batch(&refs);
-        if let (Some(tr), Some(_)) = (tracer, t0) {
-            let bytes: usize = all_bytes.iter().map(Vec::len).sum();
-            tr.span_since(TraceKind::Canon, t0, bytes as u64, graphs.len() as u64);
-        }
-        graphs
-            .iter()
-            .zip(all_bytes)
-            .map(|(g, bytes)| self.intern_with_bytes(g, bytes, metrics, tracer))
-            .collect()
-    }
-
-    /// The shared dedup-or-mint step behind the intern entry points;
-    /// `bytes` must be `canonical_bytes(g)`.
+    /// The dedup-or-mint step behind [`SharedTables::intern`] and
+    /// [`SharedTables::intern_batch`]; `bytes` must be
+    /// `canonical_bytes(g)`. A fresh id keeps a handle to `g` itself as its
+    /// representative graph, so the caller's graph and the interner's
+    /// share one node arena.
     fn intern_with_bytes(
         &self,
         g: &Arc<Rsg>,
         bytes: Vec<u8>,
         metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
+        tracer: &Tracer,
     ) -> CanonEntry {
-        let shard = &self.shards[shard_of(fnv64(&bytes))];
-        let mut map = lock_timed(
-            shard,
-            &metrics.intern_lock_wait_ns,
-            &metrics.intern_lock_contended,
-            LOCK_TABLE_INTERN,
-            tracer,
-        );
+        let mut map = self.index.lock(fnv1a(&bytes), metrics, tracer);
         if let Some(&id) = map.get(bytes.as_slice()) {
             metrics.intern_hits.fetch_add(1, Ordering::Relaxed);
-            if let Some(tr) = tracer {
-                tr.instant(TraceKind::InternHit, id as u64, 0);
-            }
-            let form = self.form(CanonId(id));
-            CanonEntry {
-                id: CanonId(id),
-                bytes: form.bytes.clone(),
-                fp: form.fp,
-            }
+            tracer.instant(TraceKind::InternHit, id as u64, 0);
+            self.entry(CanonId(id))
         } else {
             metrics.intern_misses.fetch_add(1, Ordering::Relaxed);
             let id = self.next.fetch_add(1, Ordering::Relaxed);
-            if let Some(tr) = tracer {
-                tr.instant(TraceKind::InternMiss, id as u64, 0);
-            }
+            tracer.instant(TraceKind::InternMiss, id as u64, 0);
             let fp = Fingerprint::of(g);
             let arc: Arc<[u8]> = bytes.into();
             // Canonical bytes are stored twice (slab + map key arc is
@@ -702,16 +673,6 @@ impl Interner {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Entries in the most occupied dedup shard (occupancy gauge; locks
-    /// each shard briefly).
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_recover(s).len())
-            .max()
-            .unwrap_or(0)
     }
 
     /// The canonical bytes of an interned id. Lock-free.
@@ -768,131 +729,14 @@ impl Interner {
             form.graph.clone(),
         )
     }
-
-    #[cfg(test)]
-    fn shard_mutexes(&self) -> &[ByteShard] {
-        &self.shards
-    }
 }
 
-/// Memo table for subsumption queries between interned forms, lock-striped
-/// over [`TABLE_SHARDS`] segments by pair-key hash.
-#[derive(Debug)]
-pub struct SubsumeCache {
-    shards: Box<[Mutex<HashMap<u64, bool>>]>,
-}
+/// Subsumption-memo key: `(general, specific)`.
+type SubsumeKey = (CanonId, CanonId);
 
-impl Default for SubsumeCache {
-    fn default() -> Self {
-        SubsumeCache {
-            shards: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-fn pair_key(a: CanonId, b: CanonId) -> u64 {
+/// Stripe hash of a subsumption-memo key.
+fn subsume_key_hash(&(a, b): &SubsumeKey) -> u64 {
     ((a.0 as u64) << 32) | b.0 as u64
-}
-
-impl SubsumeCache {
-    /// An empty cache.
-    pub fn new() -> SubsumeCache {
-        SubsumeCache::default()
-    }
-
-    fn shard(&self, key: u64) -> &Mutex<HashMap<u64, bool>> {
-        &self.shards[shard_of(key)]
-    }
-
-    /// The memoized answer for `subsumes(general, specific)`, if any.
-    pub fn lookup(&self, general: CanonId, specific: CanonId) -> Option<bool> {
-        let key = pair_key(general, specific);
-        lock_recover(self.shard(key)).get(&key).copied()
-    }
-
-    /// [`SubsumeCache::lookup`] with shard-lock contention accounting.
-    fn lookup_timed(
-        &self,
-        general: CanonId,
-        specific: CanonId,
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) -> Option<bool> {
-        let key = pair_key(general, specific);
-        lock_timed(
-            self.shard(key),
-            &metrics.subsume_lock_wait_ns,
-            &metrics.subsume_lock_contended,
-            LOCK_TABLE_SUBSUME,
-            tracer,
-        )
-        .get(&key)
-        .copied()
-    }
-
-    /// Record an answer.
-    pub fn store(&self, general: CanonId, specific: CanonId, value: bool) {
-        let key = pair_key(general, specific);
-        lock_recover(self.shard(key)).insert(key, value);
-    }
-
-    /// [`SubsumeCache::store`] with shard-lock contention accounting.
-    fn store_timed(
-        &self,
-        general: CanonId,
-        specific: CanonId,
-        value: bool,
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) {
-        let key = pair_key(general, specific);
-        lock_timed(
-            self.shard(key),
-            &metrics.subsume_lock_wait_ns,
-            &metrics.subsume_lock_contended,
-            LOCK_TABLE_SUBSUME,
-            tracer,
-        )
-        .insert(key, value);
-    }
-
-    /// Number of memoized pairs (sums the shards).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).len()).sum()
-    }
-
-    /// Entries in the most occupied shard (occupancy gauge).
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_recover(s).len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// True when no pair has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| lock_recover(s).is_empty())
-    }
-
-    /// Every memoized `(general, specific, answer)` triple, sorted for
-    /// deterministic output (snapshot codec).
-    pub fn entries(&self) -> Vec<(CanonId, CanonId, bool)> {
-        let mut v: Vec<(CanonId, CanonId, bool)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                lock_recover(s)
-                    .iter()
-                    .map(|(&key, &val)| (CanonId((key >> 32) as u32), CanonId(key as u32), val))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        v.sort_unstable_by_key(|&(a, b, _)| (a, b));
-        v
-    }
 }
 
 /// The memoized outcome of transferring one interned graph through one
@@ -910,178 +754,81 @@ pub struct TransferOutcome {
     pub revisits: Vec<psa_ir::PvarId>,
 }
 
-/// Memo key: which configuration epoch, which statement, which input graph.
+/// Transfer-memo key: which configuration epoch (see
+/// [`SharedTables::epoch_for`]), which statement slot, which input graph.
+/// The epoch isolates engine configurations that give the transfer function
+/// different semantics, so one table set can serve a progressive
+/// L1→L2→L3 driver without cross-level contamination.
 type TransferKey = (u32, u32, CanonId);
 
+/// Stripe hash of a transfer-memo key.
 fn transfer_key_hash(k: &TransferKey) -> u64 {
     mix(((k.0 as u64) << 32) | k.1 as u64) ^ mix(k.2 .0 as u64)
 }
 
-/// Memo table for per-statement abstract transfer, keyed
-/// `(config-epoch, statement, input CanonId)` and lock-striped over
-/// [`TABLE_SHARDS`] segments by key hash. The epoch (see
-/// [`SharedTables::epoch_for`]) isolates engine configurations that give
-/// the transfer function different semantics — compilation level and the
-/// sharing ablation flags — so one table set can serve a progressive
-/// L1→L2→L3 driver without cross-level contamination.
-/// One transfer-memo shard behind its stripe lock.
-type TransferShard = Mutex<HashMap<TransferKey, Arc<TransferOutcome>>>;
-
-#[derive(Debug)]
-pub struct TransferCache {
-    shards: Box<[TransferShard]>,
-}
-
-impl Default for TransferCache {
-    fn default() -> Self {
-        TransferCache {
-            shards: (0..TABLE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
-        }
-    }
-}
-
-impl TransferCache {
-    /// An empty cache.
-    pub fn new() -> TransferCache {
-        TransferCache::default()
-    }
-
-    fn shard(&self, k: &TransferKey) -> &Mutex<HashMap<TransferKey, Arc<TransferOutcome>>> {
-        &self.shards[shard_of(transfer_key_hash(k))]
-    }
-
-    /// The memoized outcome, if any.
-    pub fn lookup(&self, epoch: u32, stmt: u32, input: CanonId) -> Option<Arc<TransferOutcome>> {
-        let k = (epoch, stmt, input);
-        lock_recover(self.shard(&k)).get(&k).cloned()
-    }
-
-    /// [`TransferCache::lookup`] with shard-lock contention accounting.
-    fn lookup_timed(
-        &self,
-        epoch: u32,
-        stmt: u32,
-        input: CanonId,
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) -> Option<Arc<TransferOutcome>> {
-        let k = (epoch, stmt, input);
-        lock_timed(
-            self.shard(&k),
-            &metrics.transfer_lock_wait_ns,
-            &metrics.transfer_lock_contended,
-            LOCK_TABLE_TRANSFER,
-            tracer,
-        )
-        .get(&k)
-        .cloned()
-    }
-
-    /// Record an outcome.
-    pub fn store(&self, epoch: u32, stmt: u32, input: CanonId, outcome: Arc<TransferOutcome>) {
-        let k = (epoch, stmt, input);
-        lock_recover(self.shard(&k)).insert(k, outcome);
-    }
-
-    /// [`TransferCache::store`] with shard-lock contention accounting.
-    fn store_timed(
-        &self,
-        epoch: u32,
-        stmt: u32,
-        input: CanonId,
-        outcome: Arc<TransferOutcome>,
-        metrics: &OpMetrics,
-        tracer: Option<&Tracer>,
-    ) {
-        let k = (epoch, stmt, input);
-        lock_timed(
-            self.shard(&k),
-            &metrics.transfer_lock_wait_ns,
-            &metrics.transfer_lock_contended,
-            LOCK_TABLE_TRANSFER,
-            tracer,
-        )
-        .insert(k, outcome);
-    }
-
-    /// Number of memoized (epoch, stmt, graph) triples (sums the shards).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).len()).sum()
-    }
-
-    /// Entries in the most occupied shard (occupancy gauge).
-    pub fn max_shard_len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_recover(s).len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// True when nothing has been memoized.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| lock_recover(s).is_empty())
-    }
-
-    /// Every memoized `(epoch, stmt-slot, input, outcome)` entry, sorted by
-    /// key for deterministic output (snapshot codec).
-    pub fn entries(&self) -> Vec<(u32, u32, CanonId, Arc<TransferOutcome>)> {
-        let mut v: Vec<(u32, u32, CanonId, Arc<TransferOutcome>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                lock_recover(s)
-                    .iter()
-                    .map(|(&(e, st, id), out)| (e, st, id, out.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        v.sort_unstable_by_key(|&(e, st, id, _)| (e, st, id));
-        v
-    }
-}
-
+/// Declares every op metric once: `OpMetrics` (atomics) and `OpStats`
+/// (plain data) get one field per name, counters first, then gauges.
+/// Counters are subtracted by [`OpStats::delta`] and summed by
+/// [`OpStats::accumulate`]; gauges are taken from the later snapshot and
+/// maxed. [`OpStats::fields`] lists them all in declaration order, which
+/// is the order of the JSON report's `stats.ops` keys.
 macro_rules! op_metrics {
-    ($(#[$sdoc:meta])* struct, snapshot: $(#[$ssdoc:meta])* snapstruct,
-     $( $(#[$doc:meta])* $field:ident ),+ $(,)?) => {
-        $(#[$sdoc])*
+    ($(#[$mdoc:meta])* pub struct OpMetrics;
+     $(#[$sdoc:meta])* pub struct OpStats;
+     counters { $( $(#[$cdoc:meta])* $counter:ident, )+ }
+     gauges { $( $(#[$gdoc:meta])* $gauge:ident, )+ }) => {
+        $(#[$mdoc])*
         #[derive(Debug, Default)]
         pub struct OpMetrics {
-            $( $(#[$doc])* pub $field: AtomicU64, )+
+            $( $(#[$cdoc])* pub $counter: AtomicU64, )+
+            $( $(#[$gdoc])* pub $gauge: AtomicU64, )+
         }
 
-        $(#[$ssdoc])*
+        $(#[$sdoc])*
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct OpStats {
-            $( $(#[$doc])* pub $field: u64, )+
+            $( $(#[$cdoc])* pub $counter: u64, )+
+            $( $(#[$gdoc])* pub $gauge: u64, )+
         }
 
         impl OpMetrics {
-            /// A point-in-time copy of every counter.
+            /// A point-in-time copy of every counter and gauge.
             pub fn snapshot(&self) -> OpStats {
                 OpStats {
-                    $( $field: self.$field.load(Ordering::Relaxed), )+
+                    $( $counter: self.$counter.load(Ordering::Relaxed), )+
+                    $( $gauge: self.$gauge.load(Ordering::Relaxed), )+
                 }
             }
         }
 
         impl OpStats {
-            /// Counter-wise difference `self - earlier` (gauges excluded;
-            /// see [`OpStats::delta`] for the fixups).
-            fn delta_raw(&self, earlier: &OpStats) -> OpStats {
+            /// The difference between two snapshots: counters are
+            /// subtracted, gauges taken from the later snapshot.
+            pub fn delta(&self, earlier: &OpStats) -> OpStats {
                 OpStats {
-                    $( $field: self.$field.saturating_sub(earlier.$field), )+
+                    $( $counter: self.$counter.saturating_sub(earlier.$counter), )+
+                    $( $gauge: self.$gauge, )+
                 }
             }
 
-            /// Counter-wise sum (gauges included; see
-            /// [`OpStats::accumulate`] for the fixups).
-            fn sum_raw(&self, other: &OpStats) -> OpStats {
+            /// Running total across runs: counters are summed, gauges take
+            /// the maximum of the two snapshots — the daemon folds each
+            /// request's per-run delta into its process-lifetime `server`
+            /// section with this.
+            pub fn accumulate(&self, other: &OpStats) -> OpStats {
                 OpStats {
-                    $( $field: self.$field.saturating_add(other.$field), )+
+                    $( $counter: self.$counter.saturating_add(other.$counter), )+
+                    $( $gauge: self.$gauge.max(other.$gauge), )+
                 }
+            }
+
+            /// Every counter, then every gauge, as `(name, value)` in
+            /// declaration order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![
+                    $( (stringify!($counter), self.$counter), )+
+                    $( (stringify!($gauge), self.$gauge), )+
+                ]
             }
         }
     };
@@ -1091,108 +838,106 @@ op_metrics! {
     /// Atomic op-level counters for one analysis run (or several runs
     /// sharing tables, in the progressive driver). All counters use
     /// relaxed ordering: they are statistics, not synchronization.
-    struct,
-    snapshot:
+    pub struct OpMetrics;
     /// Plain-data snapshot of [`OpMetrics`], also used as a delta between
-    /// two snapshots. Every field is a deterministic work count except the
-    /// three `*_lock_wait_ns` fields, which are cumulative nanoseconds, and
-    /// the `peak_*`, `interner_*` and `*_shard_peak` gauges. Time per
-    /// kernel is not counted here: it is the trace journal's exclusive
-    /// self-time ([`crate::trace`]).
-    snapstruct,
-    /// `Rsrsg::insert` calls.
-    insert_calls,
-    /// Candidates dropped because their canonical id was already a member.
-    insert_dups,
-    /// Candidates dropped because an existing member subsumes them.
-    insert_subsumed,
-    /// Members replaced because the candidate subsumes them.
-    insert_replaced,
-    /// `Rsrsg::push_raw` calls.
-    push_raw_calls,
-    /// Subsumption queries issued (cached or not).
-    subsume_queries,
-    /// Queries answered from the memo table.
-    subsume_cache_hits,
-    /// Queries rejected by the fingerprint pre-filter (no search run).
-    subsume_prefilter_rejects,
-    /// Queries that fell through to the backtracking embedding search.
-    subsume_searches,
-    /// JOIN operations performed by insertion and widening.
-    join_calls,
-    /// COMPRESS operations.
-    compress_calls,
-    /// PRUNE operations.
-    prune_calls,
-    /// DIVIDE operations.
-    divide_calls,
-    /// Materializations (focus steps).
-    materialize_calls,
-    /// Forced joins performed by the widening operator.
-    widen_forced_joins,
-    /// Union operations between RSRSGs.
-    union_calls,
-    /// Canonicalization lookups that found an existing entry.
-    intern_hits,
-    /// Canonicalization lookups that minted a fresh entry.
-    intern_misses,
-    /// Per-graph transfer memo lookups issued (hits + misses).
-    transfer_queries,
-    /// Per-graph transfers answered from the memo table.
-    transfer_memo_hits,
-    /// Per-graph transfers computed and memoized.
-    transfer_memo_misses,
-    /// Statement transfers answered whole from the delta cache (input
-    /// CanonId vector unchanged since the statement's last visit).
-    delta_stmt_hits,
-    /// Statement transfers where only the new suffix of the input was
-    /// re-transferred onto the cached output (delta decomposition).
-    delta_stmt_extends,
-    /// Statement transfers that fell back to a full re-transfer (input
-    /// reordered by widening/joins, TOUCH adjustments, or first visit).
-    delta_stmt_fulls,
-    /// Input graphs whose transfer was skipped by the delta decomposition
-    /// (covered by the cached prefix output).
-    delta_graphs_reused,
-    /// Input graphs actually transferred (cold or delta suffix).
-    delta_graphs_transferred,
-    /// Recursive-call summary lookups issued (hits + misses).
-    summary_queries,
-    /// Summary lookups answered from a finalized cache entry.
-    summary_hits,
-    /// Summary lookups answered from an in-progress (partial) entry at a
-    /// recursive call site — the fixpoint iteration's back-edges.
-    summary_recursive_hits,
-    /// Summary lookups that computed a fresh entry (nested engine run).
-    summary_misses,
-    /// Contended interner shard-lock acquisitions.
-    intern_lock_contended,
-    /// Contended subsumption-memo shard-lock acquisitions.
-    subsume_lock_contended,
-    /// Contended transfer-memo shard-lock acquisitions.
-    transfer_lock_contended,
-    /// Gauge: distinct canonical forms interned (set at snapshot time).
-    interner_size,
-    /// Gauge: memoized subsumption pairs (set at snapshot time).
-    cache_size,
-    /// Gauge: memoized transfer triples (set at snapshot time).
-    transfer_cache_size,
-    /// Gauge: entries in the fullest interner dedup shard (snapshot time).
-    interner_shard_peak,
-    /// Gauge: entries in the fullest subsumption-memo shard (snapshot
-    /// time).
-    subsume_shard_peak,
-    /// Gauge: entries in the fullest transfer-memo shard (snapshot time).
-    transfer_shard_peak,
-    /// Gauge: widest RSRSG (graph count) seen by any insert.
-    peak_set_width,
-    /// Nanoseconds spent waiting on contended interner shard locks.
-    intern_lock_wait_ns,
-    /// Nanoseconds spent waiting on contended subsumption-memo shard
-    /// locks.
-    subsume_lock_wait_ns,
-    /// Nanoseconds spent waiting on contended transfer-memo shard locks.
-    transfer_lock_wait_ns,
+    /// two snapshots. Every counter is a deterministic work count except
+    /// the six `*_lock_*` fields, which measure stripe-lock contention
+    /// (`*_lock_wait_ns` in cumulative nanoseconds). Time per kernel is
+    /// not counted here: it is the trace journal's exclusive self-time
+    /// ([`crate::trace`]).
+    pub struct OpStats;
+    counters {
+        /// `Rsrsg::insert` calls.
+        insert_calls,
+        /// Candidates dropped because their canonical id was already a
+        /// member.
+        insert_dups,
+        /// Candidates dropped because an existing member subsumes them.
+        insert_subsumed,
+        /// Members replaced because the candidate subsumes them.
+        insert_replaced,
+        /// `Rsrsg::push_raw` calls.
+        push_raw_calls,
+        /// Subsumption queries issued (cached or not).
+        subsume_queries,
+        /// Queries answered from the memo table.
+        subsume_cache_hits,
+        /// Queries rejected by the fingerprint pre-filter (no search run).
+        subsume_prefilter_rejects,
+        /// Queries that fell through to the backtracking embedding search.
+        subsume_searches,
+        /// JOIN operations performed by insertion and widening.
+        join_calls,
+        /// COMPRESS operations.
+        compress_calls,
+        /// PRUNE operations.
+        prune_calls,
+        /// DIVIDE operations.
+        divide_calls,
+        /// Materializations (focus steps).
+        materialize_calls,
+        /// Forced joins performed by the widening operator.
+        widen_forced_joins,
+        /// Union operations between RSRSGs.
+        union_calls,
+        /// Canonicalization lookups that found an existing entry.
+        intern_hits,
+        /// Canonicalization lookups that minted a fresh entry.
+        intern_misses,
+        /// Per-graph transfer memo lookups issued (hits + misses).
+        transfer_queries,
+        /// Per-graph transfers answered from the memo table.
+        transfer_memo_hits,
+        /// Per-graph transfers computed and memoized.
+        transfer_memo_misses,
+        /// Statement transfers answered whole from the delta cache (input
+        /// CanonId vector unchanged since the statement's last visit).
+        delta_stmt_hits,
+        /// Statement transfers where only the new suffix of the input was
+        /// re-transferred onto the cached output (delta decomposition).
+        delta_stmt_extends,
+        /// Statement transfers that fell back to a full re-transfer (input
+        /// reordered by widening/joins, TOUCH adjustments, or first visit).
+        delta_stmt_fulls,
+        /// Input graphs whose transfer was skipped by the delta
+        /// decomposition (covered by the cached prefix output).
+        delta_graphs_reused,
+        /// Input graphs actually transferred (cold or delta suffix).
+        delta_graphs_transferred,
+        /// Contended interner stripe-lock acquisitions.
+        intern_lock_contended,
+        /// Contended subsumption-memo stripe-lock acquisitions.
+        subsume_lock_contended,
+        /// Contended transfer-memo stripe-lock acquisitions.
+        transfer_lock_contended,
+        /// Nanoseconds spent waiting on contended interner stripe locks.
+        intern_lock_wait_ns,
+        /// Nanoseconds spent waiting on contended subsumption-memo stripe
+        /// locks.
+        subsume_lock_wait_ns,
+        /// Nanoseconds spent waiting on contended transfer-memo stripe
+        /// locks.
+        transfer_lock_wait_ns,
+        /// Recursive-call summary lookups issued (hits + misses).
+        summary_queries,
+        /// Summary lookups answered from a finalized cache entry.
+        summary_hits,
+        /// Summary lookups answered from an in-progress (partial) entry at
+        /// a recursive call site — the fixpoint iteration's back-edges.
+        summary_recursive_hits,
+        /// Summary lookups that computed a fresh entry (nested engine run).
+        summary_misses,
+    }
+    gauges {
+        /// Distinct canonical forms interned (set at snapshot time).
+        interner_size,
+        /// Memoized subsumption pairs (set at snapshot time).
+        cache_size,
+        /// Memoized transfer triples (set at snapshot time).
+        transfer_cache_size,
+        /// Widest RSRSG (graph count) seen by any insert.
+        peak_set_width,
+    }
 }
 
 impl OpMetrics {
@@ -1204,38 +949,6 @@ impl OpMetrics {
 }
 
 impl OpStats {
-    /// The difference between two snapshots, with gauge fields
-    /// (`interner_size`, `cache_size`, `transfer_cache_size`,
-    /// `*_shard_peak`, `peak_set_width`) taken from the later snapshot
-    /// instead of subtracted.
-    pub fn delta(&self, earlier: &OpStats) -> OpStats {
-        let mut d = self.delta_raw(earlier);
-        d.interner_size = self.interner_size;
-        d.cache_size = self.cache_size;
-        d.transfer_cache_size = self.transfer_cache_size;
-        d.interner_shard_peak = self.interner_shard_peak;
-        d.subsume_shard_peak = self.subsume_shard_peak;
-        d.transfer_shard_peak = self.transfer_shard_peak;
-        d.peak_set_width = self.peak_set_width;
-        d
-    }
-
-    /// Running total across runs: counters are summed, while the gauge
-    /// fields (table sizes, shard peaks, peak set width) take the maximum
-    /// of the two snapshots — the daemon folds each request's per-run delta
-    /// into its process-lifetime `server` section with this.
-    pub fn accumulate(&self, other: &OpStats) -> OpStats {
-        let mut s = self.sum_raw(other);
-        s.interner_size = self.interner_size.max(other.interner_size);
-        s.cache_size = self.cache_size.max(other.cache_size);
-        s.transfer_cache_size = self.transfer_cache_size.max(other.transfer_cache_size);
-        s.interner_shard_peak = self.interner_shard_peak.max(other.interner_shard_peak);
-        s.subsume_shard_peak = self.subsume_shard_peak.max(other.subsume_shard_peak);
-        s.transfer_shard_peak = self.transfer_shard_peak.max(other.transfer_shard_peak);
-        s.peak_set_width = self.peak_set_width.max(other.peak_set_width);
-        s
-    }
-
     /// Fraction of subsumption queries answered without the backtracking
     /// search (memo hits + pre-filter rejects); 0.0 when none were issued.
     pub fn cache_hit_rate(&self) -> f64 {
@@ -1272,13 +985,13 @@ impl OpStats {
         self.summary_hits as f64 / self.summary_queries as f64
     }
 
-    /// Total nanoseconds spent waiting on contended shard locks across all
+    /// Total nanoseconds spent waiting on contended stripe locks across all
     /// three tables.
     pub fn lock_wait_ns(&self) -> u64 {
         self.intern_lock_wait_ns + self.subsume_lock_wait_ns + self.transfer_lock_wait_ns
     }
 
-    /// Total contended shard-lock acquisitions across all three tables.
+    /// Total contended stripe-lock acquisitions across all three tables.
     pub fn lock_contended(&self) -> u64 {
         self.intern_lock_contended + self.subsume_lock_contended + self.transfer_lock_contended
     }
@@ -1436,8 +1149,9 @@ impl SummaryCache {
     }
 }
 
-/// The run-wide bundle: interner + subsumption memo + metrics, shared by
-/// every RSRSG operation of an analysis via [`crate::ShapeCtx`].
+/// The run-wide bundle: interner + subsumption and transfer memos +
+/// metrics, shared by every RSRSG operation of an analysis via
+/// [`crate::ShapeCtx`].
 ///
 /// The *tables* (interner, subsumption memo, transfer memo, epoch and
 /// statement-slot registries) sit behind `Arc`s, while the *observers*
@@ -1451,10 +1165,10 @@ impl SummaryCache {
 pub struct SharedTables {
     /// Canonical-form interner.
     pub interner: Arc<Interner>,
-    /// Subsumption memo table.
-    pub cache: Arc<SubsumeCache>,
-    /// Per-statement transfer memo table.
-    pub transfer: Arc<TransferCache>,
+    /// Subsumption memo: embedding verdicts per `(general, specific)`.
+    pub(crate) subsume: Arc<Striped<SubsumeKey, bool>>,
+    /// Per-statement transfer memo.
+    pub(crate) transfer: Arc<Striped<TransferKey, Arc<TransferOutcome>>>,
     /// Recursive-call summary table (per function body + epoch + entry
     /// graph). Shared like the other tables; not persisted by snapshots.
     pub summaries: Arc<SummaryCache>,
@@ -1492,8 +1206,8 @@ impl SharedTables {
     pub fn new() -> SharedTables {
         SharedTables {
             interner: Arc::new(Interner::new()),
-            cache: Arc::new(SubsumeCache::new()),
-            transfer: Arc::new(TransferCache::new()),
+            subsume: Arc::new(Striped::new(LockTable::Subsume)),
+            transfer: Arc::new(Striped::new(LockTable::Transfer)),
             summaries: Arc::new(SummaryCache::new()),
             metrics: OpMetrics::default(),
             cancel: CancelToken::default(),
@@ -1513,7 +1227,7 @@ impl SharedTables {
     pub fn session(&self) -> SharedTables {
         SharedTables {
             interner: self.interner.clone(),
-            cache: self.cache.clone(),
+            subsume: self.subsume.clone(),
             transfer: self.transfer.clone(),
             summaries: self.summaries.clone(),
             metrics: OpMetrics::default(),
@@ -1534,7 +1248,7 @@ impl SharedTables {
         const SUBSUME_ENTRY_BYTES: usize = 32;
         const TRANSFER_ENTRY_BYTES: usize = 96;
         self.interner.approx_bytes()
-            + self.cache.len() * SUBSUME_ENTRY_BYTES
+            + self.subsume.len() * SUBSUME_ENTRY_BYTES
             + self.transfer.len() * TRANSFER_ENTRY_BYTES
     }
 
@@ -1583,37 +1297,79 @@ impl SharedTables {
         self.cache_enabled
     }
 
-    /// Intern a graph through these tables' interner, metrics and tracer.
-    /// The preferred call site for analysis code: interning hits/misses
-    /// recorded here are attributed on the run's trace timeline.
+    /// Intern a graph: serialize it to canonical form, return the existing
+    /// entry or mint a fresh id, counting the hit or miss in these tables'
+    /// metrics and journaling a canon span and a hit/miss instant into
+    /// their tracer when it is enabled.
     pub fn intern(&self, g: &Arc<Rsg>) -> CanonEntry {
+        let t0 = self.tracer.enabled().then(Instant::now);
+        let bytes = canonical_bytes(g);
+        self.tracer
+            .span_since(TraceKind::Canon, t0, bytes.len() as u64, 1);
         self.interner
-            .intern_traced(g, &self.metrics, Some(&self.tracer))
+            .intern_with_bytes(g, bytes, &self.metrics, &self.tracer)
     }
 
-    /// Intern several graphs at once through these tables (see
-    /// [`Interner::intern_batch`]): one canonicalization-scratch checkout
-    /// serves the whole batch, and ids mint in input order so results are
-    /// bit-identical to a loop of [`SharedTables::intern`] calls.
+    /// Intern a batch of graphs in input order, amortizing the
+    /// canonicalization scratch (hash vectors, color arenas) across the
+    /// whole batch instead of checking it out per graph. Ids mint in
+    /// exactly the order a loop of [`SharedTables::intern`] calls would
+    /// mint them, so batch and sequential interning are bit-identical. The
+    /// whole batch is one canon span (`arg` = total bytes, `arg2` = graph
+    /// count).
     pub fn intern_batch(&self, graphs: &[Arc<Rsg>]) -> Vec<CanonEntry> {
-        self.interner
-            .intern_batch(graphs, &self.metrics, Some(&self.tracer))
+        let t0 = self.tracer.enabled().then(Instant::now);
+        let refs: Vec<&Rsg> = graphs.iter().map(|g| &**g).collect();
+        let all_bytes = canonical_bytes_batch(&refs);
+        if t0.is_some() {
+            let bytes: usize = all_bytes.iter().map(Vec::len).sum();
+            self.tracer
+                .span_since(TraceKind::Canon, t0, bytes as u64, graphs.len() as u64);
+        }
+        graphs
+            .iter()
+            .zip(all_bytes)
+            .map(|(g, bytes)| {
+                self.interner
+                    .intern_with_bytes(g, bytes, &self.metrics, &self.tracer)
+            })
+            .collect()
     }
 
-    /// Per-statement transfer-memo lookup through these tables' metrics
-    /// and tracer (shard-lock waits are accounted).
+    /// The memoized verdict of `subsumes(general, specific)`, if any.
+    pub fn subsume_lookup(&self, general: CanonId, specific: CanonId) -> Option<bool> {
+        let k = (general, specific);
+        self.subsume
+            .lock(subsume_key_hash(&k), &self.metrics, &self.tracer)
+            .get(&k)
+            .copied()
+    }
+
+    /// Record the verdict of `subsumes(general, specific)`.
+    pub fn subsume_store(&self, general: CanonId, specific: CanonId, value: bool) {
+        let k = (general, specific);
+        self.subsume
+            .lock(subsume_key_hash(&k), &self.metrics, &self.tracer)
+            .insert(k, value);
+    }
+
+    /// The memoized outcome of transferring `input` through statement slot
+    /// `stmt` under configuration `epoch`, if any.
     pub fn transfer_lookup(
         &self,
         epoch: u32,
         stmt: u32,
         input: CanonId,
     ) -> Option<Arc<TransferOutcome>> {
+        let k = (epoch, stmt, input);
         self.transfer
-            .lookup_timed(epoch, stmt, input, &self.metrics, Some(&self.tracer))
+            .lock(transfer_key_hash(&k), &self.metrics, &self.tracer)
+            .get(&k)
+            .cloned()
     }
 
-    /// Per-statement transfer-memo store through these tables' metrics and
-    /// tracer.
+    /// Record the outcome of transferring `input` through statement slot
+    /// `stmt` under configuration `epoch`.
     pub fn transfer_store(
         &self,
         epoch: u32,
@@ -1621,14 +1377,10 @@ impl SharedTables {
         input: CanonId,
         outcome: Arc<TransferOutcome>,
     ) {
-        self.transfer.store_timed(
-            epoch,
-            stmt,
-            input,
-            outcome,
-            &self.metrics,
-            Some(&self.tracer),
-        );
+        let k = (epoch, stmt, input);
+        self.transfer
+            .lock(transfer_key_hash(&k), &self.metrics, &self.tracer)
+            .insert(k, outcome);
     }
 
     /// `subsumes(general, specific)` through the pre-filters and the memo
@@ -1640,7 +1392,7 @@ impl SharedTables {
     /// of [`subsumes`] → memo lookup → its embedding stage, whose verdict
     /// is stored. A reject by either pre-filter counts as
     /// `subsume_prefilter_rejects` and is never stored, so the common case
-    /// resolves without touching a shard lock and the memo holds embedding
+    /// resolves without touching a stripe lock and the memo holds embedding
     /// verdicts only. The pinned stage is a pure function of the pair's
     /// canonical forms, so a memo hit still answers the whole query.
     ///
@@ -1662,10 +1414,7 @@ impl SharedTables {
                 m.subsume_prefilter_rejects.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
-            if let Some(hit) =
-                self.cache
-                    .lookup_timed(general.0.id, specific.0.id, m, Some(&self.tracer))
-            {
+            if let Some(hit) = self.subsume_lookup(general.0.id, specific.0.id) {
                 m.subsume_cache_hits.fetch_add(1, Ordering::Relaxed);
                 return hit;
             }
@@ -1684,33 +1433,22 @@ impl SharedTables {
             specific.0.id.0 as u64,
         );
         if self.cache_enabled {
-            self.cache
-                .store_timed(general.0.id, specific.0.id, result, m, Some(&self.tracer));
+            self.subsume_store(general.0.id, specific.0.id, result);
         }
         result
     }
 
-    /// Snapshot every counter, refreshing the size and shard-occupancy
-    /// gauges first.
+    /// Snapshot every counter, refreshing the table-size gauges first.
     pub fn snapshot(&self) -> OpStats {
         self.metrics
             .interner_size
             .store(self.interner.len() as u64, Ordering::Relaxed);
         self.metrics
             .cache_size
-            .store(self.cache.len() as u64, Ordering::Relaxed);
+            .store(self.subsume.len() as u64, Ordering::Relaxed);
         self.metrics
             .transfer_cache_size
             .store(self.transfer.len() as u64, Ordering::Relaxed);
-        self.metrics
-            .interner_shard_peak
-            .store(self.interner.max_shard_len() as u64, Ordering::Relaxed);
-        self.metrics
-            .subsume_shard_peak
-            .store(self.cache.max_shard_len() as u64, Ordering::Relaxed);
-        self.metrics
-            .transfer_shard_peak
-            .store(self.transfer.max_shard_len() as u64, Ordering::Relaxed);
         self.metrics.snapshot()
     }
 }
@@ -1729,9 +1467,9 @@ mod tests {
     #[test]
     fn interning_dedups_isomorphic_graphs() {
         let t = SharedTables::new();
-        let a = t.interner.intern(&sll(3), &t.metrics);
-        let b = t.interner.intern(&sll(3), &t.metrics);
-        let c = t.interner.intern(&sll(4), &t.metrics);
+        let a = t.intern(&sll(3));
+        let b = t.intern(&sll(3));
+        let c = t.intern(&sll(4));
         assert_eq!(a.id, b.id);
         assert_ne!(a.id, c.id);
         assert_eq!(t.interner.len(), 2);
@@ -1783,16 +1521,11 @@ mod tests {
 
     #[test]
     fn interner_resolution_is_lock_free_under_shard_lock() {
-        // Resolving an id while every shard lock is held must not
+        // Resolving an id while every stripe lock is held must not
         // deadlock: id → entry goes through the slab, never the maps.
         let t = SharedTables::new();
         let e = t.intern(&sll(3));
-        let guards: Vec<_> = t
-            .interner
-            .shard_mutexes()
-            .iter()
-            .map(lock_recover)
-            .collect();
+        let guards: Vec<_> = t.interner.index.stripes.iter().map(lock_recover).collect();
         assert_eq!(t.interner.bytes(e.id), e.bytes);
         assert_eq!(t.interner.fingerprint(e.id), e.fp);
         assert_eq!(t.interner.entry(e.id).id, e.id);
@@ -1883,7 +1616,7 @@ mod tests {
     fn interned_bytes_match_canonical_bytes() {
         let t = SharedTables::new();
         let g = sll(5);
-        let e = t.interner.intern(&g, &t.metrics);
+        let e = t.intern(&g);
         assert_eq!(&e.bytes[..], canonical_bytes(&g).as_slice());
         assert_eq!(t.interner.bytes(e.id), e.bytes);
         assert_eq!(t.interner.fingerprint(e.id), e.fp);
@@ -1924,9 +1657,9 @@ mod tests {
     fn subsume_cache_memoizes() {
         let t = SharedTables::new();
         let g = sll(3);
-        let e = t.interner.intern(&g, &t.metrics);
+        let e = t.intern(&g);
         assert!(t.subsumes_interned((&e, &g), (&e, &g)));
-        assert_eq!(t.cache.lookup(e.id, e.id), Some(true));
+        assert_eq!(t.subsume_lookup(e.id, e.id), Some(true));
         // Second query: a memo hit, no new search.
         assert!(t.subsumes_interned((&e, &g), (&e, &g)));
         let s = t.snapshot();
@@ -1954,7 +1687,7 @@ mod tests {
         let s = t.snapshot();
         assert_eq!(s.subsume_prefilter_rejects, 1);
         assert_eq!(s.subsume_searches, 0);
-        assert!(t.cache.is_empty());
+        assert_eq!(s.cache_size, 0);
     }
 
     #[test]
@@ -1962,20 +1695,20 @@ mod tests {
         let t = SharedTables::without_cache();
         assert!(!t.cache_enabled());
         let g = sll(3);
-        let e = t.interner.intern(&g, &t.metrics);
+        let e = t.intern(&g);
         assert!(t.subsumes_interned((&e, &g), (&e, &g)));
         assert!(t.subsumes_interned((&e, &g), (&e, &g)));
         let s = t.snapshot();
         assert_eq!(s.subsume_searches, 2);
         assert_eq!(s.subsume_cache_hits, 0);
-        assert!(t.cache.is_empty());
+        assert_eq!(s.cache_size, 0);
     }
 
     #[test]
     fn interner_resolves_ids_to_graphs() {
         let t = SharedTables::new();
         let g = sll(4);
-        let e = t.interner.intern(&g, &t.metrics);
+        let e = t.intern(&g);
         let back = t.interner.graph(e.id);
         assert!(
             Arc::ptr_eq(&back, &g),
@@ -1992,52 +1725,126 @@ mod tests {
     fn transfer_cache_roundtrip() {
         let t = SharedTables::new();
         let g = sll(3);
-        let e = t.interner.intern(&g, &t.metrics);
-        assert!(t.transfer.lookup(0, 7, e.id).is_none());
+        let e = t.intern(&g);
+        assert!(t.transfer_lookup(0, 7, e.id).is_none());
         let outcome = Arc::new(TransferOutcome {
             outs: vec![e.id],
             warnings: vec!["w".into()],
             revisits: vec![PvarId(0)],
         });
-        t.transfer.store(0, 7, e.id, outcome.clone());
-        let hit = t.transfer.lookup(0, 7, e.id).unwrap();
+        t.transfer_store(0, 7, e.id, outcome.clone());
+        let hit = t.transfer_lookup(0, 7, e.id).unwrap();
         assert_eq!(hit.outs, vec![e.id]);
         assert_eq!(hit.warnings, vec!["w".to_string()]);
         // Other epochs and statements do not alias.
-        assert!(t.transfer.lookup(1, 7, e.id).is_none());
-        assert!(t.transfer.lookup(0, 8, e.id).is_none());
-        assert_eq!(t.transfer.len(), 1);
+        assert!(t.transfer_lookup(1, 7, e.id).is_none());
+        assert!(t.transfer_lookup(0, 8, e.id).is_none());
         let snap = t.snapshot();
         assert_eq!(snap.transfer_cache_size, 1);
-    }
-
-    #[test]
-    fn timed_transfer_wrappers_roundtrip() {
-        let t = SharedTables::new();
-        let g = sll(3);
-        let e = t.intern(&g);
-        assert!(t.transfer_lookup(0, 3, e.id).is_none());
-        t.transfer_store(0, 3, e.id, Arc::new(TransferOutcome::default()));
-        assert!(t.transfer_lookup(0, 3, e.id).is_some());
-        assert_eq!(t.transfer.len(), 1);
-    }
-
-    #[test]
-    fn shard_occupancy_gauges_track_entries() {
-        let t = SharedTables::new();
-        for n in 1..=8usize {
-            let g = sll(n);
-            let e = t.intern(&g);
-            t.transfer
-                .store(0, n as u32, e.id, Arc::new(TransferOutcome::default()));
-        }
-        let s = t.snapshot();
-        assert!(s.interner_shard_peak >= 1);
-        assert!(s.transfer_shard_peak >= 1);
-        assert!(s.interner_shard_peak as usize <= t.interner.len());
         // Uncontended single-thread use never records lock waits.
-        assert_eq!(s.lock_wait_ns(), 0);
-        assert_eq!(s.lock_contended(), 0);
+        assert_eq!(snap.lock_wait_ns(), 0);
+        assert_eq!(snap.lock_contended(), 0);
+    }
+
+    /// Hold every stripe of `striped` on this thread while a second thread
+    /// runs `access`, then release them. The barrier only says the second
+    /// thread has started; nothing observable marks the moment it blocks
+    /// on a stripe, so the hold lasts long enough for it to get there, and
+    /// a stalled machine that let `access` through uncontended gets one
+    /// more try with a longer hold.
+    fn contend<K: Eq + Hash, V>(
+        t: &SharedTables,
+        striped: &Striped<K, V>,
+        access: impl Fn() + Sync,
+    ) {
+        for hold_ms in [50, 1000] {
+            let held: Vec<_> = striped.stripes.iter().map(lock_recover).collect();
+            let started = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                let worker = s.spawn(|| {
+                    started.wait();
+                    access();
+                });
+                started.wait();
+                std::thread::sleep(std::time::Duration::from_millis(hold_ms));
+                drop(held);
+                worker.join().expect("access thread panicked");
+            });
+            if t.metrics.snapshot().lock_contended() > 0 {
+                return;
+            }
+        }
+    }
+
+    /// Exactly `table`'s counters and one `LockWait` event with its code
+    /// record the contended access; the other tables record nothing.
+    fn assert_only_contended(t: &SharedTables, table: LockTable) {
+        let s = t.snapshot();
+        for (which, contended, wait_ns) in [
+            (
+                LockTable::Intern,
+                s.intern_lock_contended,
+                s.intern_lock_wait_ns,
+            ),
+            (
+                LockTable::Subsume,
+                s.subsume_lock_contended,
+                s.subsume_lock_wait_ns,
+            ),
+            (
+                LockTable::Transfer,
+                s.transfer_lock_contended,
+                s.transfer_lock_wait_ns,
+            ),
+        ] {
+            if which == table {
+                assert_eq!(contended, 1, "{which:?} contended acquisitions");
+                assert!(wait_ns > 0, "{which:?} wait must be timed");
+            } else {
+                assert_eq!((contended, wait_ns), (0, 0), "{which:?} untouched");
+            }
+        }
+        let waits: Vec<u64> = t
+            .tracer
+            .drain()
+            .iter()
+            .filter(|e| e.kind == TraceKind::LockWait)
+            .map(|e| e.arg)
+            .collect();
+        assert_eq!(waits, vec![table as u64]);
+    }
+
+    #[test]
+    fn contended_interner_lock_is_accounted() {
+        let t = SharedTables::new();
+        t.tracer.enable();
+        let g = sll(3);
+        contend(&t, &t.interner.index, || {
+            t.intern(&g);
+        });
+        assert_only_contended(&t, LockTable::Intern);
+    }
+
+    #[test]
+    fn contended_subsume_lock_is_accounted() {
+        let t = SharedTables::new();
+        t.tracer.enable();
+        let e = t.intern(&sll(3));
+        contend(&t, &t.subsume, || {
+            t.subsume_lookup(e.id, e.id);
+        });
+        assert_only_contended(&t, LockTable::Subsume);
+    }
+
+    #[test]
+    fn contended_transfer_lock_is_accounted() {
+        let t = SharedTables::new();
+        t.tracer.enable();
+        let e = t.intern(&sll(3));
+        contend(&t, &t.transfer, || {
+            t.transfer_lookup(0, 0, e.id);
+        });
+        assert_only_contended(&t, LockTable::Transfer);
     }
 
     #[test]
@@ -2119,20 +1926,16 @@ mod tests {
         let t = SharedTables::new();
         let a = t.intern(&sll(2));
         let b = t.intern(&sll(3));
-        t.cache.store(a.id, b.id, false);
-        t.cache.store(a.id, a.id, true);
+        t.subsume_store(a.id, b.id, false);
+        t.subsume_store(a.id, a.id, true);
         assert_eq!(
-            t.cache.entries(),
-            vec![(a.id, a.id, true), (a.id, b.id, false)]
+            t.subsume.entries(),
+            vec![((a.id, a.id), true), ((a.id, b.id), false)]
         );
-        t.transfer
-            .store(1, 5, a.id, Arc::new(TransferOutcome::default()));
-        t.transfer
-            .store(0, 9, b.id, Arc::new(TransferOutcome::default()));
-        let te = t.transfer.entries();
-        assert_eq!(te.len(), 2);
-        assert_eq!((te[0].0, te[0].1, te[0].2), (0, 9, b.id));
-        assert_eq!((te[1].0, te[1].1, te[1].2), (1, 5, a.id));
+        t.transfer_store(1, 5, a.id, Arc::new(TransferOutcome::default()));
+        t.transfer_store(0, 9, b.id, Arc::new(TransferOutcome::default()));
+        let keys: Vec<TransferKey> = t.transfer.entries().into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![(0, 9, b.id), (1, 5, a.id)]);
     }
 
     #[test]
@@ -2159,7 +1962,7 @@ mod tests {
     fn snapshot_delta_subtracts_counters_keeps_gauges() {
         let t = SharedTables::new();
         let g = sll(2);
-        let e = t.interner.intern(&g, &t.metrics);
+        let e = t.intern(&g);
         let first = t.snapshot();
         let _ = t.subsumes_interned((&e, &g), (&e, &g));
         t.metrics.observe_width(7);
@@ -2168,9 +1971,5 @@ mod tests {
         assert_eq!(d.subsume_queries, 1);
         assert_eq!(d.interner_size, 1, "gauge comes from the later snapshot");
         assert_eq!(d.peak_set_width, 7);
-        assert_eq!(
-            d.interner_shard_peak, second.interner_shard_peak,
-            "shard gauges come from the later snapshot"
-        );
     }
 }

@@ -32,7 +32,7 @@ use crate::intern::{CanonId, SharedTables, TransferOutcome};
 use crate::node::Node;
 use crate::sets::{CycleSet, SelSet, TouchSet};
 use psa_cfront::types::{SelectorId, StructId};
-use psa_ir::PvarId;
+use psa_ir::{fnv1a, PvarId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -74,15 +74,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 // ---------------------------------------------------------------- writing
 
@@ -167,9 +158,9 @@ pub fn to_bytes(tables: &SharedTables) -> Vec<u8> {
     }
 
     // Subsumption memo.
-    let subsume = tables.cache.entries();
+    let subsume = tables.subsume.entries();
     w.u32(subsume.len() as u32);
-    for (a, b, v) in subsume {
+    for ((a, b), v) in subsume {
         w.u32(a.0);
         w.u32(b.0);
         w.u8(u8::from(v));
@@ -178,7 +169,7 @@ pub fn to_bytes(tables: &SharedTables) -> Vec<u8> {
     // Transfer memo.
     let transfer = tables.transfer.entries();
     w.u32(transfer.len() as u32);
-    for (epoch, slot, input, out) in transfer {
+    for ((epoch, slot, input), out) in transfer {
         w.u32(epoch);
         w.u32(slot);
         w.u32(input.0);
@@ -206,7 +197,7 @@ pub fn to_bytes(tables: &SharedTables) -> Vec<u8> {
         }
     }
 
-    let checksum = fnv64(&w.buf);
+    let checksum = fnv1a(&w.buf);
     w.u64(checksum);
     w.buf
 }
@@ -375,7 +366,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SharedTables, SnapshotError> {
     }
     let (payload, trailer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-    let computed = fnv64(payload);
+    let computed = fnv1a(payload);
     if stored != computed {
         return Err(SnapshotError::Corrupt(format!(
             "checksum mismatch (stored {stored:#018x}, computed {computed:#018x}) — truncated or corrupted file"
@@ -418,7 +409,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SharedTables, SnapshotError> {
         let a = valid(r.u32()?)?;
         let b = valid(r.u32()?)?;
         let v = r.u8()? != 0;
-        restored.cache.store(a, b, v);
+        restored.subsume_store(a, b, v);
     }
 
     let num_transfer = r.count(24)?;
@@ -441,7 +432,7 @@ pub fn from_bytes(bytes: &[u8]) -> Result<SharedTables, SnapshotError> {
         for _ in 0..nrev {
             revisits.push(PvarId(r.u32()?));
         }
-        restored.transfer.store(
+        restored.transfer_store(
             epoch,
             slot,
             input,
@@ -506,11 +497,11 @@ mod tests {
         let a = t.intern(&sll(2));
         let b = t.intern(&sll(3));
         let c = t.intern(&sll(5));
-        t.cache.store(a.id, b.id, false);
-        t.cache.store(c.id, c.id, true);
+        t.subsume_store(a.id, b.id, false);
+        t.subsume_store(c.id, c.id, true);
         let epoch = t.epoch_for(77);
         let slot = t.stmt_slot_for(0xfeed);
-        t.transfer.store(
+        t.transfer_store(
             epoch,
             slot,
             a.id,
@@ -540,11 +531,11 @@ mod tests {
                 t.interner.fingerprint(CanonId(id))
             );
         }
-        assert_eq!(r.cache.entries(), t.cache.entries());
+        assert_eq!(r.subsume.entries(), t.subsume.entries());
         let (te, re) = (t.transfer.entries(), r.transfer.entries());
         assert_eq!(te.len(), re.len());
-        for ((e1, s1, i1, o1), (e2, s2, i2, o2)) in te.iter().zip(&re) {
-            assert_eq!((e1, s1, i1), (e2, s2, i2));
+        for ((k1, o1), (k2, o2)) in te.iter().zip(&re) {
+            assert_eq!(k1, k2);
             assert_eq!(o1.outs, o2.outs);
             assert_eq!(o1.warnings, o2.warnings);
             assert_eq!(o1.revisits, o2.revisits);
@@ -562,8 +553,8 @@ mod tests {
         let t = SharedTables::new();
         let r = from_bytes(&to_bytes(&t)).expect("empty roundtrip");
         assert!(r.interner.is_empty());
-        assert!(r.cache.is_empty());
-        assert!(r.transfer.is_empty());
+        assert_eq!(r.subsume.len(), 0);
+        assert_eq!(r.transfer.len(), 0);
     }
 
     #[test]
@@ -591,7 +582,7 @@ mod tests {
         bytes[4..8].copy_from_slice(&(VERSION + 1).to_le_bytes());
         // Fix the checksum so only the version differs.
         let len = bytes.len();
-        let sum = fnv64(&bytes[..len - 8]);
+        let sum = fnv1a(&bytes[..len - 8]);
         bytes[len - 8..].copy_from_slice(&sum.to_le_bytes());
         match from_bytes(&bytes) {
             Err(SnapshotError::Version { found, expected }) => {

@@ -64,9 +64,10 @@ pub enum TraceKind {
     /// The [`crate::CancelToken`] was raised. `arg` = cause code (the
     /// discriminant of [`crate::intern::CancelCause`]).
     Cancel,
-    /// A contended shard-lock acquisition on a shared table. `arg` = table
-    /// code (`0` interner, `1` subsumption memo, `2` transfer memo — see
-    /// `LOCK_TABLE_*` in [`crate::intern`]), `arg2` = nanoseconds waited.
+    /// A contended stripe-lock acquisition on a shared table. `arg` = table
+    /// code (`0` interner, `1` subsumption memo, `2` transfer memo — the
+    /// discriminant of [`crate::intern::LockTable`]), `arg2` = nanoseconds
+    /// waited.
     LockWait,
 }
 

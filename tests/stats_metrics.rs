@@ -102,7 +102,7 @@ fn identical_runs_report_identical_counters() {
         let b = Engine::new(&ir, EngineConfig::at_level(level))
             .run()
             .unwrap();
-        // A sequential run never contends a shard lock, so even the three
+        // A sequential run never contends a stripe lock, so even the three
         // lock-wait times are zero and the whole snapshot must match.
         assert_eq!(
             a.stats.ops, b.stats.ops,

@@ -1,9 +1,10 @@
 //! Integration tests for the run-wide tracing subsystem: Chrome-trace
 //! schema on the Fig. 1 doubly-linked list program, disabled-trace
-//! bit-identity, parallel-run event-count invariants, the self-time
+//! bit-identity, parallel-run event-count invariants (on a Barnes-Hut run
+//! that really fans out, checked against a sequential run), the self-time
 //! ledger, and cancel-cause attribution.
 
-use psa::core::trace::{chrome_trace_json, summarize};
+use psa::core::trace::{chrome_trace_write, summarize};
 use psa::core::{AnalysisOptions, Analyzer, BudgetKind};
 use psa::rsg::{CancelCause, Level, TraceKind};
 
@@ -52,8 +53,8 @@ fn chrome_trace_schema_on_fig1_dll() {
     // The export is well-formed Chrome trace JSON: a traceEvents array
     // whose complete events carry name/cat/ts/dur and whose instants
     // carry a scope, all round-trippable through the in-tree parser.
-    let doc = chrome_trace_json(&events);
-    let text = doc.pretty();
+    let mut text = String::new();
+    chrome_trace_write(&events, &mut text);
     let parsed = psa::core::json::Json::parse(&text).unwrap();
     let te = parsed.get("traceEvents").unwrap().as_array().unwrap();
     assert!(te.len() >= events.len());
@@ -169,9 +170,12 @@ fn disabled_trace_changes_nothing() {
     assert!(rep_t.to_json_string().contains("\"trace\""));
 }
 
+/// Barnes-Hut at L2 has statements with enough input graphs for the
+/// `--threads 2` fan-out to run, so its trace has worker tracks; the
+/// fan-out must still compute exactly what a sequential run does.
 #[test]
 fn parallel_run_event_invariants() {
-    let src = dll_source();
+    let src = psa::codes::barnes_hut(psa::codes::Sizes::tiny());
     let analyzer = Analyzer::new(&src, options(true, true)).unwrap();
     let res = analyzer.run().unwrap();
     let events = analyzer.trace_events();
@@ -188,11 +192,25 @@ fn parallel_run_event_invariants() {
     // journal stays time-sorted after the drain merge.
     assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     let summary = summarize(&events, Some(analyzer.ir()));
-    assert!(summary.threads >= 1);
+    assert!(
+        summary.threads > 1,
+        "the fan-out never ran: {} track(s)",
+        summary.threads
+    );
     assert_eq!(summary.events, events.len());
     // Per-statement latency covers every traced statement.
     let spanned: usize = summary.per_stmt.values().map(|s| s.count as usize).sum();
     assert_eq!(spanned, res.stats.stmt_transfers);
+
+    let seq = Analyzer::new(&src, options(false, false))
+        .unwrap()
+        .run()
+        .unwrap();
+    assert!(res.exit.same_as(&seq.exit), "exit sets differ");
+    assert_eq!(res.after_stmt.len(), seq.after_stmt.len());
+    for (sid, (a, b)) in res.after_stmt.iter().zip(&seq.after_stmt).enumerate() {
+        assert!(a.same_as(b), "RSRSG after statement {sid} differs");
+    }
 }
 
 #[test]
