@@ -64,11 +64,6 @@ impl SemType {
             _ => None,
         }
     }
-
-    /// True for scalar (non-pointer, non-struct) types.
-    pub fn is_scalar(&self) -> bool {
-        matches!(self, SemType::Int | SemType::Double | SemType::Void)
-    }
 }
 
 /// One resolved struct field.

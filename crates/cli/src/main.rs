@@ -42,6 +42,7 @@
 
 use psa_core::api::{AnalysisOptions, Analyzer};
 use psa_core::engine::AnalysisResult;
+use psa_core::json::Json;
 use psa_core::stats::Budget;
 use psa_core::{parallel, queries};
 use psa_rsg::dot;
@@ -131,14 +132,11 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
                 i += 1;
                 let v = args.get(i).ok_or("--level needs a value")?;
                 f.level = match v.as_str() {
-                    "L1" | "l1" => Some(Level::L1),
-                    "L2" | "l2" => Some(Level::L2),
-                    "L3" | "l3" => Some(Level::L3),
                     "auto" => {
                         f.progressive = true;
                         None
                     }
-                    other => return Err(format!("unknown level `{other}`")),
+                    level => Some(level.parse()?),
                 };
             }
             "--function" => {
@@ -517,21 +515,24 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
     if flags.json {
         let mut report = psa_core::report::build_report(analyzer.ir(), &result);
         if let Some(events) = &trace_events {
-            report.trace = Some(psa_core::trace::summarize(events, Some(analyzer.ir())));
+            report.set_trace(&psa_core::trace::summarize(events, Some(analyzer.ir())));
         }
         if let Some(ar) = &assert_report {
-            report.asserts = ar
-                .outcomes
-                .iter()
-                .map(|o| psa_core::report::AssertRow {
-                    text: o.assertion.text.clone(),
-                    line: o.assertion.line,
-                    verdict: o.verdict.to_string(),
-                    abstract_verdict: o.abstract_verdict.to_string(),
-                    concrete_checked: o.concrete_checked,
-                    concrete_violations: o.concrete_violations,
-                })
-                .collect();
+            report.set_asserts(
+                ar.outcomes
+                    .iter()
+                    .map(|o| {
+                        let mut row = Json::obj();
+                        row.set("text", o.assertion.text.as_str());
+                        row.set("line", o.assertion.line);
+                        row.set("verdict", o.verdict.to_string());
+                        row.set("abstract_verdict", o.abstract_verdict.to_string());
+                        row.set("concrete_checked", o.concrete_checked);
+                        row.set("concrete_violations", o.concrete_violations);
+                        row
+                    })
+                    .collect(),
+            );
         }
         println!("{}", report.to_json_string());
         return finish(stopped);

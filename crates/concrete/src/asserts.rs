@@ -51,8 +51,8 @@ impl std::fmt::Display for Verdict {
 pub struct AssertOutcome {
     /// The assertion.
     pub assertion: Assertion,
-    /// The abstract verdict (downgraded to `MayFail` when the analysis was
-    /// budget-cancelled: a partial result certifies nothing).
+    /// The abstract verdict (`MayFail` on a budget-stopped run or at a
+    /// degraded site: see [`psa_core::asserts::eval_assertion`]).
     pub abstract_verdict: AbstractVerdict,
     /// Concrete states inspected at the assertion's program point.
     pub concrete_checked: usize,
@@ -158,11 +158,7 @@ pub fn evaluate_asserts_with(
     let outcomes = asserts
         .iter()
         .map(|a| {
-            let abstract_verdict = if inconclusive.is_some() {
-                AbstractVerdict::MayFail
-            } else {
-                psa_core::asserts::eval_assertion(ir, result, a)
-            };
+            let abstract_verdict = psa_core::asserts::eval_assertion(ir, result, a);
             let mut checked = 0;
             let mut violations = 0;
             let mut first_seed = None;

@@ -4,7 +4,8 @@
 
 use crate::cover::{any_covers, violation};
 use crate::interp::{InterpConfig, Interpreter};
-use psa_core::engine::{Engine, EngineConfig};
+use psa_core::engine::{AnalysisResult, Engine, EngineConfig};
+use psa_ir::FuncIr;
 use psa_rsg::Level;
 
 /// Three-valued outcome of a differential check: a budget-stopped analysis
@@ -66,9 +67,9 @@ impl DifferentialReport {
 /// by `seeds`.
 ///
 /// # Panics
-/// On frontend errors (the inputs are test programs) — analysis resource
-/// errors are surfaced as a violation entry instead, so budget-limited runs
-/// do not silently pass.
+/// On frontend errors (the inputs are test programs). An analysis that
+/// aborts on a hard budget cap is inconclusive; any other analysis error is
+/// surfaced as a violation entry, so a failing run does not silently pass.
 pub fn check_soundness(src: &str, level: Level, seeds: &[u64]) -> DifferentialReport {
     check_soundness_with(src, EngineConfig::at_level(level), seeds)
 }
@@ -82,36 +83,36 @@ pub fn check_soundness(src: &str, level: Level, seeds: &[u64]) -> DifferentialRe
 /// rather than checked, so a budget that stops the engine is neither a
 /// soundness pass nor folded into the violation count.
 pub fn check_soundness_with(src: &str, config: EngineConfig, seeds: &[u64]) -> DifferentialReport {
-    check_soundness_full(src, config, InterpConfig::default(), seeds)
+    let (program, table) = psa_cfront::parse_and_type(src).expect("differential input parses");
+    let ir = psa_ir::lower_program(&program, &table, "main").expect("differential input lowers");
+    match Engine::new(&ir, config).run() {
+        Ok(result) => check_coverage(&ir, &result, InterpConfig::default(), seeds),
+        Err(e @ psa_core::engine::AnalysisError::BudgetExceeded { .. }) => DifferentialReport {
+            inconclusive: Some(format!("analysis aborted on budget: {e}")),
+            ..DifferentialReport::default()
+        },
+        Err(e) => DifferentialReport {
+            violations: vec![format!("analysis failed: {e}")],
+            ..DifferentialReport::default()
+        },
+    }
 }
 
-/// [`check_soundness_with`] plus control over the interpreter base config
-/// (the per-run seed still comes from `seeds`). The fuzzing farm uses a
-/// reduced step budget here: generated programs can loop over cyclic
-/// structures until the cap, and snapshotting a growing heap 20k times per
-/// run would dominate the batch.
-pub fn check_soundness_full(
-    src: &str,
-    config: EngineConfig,
+/// Check a finished analysis of `ir`: every concrete state the interpreter
+/// reaches under `seeds` (on top of the base config `interp`) must be
+/// covered by the RSRSG after its statement. A budget-stopped result is
+/// inconclusive and not checked. The fuzzing farm passes a reduced step
+/// budget in `interp`: generated programs can loop over cyclic structures
+/// until the cap, and snapshotting a growing heap 20k times per run would
+/// dominate the batch.
+pub fn check_coverage(
+    ir: &FuncIr,
+    result: &AnalysisResult,
     interp: InterpConfig,
     seeds: &[u64],
 ) -> DifferentialReport {
-    let level = config.level;
-    let (program, table) = psa_cfront::parse_and_type(src).expect("differential input parses");
-    let ir = psa_ir::lower_program(&program, &table, "main").expect("differential input lowers");
+    let level = result.level;
     let mut report = DifferentialReport::default();
-
-    let result = match Engine::new(&ir, config).run() {
-        Ok(r) => r,
-        Err(e @ psa_core::engine::AnalysisError::BudgetExceeded { .. }) => {
-            report.inconclusive = Some(format!("analysis aborted on budget: {e}"));
-            return report;
-        }
-        Err(e) => {
-            report.violations.push(format!("analysis failed: {e}"));
-            return report;
-        }
-    };
     if let Some(which) = result.stopped {
         report.inconclusive = Some(format!("analysis stopped early: {which}"));
         return report;
@@ -120,7 +121,7 @@ pub fn check_soundness_full(
     for &seed in seeds {
         report.runs += 1;
         let exec = Interpreter::new(
-            &ir,
+            ir,
             InterpConfig {
                 seed,
                 ..interp.clone()
@@ -143,7 +144,7 @@ pub fn check_soundness_full(
                 report.violations.push(format!(
                     "seed {seed}, after {} ({}): {} [{} graphs in RSRSG]",
                     point.stmt,
-                    psa_ir::pretty::stmt(&ir, &ir.stmt(point.stmt).stmt),
+                    psa_ir::pretty::stmt(ir, &ir.stmt(point.stmt).stmt),
                     why,
                     rsrsg.len(),
                 ));

@@ -1,6 +1,7 @@
 //! The differential fuzzing farm: budgeted batches of generated programs,
-//! each analyzed at one or more levels and checked against concrete
-//! executions by two oracles, with automatic counterexample minimization.
+//! each analyzed once per level and that one result checked against
+//! concrete executions by three oracles, with automatic counterexample
+//! minimization.
 //!
 //! **Oracle 1 — coverage** ([`crate::differential`]): every concrete state
 //! observed at a statement must be covered by the RSRSG the analysis
@@ -9,7 +10,9 @@
 //! polarities, over every program pvar pair at the exit point) is evaluated
 //! abstractly and concretely; an abstract `holds` refuted by a concrete
 //! execution is a soundness bug. The heuristic `shape` predicate is
-//! excluded by construction.
+//! excluded by construction. **Oracle 3 — memory** ([`crate::memsafe`]):
+//! every `safe` and `violation` claim of the memory-safety report must
+//! survive the same executions.
 //!
 //! Budget-stopped analyses count as *inconclusive*, never as passes or
 //! violations. Every failure is shrunk with [`crate::minimize`] (delta
@@ -20,10 +23,12 @@
 //! crate stays independent of `psa-codes`; the driver wires them together.
 
 use crate::asserts::evaluate_asserts_with;
-use crate::differential::{check_soundness_full, DiffVerdict};
+use crate::differential::{check_coverage, DiffVerdict};
 use crate::interp::InterpConfig;
+use crate::memsafe::validate_memory_report;
 use crate::minimize::{minimize_source, statement_count};
-use psa_core::engine::{Engine, EngineConfig};
+use psa_core::engine::{AnalysisError, Engine, EngineConfig};
+use psa_core::memsafe::memory_report;
 use psa_core::stats::Budget;
 use psa_ir::{AssertPred, AssertSite, Assertion, FuncIr};
 use psa_rsg::Level;
@@ -80,7 +85,7 @@ pub struct FuzzFailure {
     pub program_seed: u64,
     /// Analysis level at which it failed.
     pub level: Level,
-    /// `"coverage"` or `"assert-mismatch"`.
+    /// `"coverage"`, `"assert-mismatch"` or `"memory"`.
     pub kind: &'static str,
     /// Human-readable description of the first violation.
     pub detail: String,
@@ -99,7 +104,7 @@ pub struct FuzzReport {
     pub programs: usize,
     /// (program, level) checks performed.
     pub checks: usize,
-    /// Checks that fully passed both oracles.
+    /// Checks that fully passed all three oracles.
     pub passes: usize,
     /// Checks whose analysis stopped on a budget (nothing proven).
     pub inconclusive: usize,
@@ -194,8 +199,9 @@ fn exec_seeds_for(program_seed: u64, count: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Both oracles on one program at one level. Also the minimizer's failure
-/// predicate: a candidate that no longer parses or lowers is "not failing".
+/// All three oracles on one analysis of one program at one level. Also the
+/// minimizer's failure predicate: a candidate that no longer parses or
+/// lowers is "not failing".
 fn check_program(
     src: &str,
     level: Level,
@@ -203,18 +209,24 @@ fn check_program(
     max_steps: usize,
     seeds: &[u64],
 ) -> CheckOutcome {
-    // Validate the frontend first: check_soundness_with panics on invalid
-    // inputs (they're expected to be test programs), but the minimizer
-    // produces plenty of invalid candidates.
-    let ir = match frontend(src) {
-        Some(ir) => ir,
-        // "Does not reproduce": the minimizer reverts such deletions.
-        None => return CheckOutcome::Pass,
+    // The minimizer produces plenty of candidates that no longer parse or
+    // lower: "does not reproduce", so it reverts such deletions.
+    let Some(ir) = frontend(src) else {
+        return CheckOutcome::Pass;
     };
-
     let config = EngineConfig {
         budget: *budget,
         ..EngineConfig::at_level(level)
+    };
+    let result = match Engine::new(&ir, config).run() {
+        Ok(r) => r,
+        Err(AnalysisError::BudgetExceeded { .. }) => return CheckOutcome::Inconclusive,
+        Err(e) => {
+            return CheckOutcome::Fail {
+                kind: "coverage",
+                detail: format!("analysis failed: {e}"),
+            }
+        }
     };
     let interp = InterpConfig {
         max_steps,
@@ -222,7 +234,7 @@ fn check_program(
     };
 
     // Oracle 1: coverage of every concrete trace point.
-    let diff = check_soundness_full(src, config.clone(), interp.clone(), seeds);
+    let diff = check_coverage(&ir, &result, interp.clone(), seeds);
     match diff.verdict() {
         DiffVerdict::Violation => {
             return CheckOutcome::Fail {
@@ -235,12 +247,8 @@ fn check_program(
     }
 
     // Oracle 2: synthesized assertions, abstract `holds` vs concrete truth.
-    let result = match Engine::new(&ir, config).run() {
-        Ok(r) if r.stopped.is_none() => r,
-        _ => return CheckOutcome::Inconclusive,
-    };
     let asserts = synth_asserts(&ir);
-    let rep = evaluate_asserts_with(&ir, &result, &asserts, seeds, interp);
+    let rep = evaluate_asserts_with(&ir, &result, &asserts, seeds, interp.clone());
     if let Some(bad) = rep.soundness_mismatches().first() {
         return CheckOutcome::Fail {
             kind: "assert-mismatch",
@@ -251,6 +259,15 @@ fn check_program(
                 bad.concrete_checked,
                 bad.first_violation_seed,
             ),
+        };
+    }
+
+    // Oracle 3: memory-safety `safe` and `violation` claims.
+    let mem = validate_memory_report(&ir, &memory_report(&ir, &result), interp, seeds);
+    if let Some(m) = mem.mismatches.first() {
+        return CheckOutcome::Fail {
+            kind: "memory",
+            detail: m.clone(),
         };
     }
     CheckOutcome::Pass

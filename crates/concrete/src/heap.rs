@@ -3,7 +3,7 @@
 
 use psa_cfront::types::{SelectorId, StructId};
 use psa_ir::PvarId;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A concrete heap location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,11 +38,11 @@ pub struct ConcreteState {
     /// variable materializes a "garbage" value chosen by the interpreter,
     /// which then persists (C's uninitialized reads, made consistent).
     pub ints: BTreeMap<psa_ir::ScalarId, i64>,
-    /// Freed-cell provenance: location → the statement that freed it.
-    /// Freed objects stay in `objects` (locations are never reused, so the
-    /// abstraction function and coverage check are unaffected); this map is
-    /// what makes use-after-free and double-free concretely observable.
-    freed: BTreeMap<Loc, u32>,
+    /// Freed cells. Freed objects stay in `objects` (locations are never
+    /// reused, so the abstraction function and coverage check are
+    /// unaffected); this set is what makes use-after-free and double-free
+    /// concretely observable.
+    freed: BTreeSet<Loc>,
     next: u32,
 }
 
@@ -72,11 +72,6 @@ impl ConcreteState {
     /// On dangling locations.
     pub fn object(&self, l: Loc) -> &Object {
         self.objects.get(&l).expect("dangling location")
-    }
-
-    /// Is `l` allocated?
-    pub fn is_allocated(&self, l: Loc) -> bool {
-        self.objects.contains_key(&l)
     }
 
     /// Read pointer field `l.sel`.
@@ -120,11 +115,6 @@ impl ConcreteState {
         self.objects.keys().copied()
     }
 
-    /// Number of allocated objects.
-    pub fn num_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Locations reachable from the pvar frame (the part α abstracts).
     pub fn reachable(&self) -> Vec<Loc> {
         let mut seen: Vec<Loc> = Vec::new();
@@ -156,28 +146,18 @@ impl ConcreteState {
         out
     }
 
-    /// Free the object at `l`, recording the freeing statement. Returns
-    /// `false` when `l` was already freed (a double free) — the caller
-    /// decides how to fault. The object is retained in `objects` so
-    /// locations are never reused and α still sees the cell.
-    pub fn free(&mut self, l: Loc, stmt: u32) -> bool {
+    /// Free the object at `l`. Returns `false` when `l` was already freed
+    /// (a double free) — the caller decides how to fault. The object is
+    /// retained in `objects` so locations are never reused and α still sees
+    /// the cell.
+    pub fn free(&mut self, l: Loc) -> bool {
         debug_assert!(self.objects.contains_key(&l), "freeing unallocated {l}");
-        self.freed.insert(l, stmt).is_none()
+        self.freed.insert(l)
     }
 
     /// Has `l` been freed?
     pub fn is_freed(&self, l: Loc) -> bool {
-        self.freed.contains_key(&l)
-    }
-
-    /// The statement that freed `l`, if any (provenance).
-    pub fn freed_at(&self, l: Loc) -> Option<u32> {
-        self.freed.get(&l).copied()
-    }
-
-    /// Number of freed cells.
-    pub fn num_freed(&self) -> usize {
-        self.freed.len()
+        self.freed.contains(&l)
     }
 
     /// Locations that are leaked *right now*: allocated, never freed, and
@@ -189,7 +169,7 @@ impl ConcreteState {
         self.objects
             .keys()
             .copied()
-            .filter(|l| !self.freed.contains_key(l) && reachable.binary_search(l).is_err())
+            .filter(|l| !self.freed.contains(l) && reachable.binary_search(l).is_err())
             .collect()
     }
 

@@ -367,7 +367,7 @@ impl<'a> Interpreter<'a> {
             Stmt::Free(x) => {
                 // free(NULL) is a no-op; re-freeing a freed cell faults.
                 if let Some(l) = state.pvar(*x) {
-                    if !state.free(l, sid.0) {
+                    if !state.free(l) {
                         return Err(Fault::DoubleFree);
                     }
                 }

@@ -31,7 +31,7 @@ pub use asserts::{
     check_asserts, evaluate_asserts, evaluate_asserts_with, AssertOutcome, AssertReport, Verdict,
 };
 pub use differential::{
-    check_soundness, check_soundness_full, check_soundness_with, DiffVerdict, DifferentialReport,
+    check_coverage, check_soundness, check_soundness_with, DiffVerdict, DifferentialReport,
 };
 pub use fuzz::{run_farm, FuzzConfig, FuzzFailure, FuzzReport};
 pub use heap::{ConcreteState, Loc};

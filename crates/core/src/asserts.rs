@@ -75,7 +75,18 @@ pub fn rsrsg_at<'a>(ir: &FuncIr, result: &'a AnalysisResult, site: AssertSite) -
 }
 
 /// Evaluate one assertion against the RSRSG at its program point.
+///
+/// Degradation rule: a stopped run, a `Before(s)` site whose statement `s`
+/// is degraded, and an `Exit` site of a run with any degraded statement
+/// certify nothing — the verdict is `MayFail`.
 pub fn eval_assertion(ir: &FuncIr, result: &AnalysisResult, a: &Assertion) -> AbstractVerdict {
+    let degraded = match a.site {
+        AssertSite::Before(s) => result.degraded[s.0 as usize],
+        AssertSite::Exit => result.any_degraded(),
+    };
+    if result.stopped.is_some() || degraded {
+        return AbstractVerdict::MayFail;
+    }
     eval_on_rsrsg(rsrsg_at(ir, result, a.site), a)
 }
 
@@ -258,6 +269,57 @@ mod tests {
         "#;
         for (text, v) in verdicts(src) {
             assert_eq!(v, AbstractVerdict::Holds, "{text}");
+        }
+    }
+
+    #[test]
+    fn degraded_sites_certify_nothing() {
+        // Both assertions hold on the unbudgeted run. Under a one-node cap
+        // the loop body is force-summarized: its statements are degraded,
+        // so neither the site before one of them nor the exit may claim
+        // `holds` (the rule memory verdicts and loop reports obey too).
+        let src = r#"
+            struct node { int v; struct node *nxt; };
+            int main() {
+                struct node *list; struct node *p; int i;
+                list = NULL;
+                for (i = 0; i < 5; i++) {
+                    p = (struct node *) malloc(sizeof(struct node));
+                    // @assert !alias(p, list)
+                    p->nxt = list;
+                    list = p;
+                }
+                // @assert !shared(list->nxt)
+                return 0;
+            }
+        "#;
+        for (text, v) in verdicts(src) {
+            assert_eq!(v, AbstractVerdict::Holds, "unbudgeted {text}");
+        }
+        let options = AnalysisOptions {
+            level: Some(psa_rsg::Level::L2),
+            budget: crate::stats::Budget {
+                max_nodes: Some(1),
+                ..crate::stats::Budget::default()
+            },
+            ..AnalysisOptions::default()
+        };
+        let a = Analyzer::new(src, options).unwrap();
+        let res = a.run().unwrap();
+        assert!(res.is_complete(), "the node cap degrades without stopping");
+        let asserts = asserts_of_source(src, a.ir()).unwrap();
+        let AssertSite::Before(s) = asserts[0].site else {
+            panic!("the in-loop assertion anchors before a statement");
+        };
+        assert!(res.degraded[s.0 as usize], "{s} is degraded");
+        assert_eq!(asserts[1].site, AssertSite::Exit);
+        for x in &asserts {
+            assert_eq!(
+                eval_assertion(a.ir(), &res, x),
+                AbstractVerdict::MayFail,
+                "{}",
+                x.text
+            );
         }
     }
 

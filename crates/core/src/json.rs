@@ -11,8 +11,8 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A JSON document. Objects preserve insertion order, matching the field
-/// order of the structs they mirror.
+/// A JSON document. Objects preserve insertion order: keys print in the
+/// order their writer sets them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`

@@ -58,4 +58,4 @@ pub use engine::{
 };
 pub use progressive::{Goal, ProgressiveOutcome, ProgressiveRunner};
 pub use rsrsg::Rsrsg;
-pub use stats::{AnalysisBudget, AnalysisStats, Budget};
+pub use stats::{AnalysisStats, Budget};

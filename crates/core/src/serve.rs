@@ -203,12 +203,7 @@ impl Server {
             .to_string();
         let level = match params.get("level").and_then(Json::as_str) {
             None => Level::L2,
-            Some("L1" | "l1") => Level::L1,
-            Some("L2" | "l2") => Level::L2,
-            Some("L3" | "l3") => Level::L3,
-            Some(other) => {
-                return Err(("protocol".into(), format!("unknown level `{other}`")));
-            }
+            Some(l) => l.parse().map_err(|e| ("protocol".to_string(), e))?,
         };
         let key = params
             .get("key")
@@ -268,7 +263,7 @@ impl Server {
         let mut report = build_report(analyzer.ir(), &result);
         if trace {
             let events = analyzer.trace_events();
-            report.trace = Some(crate::trace::summarize(&events, Some(analyzer.ir())));
+            report.set_trace(&crate::trace::summarize(&events, Some(analyzer.ir())));
         }
 
         // Cumulative process-lifetime totals, separate from the

@@ -135,10 +135,6 @@ pub struct Budget {
     pub deadline: Option<Duration>,
 }
 
-/// The budget layer's public name in the ISSUE/API surface; `Budget` is the
-/// historical in-tree name.
-pub type AnalysisBudget = Budget;
-
 impl Default for Budget {
     fn default() -> Self {
         Budget {
@@ -150,36 +146,6 @@ impl Default for Budget {
             max_table_bytes: None,
             deadline: None,
         }
-    }
-}
-
-impl Budget {
-    /// The paper machine's budget: 128 MB.
-    pub fn paper_128mb() -> Budget {
-        Budget {
-            max_bytes: Some(128 * 1024 * 1024),
-            ..Budget::default()
-        }
-    }
-
-    /// A tight budget for tests.
-    pub fn tiny() -> Budget {
-        Budget {
-            max_bytes: Some(64 * 1024),
-            max_graphs: 16,
-            max_iterations: 2_000,
-            ..Budget::default()
-        }
-    }
-
-    /// True when any degradation cap (node/RSG/table-byte/deadline) is set;
-    /// when false the engine takes none of the degradation paths and its
-    /// output is bit-identical to a budget-less run.
-    pub fn any_degradation_cap(&self) -> bool {
-        self.max_nodes.is_some()
-            || self.max_rsgs.is_some()
-            || self.max_table_bytes.is_some()
-            || self.deadline.is_some()
     }
 }
 
@@ -235,24 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_presets() {
-        assert_eq!(Budget::paper_128mb().max_bytes, Some(128 * 1024 * 1024));
-        assert!(Budget::tiny().max_graphs < Budget::default().max_graphs);
-    }
-
-    #[test]
     fn degradation_caps_default_unset() {
         let b = Budget::default();
-        assert!(!b.any_degradation_cap());
-        assert!(Budget {
-            deadline: Some(Duration::from_millis(1)),
-            ..b
-        }
-        .any_degradation_cap());
-        assert!(Budget {
-            max_nodes: Some(8),
-            ..b
-        }
-        .any_degradation_cap());
+        assert_eq!(b.max_nodes, None);
+        assert_eq!(b.max_rsgs, None);
+        assert_eq!(b.max_table_bytes, None);
+        assert_eq!(b.deadline, None);
     }
 }

@@ -416,11 +416,6 @@ impl FuncIr {
             .unwrap_or(&[])
     }
 
-    /// All loops enclosing a statement, innermost last.
-    pub fn loops_of(&self, stmt: StmtId) -> &[LoopId] {
-        &self.stmt(stmt).loops
-    }
-
     /// The union of ipvars of the loops in `loops` (deduplicated, sorted).
     pub fn active_ipvars(&self, loops: &[LoopId]) -> Vec<PvarId> {
         let mut v: Vec<PvarId> = loops

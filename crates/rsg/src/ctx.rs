@@ -48,6 +48,21 @@ impl Level {
     }
 }
 
+/// Parses `L1`/`L2`/`L3` (or lower-case `l1`…) — the one spelling the CLI,
+/// the serve protocol and `examples/fuzz_farm.rs` accept.
+impl std::str::FromStr for Level {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Level, String> {
+        match s {
+            "L1" | "l1" => Ok(Level::L1),
+            "L2" | "l2" => Ok(Level::L2),
+            "L3" | "l3" => Ok(Level::L3),
+            other => Err(format!("unknown level `{other}`")),
+        }
+    }
+}
+
 impl std::fmt::Display for Level {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -207,6 +222,14 @@ mod tests {
         assert!(Level::L3.use_touch());
         assert_eq!(Level::L1.next(), Some(Level::L2));
         assert_eq!(Level::L3.next(), None);
+        for l in Level::ALL {
+            assert_eq!(l.to_string().parse(), Ok(l));
+            assert_eq!(l.to_string().to_lowercase().parse(), Ok(l));
+        }
+        assert_eq!(
+            "auto".parse::<Level>(),
+            Err("unknown level `auto`".to_string())
+        );
     }
 
     #[test]

@@ -959,14 +959,6 @@ impl OpStats {
             / self.subsume_queries as f64
     }
 
-    /// Fraction of queries answered from the memo table alone.
-    pub fn memo_hit_rate(&self) -> f64 {
-        if self.subsume_queries == 0 {
-            return 0.0;
-        }
-        self.subsume_cache_hits as f64 / self.subsume_queries as f64
-    }
-
     /// Fraction of per-graph transfer queries answered from the transfer
     /// memo; 0.0 when none were issued.
     pub fn transfer_memo_hit_rate(&self) -> f64 {

@@ -1,6 +1,6 @@
 //! Differential fuzzing farm driver: budgeted batches of generated
-//! programs checked at L1→L3 by the coverage and assertion oracles, with
-//! automatic delta-debugging of any counterexample.
+//! programs checked at L1→L3 by the coverage, assertion and memory-safety
+//! oracles, with automatic delta-debugging of any counterexample.
 //!
 //! ```text
 //! cargo run --release --example fuzz_farm -- \
@@ -15,7 +15,6 @@
 
 use psa::concrete::fuzz::{run_farm, FuzzConfig};
 use psa::core::json::Json;
-use psa::rsg::Level;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -69,12 +68,7 @@ fn run(args: &[String]) -> Result<bool, String> {
                 let v = args.get(i).ok_or("--levels needs a value")?;
                 config.levels = v
                     .split(',')
-                    .map(|s| match s.trim() {
-                        "L1" | "l1" => Ok(Level::L1),
-                        "L2" | "l2" => Ok(Level::L2),
-                        "L3" | "l3" => Ok(Level::L3),
-                        other => Err(format!("unknown level `{other}`")),
-                    })
+                    .map(|s| s.trim().parse())
                     .collect::<Result<_, _>>()?;
             }
             "--report" => {

@@ -166,7 +166,7 @@ fn disabled_trace_changes_nothing() {
     let json = rep.to_json_string();
     assert!(!json.contains("\"trace\""));
     let mut rep_t = psa::core::report::build_report(traced.ir(), &rt);
-    rep_t.trace = Some(summarize(&traced.trace_events(), Some(traced.ir())));
+    rep_t.set_trace(&summarize(&traced.trace_events(), Some(traced.ir())));
     assert!(rep_t.to_json_string().contains("\"trace\""));
 }
 
