@@ -361,25 +361,28 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
         );
     }
     println!(
-        "  graph ops: {} joins, {} compress, {} prune, {} divide, {} materialize, \
-         {} forced widening joins, {} unions",
+        "  graph ops: {} joins, {} forced widening joins ({} JOIN-memo hits, {} JOIN-memo \
+         entries), {} compress, {} prune, {} divide, {} materialize, {} unions",
         ops.join_calls,
+        ops.widen_forced_joins,
+        ops.join_memo_hits,
+        ops.join_cache_size,
         ops.compress_calls,
         ops.prune_calls,
         ops.divide_calls,
         ops.materialize_calls,
-        ops.widen_forced_joins,
         ops.union_calls
     );
     println!("  peak RSRSG width: {} graphs", ops.peak_set_width);
     println!(
         "  shared-table locks: {} contended acquisitions, {:.2?} total wait \
-         (intern {:.2?}, subsume {:.2?}, transfer {:.2?})",
+         (intern {:.2?}, subsume {:.2?}, transfer {:.2?}, join {:.2?})",
         ops.lock_contended(),
         std::time::Duration::from_nanos(ops.lock_wait_ns()),
         std::time::Duration::from_nanos(ops.intern_lock_wait_ns),
         std::time::Duration::from_nanos(ops.subsume_lock_wait_ns),
         std::time::Duration::from_nanos(ops.transfer_lock_wait_ns),
+        std::time::Duration::from_nanos(ops.join_lock_wait_ns),
     );
 }
 

@@ -17,7 +17,7 @@
 //! excluded from that oracle).
 
 use crate::heap::{ConcreteState, Loc};
-use crate::interp::{ExecOutcome, ExecResult, InterpConfig, Interpreter};
+use crate::interp::{execute, ExecOutcome, ExecResult, InterpConfig};
 use psa_cfront::asserts::ShapeName;
 use psa_cfront::types::SelectorId;
 use psa_core::asserts::AbstractVerdict;
@@ -123,38 +123,23 @@ pub fn evaluate_asserts(
     asserts: &[Assertion],
     seeds: &[u64],
 ) -> AssertReport {
-    evaluate_asserts_with(ir, result, asserts, seeds, InterpConfig::default())
+    let execs = execute(ir, &InterpConfig::default(), seeds);
+    evaluate_asserts_on(ir, result, asserts, &execs)
 }
 
-/// [`evaluate_asserts`] plus control over the interpreter base config (the
-/// per-run seed still comes from `seeds`). The fuzzing farm lowers the step
-/// budget here: cyclic generatees otherwise walk to the 20k-step cap while
-/// snapshotting a growing heap at every step.
-pub fn evaluate_asserts_with(
+/// [`evaluate_asserts`] over seeded executions already in hand (see
+/// [`execute`]): the fuzzing farm runs them once, with a lowered step
+/// budget, for all of its oracles. Cyclic generatees otherwise walk to the
+/// 20k-step cap while snapshotting a growing heap at every step.
+pub(crate) fn evaluate_asserts_on(
     ir: &FuncIr,
     result: &AnalysisResult,
     asserts: &[Assertion],
-    seeds: &[u64],
-    interp: InterpConfig,
+    execs: &[(u64, ExecResult)],
 ) -> AssertReport {
     let inconclusive = result
         .stopped
         .map(|k| format!("analysis stopped early: {k}"));
-    let execs: Vec<(u64, ExecResult)> = seeds
-        .iter()
-        .map(|&seed| {
-            let exec = Interpreter::new(
-                ir,
-                InterpConfig {
-                    seed,
-                    ..interp.clone()
-                },
-            )
-            .run();
-            (seed, exec)
-        })
-        .collect();
-
     let outcomes = asserts
         .iter()
         .map(|a| {
@@ -162,7 +147,7 @@ pub fn evaluate_asserts_with(
             let mut checked = 0;
             let mut violations = 0;
             let mut first_seed = None;
-            for (seed, exec) in &execs {
+            for (seed, exec) in execs {
                 for st in states_at_site(exec, a.site) {
                     checked += 1;
                     if !assert_holds_concrete(st, a) {

@@ -3,7 +3,7 @@
 //! statement covers every concrete state observed there.
 
 use crate::cover::{any_covers, violation};
-use crate::interp::{InterpConfig, Interpreter};
+use crate::interp::{execute, ExecResult, InterpConfig};
 use psa_core::engine::{AnalysisResult, Engine, EngineConfig};
 use psa_ir::FuncIr;
 use psa_rsg::Level;
@@ -86,7 +86,10 @@ pub fn check_soundness_with(src: &str, config: EngineConfig, seeds: &[u64]) -> D
     let (program, table) = psa_cfront::parse_and_type(src).expect("differential input parses");
     let ir = psa_ir::lower_program(&program, &table, "main").expect("differential input lowers");
     match Engine::new(&ir, config).run() {
-        Ok(result) => check_coverage(&ir, &result, InterpConfig::default(), seeds),
+        Ok(result) => {
+            let execs = execute(&ir, &InterpConfig::default(), seeds);
+            check_coverage(&ir, &result, &execs)
+        }
         Err(e @ psa_core::engine::AnalysisError::BudgetExceeded { .. }) => DifferentialReport {
             inconclusive: Some(format!("analysis aborted on budget: {e}")),
             ..DifferentialReport::default()
@@ -98,18 +101,16 @@ pub fn check_soundness_with(src: &str, config: EngineConfig, seeds: &[u64]) -> D
     }
 }
 
-/// Check a finished analysis of `ir`: every concrete state the interpreter
-/// reaches under `seeds` (on top of the base config `interp`) must be
-/// covered by the RSRSG after its statement. A budget-stopped result is
-/// inconclusive and not checked. The fuzzing farm passes a reduced step
-/// budget in `interp`: generated programs can loop over cyclic structures
-/// until the cap, and snapshotting a growing heap 20k times per run would
-/// dominate the batch.
+/// Check a finished analysis of `ir`: every concrete state reached by the
+/// seeded executions `execs` (see [`execute`]) must be covered by the
+/// RSRSG after its statement. A budget-stopped result is inconclusive and
+/// not checked. The fuzzing farm executes with a reduced step budget:
+/// generated programs can loop over cyclic structures until the cap, and
+/// snapshotting a growing heap 20k times per run would dominate the batch.
 pub fn check_coverage(
     ir: &FuncIr,
     result: &AnalysisResult,
-    interp: InterpConfig,
-    seeds: &[u64],
+    execs: &[(u64, ExecResult)],
 ) -> DifferentialReport {
     let level = result.level;
     let mut report = DifferentialReport::default();
@@ -118,16 +119,8 @@ pub fn check_coverage(
         return report;
     }
 
-    for &seed in seeds {
+    for (seed, exec) in execs {
         report.runs += 1;
-        let exec = Interpreter::new(
-            ir,
-            InterpConfig {
-                seed,
-                ..interp.clone()
-            },
-        )
-        .run();
         if exec.outcome.fault_stmt().is_some() {
             report.crashed_runs += 1;
         }

@@ -22,10 +22,10 @@
 //! The generator is passed in as a closure (`seed -> C source`) so this
 //! crate stays independent of `psa-codes`; the driver wires them together.
 
-use crate::asserts::evaluate_asserts_with;
+use crate::asserts::evaluate_asserts_on;
 use crate::differential::{check_coverage, DiffVerdict};
-use crate::interp::InterpConfig;
-use crate::memsafe::validate_memory_report;
+use crate::interp::{execute, InterpConfig};
+use crate::memsafe::validate_memory_on;
 use crate::minimize::{minimize_source, statement_count};
 use psa_core::engine::{AnalysisError, Engine, EngineConfig};
 use psa_core::memsafe::memory_report;
@@ -199,9 +199,9 @@ fn exec_seeds_for(program_seed: u64, count: usize) -> Vec<u64> {
         .collect()
 }
 
-/// All three oracles on one analysis of one program at one level. Also the
-/// minimizer's failure predicate: a candidate that no longer parses or
-/// lowers is "not failing".
+/// All three oracles on one analysis of one program at one level, over one
+/// set of seeded executions. Also the minimizer's failure predicate: a
+/// candidate that no longer parses or lowers is "not failing".
 fn check_program(
     src: &str,
     level: Level,
@@ -228,13 +228,18 @@ fn check_program(
             }
         }
     };
+    // A budget-stopped result has proven nothing: no oracle checks it.
+    if result.stopped.is_some() {
+        return CheckOutcome::Inconclusive;
+    }
     let interp = InterpConfig {
         max_steps,
         ..InterpConfig::default()
     };
+    let execs = execute(&ir, &interp, seeds);
 
     // Oracle 1: coverage of every concrete trace point.
-    let diff = check_coverage(&ir, &result, interp.clone(), seeds);
+    let diff = check_coverage(&ir, &result, &execs);
     match diff.verdict() {
         DiffVerdict::Violation => {
             return CheckOutcome::Fail {
@@ -248,7 +253,7 @@ fn check_program(
 
     // Oracle 2: synthesized assertions, abstract `holds` vs concrete truth.
     let asserts = synth_asserts(&ir);
-    let rep = evaluate_asserts_with(&ir, &result, &asserts, seeds, interp.clone());
+    let rep = evaluate_asserts_on(&ir, &result, &asserts, &execs);
     if let Some(bad) = rep.soundness_mismatches().first() {
         return CheckOutcome::Fail {
             kind: "assert-mismatch",
@@ -263,7 +268,7 @@ fn check_program(
     }
 
     // Oracle 3: memory-safety `safe` and `violation` claims.
-    let mem = validate_memory_report(&ir, &memory_report(&ir, &result), interp, seeds);
+    let mem = validate_memory_on(&ir, &memory_report(&ir, &result), &execs);
     if let Some(m) = mem.mismatches.first() {
         return CheckOutcome::Fail {
             kind: "memory",

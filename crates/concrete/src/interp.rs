@@ -108,6 +108,23 @@ pub struct ExecResult {
     pub steps: usize,
 }
 
+/// Execute `ir` once per seed on top of the base config `interp`: the
+/// seeded runs every concrete oracle checks, so a caller running several
+/// oracles on one analysis executes each seed once and hands all of them
+/// the same results.
+pub fn execute(ir: &FuncIr, interp: &InterpConfig, seeds: &[u64]) -> Vec<(u64, ExecResult)> {
+    seeds
+        .iter()
+        .map(|&seed| {
+            let config = InterpConfig {
+                seed,
+                ..interp.clone()
+            };
+            (seed, Interpreter::new(ir, config).run())
+        })
+        .collect()
+}
+
 impl<'a> Interpreter<'a> {
     /// Create an interpreter for a lowered function.
     pub fn new(ir: &'a FuncIr, config: InterpConfig) -> Interpreter<'a> {

@@ -15,7 +15,7 @@
 //!   double-free violation there.
 
 use crate::heap::Loc;
-use crate::interp::{ExecOutcome, InterpConfig, Interpreter};
+use crate::interp::{execute, ExecOutcome, ExecResult, InterpConfig};
 use psa_core::engine::{Engine, EngineConfig};
 use psa_core::memsafe::{memory_report, MemCheck, MemReport, MemVerdict};
 use psa_ir::StmtId;
@@ -85,14 +85,30 @@ pub fn check_memory(
     validate_memory_report(&ir, &abs, interp, seeds)
 }
 
-/// Validate an already-built abstract memory report against seeded
-/// executions of `ir` — the CLI path, which has an analyzer in hand and
-/// must not re-run the engine.
+/// Validate an already-built abstract memory report against executions of
+/// `ir` under `seeds` (on top of the base config `interp`) — the CLI path,
+/// which has an analyzer in hand and must not re-run the engine. An
+/// inconclusive report executes nothing.
 pub fn validate_memory_report(
     ir: &psa_ir::FuncIr,
     abs: &MemReport,
     interp: InterpConfig,
     seeds: &[u64],
+) -> MemDiffReport {
+    let execs = match abs.inconclusive {
+        None => execute(ir, &interp, seeds),
+        Some(_) => Vec::new(),
+    };
+    validate_memory_on(ir, abs, &execs)
+}
+
+/// [`validate_memory_report`] over seeded executions already in hand (see
+/// [`execute`]): the fuzzing farm's memory oracle, which shares its runs
+/// with the coverage and assertion oracles.
+pub(crate) fn validate_memory_on(
+    ir: &psa_ir::FuncIr,
+    abs: &MemReport,
+    execs: &[(u64, ExecResult)],
 ) -> MemDiffReport {
     let mut report = MemDiffReport::default();
     if let Some(reason) = &abs.inconclusive {
@@ -107,17 +123,8 @@ pub fn validate_memory_report(
         .map(|s| s.stmt)
         .collect();
 
-    for &seed in seeds {
+    for &(seed, ref exec) in execs {
         report.runs += 1;
-        let exec = Interpreter::new(
-            ir,
-            InterpConfig {
-                seed,
-                ..interp.clone()
-            },
-        )
-        .run();
-
         if let Some((sid, check)) = fault_check(&exec.outcome) {
             report.concrete_faults += 1;
             refute_safe(abs, sid, check, seed, ir, &mut report.mismatches);

@@ -2,12 +2,12 @@
 //!
 //! A worklist iterates over CFG blocks. A block's input RSRSG is the
 //! accumulated union of its incoming edge contributions — each predecessor's
-//! output refined by the branch condition of that edge and stripped of the
-//! TOUCH marks of any loops the edge exits. Accumulation makes the iteration
-//! monotone in a finite lattice (node properties range over finite sets and
-//! COMPRESS keeps member graphs pairwise-incompatible), so the fixed point
-//! is reached; a configurable iteration budget guards the implementation
-//! anyway.
+//! output refined by the branch condition of that edge, stripped of the
+//! TOUCH marks of any loops the edge exits and marked for any loops it
+//! enters. Accumulation makes the iteration monotone in a finite lattice
+//! (node properties range over finite sets and COMPRESS keeps member graphs
+//! pairwise-incompatible), so the fixed point is reached; a configurable
+//! iteration budget guards the implementation anyway.
 //!
 //! The engine stores the RSRSG *after every statement* — the paper's
 //! "RSRSG associated with each sentence" — plus timing and structural-byte
@@ -18,12 +18,13 @@
 //! claiming; results are re-unioned in canonical order, so parallel and
 //! sequential runs produce identical RSRSGs. All paths — sequential,
 //! fan-out workers, and the progressive driver when it reuses one
-//! [`ShapeCtx`] — share the run-wide interner, subsumption memo, and
-//! transfer memo of [`psa_rsg::intern::SharedTables`].
+//! [`ShapeCtx`] — share the run-wide interner and the subsumption,
+//! transfer and JOIN memos of [`psa_rsg::intern::SharedTables`].
 //!
 //! The fixpoint itself is incremental (see DESIGN.md §6): per-graph
-//! transfers are memoized by `(config-epoch, stmt, CanonId)`, statements
-//! whose input only grew by appends re-transfer just the delta, and all
+//! transfers — statements and loop-edge edits alike — are memoized by
+//! `(config-epoch, slot, CanonId)`, statements whose input only grew by
+//! appends re-transfer just the delta, and all
 //! per-point state (`after_stmt`/`block_in`/`block_out`) lives as vectors
 //! of interned [`CanonId`]s during the run — the per-statement deep
 //! `clone()` of the whole RSRSG is gone, and structural-byte accounting is
@@ -33,11 +34,10 @@
 
 use crate::rsrsg::Rsrsg;
 use crate::semantics::{
-    clear_touch, enter_touch, refine_by_cond, transfer_one_cached, transfer_rsrsg, transfer_scalar,
-    GraphAction, TransferCtx,
+    refine_by_cond, transfer_one_cached, transfer_rsrsg, GraphAction, TransferCtx,
 };
 use crate::stats::{AnalysisStats, Budget};
-use psa_ir::{BlockId, FuncIr, Stmt, StmtId, Terminator};
+use psa_ir::{BlockId, Cond, FuncIr, Stmt, StmtId, Terminator};
 use psa_rsg::intern::{CancelCause, CanonEntry, CanonId};
 use psa_rsg::trace::TraceKind;
 use psa_rsg::{Level, Rsg, ShapeCtx};
@@ -807,8 +807,13 @@ impl<'a> Engine<'a> {
                     then_bb,
                     else_bb,
                 } => {
-                    let t = refine_by_cond(&cur, &cond, true, &self.ctx, level);
-                    let f = refine_by_cond(&cur, &cond, false, &self.ctx, level);
+                    let mut t = refine_by_cond(&cur, &cond, true);
+                    if let Cond::ScalarEq(v, k) = cond {
+                        // The true edge learns the constant.
+                        let learn = GraphAction::Scalar(v, Some(k));
+                        t = self.transfer_edge(&t, learn, epoch, &mut stats);
+                    }
+                    let f = refine_by_cond(&cur, &cond, false);
                     vec![(then_bb, t), (else_bb, f)]
                 }
                 Terminator::Return => {
@@ -817,18 +822,20 @@ impl<'a> Engine<'a> {
                 }
             };
             for (succ, mut contrib) in contributions {
-                // Loop-exit edges clear the exited loops' TOUCH marks.
-                let exited = self.ir.exited_loops(b, succ);
-                if !exited.is_empty() && level.use_touch() {
-                    let ipvars = self.ir.active_ipvars(exited);
-                    contrib = clear_touch(&contrib, &ipvars, &self.ctx, level);
-                }
-                // Loop-entry edges mark the entered loops' cursors' current
-                // targets as visited.
-                let entered = self.ir.entered_loops(b, succ);
-                if !entered.is_empty() && level.use_touch() {
-                    let ipvars = self.ir.active_ipvars(entered);
-                    contrib = enter_touch(&contrib, &ipvars, &self.ctx, level);
+                if level.use_touch() {
+                    // Loop-exit edges clear the exited loops' TOUCH marks.
+                    let ipvars = self.ir.active_ipvars(self.ir.exited_loops(b, succ));
+                    if !ipvars.is_empty() {
+                        let clear = GraphAction::ClearTouch(&ipvars);
+                        contrib = self.transfer_edge(&contrib, clear, epoch, &mut stats);
+                    }
+                    // Loop-entry edges mark the entered loops' cursors'
+                    // current targets as visited.
+                    let ipvars = self.ir.active_ipvars(self.ir.entered_loops(b, succ));
+                    if !ipvars.is_empty() {
+                        let enter = GraphAction::EnterTouch(&ipvars);
+                        contrib = self.transfer_edge(&contrib, enter, epoch, &mut stats);
+                    }
                 }
                 let si = succ.0 as usize;
                 let mut succ_in = Rsrsg::from_interned(&block_in_ids[si], &self.ctx);
@@ -974,10 +981,7 @@ impl<'a> Engine<'a> {
 
         // Reference oracle: the recompute-everything pipeline, sequential.
         if self.config.reference {
-            let mut out = match action {
-                GraphAction::Ptr(p) => transfer_rsrsg(&cur, p, &tcx, stats),
-                GraphAction::Scalar(v, k) => transfer_scalar(&cur, v, k, &self.ctx, level),
-            };
+            let mut out = transfer_rsrsg(&cur, &action, &tcx, stats);
             out.widen(&self.ctx, level, WIDEN_CAP);
             return out;
         }
@@ -1008,6 +1012,8 @@ impl<'a> Engine<'a> {
                 (Rsrsg::new(), 0)
             }
         };
+        m.delta_graphs_transferred
+            .fetch_add((cur.len() - skip) as u64, Ordering::Relaxed);
         self.fold_transfer(&mut out, &cur, skip, &action, slot, epoch, &tcx, stats);
         let prewiden = out.canon_ids();
         out.widen(&self.ctx, level, WIDEN_CAP);
@@ -1016,6 +1022,31 @@ impl<'a> Engine<'a> {
             prewiden,
             postwiden: out.canon_ids(),
         });
+        out
+    }
+
+    /// Apply a loop-edge edit (the `ScalarEq` true edge's learned constant,
+    /// a loop exit's or entry's TOUCH edit) to every graph of an edge
+    /// contribution. Each graph goes through the transfer memo under a slot
+    /// minted from the action's content, disjoint from every statement's
+    /// slot; the reference oracle applies the edit uncached. The edge
+    /// polls no deadline or table cap: a partial contribution could leave
+    /// a successor's input short without marking it stale.
+    fn transfer_edge(
+        &self,
+        input: &Rsrsg,
+        action: GraphAction<'_>,
+        epoch: u32,
+        stats: &mut AnalysisStats,
+    ) -> Rsrsg {
+        let tcx = TransferCtx::new(&self.ctx, self.config.level, &[]);
+        if self.config.reference {
+            return transfer_rsrsg(input, &action, &tcx, stats);
+        }
+        let key = psa_ir::fnv1a(format!("edge|{action:?}").as_bytes());
+        let slot = self.ctx.tables.stmt_slot_for(key);
+        let mut out = Rsrsg::new();
+        self.fold_transfer(&mut out, input, 0, &action, slot, epoch, &tcx, stats);
         out
     }
 
@@ -1038,11 +1069,6 @@ impl<'a> Engine<'a> {
     ) {
         let graphs = &input.graphs()[skip..];
         let entries = &input.canon_entries()[skip..];
-        self.ctx
-            .tables
-            .metrics
-            .delta_graphs_transferred
-            .fetch_add(graphs.len() as u64, Ordering::Relaxed);
         let fanout = self
             .config
             .parallel_threads

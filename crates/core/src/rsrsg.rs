@@ -15,7 +15,9 @@
 //! queries stay inside the candidate's pinning group and go through the
 //! pre-filters and memo table of [`psa_rsg::intern::SharedTables`]. A
 //! member is the very graph the interner keeps as its form's
-//! representative when it was the first to mint that form.
+//! representative when it was the first to mint that form. Both JOINs, the
+//! reduction loop's and the widening's, go through one helper and the
+//! tables' JOIN memo.
 
 use psa_rsg::compress::compress;
 use psa_rsg::intern::{CanonEntry, CanonId, Fingerprint, PinSignature};
@@ -183,13 +185,11 @@ impl Rsrsg {
                     && compatible(mg, &cand, level)
             }) {
                 let member = self.graphs.remove(i);
-                self.canon.remove(i);
+                let member_entry = self.canon.remove(i);
                 m.join_calls.fetch_add(1, Ordering::Relaxed);
-                m.compress_calls.fetch_add(1, Ordering::Relaxed);
-                let j0 = t.tracer.enabled().then(Instant::now);
-                let joined = compress(&join(&member, &cand, level), ctx, level);
-                t.tracer.span_since(TraceKind::Join, j0, 0, 0);
-                pending.push((Arc::new(joined), None));
+                let (joined, je) =
+                    join_compressed((&member_entry, &member), (&e, &cand), ctx, level);
+                pending.push((joined, Some(je)));
             } else {
                 self.graphs.push(cand);
                 self.canon.push(e);
@@ -282,16 +282,6 @@ impl Rsrsg {
         out
     }
 
-    /// Map every graph through `f` and re-reduce (used by loop-exit TOUCH
-    /// clearing).
-    pub fn map(&self, ctx: &ShapeCtx, level: Level, f: impl Fn(&Rsg) -> Rsg) -> Rsrsg {
-        let mut out = Rsrsg::new();
-        for g in self.iter() {
-            out.insert(f(g), ctx, level);
-        }
-        out
-    }
-
     /// Widening: while the set holds more than `soft_cap` graphs, force-join
     /// pairs sharing a widening signature ([`PinSignature`]); each round
     /// joins the first two members of the lexicographically smallest
@@ -299,7 +289,9 @@ impl Rsrsg {
     /// widening that keeps the paper's analysis practicable on codes whose
     /// control flow would otherwise fragment the RSRSG combinatorially; it
     /// only coarsens (join over-approximates both inputs), never drops
-    /// configurations.
+    /// configurations. The joined graph comes out of the JOIN helper
+    /// compressed and interned, so it is re-inserted without a second
+    /// COMPRESS.
     pub fn widen(&mut self, ctx: &ShapeCtx, level: Level, soft_cap: usize) {
         // Signatures computed so far in this call. The set changes between
         // rounds, but a surviving member keeps its id and its signature.
@@ -334,15 +326,15 @@ impl Rsrsg {
             let (i, j) = (pair[0], pair[1]);
             debug_assert!(i < j);
             let b = self.graphs.remove(j);
-            self.canon.remove(j);
+            let eb = self.canon.remove(j);
             let a = self.graphs.remove(i);
-            self.canon.remove(i);
+            let ea = self.canon.remove(i);
             ctx.tables
                 .metrics
                 .widen_forced_joins
                 .fetch_add(1, Ordering::Relaxed);
-            let joined = compress(&join(&a, &b, level), ctx, level);
-            self.insert(joined, ctx, level);
+            let (joined, e) = join_compressed((&ea, &a), (&eb, &b), ctx, level);
+            self.insert_compressed(joined, e, ctx, level);
         }
     }
 
@@ -385,6 +377,44 @@ impl Rsrsg {
     pub fn total_links(&self) -> usize {
         self.graphs.iter().map(|g| g.num_links()).sum()
     }
+}
+
+/// `compress(join(a, b))`, interned: the one JOIN of the reduction loop and
+/// the widening, answered from the tables' JOIN memo by the pair's
+/// canonical ids. A miss runs both kernels as one `Join` span, interns the
+/// result and stores its id; a hit returns the interner's representative,
+/// as a transfer-memo hit does. The reference oracle (cache disabled)
+/// always runs the kernels and stores nothing.
+///
+/// JOIN pairs nodes greedily in node-id order, so two numberings of the
+/// same input forms can join to different canonical forms; the memo
+/// answers with the result first computed for the pair of ids (DESIGN.md
+/// §5).
+fn join_compressed(
+    a: (&CanonEntry, &Rsg),
+    b: (&CanonEntry, &Rsg),
+    ctx: &ShapeCtx,
+    level: Level,
+) -> (Arc<Rsg>, CanonEntry) {
+    let t = &ctx.tables;
+    let m = &t.metrics;
+    let memo = t.cache_enabled();
+    if memo {
+        if let Some(id) = t.join_lookup(level, a.0.id, b.0.id) {
+            m.join_memo_hits.fetch_add(1, Ordering::Relaxed);
+            let (e, g) = t.interner.resolve(id);
+            return (g, e);
+        }
+    }
+    m.compress_calls.fetch_add(1, Ordering::Relaxed);
+    let j0 = t.tracer.enabled().then(Instant::now);
+    let joined = Arc::new(compress(&join(a.1, b.1, level), ctx, level));
+    t.tracer.span_since(TraceKind::Join, j0, 0, 0);
+    let e = t.intern(&joined);
+    if memo {
+        t.join_store(level, a.0.id, b.0.id, e.id);
+    }
+    (joined, e)
 }
 
 #[cfg(test)]

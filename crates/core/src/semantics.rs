@@ -1,5 +1,5 @@
-//! Abstract semantics of the six simple pointer statements (§2) and of
-//! branch-condition refinement.
+//! Abstract semantics of the six simple pointer statements (§2), of the
+//! loop-edge TOUCH and scalar edits, and of branch-condition refinement.
 //!
 //! Each statement transforms one RSG into a set of RSGs following the
 //! pipeline of Fig. 2: *divide* (recover a single `x->sel` target per
@@ -144,12 +144,15 @@ impl<'a> TransferCtx<'a> {
     }
 }
 
-/// Transfer one pointer statement over a whole RSRSG. Honors cooperative
-/// cancellation and the deadline between member graphs, like the engine's
-/// memoized fold (see [`crate::stats::Budget`]).
+/// Transfer one graph action over a whole RSRSG with no memo: every member
+/// through [`GraphAction::apply`], every output inserted (COMPRESS and the
+/// reduction loop). This is the reference oracle's path for statements and
+/// loop edges alike. Honors cooperative cancellation and the deadline
+/// between member graphs, like the engine's memoized fold (see
+/// [`crate::stats::Budget`]).
 pub fn transfer_rsrsg(
     input: &Rsrsg,
-    stmt: &PtrStmt,
+    action: &GraphAction<'_>,
     tcx: &TransferCtx<'_>,
     stats: &mut AnalysisStats,
 ) -> Rsrsg {
@@ -158,31 +161,42 @@ pub fn transfer_rsrsg(
         if tcx.should_stop() {
             break;
         }
-        for gi in transfer_one(g, stmt, tcx, stats) {
+        for gi in action.apply(g, tcx, stats) {
             out.insert(gi, tcx.ctx, tcx.level);
         }
     }
     out
 }
 
-/// One statement's per-graph abstract action, as the memoized transfer
-/// layer sees it. Identity statements (`Stmt::Scalar`, `Stmt::ScalarStore`)
-/// never reach this layer — the engine passes the input set through
-/// unchanged.
+/// One per-graph abstract action, as the memoized transfer layer sees it:
+/// a statement's, or a CFG edge's edit. Identity statements
+/// (`Stmt::Scalar`, `Stmt::ScalarStore`, `Stmt::Free`) never reach this
+/// layer — the engine passes the input set through unchanged.
 #[derive(Debug, Clone, Copy)]
 pub enum GraphAction<'a> {
     /// Pointer statement: the divide → prune → materialize → relaxation
     /// pipeline of Fig. 2.
     Ptr(&'a PtrStmt),
     /// Tracked-scalar update: set the scalar to a known constant, or clear
-    /// it (havoc).
+    /// it (havoc). Also the `ScalarEq` true edge, which learns the
+    /// constant (narrowing is sound: the edge's configurations satisfy
+    /// it).
     Scalar(psa_ir::ScalarId, Option<i64>),
+    /// Loop-entry edge: mark the bound targets of these induction pvars as
+    /// TOUCHED. The location a traversal cursor starts on is the first
+    /// iteration's visited element; without the mark, a cyclic traversal
+    /// that returns to its starting location would evade revisit
+    /// detection.
+    EnterTouch(&'a [PvarId]),
+    /// Loop-exit edge: clear these induction pvars' TOUCH marks on every
+    /// node ("after exiting a loop body the TOUCH information regarding
+    /// the ipvars of this loop are not needed any more").
+    ClearTouch(&'a [PvarId]),
 }
 
 impl GraphAction<'_> {
-    /// The raw per-graph transfer (uncompressed outputs). Mirrors
-    /// [`transfer_one`] for pointer statements and the per-graph body of
-    /// [`transfer_scalar`] for scalar updates.
+    /// The raw per-graph transfer (uncompressed outputs): the one
+    /// implementation of every statement and edge edit.
     fn apply(&self, g: &Rsg, tcx: &TransferCtx<'_>, stats: &mut AnalysisStats) -> Vec<Rsg> {
         match *self {
             GraphAction::Ptr(stmt) => transfer_one(g, stmt, tcx, stats),
@@ -194,17 +208,34 @@ impl GraphAction<'_> {
                 }
                 vec![g]
             }
+            GraphAction::EnterTouch(ipvars) => {
+                let mut g = g.clone();
+                for &p in ipvars {
+                    if let Some(n) = g.pl(p) {
+                        g.node_mut(n).touch.insert(p);
+                    }
+                }
+                vec![g]
+            }
+            GraphAction::ClearTouch(ipvars) => {
+                let mut g = g.clone();
+                for n in g.node_ids().collect::<Vec<_>>() {
+                    g.node_mut(n).touch.remove_all(ipvars);
+                }
+                vec![g]
+            }
         }
     }
 }
 
-/// Memoized per-graph transfer: the tentpole's `(config-epoch, stmt slot,
-/// CanonId) → interned outputs` map.
+/// Memoized per-graph transfer: the `(config-epoch, slot, CanonId) →
+/// interned outputs` map, for statements and loop-edge edits alike.
 ///
 /// `slot` is the dense id [`SharedTables::stmt_slot_for`] minted from the
-/// statement's *content* (not its position), so identical statements share
-/// memoized transfers across function versions, daemon requests and
-/// snapshot restores. Trace events still carry the positional statement
+/// statement's *content* (not its position), or from an edge action's
+/// content under a key disjoint from every statement's, so identical
+/// statements share memoized transfers across function versions, daemon
+/// requests and snapshot restores. Trace events still carry the positional statement
 /// index (`tcx.stmt`) for human-facing timelines.
 ///
 /// Outputs are compressed and interned *here*, so a memo hit shares the
@@ -513,8 +544,9 @@ fn load(
     out
 }
 
-/// Refine an RSRSG by a branch condition. `taken` selects the edge: `true`
-/// for the condition-holds successor.
+/// Refine an RSRSG by a branch condition: a pure filter, so the result is
+/// still reduced. `taken` selects the edge: `true` for the condition-holds
+/// successor.
 ///
 /// * `PtrNull(x)`: PL absence encodes NULL exactly, so both edges filter
 ///   exactly.
@@ -522,89 +554,19 @@ fn load(
 ///   locations and pvar-pointed nodes are singular, so node equality decides
 ///   pointer equality exactly.
 /// * `ScalarEq(v, k)`: graphs knowing `v`'s constant filter exactly; graphs
-///   that do not know it pass through, and the true edge *learns* the
-///   constant (narrowing is sound: the edge's configurations satisfy it).
+///   that do not know it pass through. The engine then lets the true edge
+///   learn the constant with [`GraphAction::Scalar`].
 /// * `Opaque`: no refinement.
-pub fn refine_by_cond(
-    input: &Rsrsg,
-    cond: &Cond,
-    taken: bool,
-    ctx: &ShapeCtx,
-    level: Level,
-) -> Rsrsg {
+pub fn refine_by_cond(input: &Rsrsg, cond: &Cond, taken: bool) -> Rsrsg {
     match *cond {
         Cond::Opaque => input.clone(),
         Cond::PtrNull(x) => input.filter(|g| (g.pl(x).is_none()) == taken),
         Cond::PtrEq(x, y) => input.filter(|g| (g.pl(x) == g.pl(y)) == taken),
-        Cond::ScalarEq(v, k) => {
-            let kept = input.filter(|g| match g.scalar(v.0) {
-                Some(actual) => (actual == k) == taken,
-                None => true,
-            });
-            if taken {
-                kept.map(ctx, level, |g| {
-                    let mut g = g.clone();
-                    g.set_scalar(v.0, k);
-                    g
-                })
-            } else {
-                kept
-            }
-        }
+        Cond::ScalarEq(v, k) => input.filter(|g| match g.scalar(v.0) {
+            Some(actual) => (actual == k) == taken,
+            None => true,
+        }),
     }
-}
-
-/// Apply a tracked-scalar statement over an RSRSG.
-pub fn transfer_scalar(
-    input: &Rsrsg,
-    var: psa_ir::ScalarId,
-    value: Option<i64>,
-    ctx: &ShapeCtx,
-    level: Level,
-) -> Rsrsg {
-    input.map(ctx, level, |g| {
-        let mut g = g.clone();
-        match value {
-            Some(k) => g.set_scalar(var.0, k),
-            None => g.clear_scalar(var.0),
-        }
-        g
-    })
-}
-
-/// Mark the bound targets of `ipvars` as TOUCHED (applied on loop-entry
-/// edges): the location a traversal cursor starts on is the first
-/// iteration's visited element. Without this, a cyclic traversal that
-/// returns to its starting location would evade revisit detection.
-pub fn enter_touch(input: &Rsrsg, ipvars: &[PvarId], ctx: &ShapeCtx, level: Level) -> Rsrsg {
-    if ipvars.is_empty() || !level.use_touch() {
-        return input.clone();
-    }
-    input.map(ctx, level, |g| {
-        let mut g = g.clone();
-        for &p in ipvars {
-            if let Some(n) = g.pl(p) {
-                g.node_mut(n).touch.insert(p);
-            }
-        }
-        g
-    })
-}
-
-/// Clear the TOUCH marks of `ipvars` on every node of every graph (applied
-/// on loop-exit edges: "after exiting a loop body the TOUCH information
-/// regarding the ipvars of this loop are not needed any more").
-pub fn clear_touch(input: &Rsrsg, ipvars: &[PvarId], ctx: &ShapeCtx, level: Level) -> Rsrsg {
-    if ipvars.is_empty() {
-        return input.clone();
-    }
-    input.map(ctx, level, |g| {
-        let mut g = g.clone();
-        for n in g.node_ids().collect::<Vec<_>>() {
-            g.node_mut(n).touch.remove_all(ipvars);
-        }
-        g
-    })
 }
 
 #[cfg(test)]
@@ -921,10 +883,10 @@ mod tests {
         );
         s.insert(Rsg::empty(1), &ctx, Level::L1);
         assert_eq!(s.len(), 2);
-        let null_side = refine_by_cond(&s, &Cond::PtrNull(PvarId(0)), true, &ctx, Level::L1);
+        let null_side = refine_by_cond(&s, &Cond::PtrNull(PvarId(0)), true);
         assert_eq!(null_side.len(), 1);
         assert!(null_side.graphs()[0].pl(PvarId(0)).is_none());
-        let nonnull_side = refine_by_cond(&s, &Cond::PtrNull(PvarId(0)), false, &ctx, Level::L1);
+        let nonnull_side = refine_by_cond(&s, &Cond::PtrNull(PvarId(0)), false);
         assert_eq!(nonnull_side.len(), 1);
         assert!(nonnull_side.graphs()[0].pl(PvarId(0)).is_some());
     }
@@ -945,21 +907,9 @@ mod tests {
         let mut s = Rsrsg::new();
         s.insert(g1, &ctx, Level::L1);
         s.insert(g2, &ctx, Level::L1);
-        let eq = refine_by_cond(
-            &s,
-            &Cond::PtrEq(PvarId(0), PvarId(1)),
-            true,
-            &ctx,
-            Level::L1,
-        );
+        let eq = refine_by_cond(&s, &Cond::PtrEq(PvarId(0), PvarId(1)), true);
         assert_eq!(eq.len(), 1);
-        let ne = refine_by_cond(
-            &s,
-            &Cond::PtrEq(PvarId(0), PvarId(1)),
-            false,
-            &ctx,
-            Level::L1,
-        );
+        let ne = refine_by_cond(&s, &Cond::PtrEq(PvarId(0), PvarId(1)), false);
         assert_eq!(ne.len(), 1);
     }
 
@@ -971,7 +921,13 @@ mod tests {
         g.node_mut(ids[1]).touch.insert(PvarId(1));
         let mut s = Rsrsg::new();
         s.insert(g, &ctx, Level::L3);
-        let cleared = clear_touch(&s, &[PvarId(1)], &ctx, Level::L3);
+        let ipvars = [PvarId(1)];
+        let cleared = transfer_rsrsg(
+            &s,
+            &GraphAction::ClearTouch(&ipvars),
+            &tcx(&ctx, Level::L3, &[]),
+            &mut AnalysisStats::default(),
+        );
         for g in cleared.iter() {
             for n in g.node_ids() {
                 assert!(g.node(n).touch.is_empty());

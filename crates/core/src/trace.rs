@@ -54,6 +54,7 @@ fn lock_table_name(code: u64) -> &'static str {
         0 => "interner",
         1 => "subsume",
         2 => "transfer",
+        3 => "join",
         _ => "unknown",
     }
 }

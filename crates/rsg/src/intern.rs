@@ -31,18 +31,22 @@
 //! * the **subsumption memo** — `(CanonId, CanonId) → bool` embedding
 //!   verdicts, so a subsumption query for a pair of canonical forms runs
 //!   the backtracking search at most once per analysis run;
+//! * the **JOIN memo** — `(level, CanonId, CanonId) → CanonId`, the
+//!   interned id of `compress(join(a, b))`, shared by RSRSG insertion and
+//!   the widening join, so a pair of canonical forms is joined at most once
+//!   per table set;
 //! * [`OpMetrics`] / [`OpStats`] — atomic op-level work counters
 //!   (insert/subsume/join/compress/prune calls, cache hits vs. search
 //!   fallbacks, interner size, peak set widths, stripe-lock contention)
 //!   that the engine snapshots into its per-run statistics;
-//! * [`SharedTables`] — the bundle of all three, carried by
+//! * [`SharedTables`] — the bundle of all of them, carried by
 //!   [`crate::ShapeCtx`] behind an `Arc` so the engine worklist, the
 //!   scoped-thread fan-out path and the progressive L1→L2→L3 driver all
 //!   share one table set. It owns each memo's one lookup and one store.
 //!
 //! # Lock striping (DESIGN.md §12)
 //!
-//! The interner's dedup index and both memos are instances of one
+//! The interner's dedup index and the three memos are instances of one
 //! lock-striped map, `Striped`: entries are distributed over
 //! `STRIPES` segments by key hash, each behind its own `Mutex`, so
 //! parallel fan-out workers interning or memoizing different keys do not
@@ -62,6 +66,7 @@
 //! has no registry access for `parking_lot`).
 
 use crate::canon::{canonical_bytes, canonical_bytes_batch};
+use crate::ctx::Level;
 use crate::graph::Rsg;
 use crate::subsume::{embedding_stage, pinned_stage, subsumes};
 use crate::trace::{TraceKind, Tracer};
@@ -88,6 +93,8 @@ pub enum LockTable {
     Subsume = 1,
     /// The transfer memo.
     Transfer = 2,
+    /// The JOIN memo.
+    Join = 3,
 }
 
 impl LockTable {
@@ -97,6 +104,7 @@ impl LockTable {
             LockTable::Intern => (&m.intern_lock_wait_ns, &m.intern_lock_contended),
             LockTable::Subsume => (&m.subsume_lock_wait_ns, &m.subsume_lock_contended),
             LockTable::Transfer => (&m.transfer_lock_wait_ns, &m.transfer_lock_contended),
+            LockTable::Join => (&m.join_lock_wait_ns, &m.join_lock_contended),
         }
     }
 }
@@ -353,7 +361,7 @@ const SLAB_MAX_SEGS: usize = 1 << 12;
 
 /// A hash map split over [`STRIPES`] mutex-guarded stripes, picked by a
 /// mixed 64-bit key hash, so workers touching different keys do not convoy
-/// on one lock. The interner's dedup index and both memos are instances;
+/// on one lock. The interner's dedup index and the three memos are instances;
 /// the [`LockTable`] tag says which, for contention accounting.
 #[derive(Debug)]
 pub(crate) struct Striped<K, V> {
@@ -766,6 +774,16 @@ fn transfer_key_hash(k: &TransferKey) -> u64 {
     mix(((k.0 as u64) << 32) | k.1 as u64) ^ mix(k.2 .0 as u64)
 }
 
+/// JOIN-memo key: the level and the ids of JOIN's two inputs, in argument
+/// order. COMPRESS and JOIN read nothing of the [`crate::ShapeCtx`] but the
+/// level, so no configuration epoch is needed.
+type JoinKey = (Level, CanonId, CanonId);
+
+/// Stripe hash of a JOIN-memo key.
+fn join_key_hash(&(level, a, b): &JoinKey) -> u64 {
+    mix(((a.0 as u64) << 32) | b.0 as u64) ^ level as u64
+}
+
 /// Declares every op metric once: `OpMetrics` (atomics) and `OpStats`
 /// (plain data) get one field per name, counters first, then gauges.
 /// Counters are subtracted by [`OpStats::delta`] and summed by
@@ -841,7 +859,7 @@ op_metrics! {
     pub struct OpMetrics;
     /// Plain-data snapshot of [`OpMetrics`], also used as a delta between
     /// two snapshots. Every counter is a deterministic work count except
-    /// the six `*_lock_*` fields, which measure stripe-lock contention
+    /// the eight `*_lock_*` fields, which measure stripe-lock contention
     /// (`*_lock_wait_ns` in cumulative nanoseconds). Time per kernel is
     /// not counted here: it is the trace journal's exclusive self-time
     /// ([`crate::trace`]).
@@ -866,9 +884,11 @@ op_metrics! {
         subsume_prefilter_rejects,
         /// Queries that fell through to the backtracking embedding search.
         subsume_searches,
-        /// JOIN operations performed by insertion and widening.
+        /// JOINs of a compatible candidate into a member by RSRSG insertion,
+        /// memo hits included. Widening's forced joins are counted in
+        /// `widen_forced_joins` instead.
         join_calls,
-        /// COMPRESS operations.
+        /// COMPRESS kernel runs (a memo hit runs none).
         compress_calls,
         /// PRUNE operations.
         prune_calls,
@@ -876,8 +896,11 @@ op_metrics! {
         divide_calls,
         /// Materializations (focus steps).
         materialize_calls,
-        /// Forced joins performed by the widening operator.
+        /// Forced joins performed by the widening operator, memo hits
+        /// included.
         widen_forced_joins,
+        /// JOINs (insertion and widening) answered from the JOIN memo.
+        join_memo_hits,
         /// Union operations between RSRSGs.
         union_calls,
         /// Canonicalization lookups that found an existing entry.
@@ -910,6 +933,8 @@ op_metrics! {
         subsume_lock_contended,
         /// Contended transfer-memo stripe-lock acquisitions.
         transfer_lock_contended,
+        /// Contended JOIN-memo stripe-lock acquisitions.
+        join_lock_contended,
         /// Nanoseconds spent waiting on contended interner stripe locks.
         intern_lock_wait_ns,
         /// Nanoseconds spent waiting on contended subsumption-memo stripe
@@ -918,6 +943,8 @@ op_metrics! {
         /// Nanoseconds spent waiting on contended transfer-memo stripe
         /// locks.
         transfer_lock_wait_ns,
+        /// Nanoseconds spent waiting on contended JOIN-memo stripe locks.
+        join_lock_wait_ns,
         /// Recursive-call summary lookups issued (hits + misses).
         summary_queries,
         /// Summary lookups answered from a finalized cache entry.
@@ -935,6 +962,8 @@ op_metrics! {
         cache_size,
         /// Memoized transfer triples (set at snapshot time).
         transfer_cache_size,
+        /// Memoized JOIN results (set at snapshot time).
+        join_cache_size,
         /// Widest RSRSG (graph count) seen by any insert.
         peak_set_width,
     }
@@ -978,14 +1007,20 @@ impl OpStats {
     }
 
     /// Total nanoseconds spent waiting on contended stripe locks across all
-    /// three tables.
+    /// four tables.
     pub fn lock_wait_ns(&self) -> u64 {
-        self.intern_lock_wait_ns + self.subsume_lock_wait_ns + self.transfer_lock_wait_ns
+        self.intern_lock_wait_ns
+            + self.subsume_lock_wait_ns
+            + self.transfer_lock_wait_ns
+            + self.join_lock_wait_ns
     }
 
-    /// Total contended stripe-lock acquisitions across all three tables.
+    /// Total contended stripe-lock acquisitions across all four tables.
     pub fn lock_contended(&self) -> u64 {
-        self.intern_lock_contended + self.subsume_lock_contended + self.transfer_lock_contended
+        self.intern_lock_contended
+            + self.subsume_lock_contended
+            + self.transfer_lock_contended
+            + self.join_lock_contended
     }
 }
 
@@ -1141,12 +1176,12 @@ impl SummaryCache {
     }
 }
 
-/// The run-wide bundle: interner + subsumption and transfer memos +
+/// The run-wide bundle: interner + subsumption, transfer and JOIN memos +
 /// metrics, shared by every RSRSG operation of an analysis via
 /// [`crate::ShapeCtx`].
 ///
-/// The *tables* (interner, subsumption memo, transfer memo, epoch and
-/// statement-slot registries) sit behind `Arc`s, while the *observers*
+/// The *tables* (interner, subsumption memo, transfer memo, JOIN memo,
+/// epoch and statement-slot registries) sit behind `Arc`s, while the *observers*
 /// (metrics, cancellation token, tracer) are owned per handle. A
 /// [`SharedTables::session`] therefore shares every byte of cached state
 /// with its parent but counts, cancels and traces independently — the
@@ -1161,6 +1196,10 @@ pub struct SharedTables {
     pub(crate) subsume: Arc<Striped<SubsumeKey, bool>>,
     /// Per-statement transfer memo.
     pub(crate) transfer: Arc<Striped<TransferKey, Arc<TransferOutcome>>>,
+    /// JOIN memo: the interned id of `compress(join(a, b))` per level and
+    /// input pair. Ids only, no graphs: the interner already keeps each
+    /// output's representative. Not persisted by snapshots.
+    pub(crate) join: Arc<Striped<JoinKey, CanonId>>,
     /// Recursive-call summary table (per function body + epoch + entry
     /// graph). Shared like the other tables; not persisted by snapshots.
     pub summaries: Arc<SummaryCache>,
@@ -1200,6 +1239,7 @@ impl SharedTables {
             interner: Arc::new(Interner::new()),
             subsume: Arc::new(Striped::new(LockTable::Subsume)),
             transfer: Arc::new(Striped::new(LockTable::Transfer)),
+            join: Arc::new(Striped::new(LockTable::Join)),
             summaries: Arc::new(SummaryCache::new()),
             metrics: OpMetrics::default(),
             cancel: CancelToken::default(),
@@ -1211,7 +1251,7 @@ impl SharedTables {
     }
 
     /// A handle sharing this table set's cached state — interner,
-    /// subsumption memo, transfer memo, epoch and slot registries — with
+    /// subsumption, transfer and JOIN memos, epoch and slot registries — with
     /// fresh, independent observers (metrics, cancellation token, tracer).
     /// The daemon takes one session per request: the request inherits every
     /// warm entry, its budget deadline can only cancel itself, and its op
@@ -1221,6 +1261,7 @@ impl SharedTables {
             interner: self.interner.clone(),
             subsume: self.subsume.clone(),
             transfer: self.transfer.clone(),
+            join: self.join.clone(),
             summaries: self.summaries.clone(),
             metrics: OpMetrics::default(),
             cancel: CancelToken::default(),
@@ -1233,15 +1274,17 @@ impl SharedTables {
 
     /// Approximate bytes retained by the shared tables: interned canonical
     /// forms and representative graphs, plus a flat per-entry estimate for
-    /// the subsumption and transfer memos. Used by the table-byte budget;
-    /// an estimate, not an allocator measurement.
+    /// the subsumption, transfer and JOIN memos. Used by the table-byte
+    /// budget; an estimate, not an allocator measurement.
     pub fn approx_table_bytes(&self) -> usize {
         // HashMap entry overhead plus key/value payload, flat-rated.
         const SUBSUME_ENTRY_BYTES: usize = 32;
         const TRANSFER_ENTRY_BYTES: usize = 96;
+        const JOIN_ENTRY_BYTES: usize = 32;
         self.interner.approx_bytes()
             + self.subsume.len() * SUBSUME_ENTRY_BYTES
             + self.transfer.len() * TRANSFER_ENTRY_BYTES
+            + self.join.len() * JOIN_ENTRY_BYTES
     }
 
     /// The epoch id for a configuration key, minting a fresh one for keys
@@ -1275,8 +1318,9 @@ impl SharedTables {
     }
 
     /// Tables that intern (storage still needs ids) but answer every
-    /// subsumption query with the raw backtracking search — the reference
-    /// behaviour the differential regression suite compares against.
+    /// subsumption query with the raw backtracking search and consult none
+    /// of the memos — the reference behaviour the differential regression
+    /// suite compares against.
     pub fn without_cache() -> SharedTables {
         SharedTables {
             cache_enabled: false,
@@ -1375,6 +1419,23 @@ impl SharedTables {
             .insert(k, outcome);
     }
 
+    /// The memoized id of `compress(join(a, b))` at `level`, if any.
+    pub fn join_lookup(&self, level: Level, a: CanonId, b: CanonId) -> Option<CanonId> {
+        let k = (level, a, b);
+        self.join
+            .lock(join_key_hash(&k), &self.metrics, &self.tracer)
+            .get(&k)
+            .copied()
+    }
+
+    /// Record the interned id of `compress(join(a, b))` at `level`.
+    pub fn join_store(&self, level: Level, a: CanonId, b: CanonId, out: CanonId) {
+        let k = (level, a, b);
+        self.join
+            .lock(join_key_hash(&k), &self.metrics, &self.tracer)
+            .insert(k, out);
+    }
+
     /// `subsumes(general, specific)` through the pre-filters and the memo
     /// table. With the cache disabled (the engine's reference oracle) this
     /// is exactly the raw search (plus counters), which is what makes
@@ -1441,6 +1502,9 @@ impl SharedTables {
         self.metrics
             .transfer_cache_size
             .store(self.transfer.len() as u64, Ordering::Relaxed);
+        self.metrics
+            .join_cache_size
+            .store(self.join.len() as u64, Ordering::Relaxed);
         self.metrics.snapshot()
     }
 }
@@ -1788,6 +1852,7 @@ mod tests {
                 s.transfer_lock_contended,
                 s.transfer_lock_wait_ns,
             ),
+            (LockTable::Join, s.join_lock_contended, s.join_lock_wait_ns),
         ] {
             if which == table {
                 assert_eq!(contended, 1, "{which:?} contended acquisitions");
@@ -1837,6 +1902,32 @@ mod tests {
             t.transfer_lookup(0, 0, e.id);
         });
         assert_only_contended(&t, LockTable::Transfer);
+    }
+
+    #[test]
+    fn contended_join_lock_is_accounted() {
+        let t = SharedTables::new();
+        t.tracer.enable();
+        let e = t.intern(&sll(3));
+        contend(&t, &t.join, || {
+            t.join_lookup(Level::L1, e.id, e.id);
+        });
+        assert_only_contended(&t, LockTable::Join);
+    }
+
+    #[test]
+    fn join_memo_roundtrip() {
+        let t = SharedTables::new();
+        let (a, b) = (t.intern(&sll(2)).id, t.intern(&sll(3)).id);
+        assert_eq!(t.join_lookup(Level::L1, a, b), None);
+        t.join_store(Level::L1, a, b, b);
+        assert_eq!(t.join_lookup(Level::L1, a, b), Some(b));
+        // Argument order and level are part of the key.
+        assert_eq!(t.join_lookup(Level::L1, b, a), None);
+        assert_eq!(t.join_lookup(Level::L2, a, b), None);
+        assert_eq!(t.snapshot().join_cache_size, 1);
+        // Sessions share the memo.
+        assert_eq!(t.session().join_lookup(Level::L1, a, b), Some(b));
     }
 
     #[test]

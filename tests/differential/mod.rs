@@ -38,7 +38,8 @@ pub fn run_pair(
 }
 
 /// Assert the default run matches the reference run, and that the
-/// reference run touched none of the memo or delta paths.
+/// reference run touched none of the memo or delta paths (subsumption,
+/// transfer and JOIN memos, delta worklist).
 pub fn assert_matches_reference(src: &str, level: Level) {
     let (default, reference) = run_pair(src, level);
     match (&default, &reference) {
@@ -72,6 +73,7 @@ pub fn assert_matches_reference(src: &str, level: Level) {
             assert_eq!(ops.subsume_cache_hits, 0, "{ops:?}");
             assert_eq!(ops.subsume_prefilter_rejects, 0, "{ops:?}");
             assert_eq!(ops.transfer_queries, 0, "{ops:?}");
+            assert_eq!(ops.join_memo_hits, 0, "{ops:?}");
             assert_eq!(ops.delta_stmt_hits, 0, "{ops:?}");
             assert_eq!(ops.delta_stmt_extends, 0, "{ops:?}");
             assert_eq!(ops.delta_stmt_fulls, 0, "{ops:?}");

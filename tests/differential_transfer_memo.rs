@@ -86,24 +86,48 @@ fn memoized_run_actually_hits_the_memo() {
 #[test]
 fn progressive_rerun_at_same_level_answers_from_the_memo() {
     // Two engines over one ShapeCtx at the same level and config: the
-    // second run's transfers are all answered by the memo populated by the
-    // first (the progressive L1→L3 re-run scenario, collapsed to one
-    // level).
-    let ir = lower(&dll_program(8));
-    let ctx = psa::rsg::ShapeCtx::from_ir(&ir);
-    let cfg = EngineConfig::at_level(Level::L1);
-    let first = Engine::with_shape_ctx(&ir, cfg.clone(), ctx.clone())
-        .run()
-        .unwrap();
-    let second = Engine::with_shape_ctx(&ir, cfg, ctx).run().unwrap();
-    assert!(first.exit.same_as(&second.exit));
-    assert!(first.stats.ops.transfer_memo_misses > 0);
-    assert_eq!(
-        second.stats.ops.transfer_memo_misses, 0,
-        "a same-config re-run must answer every transfer from the memo: {:?}",
-        second.stats.ops
-    );
-    assert!(second.stats.ops.transfer_memo_hits > 0);
+    // second run is answered entirely by the memos the first populated (the
+    // progressive L1→L3 re-run scenario, collapsed to one level). Every
+    // statement transfer and loop-edge edit hits the transfer memo and
+    // every JOIN hits the JOIN memo, so no COMPRESS runs and no canonical
+    // form is minted. Barnes-Hut at L3 covers the loop-edge TOUCH edits.
+    let sizes = psa::codes::Sizes::tiny();
+    for (name, src, level) in [
+        ("dll", dll_program(8), Level::L1),
+        ("barnes-hut", psa::codes::barnes_hut(sizes), Level::L3),
+    ] {
+        let ir = lower(&src);
+        let ctx = psa::rsg::ShapeCtx::from_ir(&ir);
+        let cfg = EngineConfig::at_level(level);
+        let first = Engine::with_shape_ctx(&ir, cfg.clone(), ctx.clone())
+            .run()
+            .unwrap();
+        let second = Engine::with_shape_ctx(&ir, cfg, ctx).run().unwrap();
+        assert!(first.exit.same_as(&second.exit), "{name}");
+        assert!(first.stats.ops.transfer_memo_misses > 0, "{name}");
+        let ops = &second.stats.ops;
+        assert_eq!(
+            ops.transfer_memo_misses, 0,
+            "{name}: a same-config re-run must answer every transfer from the memo: {ops:?}"
+        );
+        assert!(ops.transfer_memo_hits > 0, "{name}: {ops:?}");
+        assert_eq!(ops.compress_calls, 0, "{name}: {ops:?}");
+        assert_eq!(
+            ops.join_memo_hits,
+            ops.join_calls + ops.widen_forced_joins,
+            "{name}: every JOIN of the re-run must hit the JOIN memo: {ops:?}"
+        );
+        assert_eq!(ops.intern_misses, 0, "{name}: {ops:?}");
+        if level.use_touch() {
+            // Statement transfers query the memo once per transferred
+            // graph; the surplus are the loop edges' TOUCH edits.
+            let first = &first.stats.ops;
+            assert!(
+                first.transfer_queries > first.delta_graphs_transferred,
+                "{name}: loop-edge edits must go through the transfer memo: {first:?}"
+            );
+        }
+    }
 }
 
 proptest! {

@@ -2,7 +2,9 @@
 //! idempotence, and the widening join.
 
 use psa::core::rsrsg::Rsrsg;
-use psa::ir::PvarId;
+use psa::core::semantics::{transfer_rsrsg, GraphAction, TransferCtx};
+use psa::core::stats::AnalysisStats;
+use psa::ir::{PtrStmt, PvarId};
 use psa::rsg::{builder, Level, Rsg, ShapeCtx};
 use psa_cfront::types::SelectorId;
 
@@ -109,12 +111,12 @@ fn filter_and_map_preserve_reduction() {
     s.insert(Rsg::empty(2), &ctx, Level::L1);
     let bound = s.filter(|g| g.pl(PvarId(0)).is_some());
     assert_eq!(bound.len(), 1);
-    let cleared = s.map(&ctx, Level::L1, |g| {
-        let mut g = g.clone();
-        g.clear_pl(PvarId(0));
-        g.gc();
-        g
-    });
+    let cleared = transfer_rsrsg(
+        &s,
+        &GraphAction::Ptr(&PtrStmt::Nil(PvarId(0))),
+        &TransferCtx::new(&ctx, Level::L1, &[]),
+        &mut AnalysisStats::default(),
+    );
     // Both members map to the empty graph and dedup.
     assert_eq!(cleared.len(), 1);
 }
