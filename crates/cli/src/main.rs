@@ -4,7 +4,7 @@
 //! psa analyze <file.c> [--level L1|L2|L3|auto] [--function main]
 //!             [--dot DIR] [--stmt-dump] [--parallel-report]
 //!             [--budget-nodes N] [--budget-rsgs N] [--budget-ms N]
-//!             [--trace FILE] [--threads N]
+//!             [--trace FILE]
 //! psa ir <file.c> [--function main]
 //! psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [--level ...]
 //! ```
@@ -83,7 +83,6 @@ struct Flags {
     trace: Option<String>,
     checks: Vec<Check>,
     seeds: usize,
-    threads: Option<usize>,
     save_cache: Option<String>,
     load_cache: Option<String>,
 }
@@ -121,7 +120,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         trace: None,
         checks: Vec::new(),
         seeds: 3,
-        threads: None,
         save_cache: None,
         load_cache: None,
     };
@@ -187,10 +185,6 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--seeds" => {
                 i += 1;
                 f.seeds = parse_count(args, i, "--seeds")?.max(1);
-            }
-            "--threads" => {
-                i += 1;
-                f.threads = Some(parse_count(args, i, "--threads")?.max(1));
             }
             "--save-cache" => {
                 i += 1;
@@ -272,10 +266,10 @@ fn usage() -> String {
     "usage:\n  psa analyze <file.c> [--level L1|L2|L3|auto] [--function NAME] \
      [--dot DIR] [--stmt-dump] [--parallel-report] [--annotate] [--json] [--stats]\n  \
      \x20            [--budget-nodes N] [--budget-rsgs N] [--budget-ms N] [--trace FILE]\n  \
-     \x20            [--check asserts,memory] [--seeds N] [--threads N]\n  \
+     \x20            [--check asserts,memory] [--seeds N]\n  \
      \x20            [--save-cache FILE] [--load-cache FILE]\n  psa ir <file.c> [--function NAME]\n  \
      psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [flags]\n  \
-     psa serve [--threads N] [--load-cache FILE] [--save-cache FILE]\n  \
+     psa serve [--load-cache FILE] [--save-cache FILE]\n  \
      \x20       (newline-delimited JSON requests on stdin; see DESIGN.md \u{00a7}13)"
         .to_string()
 }
@@ -290,12 +284,8 @@ fn serve(flags: Flags) -> Result<(), String> {
         }
         None => std::sync::Arc::new(psa_rsg::SharedTables::new()),
     };
-    let server = psa_core::serve::Server::with_tables(
-        tables,
-        psa_core::serve::ServeOptions {
-            parallel_threads: flags.threads,
-        },
-    );
+    let server =
+        psa_core::serve::Server::with_tables(tables, psa_core::serve::ServeOptions::default());
     let stdin = std::io::stdin();
     // `Stdout` (not `StdoutLock`) is `Send`, which the per-request handler
     // threads need; the serve loop serializes writes under its own lock.
@@ -400,7 +390,6 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         level: flags.level,
         budget: flags.budget,
         trace: flags.trace.is_some(),
-        parallel_threads: flags.threads,
         tables,
     };
     let analyzer = Analyzer::new(src, options).map_err(|e| e.to_string())?;
@@ -447,37 +436,38 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         None => None,
     };
 
-    // Evaluate `// @assert` comments when asked: abstractly against the
-    // analysis result, concretely against seeded interpreter runs.
-    let assert_report = if flags.check_asserts() {
-        let asserts = psa_ir::asserts_of_source(src, analyzer.ir()).map_err(|e| e.to_string())?;
-        let seeds: Vec<u64> = (1..=flags.seeds as u64).collect();
-        Some(psa_concrete::evaluate_asserts(
-            analyzer.ir(),
-            &result,
-            &asserts,
-            &seeds,
-        ))
+    // `--check`: `// @assert` comments are evaluated abstractly against the
+    // analysis result, memory-safety verdicts are built from the fixed
+    // point, and both are checked against one set of seeded interpreter
+    // runs. An inconclusive memory report needs no runs of its own.
+    let asserts = if flags.check_asserts() {
+        Some(psa_ir::asserts_of_source(src, analyzer.ir()).map_err(|e| e.to_string())?)
     } else {
         None
     };
-
-    // Memory-safety verdicts when asked: abstract per-statement verdicts
-    // from the fixed point, every `safe` claim validated against seeded
-    // concrete executions.
-    let memory_reports = if flags.check_memory() {
-        let abs = psa_core::memsafe::memory_report(analyzer.ir(), &result);
+    let memory_abs = flags
+        .check_memory()
+        .then(|| psa_core::memsafe::memory_report(analyzer.ir(), &result));
+    let needs_runs = asserts.is_some()
+        || memory_abs
+            .as_ref()
+            .is_some_and(|abs| abs.inconclusive.is_none());
+    let execs = if needs_runs {
         let seeds: Vec<u64> = (1..=flags.seeds as u64).collect();
-        let diff = psa_concrete::memsafe::validate_memory_report(
+        psa_concrete::execute(
             analyzer.ir(),
-            &abs,
-            psa_concrete::InterpConfig::default(),
+            &psa_concrete::InterpConfig::default(),
             &seeds,
-        );
-        Some((abs, diff))
+        )
     } else {
-        None
+        Vec::new()
     };
+    let assert_report = asserts
+        .map(|asserts| psa_concrete::evaluate_asserts_on(analyzer.ir(), &result, &asserts, &execs));
+    let memory_reports = memory_abs.map(|abs| {
+        let diff = psa_concrete::validate_memory_on(analyzer.ir(), &abs, &execs);
+        (abs, diff)
+    });
 
     // Soft budget caps yield a *partial* result: report everything we have,
     // then exit nonzero (but cleanly — no panic) so scripts notice. A

@@ -128,10 +128,11 @@ pub fn evaluate_asserts(
 }
 
 /// [`evaluate_asserts`] over seeded executions already in hand (see
-/// [`execute`]): the fuzzing farm runs them once, with a lowered step
-/// budget, for all of its oracles. Cyclic generatees otherwise walk to the
+/// [`execute`]). The CLI's `--check` runs them once for both of its
+/// oracles; the fuzzing farm runs them once, with a lowered step budget,
+/// for all of its oracles. Cyclic generatees otherwise walk to the
 /// 20k-step cap while snapshotting a growing heap at every step.
-pub(crate) fn evaluate_asserts_on(
+pub fn evaluate_asserts_on(
     ir: &FuncIr,
     result: &AnalysisResult,
     asserts: &[Assertion],

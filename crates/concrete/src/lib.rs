@@ -27,12 +27,14 @@ pub mod interp;
 pub mod memsafe;
 pub mod minimize;
 
-pub use asserts::{check_asserts, evaluate_asserts, AssertOutcome, AssertReport, Verdict};
+pub use asserts::{
+    check_asserts, evaluate_asserts, evaluate_asserts_on, AssertOutcome, AssertReport, Verdict,
+};
 pub use differential::{
     check_coverage, check_soundness, check_soundness_with, DiffVerdict, DifferentialReport,
 };
 pub use fuzz::{run_farm, FuzzConfig, FuzzFailure, FuzzReport};
 pub use heap::{ConcreteState, Loc};
 pub use interp::{execute, ExecOutcome, InterpConfig, Interpreter};
-pub use memsafe::{check_memory, validate_memory_report, MemDiffReport};
+pub use memsafe::{check_memory, validate_memory_on, validate_memory_report, MemDiffReport};
 pub use minimize::minimize_source;

@@ -86,8 +86,8 @@ pub fn check_memory(
 }
 
 /// Validate an already-built abstract memory report against executions of
-/// `ir` under `seeds` (on top of the base config `interp`) — the CLI path,
-/// which has an analyzer in hand and must not re-run the engine. An
+/// `ir` under `seeds` (on top of the base config `interp`), for a caller
+/// with an analysis in hand that must not re-run the engine. An
 /// inconclusive report executes nothing.
 pub fn validate_memory_report(
     ir: &psa_ir::FuncIr,
@@ -103,9 +103,9 @@ pub fn validate_memory_report(
 }
 
 /// [`validate_memory_report`] over seeded executions already in hand (see
-/// [`execute`]): the fuzzing farm's memory oracle, which shares its runs
-/// with the coverage and assertion oracles.
-pub(crate) fn validate_memory_on(
+/// [`execute`]): the memory oracle of the fuzzing farm and of the CLI's
+/// `--check`, which share their runs with the other oracles.
+pub fn validate_memory_on(
     ir: &psa_ir::FuncIr,
     abs: &MemReport,
     execs: &[(u64, ExecResult)],

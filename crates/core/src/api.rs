@@ -17,9 +17,6 @@ pub struct AnalysisOptions {
     pub level: Option<Level>,
     /// Resource budget.
     pub budget: Budget,
-    /// Parallel per-graph transfers on this many worker threads (`None` =
-    /// sequential); see [`EngineConfig::parallel_threads`].
-    pub parallel_threads: Option<usize>,
     /// Record a run-wide trace journal ([`psa_rsg::trace::Tracer`]);
     /// retrieve it with [`Analyzer::trace_events`]. Off by default:
     /// disabled tracing leaves every analysis output bit-identical.
@@ -39,7 +36,6 @@ impl Default for AnalysisOptions {
             function: "main".to_string(),
             level: Some(Level::L1),
             budget: Budget::default(),
-            parallel_threads: None,
             trace: false,
             tables: None,
         }
@@ -149,9 +145,7 @@ impl Analyzer {
 
     fn engine_config(&self, level: Level) -> EngineConfig {
         EngineConfig {
-            level,
             budget: self.options.budget,
-            parallel_threads: self.options.parallel_threads,
             ..EngineConfig::at_level(level)
         }
     }

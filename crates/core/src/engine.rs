@@ -11,15 +11,10 @@
 //!
 //! The engine stores the RSRSG *after every statement* — the paper's
 //! "RSRSG associated with each sentence" — plus timing and structural-byte
-//! accounting for the Table 1 harness. Setting
-//! [`EngineConfig::parallel_threads`] fans the per-graph statement
-//! transfers of RSRSGs with at least `PARALLEL_THRESHOLD` graphs out
-//! across that many threads (std scoped threads) with dynamic work
-//! claiming; results are re-unioned in canonical order, so parallel and
-//! sequential runs produce identical RSRSGs. All paths — sequential,
-//! fan-out workers, and the progressive driver when it reuses one
-//! [`ShapeCtx`] — share the run-wide interner and the subsumption,
-//! transfer and JOIN memos of [`psa_rsg::intern::SharedTables`].
+//! accounting for the Table 1 harness. Every run — including the
+//! progressive driver's, when it reuses one [`ShapeCtx`] — shares the
+//! run-wide interner and the subsumption, transfer and JOIN memos of
+//! [`psa_rsg::intern::SharedTables`].
 //!
 //! The fixpoint itself is incremental (see DESIGN.md §6): per-graph
 //! transfers — statements and loop-edge edits alike — are memoized by
@@ -38,11 +33,10 @@ use crate::semantics::{
 };
 use crate::stats::{AnalysisStats, Budget};
 use psa_ir::{BlockId, Cond, FuncIr, Stmt, StmtId, Terminator};
-use psa_rsg::intern::{CancelCause, CanonEntry, CanonId};
+use psa_rsg::intern::{CancelCause, CanonId};
 use psa_rsg::trace::TraceKind;
-use psa_rsg::{Level, Rsg, ShapeCtx};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use psa_rsg::{Level, ShapeCtx};
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 /// Soft cap on graphs per RSRSG before the widening join kicks in
@@ -51,9 +45,6 @@ use std::time::Instant;
 /// see [`Rsrsg::widen`].
 const WIDEN_CAP: usize = 12;
 
-/// Minimum graphs in an RSRSG before the parallel fan-out pays off.
-const PARALLEL_THRESHOLD: usize = 8;
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -61,18 +52,13 @@ pub struct EngineConfig {
     pub level: Level,
     /// Resource budget.
     pub budget: Budget,
-    /// Parallel fan-out of the graphs of large RSRSGs. `None` (the
-    /// default) runs sequentially; `Some(n)` fans out on `n` worker
-    /// threads, capped at the fan-out width — the CLI's `--threads N`.
-    pub parallel_threads: Option<usize>,
     /// Test and bench oracle, not a tuning knob: run the recompute-everything
     /// reference pipeline the default path must match bit for bit. Subsumption
     /// goes through the raw backtracking search
     /// ([`psa_rsg::intern::SharedTables::without_cache`]), every statement
     /// re-transfers every graph (no transfer memo, no delta worklist), PRUNE
-    /// is the whole-graph rescan ([`psa_rsg::prune::prune_reference`]), and
-    /// the fixpoint is always sequential. Build it with
-    /// [`EngineConfig::reference`].
+    /// is the whole-graph rescan ([`psa_rsg::prune::prune_reference`]).
+    /// Build it with [`EngineConfig::reference`].
     pub reference: bool,
 }
 
@@ -81,7 +67,6 @@ impl Default for EngineConfig {
         EngineConfig {
             level: Level::L1,
             budget: Budget::default(),
-            parallel_threads: None,
             reference: false,
         }
     }
@@ -396,7 +381,7 @@ pub struct Engine<'a> {
     /// Set by the call transfer when an interprocedural summary had to
     /// give up; `run_inner` converts it into a soft stop exactly like the
     /// RSG/deadline caps. A `Cell` because the transfer path only holds
-    /// `&self` (call transfers never run on fan-out workers).
+    /// `&self`.
     interproc_stop: std::cell::Cell<Option<InterprocReason>>,
 }
 
@@ -524,19 +509,18 @@ impl<'a> Engine<'a> {
 
     /// Run to the fixed point (or to a budget cap; see [`Budget`]).
     ///
-    /// Panic-free: any panic on the analysis path — including one raised on
-    /// a fan-out worker thread — is contained here and converted to
-    /// [`AnalysisError::Internal`]. The shared tables recover from mutex
-    /// poisoning ([`psa_rsg::lock_recover`]) and the cancellation token is
-    /// reset on entry, so a failed run never poisons a later run on the
-    /// same [`ShapeCtx`].
+    /// Panic-free: any panic on the analysis path is contained here and
+    /// converted to [`AnalysisError::Internal`]. The shared tables recover
+    /// from mutex poisoning ([`psa_rsg::lock_recover`]) and the
+    /// cancellation token is reset on entry and after a panic, so a failed
+    /// run never poisons a later run on the same [`ShapeCtx`].
     pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
         self.ctx.tables.cancel.reset();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner())) {
             Ok(r) => r,
             Err(payload) => {
-                // A worker panic may have set the token to stop its peers;
-                // clear it so the tables stay usable.
+                // A cap may have raised the token before the panic; clear
+                // it so the tables stay usable.
                 self.ctx.tables.cancel.reset();
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
@@ -724,10 +708,10 @@ impl<'a> Engine<'a> {
                     }
                 }
                 if stopped.is_none() {
-                    // The fold loops and fan-out workers raise the token
-                    // when a cap trips mid-statement; recover the recorded
-                    // cause instead of blaming whichever cap is polled
-                    // first (the deadline, historically).
+                    // The fold loops raise the token when a cap trips
+                    // mid-statement; recover the recorded cause instead of
+                    // blaming whichever cap is polled first (the deadline,
+                    // historically).
                     match cancel.cause() {
                         Some(CancelCause::TableBytes) => {
                             stopped = Some(BudgetKind::TableBytes {
@@ -754,7 +738,7 @@ impl<'a> Engine<'a> {
                                     .unwrap_or(InterprocReason::NestedStop),
                             });
                         }
-                        Some(CancelCause::External) | None => {}
+                        None => {}
                     }
                 }
                 if stopped.is_none() {
@@ -904,7 +888,7 @@ impl<'a> Engine<'a> {
             BudgetKind::Rsgs { .. } => CancelCause::Rsgs,
             BudgetKind::Deadline { .. } => CancelCause::Deadline,
             BudgetKind::Interproc { .. } => CancelCause::Interproc,
-            _ => CancelCause::External,
+            _ => return,
         };
         if self.ctx.tables.cancel.cancel_with(cause) {
             self.ctx
@@ -1052,9 +1036,7 @@ impl<'a> Engine<'a> {
 
     /// Transfer `input.graphs()[skip..]` through the memoized per-graph
     /// transfer and fold the compressed, interned outputs into `out` in
-    /// input order. Fans out across scoped threads with dynamic work
-    /// claiming when the slice is large enough and
-    /// [`EngineConfig::parallel_threads`] is set.
+    /// input order, stopping early once the cancellation token is raised.
     #[allow(clippy::too_many_arguments)]
     fn fold_transfer(
         &self,
@@ -1069,94 +1051,16 @@ impl<'a> Engine<'a> {
     ) {
         let graphs = &input.graphs()[skip..];
         let entries = &input.canon_entries()[skip..];
-        let fanout = self
-            .config
-            .parallel_threads
-            .filter(|_| graphs.len() >= PARALLEL_THRESHOLD);
-        if let Some(threads) = fanout {
-            // Dynamic work claiming: a shared atomic index hands one graph
-            // at a time to whichever worker is free, so one pathological
-            // graph no longer serializes a whole static chunk. Results are
-            // merged in input order, keeping the fold deterministic.
-            // Spawning more workers than graphs is pure overhead.
-            let nthreads = threads.max(1).min(graphs.len());
-            let next = AtomicUsize::new(0);
-            let mut partials: Vec<TransferPartial> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for _ in 0..nthreads {
-                    let next = &next;
-                    // Workers share `ctx` by reference, and through it
-                    // the run-wide interner/memo tables (all `Sync`).
-                    let tctx = *tcx;
-                    handles.push(scope.spawn(move || {
-                        let mut claimed = Vec::new();
-                        loop {
-                            // Honor cooperative cancellation between claims:
-                            // a tripped budget or a panicked peer stops the
-                            // fan-out without abandoning claimed results.
-                            if tctx.should_stop() {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= graphs.len() {
-                                break;
-                            }
-                            let mut local = AnalysisStats::default();
-                            let outs = transfer_one_cached(
-                                &graphs[i],
-                                &entries[i],
-                                action,
-                                slot,
-                                epoch,
-                                &tctx,
-                                &mut local,
-                            );
-                            claimed.push((i, outs, local));
-                        }
-                        claimed
-                    }));
-                }
-                handles
-                    .into_iter()
-                    .flat_map(|h| match h.join() {
-                        Ok(claimed) => claimed,
-                        Err(payload) => {
-                            // Stop the remaining workers, then re-raise so
-                            // the catch_unwind at the `run()` boundary turns
-                            // this into `AnalysisError::Internal`.
-                            tcx.ctx.tables.cancel.cancel();
-                            std::panic::resume_unwind(payload)
-                        }
-                    })
-                    .collect()
-            });
-            partials.sort_by_key(|(i, _, _)| *i);
-            for (_, outs, local) in partials {
-                for w in local.warnings {
-                    stats.warn(w);
-                }
-                stats.revisits.extend(local.revisits);
-                for (g, e) in outs {
-                    out.insert_compressed(g, e, &self.ctx, tcx.level);
-                }
+        for (g, e) in graphs.iter().zip(entries) {
+            if tcx.should_stop() {
+                break;
             }
-        } else {
-            for (g, e) in graphs.iter().zip(entries) {
-                if tcx.should_stop() {
-                    break;
-                }
-                for (og, oe) in transfer_one_cached(g, e, action, slot, epoch, tcx, stats) {
-                    out.insert_compressed(og, oe, &self.ctx, tcx.level);
-                }
+            for (og, oe) in transfer_one_cached(g, e, action, slot, epoch, tcx, stats) {
+                out.insert_compressed(og, oe, &self.ctx, tcx.level);
             }
         }
     }
 }
-
-/// One worker's share of a dynamically-claimed fan-out: the claimed graph
-/// index (for order-preserving merge), its transfer outputs, and the
-/// thread-local stat deltas.
-type TransferPartial = (usize, Vec<(Arc<Rsg>, CanonEntry)>, AnalysisStats);
 
 /// The last transfer of one statement, for the delta worklist: the input
 /// member ids it saw, and its output ids before and after widening.

@@ -601,7 +601,7 @@ fn ensure_summary(
             return Ok(e);
         }
         // Non-final but not ours (left by an aborted run or a concurrent
-        // worker): adopt it and iterate it to a fixpoint ourselves.
+        // serve request): adopt it and iterate it to a fixpoint ourselves.
         adopted = true;
     }
     m.summary_misses.fetch_add(1, Ordering::Relaxed);
@@ -688,7 +688,7 @@ fn iterate(
         let may_leak = internal_leak(callee, &exits, eng.ctx())
             || result.stats.call_sites.values().any(|c| c.may_leak);
         // Monotone union with whatever iterate is already cached (a
-        // concurrent worker may have contributed exits of its own).
+        // concurrent serve request may have contributed exits of its own).
         let prev = cache.get(key.0, key.1, key.2).unwrap_or_default();
         let mut merged = prev.clone();
         for x in exits {
@@ -739,7 +739,6 @@ fn run_callee_once(
     deadline: Option<Instant>,
 ) -> Result<crate::engine::AnalysisResult, InterprocReason> {
     let mut config = eng.config().clone();
-    config.parallel_threads = None;
     if let Some(dl) = deadline {
         let remaining = dl.saturating_duration_since(Instant::now());
         if remaining.is_zero() {

@@ -28,9 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-statement transfer context. `Copy`, so every fan-out worker takes
-/// its own handle.
-#[derive(Clone, Copy)]
+/// Per-statement transfer context.
 pub struct TransferCtx<'a> {
     /// The analysis universe.
     pub ctx: &'a ShapeCtx,

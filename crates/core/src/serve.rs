@@ -9,7 +9,7 @@
 //! previously analyzed program replays memoized transfers instead of
 //! recomputing them. Per-request state (metrics, cancellation, trace
 //! journal) is isolated through [`SharedTables::session`], so one
-//! request's budget cancelling cannot stop another's fan-out and
+//! request's budget cancelling cannot stop another request and
 //! per-request reports never accumulate another request's counters.
 //!
 //! # Protocol
@@ -54,14 +54,12 @@ use std::io::{BufRead, Write};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
-/// Engine knobs fixed for the server's lifetime (per-request knobs —
-/// level, budget, trace — arrive in each request's params).
+/// Server-lifetime options. There are none: every knob (level, budget,
+/// trace) arrives in each request's params. The type is kept so that
+/// [`Server::new`] and [`Server::with_tables`] keep their signatures for
+/// existing callers (the psa-bench harness among them).
 #[derive(Debug, Clone, Default)]
-pub struct ServeOptions {
-    /// Parallel per-graph transfers inside each request on this many
-    /// worker threads (`None` = sequential).
-    pub parallel_threads: Option<usize>,
-}
+pub struct ServeOptions {}
 
 /// Signature of the last program analyzed under a `key`, for `reanalyze`
 /// diffing. Statement signatures use the same content rendering as the
@@ -82,7 +80,6 @@ struct ServerTotals {
 /// and the in-process session tests drive it directly).
 pub struct Server {
     tables: RwLock<Arc<SharedTables>>,
-    options: ServeOptions,
     programs: Mutex<HashMap<String, CachedProgram>>,
     totals: Mutex<ServerTotals>,
 }
@@ -94,10 +91,9 @@ impl Server {
     }
 
     /// A server over pre-warmed tables (e.g. restored from a snapshot).
-    pub fn with_tables(tables: Arc<SharedTables>, options: ServeOptions) -> Server {
+    pub fn with_tables(tables: Arc<SharedTables>, _options: ServeOptions) -> Server {
         Server {
             tables: RwLock::new(tables),
-            options,
             programs: Mutex::new(HashMap::new()),
             totals: Mutex::new(ServerTotals {
                 requests: 0,
@@ -229,7 +225,6 @@ impl Server {
             function,
             level: Some(level),
             budget,
-            parallel_threads: self.options.parallel_threads,
             trace,
             tables: Some(Arc::clone(&session)),
         };

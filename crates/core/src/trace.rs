@@ -21,7 +21,7 @@
 use crate::json::Json;
 use psa_ir::FuncIr;
 use psa_rsg::trace::{TraceEvent, TraceKind};
-use psa_rsg::Level;
+use psa_rsg::{CancelCause, Level};
 use std::collections::BTreeMap;
 
 /// The level's 1-based ordinal, used as the `arg` of [`TraceKind::Run`]
@@ -31,19 +31,6 @@ pub fn level_ordinal(level: Level) -> u64 {
         Level::L1 => 1,
         Level::L2 => 2,
         Level::L3 => 3,
-    }
-}
-
-/// Cancel cause code rendered as a stable string (codes are the
-/// [`psa_rsg::CancelCause`] wire values carried in [`TraceKind::Cancel`]
-/// events).
-fn cancel_cause_name(code: u64) -> &'static str {
-    match code {
-        1 => "external",
-        2 => "deadline",
-        3 => "table_bytes",
-        4 => "rsgs",
-        _ => "unknown",
     }
 }
 
@@ -65,7 +52,7 @@ fn lock_table_name(code: u64) -> &'static str {
 ///
 /// Spans become `ph:"X"` complete events and instants `ph:"i"`
 /// thread-scoped instant events; every track additionally gets a
-/// `thread_name` metadata record so the viewer labels the worker lanes.
+/// `thread_name` metadata record so the viewer labels the thread lanes.
 /// Timestamps and durations are microseconds (the format's native unit)
 /// with nanosecond precision preserved in the fraction. No `Json` tree is
 /// built: on large runs the journal holds hundreds of thousands of events,
@@ -151,7 +138,14 @@ fn write_args(out: &mut String, e: &TraceEvent) {
         TraceKind::TransferMemoHit | TraceKind::TransferMemoMiss => {
             write!(out, "{{\"stmt\": {}, \"input\": {}}}", e.arg, e.arg2)
         }
-        TraceKind::Cancel => write!(out, "{{\"cause\": \"{}\"}}", cancel_cause_name(e.arg)),
+        TraceKind::Cancel => {
+            let cause = u8::try_from(e.arg).ok().and_then(CancelCause::from_code);
+            write!(
+                out,
+                "{{\"cause\": \"{}\"}}",
+                cause.map_or("unknown", CancelCause::name)
+            )
+        }
         TraceKind::LockWait => write!(
             out,
             "{{\"table\": \"{}\", \"wait_ns\": {}}}",
@@ -702,16 +696,25 @@ mod tests {
 
     #[test]
     fn cancel_args_name_the_cause() {
-        let doc = streamed(&[ev(TraceKind::Cancel, 0, 0, 0, 3, 0)]);
-        let te = doc.get("traceEvents").unwrap().as_array().unwrap();
-        let cancel = te
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("cancel"))
-            .unwrap();
-        assert_eq!(
-            cancel.get("args").unwrap().get("cause").unwrap().as_str(),
-            Some("table_bytes")
-        );
+        for (code, name) in [
+            (CancelCause::Deadline.code(), "deadline"),
+            (CancelCause::TableBytes.code(), "table_bytes"),
+            (CancelCause::Rsgs.code(), "rsgs"),
+            (CancelCause::Interproc.code(), "interproc"),
+            (1, "unknown"),
+        ] {
+            let doc = streamed(&[ev(TraceKind::Cancel, 0, 0, 0, code.into(), 0)]);
+            let te = doc.get("traceEvents").unwrap().as_array().unwrap();
+            let cancel = te
+                .iter()
+                .find(|e| e.get("name").unwrap().as_str() == Some("cancel"))
+                .unwrap();
+            assert_eq!(
+                cancel.get("args").unwrap().get("cause").unwrap().as_str(),
+                Some(name),
+                "code {code}"
+            );
+        }
     }
 
     #[test]

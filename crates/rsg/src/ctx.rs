@@ -99,8 +99,8 @@ pub struct ShapeCtx {
     pub struct_names: Vec<String>,
     /// Run-wide hash-consing, subsumption-memo and metrics tables
     /// (see [`crate::intern`]). Cloning a `ShapeCtx` shares the tables,
-    /// which is how the parallel fan-out path and the progressive
-    /// L1→L2→L3 driver reuse one interner.
+    /// which is how the progressive L1→L2→L3 driver and nested
+    /// call-summary engines reuse one interner.
     pub tables: Arc<SharedTables>,
 }
 

@@ -18,10 +18,10 @@
 //! * the **transfer memo** — `(config-epoch, statement, CanonId) → outputs`
 //!   for abstract statement transfer. Transfer is deterministic per input
 //!   graph, so any graph already transferred under a statement (in a
-//!   previous worklist iteration, by another fan-out worker, or by an
-//!   earlier engine run sharing the tables) is answered by lookup. Entries
-//!   record the diagnostics (warnings, TOUCH revisits) the original
-//!   transfer produced so a hit replays them;
+//!   previous worklist iteration, or by an earlier engine run or a
+//!   concurrent serve request sharing the tables) is answered by lookup.
+//!   Entries record the diagnostics (warnings, TOUCH revisits) the
+//!   original transfer produced so a hit replays them;
 //! * [`Fingerprint`] — a constant-size structural summary (pvar pinning,
 //!   node type/touch blooms, link selector set, scalar facts) whose
 //!   [`Fingerprint::may_subsume`] and [`Fingerprint::may_be_compatible`]
@@ -41,15 +41,15 @@
 //!   that the engine snapshots into its per-run statistics;
 //! * [`SharedTables`] — the bundle of all of them, carried by
 //!   [`crate::ShapeCtx`] behind an `Arc` so the engine worklist, the
-//!   scoped-thread fan-out path and the progressive L1→L2→L3 driver all
-//!   share one table set. It owns each memo's one lookup and one store.
+//!   progressive L1→L2→L3 driver and every `psa serve` request share one
+//!   table set. It owns each memo's one lookup and one store.
 //!
 //! # Lock striping (DESIGN.md §12)
 //!
 //! The interner's dedup index and the three memos are instances of one
 //! lock-striped map, `Striped`: entries are distributed over
 //! `STRIPES` segments by key hash, each behind its own `Mutex`, so
-//! parallel fan-out workers interning or memoizing different keys do not
+//! concurrent serve requests interning or memoizing different keys do not
 //! convoy on one global lock. The interner additionally resolves ids
 //! **without any lock**: minted entries go into an append-only segmented
 //! slab of `OnceLock` slots, filled *before* the id is published (inserted
@@ -78,8 +78,8 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::Instant;
 
 /// Number of lock stripes per shared table. A power of two so stripe
-/// selection is a mask; 16 covers any plausible fan-out width while
-/// keeping the per-table footprint trivial.
+/// selection is a mask; 16 covers any plausible number of concurrent
+/// serve requests while keeping the per-table footprint trivial.
 const STRIPES: usize = 16;
 
 /// The shared table a stripe lock belongs to. Its code (the discriminant)
@@ -360,7 +360,7 @@ const SLAB_SEG_LEN: usize = 1 << 10;
 const SLAB_MAX_SEGS: usize = 1 << 12;
 
 /// A hash map split over [`STRIPES`] mutex-guarded stripes, picked by a
-/// mixed 64-bit key hash, so workers touching different keys do not convoy
+/// mixed 64-bit key hash, so threads touching different keys do not convoy
 /// on one lock. The interner's dedup index and the three memos are instances;
 /// the [`LockTable`] tag says which, for contention accounting.
 #[derive(Debug)]
@@ -469,8 +469,9 @@ impl Default for Interner {
     }
 }
 
-/// Lock a mutex, recovering from poisoning. A panicking worker thread must
-/// not wedge the whole analysis: every critical section in the shared
+/// Lock a mutex, recovering from poisoning. A panic on one analysis (caught
+/// by `Engine::run`, or a serve request thread's) must not wedge later
+/// analyses on the same tables: every critical section in the shared
 /// tables is a single map operation, so the protected data stays consistent
 /// even when the panic unwound through it. All lock sites in the analysis —
 /// here and in downstream crates — go through this helper or
@@ -486,9 +487,6 @@ pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// mid-statement cancellation when one was set).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelCause {
-    /// Raised by `cancel()` without a stated cause (worker panic, caller
-    /// request).
-    External,
     /// The wall-clock deadline passed.
     Deadline,
     /// The shared-table byte cap tripped.
@@ -503,10 +501,19 @@ pub enum CancelCause {
 }
 
 impl CancelCause {
-    /// Stable small-integer code, used for trace-event arguments.
+    /// Every cause, in code order.
+    const ALL: [CancelCause; 4] = [
+        CancelCause::Deadline,
+        CancelCause::TableBytes,
+        CancelCause::Rsgs,
+        CancelCause::Interproc,
+    ];
+
+    /// Stable small-integer code, used for trace-event arguments. Code 1
+    /// is retired (it named a cause-less raise); the others keep their
+    /// values so older traces read the same.
     pub fn code(self) -> u8 {
         match self {
-            CancelCause::External => 1,
             CancelCause::Deadline => 2,
             CancelCause::TableBytes => 3,
             CancelCause::Rsgs => 4,
@@ -514,25 +521,29 @@ impl CancelCause {
         }
     }
 
-    fn from_code(code: u8) -> Option<CancelCause> {
-        match code {
-            1 => Some(CancelCause::External),
-            2 => Some(CancelCause::Deadline),
-            3 => Some(CancelCause::TableBytes),
-            4 => Some(CancelCause::Rsgs),
-            5 => Some(CancelCause::Interproc),
-            _ => None,
+    /// Stable name, used for the `cause` of exported trace events.
+    pub fn name(self) -> &'static str {
+        match self {
+            CancelCause::Deadline => "deadline",
+            CancelCause::TableBytes => "table_bytes",
+            CancelCause::Rsgs => "rsgs",
+            CancelCause::Interproc => "interproc",
         }
+    }
+
+    /// The cause with this [`CancelCause::code`], if any.
+    pub fn from_code(code: u8) -> Option<CancelCause> {
+        CancelCause::ALL.into_iter().find(|c| c.code() == code)
     }
 }
 
-/// Cooperative cancellation token shared by the engine worklist, the
-/// parallel fan-out workers, and the statement-transfer fold loops. Raised
-/// when a soft resource budget (RSGs per statement, table bytes, deadline)
-/// trips or when a fan-out worker panics; every loop that honors it stops
-/// claiming work and lets the engine surface a partial, `degraded`-marked
-/// result instead of running on. The token remembers *why* it was raised
-/// (first cause wins) so the engine reports the true stop reason.
+/// Cooperative cancellation token shared by the engine worklist and the
+/// statement-transfer fold loops. Raised when a soft resource budget (RSGs
+/// per statement, table bytes, deadline) trips or an interprocedural
+/// summary gives up; every loop that honors it stops transferring and lets
+/// the engine surface a partial, `degraded`-marked result instead of
+/// running on. The token remembers *why* it was raised (first cause wins)
+/// so the engine reports the true stop reason.
 #[derive(Debug, Default)]
 pub struct CancelToken {
     flag: AtomicBool,
@@ -541,12 +552,6 @@ pub struct CancelToken {
 }
 
 impl CancelToken {
-    /// Request cancellation with no specific budget cause. Idempotent;
-    /// never blocks.
-    pub fn cancel(&self) {
-        self.cancel_with(CancelCause::External);
-    }
-
     /// Request cancellation, recording `cause` if this is the first raise.
     /// Returns `true` exactly when this call raised the token (so callers
     /// can emit one trace event per raise). Never blocks.
@@ -1206,7 +1211,7 @@ pub struct SharedTables {
     /// Op-level counters (per handle; see [`SharedTables::session`]).
     pub metrics: OpMetrics,
     /// Cooperative cancellation flag, observed by the engine worklist and
-    /// the parallel fan-out workers. Reset by each `Engine::run` so one
+    /// its transfer loops. Reset by each `Engine::run` so one
     /// cancelled run does not poison the next run sharing these tables.
     /// Per handle: sessions cancel independently.
     pub cancel: CancelToken,
@@ -1615,24 +1620,17 @@ mod tests {
     }
 
     #[test]
-    fn plain_cancel_is_external_cause() {
-        let t = CancelToken::default();
-        t.cancel();
-        assert!(t.is_cancelled());
-        assert_eq!(t.cause(), Some(CancelCause::External));
-    }
-
-    #[test]
     fn cancel_cause_codes_roundtrip() {
         for c in [
-            CancelCause::External,
             CancelCause::Deadline,
             CancelCause::TableBytes,
             CancelCause::Rsgs,
+            CancelCause::Interproc,
         ] {
             assert_eq!(CancelCause::from_code(c.code()), Some(c));
         }
         assert_eq!(CancelCause::from_code(0), None);
+        assert_eq!(CancelCause::from_code(1), None, "code 1 is retired");
         assert_eq!(CancelCause::from_code(200), None);
     }
 
@@ -1999,7 +1997,7 @@ mod tests {
         assert_eq!(s.metrics.snapshot().intern_misses, 0);
         assert_eq!(s.metrics.snapshot().intern_hits, 1);
         assert_eq!(base.metrics.snapshot().intern_misses, 1);
-        s.cancel.cancel();
+        s.cancel.cancel_with(CancelCause::Deadline);
         assert!(s.cancel.is_cancelled());
         assert!(!base.cancel.is_cancelled());
     }

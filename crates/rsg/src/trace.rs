@@ -1,20 +1,21 @@
-//! Lock-cheap, thread-aware event journal for run-wide tracing.
+//! Lock-cheap event journal for run-wide tracing.
 //!
 //! The journal records fixed-size [`TraceEvent`]s — spans for statement
 //! transfers and kernel calls (JOIN/COMPRESS/DIVIDE/PRUNE/canon/subsume),
 //! instants for cache hits vs. misses, worklist iterations, and
-//! budget/degradation events — tagged with a per-thread track id so the
-//! parallel fan-out workers each get their own timeline. No strings are
-//! built on the hot path: events carry two `u64` arguments whose meaning
-//! is resolved at export time from the [`TraceKind`].
+//! budget/degradation events — tagged with the recording thread's track
+//! id, which the Chrome export turns into one timeline per thread. No
+//! strings are built on the hot path: events carry two `u64` arguments
+//! whose meaning is resolved at export time from the [`TraceKind`].
 //!
 //! Overhead discipline: when disabled (the default) every recording hook
 //! is a single relaxed atomic load and an early return, so analysis
 //! outputs stay bit-identical with tracing compiled in. Span sites take
 //! their start as `tracer.enabled().then(Instant::now)`, so an untraced
-//! kernel call reads no clock at all. When enabled, events go to one of a
-//! fixed set of sharded `Mutex<Vec<_>>` buffers selected by thread id, so
-//! worker threads almost never contend.
+//! kernel call reads no clock at all. When enabled, events go to one
+//! `Mutex<Vec<_>>` buffer. Each analysis records from one thread (a serve
+//! request records into its own [`crate::SharedTables::session`] tracer),
+//! so the lock is never contended.
 
 use crate::intern::lock_recover;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -61,8 +62,8 @@ pub enum TraceKind {
     /// A forced summarization round under the node budget. `arg` =
     /// statement id.
     ForceCompress,
-    /// The [`crate::CancelToken`] was raised. `arg` = cause code (the
-    /// discriminant of [`crate::intern::CancelCause`]).
+    /// The [`crate::CancelToken`] was raised. `arg` = cause code
+    /// ([`crate::intern::CancelCause::code`]).
     Cancel,
     /// A contended stripe-lock acquisition on a shared table. `arg` = table
     /// code (`0` interner, `1` subsumption memo, `2` transfer memo — the
@@ -135,10 +136,6 @@ pub struct TraceEvent {
     pub arg2: u64,
 }
 
-/// Number of independent event buffers; threads map to buffers by track
-/// id, so with up to this many threads there is no lock sharing at all.
-const SHARDS: usize = 16;
-
 /// Process-wide track-id allocator. Ids only label tracks in the exported
 /// trace, so monotonically growing across runs is harmless.
 static NEXT_TID: AtomicU32 = AtomicU32::new(0);
@@ -153,13 +150,13 @@ pub fn track_id() -> u32 {
 }
 
 /// The event journal. Carried by [`crate::SharedTables`] so every layer —
-/// interner, RSRSG kernels, engine worklist, fan-out workers, the
-/// progressive driver — records into one run-wide timeline.
+/// interner, RSRSG kernels, engine worklist, the progressive driver —
+/// records into one run-wide timeline.
 #[derive(Debug)]
 pub struct Tracer {
     enabled: AtomicBool,
     base: Instant,
-    shards: [Mutex<Vec<TraceEvent>>; SHARDS],
+    events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Default for Tracer {
@@ -174,7 +171,7 @@ impl Tracer {
         Tracer {
             enabled: AtomicBool::new(false),
             base: Instant::now(),
-            shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
+            events: Mutex::new(Vec::new()),
         }
     }
 
@@ -195,8 +192,7 @@ impl Tracer {
     }
 
     fn push(&self, ev: TraceEvent) {
-        let shard = ev.tid as usize % SHARDS;
-        lock_recover(&self.shards[shard]).push(ev);
+        lock_recover(&self.events).push(ev);
     }
 
     /// Record an instant event. No-op while disabled.
@@ -238,26 +234,22 @@ impl Tracer {
     }
 
     /// Take every buffered event, sorted by start time (ties broken by
-    /// track id). The buffers are left empty.
+    /// track id): a span is recorded when it ends, after the spans it
+    /// encloses. The buffer is left empty.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut all = Vec::new();
-        for shard in &self.shards {
-            all.append(&mut *lock_recover(shard));
-        }
+        let mut all = std::mem::take(&mut *lock_recover(&self.events));
         all.sort_by_key(|e| (e.ts_ns, e.tid, e.kind));
         all
     }
 
     /// Discard every buffered event without disabling recording.
     pub fn clear(&self) {
-        for shard in &self.shards {
-            lock_recover(shard).clear();
-        }
+        lock_recover(&self.events).clear();
     }
 
-    /// Total buffered events across all shards.
+    /// Total buffered events.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_recover(s).len()).sum()
+        lock_recover(&self.events).len()
     }
 
     /// True when nothing is buffered.

@@ -1,8 +1,7 @@
 //! Integration tests for the run-wide tracing subsystem: Chrome-trace
 //! schema on the Fig. 1 doubly-linked list program, disabled-trace
-//! bit-identity, parallel-run event-count invariants (on a Barnes-Hut run
-//! that really fans out, checked against a sequential run), the self-time
-//! ledger, and cancel-cause attribution.
+//! bit-identity, the self-time ledger and its event-count invariants, and
+//! cancel-cause attribution.
 
 use psa::core::trace::{chrome_trace_write, summarize};
 use psa::core::{AnalysisOptions, Analyzer, BudgetKind};
@@ -12,10 +11,9 @@ fn dll_source() -> String {
     psa::codes::generators::dll_program(6)
 }
 
-fn options(trace: bool, parallel: bool) -> AnalysisOptions {
+fn options(trace: bool) -> AnalysisOptions {
     AnalysisOptions {
         trace,
-        parallel_threads: parallel.then_some(2),
         ..AnalysisOptions::at_level(Level::L2)
     }
 }
@@ -23,7 +21,7 @@ fn options(trace: bool, parallel: bool) -> AnalysisOptions {
 #[test]
 fn chrome_trace_schema_on_fig1_dll() {
     let src = dll_source();
-    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
+    let analyzer = Analyzer::new(&src, options(true)).unwrap();
     let res = analyzer.run().unwrap();
     let events = analyzer.trace_events();
     assert!(!events.is_empty(), "traced run must record events");
@@ -84,7 +82,7 @@ fn chrome_trace_schema_on_fig1_dll() {
 #[test]
 fn kernel_spans_of_one_kind_never_overlap_on_a_track() {
     let src = dll_source();
-    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
+    let analyzer = Analyzer::new(&src, options(true)).unwrap();
     analyzer.run().unwrap();
     let events = analyzer.trace_events();
     for kind in [
@@ -118,11 +116,17 @@ fn kernel_spans_of_one_kind_never_overlap_on_a_track() {
 #[test]
 fn sequential_self_times_add_up_to_the_wall() {
     let src = dll_source();
-    let analyzer = Analyzer::new(&src, options(true, false)).unwrap();
-    analyzer.run().unwrap();
+    let analyzer = Analyzer::new(&src, options(true)).unwrap();
+    let res = analyzer.run().unwrap();
     let events = analyzer.trace_events();
+    // The drained journal is time-sorted and the summary counts all of it.
+    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
     let s = summarize(&events, Some(analyzer.ir()));
+    assert_eq!(s.events, events.len());
     assert_eq!(s.threads, 1);
+    // Per-statement latency covers every traced statement.
+    let spanned: usize = s.per_stmt.values().map(|st| st.count as usize).sum();
+    assert_eq!(spanned, res.stats.stmt_transfers);
     assert!(s.root_ns > 0);
     assert_eq!(s.spans.iter().map(|l| l.self_ns).sum::<u64>(), s.root_ns);
     assert_eq!(s.root_ns + s.unattributed_ns, s.wall_ns);
@@ -138,8 +142,8 @@ fn sequential_self_times_add_up_to_the_wall() {
 #[test]
 fn disabled_trace_changes_nothing() {
     let src = dll_source();
-    let traced = Analyzer::new(&src, options(true, false)).unwrap();
-    let plain = Analyzer::new(&src, options(false, false)).unwrap();
+    let traced = Analyzer::new(&src, options(true)).unwrap();
+    let plain = Analyzer::new(&src, options(false)).unwrap();
     let rt = traced.run().unwrap();
     let rp = plain.run().unwrap();
 
@@ -168,49 +172,6 @@ fn disabled_trace_changes_nothing() {
     let mut rep_t = psa::core::report::build_report(traced.ir(), &rt);
     rep_t.set_trace(&summarize(&traced.trace_events(), Some(traced.ir())));
     assert!(rep_t.to_json_string().contains("\"trace\""));
-}
-
-/// Barnes-Hut at L2 has statements with enough input graphs for the
-/// `--threads 2` fan-out to run, so its trace has worker tracks; the
-/// fan-out must still compute exactly what a sequential run does.
-#[test]
-fn parallel_run_event_invariants() {
-    let src = psa::codes::barnes_hut(psa::codes::Sizes::tiny());
-    let analyzer = Analyzer::new(&src, options(true, true)).unwrap();
-    let res = analyzer.run().unwrap();
-    let events = analyzer.trace_events();
-
-    // The transfer-span invariant holds regardless of which worker
-    // claimed each statement.
-    let stmt_spans = events
-        .iter()
-        .filter(|e| e.kind == TraceKind::StmtTransfer)
-        .count();
-    assert_eq!(stmt_spans, res.stats.stmt_transfers);
-
-    // Kernel spans recorded by workers carry their own track ids; the
-    // journal stays time-sorted after the drain merge.
-    assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
-    let summary = summarize(&events, Some(analyzer.ir()));
-    assert!(
-        summary.threads > 1,
-        "the fan-out never ran: {} track(s)",
-        summary.threads
-    );
-    assert_eq!(summary.events, events.len());
-    // Per-statement latency covers every traced statement.
-    let spanned: usize = summary.per_stmt.values().map(|s| s.count as usize).sum();
-    assert_eq!(spanned, res.stats.stmt_transfers);
-
-    let seq = Analyzer::new(&src, options(false, false))
-        .unwrap()
-        .run()
-        .unwrap();
-    assert!(res.exit.same_as(&seq.exit), "exit sets differ");
-    assert_eq!(res.after_stmt.len(), seq.after_stmt.len());
-    for (sid, (a, b)) in res.after_stmt.iter().zip(&seq.after_stmt).enumerate() {
-        assert!(a.same_as(b), "RSRSG after statement {sid} differs");
-    }
 }
 
 #[test]
