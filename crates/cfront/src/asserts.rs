@@ -96,6 +96,14 @@ impl RawPred {
             RawPred::Acyclic(x) => format!("acyclic({x})"),
         }
     }
+
+    /// The pointer variables the predicate reads.
+    pub fn pvars(&self) -> Vec<&str> {
+        match self {
+            RawPred::Shape(x, _) | RawPred::Shared(x, _) | RawPred::Acyclic(x) => vec![x],
+            RawPred::Reach(x, y) | RawPred::Alias(x, y) => vec![x, y],
+        }
+    }
 }
 
 /// Expected verdicts, as written in a corpus `; expect …` suffix.
@@ -162,6 +170,9 @@ impl RawAssert {
 /// worst possible behavior for a checker).
 pub fn extract_asserts(src: &str) -> Result<Vec<RawAssert>, Diagnostic> {
     let mut out = Vec::new();
+    if !src.contains("@assert") {
+        return Ok(out);
+    }
     for c in scan_comments(src) {
         let body = c.text.trim_start_matches(['*', ' ', '\t']).trim();
         if let Some(rest) = body.strip_prefix("@assert") {
@@ -183,8 +194,8 @@ pub fn extract_asserts(src: &str) -> Result<Vec<RawAssert>, Diagnostic> {
 
 // ------------------------------------------------------------- scanning
 
-struct Comment {
-    text: String,
+struct Comment<'a> {
+    text: &'a str,
     start: usize,
     end: usize,
     line: u32,
@@ -193,7 +204,7 @@ struct Comment {
 
 /// Collect all comments with their positions, skipping string and character
 /// literals (a `//` inside `"…"` is not a comment).
-fn scan_comments(src: &str) -> Vec<Comment> {
+fn scan_comments(src: &str) -> Vec<Comment<'_>> {
     let bytes = src.as_bytes();
     let mut comments = Vec::new();
     let mut i = 0usize;
@@ -237,7 +248,7 @@ fn scan_comments(src: &str) -> Vec<Comment> {
                     col += 1;
                 }
                 comments.push(Comment {
-                    text: src[text_start..i].to_string(),
+                    text: &src[text_start..i],
                     start,
                     end: i,
                     line: sl,
@@ -267,7 +278,7 @@ fn scan_comments(src: &str) -> Vec<Comment> {
                     i += 1;
                 }
                 comments.push(Comment {
-                    text: src[text_start..text_end.min(src.len())].to_string(),
+                    text: &src[text_start..text_end.min(src.len())],
                     start,
                     end: i,
                     line: sl,
@@ -623,5 +634,16 @@ mod tests {
         let src = "int x;\n\n/* @assert acyclic(p) */\n";
         let asserts = extract_asserts(src).unwrap();
         assert_eq!(asserts[0].line, 3);
+    }
+
+    #[test]
+    fn parse_keeps_well_formed_asserts_and_the_names_they_read() {
+        let body = "int main() { return 0; }\n";
+        let program = crate::parse(&format!("// @assert reach(h, t)\n{body}")).unwrap();
+        assert_eq!(program.asserts.len(), 1);
+        assert_eq!(program.asserts[0].pred.pvars(), ["h", "t"]);
+        // A malformed assertion still parses as C; checking reports it.
+        let program = crate::parse(&format!("// @assert reach(h\n{body}")).unwrap();
+        assert!(program.asserts.is_empty());
     }
 }

@@ -455,6 +455,10 @@ pub struct Program {
     pub globals: Vec<Decl>,
     /// Function definitions.
     pub functions: Vec<Function>,
+    /// The well-formed `// @assert` comments of the source. Lowering reads
+    /// the names they mention; a malformed assertion is left out here and
+    /// reported wherever assertions are checked.
+    pub asserts: Vec<crate::asserts::RawAssert>,
 }
 
 impl Program {

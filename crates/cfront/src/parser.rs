@@ -27,7 +27,9 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
         typedefs: HashSet::new(),
         depth: 0,
     };
-    p.program()
+    let mut program = p.program()?;
+    program.asserts = crate::asserts::extract_asserts(src).unwrap_or_default();
+    Ok(program)
 }
 
 /// Nesting ceiling for recursive productions (blocks, expressions). Deeper

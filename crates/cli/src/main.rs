@@ -105,7 +105,10 @@ fn parse_count(args: &[String], i: usize, flag: &str) -> Result<usize, String> {
         .map_err(|_| format!("{flag}: `{v}` is not a number"))
 }
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+/// Parse a command's flags. `only` names the flags the command takes
+/// (`None`: every `analyze` flag); any other flag is an error rather than
+/// silently ignored.
+fn parse_flags(args: &[String], only: Option<&[&str]>) -> Result<Flags, String> {
     let mut f = Flags {
         level: Some(Level::L1),
         progressive: false,
@@ -125,6 +128,9 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     };
     let mut i = 0;
     while i < args.len() {
+        if only.is_some_and(|o| !o.contains(&args[i].as_str())) {
+            return Err(format!("unknown flag `{}`", args[i]));
+        }
         match args[i].as_str() {
             "--level" => {
                 i += 1;
@@ -214,13 +220,13 @@ fn run(args: &[String]) -> Result<(), String> {
         "analyze" => {
             let file = args.get(1).ok_or("analyze needs a file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let flags = parse_flags(&args[2..])?;
+            let flags = parse_flags(&args[2..], None)?;
             analyze(&src, file, flags)
         }
         "ir" => {
             let file = args.get(1).ok_or("ir needs a file")?;
             let src = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let flags = parse_flags(&args[2..])?;
+            let flags = parse_flags(&args[2..], Some(&["--function"]))?;
             let options = AnalysisOptions {
                 function: flags.function.clone(),
                 ..Default::default()
@@ -247,11 +253,11 @@ fn run(args: &[String]) -> Result<(), String> {
                 "voronoi" => psa_codes::olden::voronoi(sizes),
                 other => return Err(format!("unknown benchmark code `{other}`")),
             };
-            let flags = parse_flags(&args[2..])?;
+            let flags = parse_flags(&args[2..], None)?;
             analyze(&src, which, flags)
         }
         "serve" => {
-            let flags = parse_flags(&args[1..])?;
+            let flags = parse_flags(&args[1..], Some(&["--load-cache", "--save-cache"]))?;
             serve(flags)
         }
         "help" | "--help" | "-h" => {

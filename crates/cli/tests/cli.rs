@@ -148,6 +148,40 @@ fn unknown_flag_fails_cleanly() {
 }
 
 #[test]
+fn ir_and_serve_reject_flags_they_ignore() {
+    let f = write_tmp("list_ir_flags.c", LIST);
+    let file = f.to_str().unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "ir",
+                file,
+                "--check",
+                "memory",
+                "--budget-ms",
+                "1",
+                "--level",
+                "L3",
+            ],
+            "`--check`",
+        ),
+        (&["serve", "--level", "L3", "--stmt-dump"], "`--level`"),
+    ];
+    for (args, flag) in cases {
+        let out = psa().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
+    // The flags each command does take still work.
+    let out = psa()
+        .args(["ir", file, "--function", "main"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+}
+
+#[test]
 fn budget_deadline_exits_nonzero_with_partial_report() {
     let out = psa()
         .args(["bench-code", "lu", "--budget-ms", "0"])

@@ -17,6 +17,8 @@
 //! * [`induction`] implements the preprocessing pass the paper attributes to
 //!   Hwang/Saltz access-path expressions: detecting the *induction pointers*
 //!   (traversal pvars) of every loop, the only pvars eligible for TOUCH;
+//! * [`liveness`] computes pvar liveness and ends, on every loop back edge,
+//!   the dead bindings into the structure the loop traverses;
 //! * [`inline`] automates the call inlining the paper performed by hand
 //!   (non-recursive user functions are expanded at their call sites before
 //!   lowering; recursive ones stay behind as summarized callees).
@@ -26,6 +28,7 @@ pub mod func;
 mod hash;
 pub mod induction;
 pub mod inline;
+pub mod liveness;
 pub mod lower;
 pub mod pretty;
 

@@ -42,6 +42,11 @@ pub fn lower_program(
 ) -> Result<FuncIr, LowerError> {
     let recursive = recursive_functions(program, entry);
     let inlined = inline_program(program, entry, &recursive)?;
+    let asserted: BTreeSet<&str> = program
+        .asserts
+        .iter()
+        .flat_map(|a| a.pred.pvars())
+        .collect();
     let defined: BTreeSet<String> = program
         .functions
         .iter()
@@ -206,7 +211,7 @@ pub fn lower_program(
         let body_start_pvar = lw.pvars.len();
         let body_start_scalar = lw.scalars.len();
         lw.lower_scoped(&f.body)?;
-        let ir = lw.finish()?;
+        let ir = lw.finish(&asserted)?;
         // Owned slots: formals + anchors + return slot registered in pass 1
         // (the contiguous range starting at the seed's watermark) plus body
         // locals and temps (the range this lowering appended).
@@ -271,7 +276,7 @@ pub fn lower_program(
         lw.declare_scalar(&p.name, tracked);
     }
     lw.lower_scoped(&func.body)?;
-    let mut root = lw.finish()?;
+    let mut root = lw.finish(&asserted)?;
 
     // --- pass 4: every FuncIr carries the final full tables, and callees
     // get their metadata (body hash, transitive may-free).
@@ -434,6 +439,9 @@ struct LoopCtx {
     id: LoopId,
     /// Target of `continue`.
     continue_bb: BlockId,
+    /// `continue` jumps straight back to the header (a `while` loop), so
+    /// it is a back edge.
+    continue_is_back: bool,
     /// Target of `break`.
     break_bb: BlockId,
 }
@@ -453,6 +461,9 @@ struct Lowerer {
     loop_stack: Vec<LoopCtx>,
     exit_edges: BTreeMap<(BlockId, BlockId), Vec<LoopId>>,
     entry_edges: BTreeMap<(BlockId, BlockId), Vec<LoopId>>,
+    /// Every edge back to a loop's head, with the loop it repeats: where
+    /// [`crate::liveness::kill_dead_pointers`] ends dead bindings.
+    back_edges: Vec<(BlockId, BlockId, LoopId)>,
     temp_counter: u32,
     /// Temps created while lowering the current source statement; killed
     /// right after it.
@@ -490,6 +501,7 @@ impl Lowerer {
             loop_stack: Vec::new(),
             exit_edges: BTreeMap::new(),
             entry_edges: BTreeMap::new(),
+            back_edges: Vec::new(),
             temp_counter: 0,
             pending_temps: Vec::new(),
             prefix: String::new(),
@@ -739,13 +751,13 @@ impl Lowerer {
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(header));
-                let lid = self.begin_loop(header, header, after);
+                let lid = self.begin_loop(header, header, true, after);
                 self.entry_edges.entry((pre, header)).or_default().push(lid);
                 self.switch_to(header);
                 self.lower_cond_with_exits(cond, body_bb, after)?;
                 self.switch_to(body_bb);
                 self.lower_stmt(body)?;
-                self.seal(Terminator::Goto(header));
+                self.seal_back(header, lid);
                 self.end_loop(lid);
                 self.switch_to(after);
                 Ok(())
@@ -756,7 +768,7 @@ impl Lowerer {
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(body_bb));
-                let lid = self.begin_loop(cond_bb, cond_bb, after);
+                let lid = self.begin_loop(cond_bb, cond_bb, false, after);
                 self.entry_edges
                     .entry((pre, body_bb))
                     .or_default()
@@ -765,7 +777,17 @@ impl Lowerer {
                 self.lower_stmt(body)?;
                 self.seal(Terminator::Goto(cond_bb));
                 self.switch_to(cond_bb);
+                let first_cond_block = self.blocks.len();
                 self.lower_cond_with_exits(cond, body_bb, after)?;
+                // The condition's edges to the body repeat the loop: the
+                // ones leaving `cond_bb` or a block its lowering created.
+                for from in
+                    std::iter::once(cond_bb.0 as usize).chain(first_cond_block..self.blocks.len())
+                {
+                    if self.blocks[from].term.successors().contains(&body_bb) {
+                        self.back_edges.push((BlockId(from as u32), body_bb, lid));
+                    }
+                }
                 self.end_loop(lid);
                 self.switch_to(after);
                 Ok(())
@@ -781,7 +803,7 @@ impl Lowerer {
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(header));
-                let lid = self.begin_loop(header, step_bb, after);
+                let lid = self.begin_loop(header, step_bb, false, after);
                 self.entry_edges.entry((pre, header)).or_default().push(lid);
                 self.switch_to(header);
                 match cond {
@@ -796,7 +818,7 @@ impl Lowerer {
                     self.lower_expr_stmt(st)?;
                     self.flush_temps();
                 }
-                self.seal(Terminator::Goto(header));
+                self.seal_back(header, lid);
                 self.end_loop(lid);
                 self.pop_scope();
                 self.switch_to(after);
@@ -886,8 +908,12 @@ impl Lowerer {
                 let Some(top) = self.loop_stack.last() else {
                     return Err(Diagnostic::error(*span, "`continue` outside of a loop"));
                 };
-                let target = top.continue_bb;
-                self.seal(Terminator::Goto(target));
+                let (target, lid) = (top.continue_bb, top.id);
+                if top.continue_is_back {
+                    self.seal_back(target, lid);
+                } else {
+                    self.seal(Terminator::Goto(target));
+                }
                 Ok(())
             }
         }
@@ -903,7 +929,13 @@ impl Lowerer {
         Ok(())
     }
 
-    fn begin_loop(&mut self, header: BlockId, continue_bb: BlockId, break_bb: BlockId) -> LoopId {
+    fn begin_loop(
+        &mut self,
+        header: BlockId,
+        continue_bb: BlockId,
+        continue_is_back: bool,
+        break_bb: BlockId,
+    ) -> LoopId {
         let id = LoopId(self.loops.len() as u32);
         let parent = self.loop_stack.last().map(|l| l.id);
         let depth = self.loop_stack.len() as u32;
@@ -916,9 +948,19 @@ impl Lowerer {
         self.loop_stack.push(LoopCtx {
             id,
             continue_bb,
+            continue_is_back,
             break_bb,
         });
         id
+    }
+
+    /// Seal the current block with a jump back to `head`, the head of loop
+    /// `lid`, and record the back edge.
+    fn seal_back(&mut self, head: BlockId, lid: LoopId) {
+        if !self.sealed {
+            self.back_edges.push((self.cur, head, lid));
+        }
+        self.seal(Terminator::Goto(head));
     }
 
     fn end_loop(&mut self, id: LoopId) {
@@ -1593,8 +1635,13 @@ impl Lowerer {
         }
     }
 
-    fn finish(mut self) -> Result<FuncIr, Diagnostic> {
+    /// Seal the function and run the passes over its CFG: induction
+    /// detection, then the dead-pointer kills on back edges, which spare
+    /// the pvars an assertion names (`asserted`).
+    fn finish(mut self, asserted: &BTreeSet<&str>) -> Result<FuncIr, Diagnostic> {
         self.seal(Terminator::Return);
+        let back_edges = std::mem::take(&mut self.back_edges);
+        let ret = self.ret_ptr_slot;
         let mut ir = FuncIr {
             name: self.name,
             pvars: self.pvars,
@@ -1611,6 +1658,7 @@ impl Lowerer {
         ir.validate()
             .map_err(|m| Diagnostic::error(Span::SYNTH, m))?;
         crate::induction::detect(&mut ir);
+        crate::liveness::kill_dead_pointers(&mut ir, &back_edges, ret, asserted);
         Ok(ir)
     }
 }

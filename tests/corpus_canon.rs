@@ -65,6 +65,12 @@ const PINS: &[(&str, u64, u64, u64)] = &[
         0x1265469da3aa3675,
     ),
     (
+        "dead_cursor_leak.c",
+        0x084d9e4dba24dda1,
+        0xcd5d7a5b9b120555,
+        0xcd5d7a5b9b120555,
+    ),
+    (
         "dll_fig1.c",
         0x6f2f1792678362bb,
         0x8c41185c641dfbae,

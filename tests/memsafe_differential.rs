@@ -171,3 +171,47 @@ fn leak_verdicts_and_oracle_agree() {
         "interpreter observes the leak event"
     );
 }
+
+#[test]
+fn back_edge_kill_reports_the_leak_it_causes() {
+    // `tmp` is dead at the loop head, so lowering kills it on the back
+    // edge. The kill drops the unlinked cell's last reference: a leak
+    // event at the kill on both sides, and the `malloc` that rebinds the
+    // killed pvar provably drops nothing.
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus/dead_cursor_leak.c");
+    let src = std::fs::read_to_string(path).unwrap();
+    let (p, t) = psa::cfront::parse_and_type(&src).unwrap();
+    let ir = psa::ir::lower_program(&p, &t, "main").unwrap();
+    let tmp = ir.pvar_id("tmp").unwrap();
+    let leak_at = |rep: &psa::core::memsafe::MemReport, stmt: &psa::ir::Stmt| {
+        rep.sites
+            .iter()
+            .find(|s| s.check == MemCheck::Leak && ir.stmt(s.stmt).stmt == *stmt)
+            .map(|s| s.verdict)
+    };
+    let kill = psa::ir::Stmt::Ptr(psa::ir::PtrStmt::Nil(tmp));
+    let node = ir.pvar(tmp).pointee;
+    let alloc = psa::ir::Stmt::Ptr(psa::ir::PtrStmt::Malloc(tmp, node));
+    for level in Level::ALL {
+        let result = Engine::new(&ir, EngineConfig::at_level(level))
+            .run()
+            .unwrap();
+        let rep = memory_report(&ir, &result);
+        assert_eq!(
+            leak_at(&rep, &kill),
+            Some(MemVerdict::MayFail),
+            "{level}:\n{rep}"
+        );
+        assert_eq!(
+            leak_at(&rep, &alloc),
+            Some(MemVerdict::Safe),
+            "{level}:\n{rep}"
+        );
+        let diff = validate_memory_report(&ir, &rep, InterpConfig::default(), SEEDS);
+        assert!(diff.is_validated(), "{level}: {:#?}", diff.mismatches);
+        assert!(
+            diff.concrete_leaks > 0,
+            "{level}: the kill leaks concretely"
+        );
+    }
+}

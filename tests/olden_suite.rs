@@ -180,24 +180,25 @@ fn fnv64(h: &mut u64, bytes: &[u8]) {
 /// signature at `Sizes::tiny()`. The five non-recursive codes were pinned
 /// from the retired explicit inline-then-lower pipeline and the three
 /// recursive ones from `lower_program`, before `lower_program` became the
-/// only lowering entry point.
+/// only lowering entry point. power (L2), em3d, tsp and voronoi were
+/// re-pinned when lowering began killing dead pointers on loop back edges;
+/// their exits no longer hold the last iteration's dead bindings.
 #[rustfmt::skip]
 const OLDEN_EXIT_PINS: &[(&str, u64, u64, u64)] = &[
     ("treeadd", 0xdc2679afb3ccafed, 0x03d9fc54bab0a1b6, 0x03d9fc54bab0a1b6),
-    ("power", 0x737f1b1017dcd339, 0xe872545cf93e3a46, 0xd7f9f60a3c4091e4),
-    ("em3d", 0x552bde7a5a6a2eba, 0x75f50b37d264f53f, 0x75f50b37d264f53f),
+    ("power", 0x737f1b1017dcd339, 0x18cf8a21722aa549, 0xd7f9f60a3c4091e4),
+    ("em3d", 0xe106d29f8c5b7a35, 0x2c29b05373ac3a01, 0x2c29b05373ac3a01),
     ("bisort", 0x84a5afbdda5494f2, 0x6792203a3e796b8f, 0x6792203a3e796b8f),
-    ("tsp", 0xd1012b2e849d33eb, 0x11b2b6c35f807308, 0x631bd4fd814a26c8),
+    ("tsp", 0xb507f69c9df7c01e, 0x961502494acb36b5, 0x961502494acb36b5),
     ("health", 0xbd467ae2a3c44452, 0xbd467ae2a3c44452, 0xbd467ae2a3c44452),
     ("perimeter", 0x1eaa4c041bd75755, 0x193694cb3049fde5, 0x193694cb3049fde5),
-    ("voronoi", 0xebc2651730142508, 0x7f4e5a049d1aae99, 0x7f4e5a049d1aae99),
+    ("voronoi", 0x931e8642563a2910, 0x435446e43b88e6e4, 0x435446e43b88e6e4),
 ];
 
 #[test]
 fn auto_inlined_reports_match_explicit_inlining_bit_for_bit() {
-    // Every Olden code's exit RSRSG at L1–L3 is pinned to the hash it had
-    // when the automatic inliner was still checked against the explicit
-    // pipeline, so the one remaining pipeline stays bit-identical to both.
+    // Every Olden code's exit RSRSG at L1–L3 is pinned; `OLDEN_EXIT_PINS`
+    // says where each pin comes from.
     let codes = psa::codes::olden::olden_codes(Sizes::tiny());
     assert_eq!(codes.len(), OLDEN_EXIT_PINS.len());
     for ((name, src), &(pinned, l1, l2, l3)) in codes.iter().zip(OLDEN_EXIT_PINS) {
