@@ -1,13 +1,20 @@
 //! `psa` — command-line driver for the progressive shape analyzer.
 //!
 //! ```text
-//! psa analyze <file.c> [--level L1|L2|L3|auto] [--function main]
-//!             [--dot DIR] [--stmt-dump] [--parallel-report]
+//! psa analyze <file.c> [--level L1|L2|L3|auto] [--function NAME]
+//!             [--dot DIR] [--stmt-dump] [--parallel-report] [--annotate]
+//!             [--json] [--stats]
 //!             [--budget-nodes N] [--budget-rsgs N] [--budget-ms N]
-//!             [--trace FILE]
-//! psa ir <file.c> [--function main]
-//! psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [--level ...]
+//!             [--trace FILE] [--check asserts,memory] [--seeds N]
+//! psa ir <file.c> [--function NAME]
+//! psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [flags]
+//! psa serve
 //! ```
+//!
+//! `--json` prints exactly one JSON document on stdout; the files that
+//! `--dot` and `--trace` write are announced on stderr. `psa serve` takes
+//! no flags: it reads newline-delimited JSON requests on stdin
+//! (`psa_core::serve`, DESIGN.md §13).
 //!
 //! Inputs may define multiple functions: non-recursive calls are inlined
 //! automatically, recursive functions are analyzed through per-entry call
@@ -83,8 +90,6 @@ struct Flags {
     trace: Option<String>,
     checks: Vec<Check>,
     seeds: usize,
-    save_cache: Option<String>,
-    load_cache: Option<String>,
 }
 
 impl Flags {
@@ -123,8 +128,6 @@ fn parse_flags(args: &[String], only: Option<&[&str]>) -> Result<Flags, String> 
         trace: None,
         checks: Vec::new(),
         seeds: 3,
-        save_cache: None,
-        load_cache: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -192,14 +195,6 @@ fn parse_flags(args: &[String], only: Option<&[&str]>) -> Result<Flags, String> 
                 i += 1;
                 f.seeds = parse_count(args, i, "--seeds")?.max(1);
             }
-            "--save-cache" => {
-                i += 1;
-                f.save_cache = Some(args.get(i).ok_or("--save-cache needs a file")?.clone());
-            }
-            "--load-cache" => {
-                i += 1;
-                f.load_cache = Some(args.get(i).ok_or("--load-cache needs a file")?.clone());
-            }
             "--stmt-dump" => f.stmt_dump = true,
             "--parallel-report" => f.parallel_report = true,
             "--annotate" => f.annotate = true,
@@ -257,8 +252,8 @@ fn run(args: &[String]) -> Result<(), String> {
             analyze(&src, which, flags)
         }
         "serve" => {
-            let flags = parse_flags(&args[1..], Some(&["--load-cache", "--save-cache"]))?;
-            serve(flags)
+            parse_flags(&args[1..], Some(&[]))?;
+            serve()
         }
         "help" | "--help" | "-h" => {
             println!("{}", usage());
@@ -273,40 +268,23 @@ fn usage() -> String {
      [--dot DIR] [--stmt-dump] [--parallel-report] [--annotate] [--json] [--stats]\n  \
      \x20            [--budget-nodes N] [--budget-rsgs N] [--budget-ms N] [--trace FILE]\n  \
      \x20            [--check asserts,memory] [--seeds N]\n  \
-     \x20            [--save-cache FILE] [--load-cache FILE]\n  psa ir <file.c> [--function NAME]\n  \
+     psa ir <file.c> [--function NAME]\n  \
      psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [flags]\n  \
-     psa serve [--load-cache FILE] [--save-cache FILE]\n  \
+     psa serve\n  \
      \x20       (newline-delimited JSON requests on stdin; see DESIGN.md \u{00a7}13)"
         .to_string()
 }
 
-/// `psa serve`: resident daemon on stdin/stdout. `--load-cache` warms the
-/// shared tables before the first request; `--save-cache` snapshots them
-/// after the loop exits (EOF or a `shutdown` request).
-fn serve(flags: Flags) -> Result<(), String> {
-    let tables = match &flags.load_cache {
-        Some(path) => {
-            std::sync::Arc::new(psa_rsg::snapshot::load(path).map_err(|e| e.to_string())?)
-        }
-        None => std::sync::Arc::new(psa_rsg::SharedTables::new()),
-    };
-    let server =
-        psa_core::serve::Server::with_tables(tables, psa_core::serve::ServeOptions::default());
+/// `psa serve`: resident daemon on stdin/stdout until EOF or a `shutdown`
+/// request. Its tables start cold and stay warm for the process's life.
+fn serve() -> Result<(), String> {
+    let server = psa_core::serve::Server::new(psa_core::serve::ServeOptions::default());
     let stdin = std::io::stdin();
     // `Stdout` (not `StdoutLock`) is `Send`, which the per-request handler
     // threads need; the serve loop serializes writes under its own lock.
     server
         .serve(stdin.lock(), std::io::stdout())
-        .map_err(|e| format!("serve I/O: {e}"))?;
-    if let Some(path) = &flags.save_cache {
-        let tables = server.tables();
-        psa_rsg::snapshot::save(&tables, path).map_err(|e| e.to_string())?;
-        eprintln!(
-            "psa: saved cache with {} interned forms to {path}",
-            tables.interner.len()
-        );
-    }
-    Ok(())
+        .map_err(|e| format!("serve I/O: {e}"))
 }
 
 fn print_op_stats(ops: &psa_core::stats::OpStats) {
@@ -383,26 +361,20 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
 }
 
 fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
-    // Warm start: restore interned forms and memo tables from a snapshot
-    // written by an earlier `--save-cache` run (or the daemon).
-    let tables = match &flags.load_cache {
-        Some(path) => Some(std::sync::Arc::new(
-            psa_rsg::snapshot::load(path).map_err(|e| e.to_string())?,
-        )),
-        None => None,
-    };
     let options = AnalysisOptions {
         function: flags.function.clone(),
         level: flags.level,
         budget: flags.budget,
         trace: flags.trace.is_some(),
-        tables,
+        ..Default::default()
     };
     let analyzer = Analyzer::new(src, options).map_err(|e| e.to_string())?;
 
-    let result: AnalysisResult = if flags.progressive {
+    // The progressive driver's verdict is part of the human summary only,
+    // so a `--json` stdout stays one document.
+    let (result, progressive_line): (AnalysisResult, _) = if flags.progressive {
         let outcome = analyzer.run_progressive(vec![]);
-        println!(
+        let line = format!(
             "progressive analysis satisfied at {}",
             outcome
                 .satisfied_at
@@ -410,24 +382,24 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
                 .unwrap_or_else(|| "none (L3 reached)".to_string())
         );
         match outcome.best() {
-            Some(best) => best.clone(),
+            Some(best) => (best.clone(), Some(line)),
             None => return Err("no level produced a result".into()),
         }
     } else {
-        analyzer.run().map_err(|e| e.to_string())?
+        (analyzer.run().map_err(|e| e.to_string())?, None)
     };
 
-    if let Some(path) = &flags.save_cache {
-        let ctx = analyzer.shape_ctx();
-        psa_rsg::snapshot::save(&ctx.tables, path).map_err(|e| e.to_string())?;
-        eprintln!(
-            "psa: saved cache with {} interned forms to {path}",
-            ctx.tables.interner.len()
-        );
+    // Files go out before any report path, each announced on stderr, so
+    // `--json` leaves stdout one document.
+    if let Some(dir) = &flags.dot_dir {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{dir}: {e}"))?;
+        let path = format!("{dir}/exit.dot");
+        let dot_text = dot::rsrsg_to_dot(result.exit.graphs(), &analyzer.shape_ctx(), "exit");
+        std::fs::write(&path, dot_text).map_err(|e| format!("{path}: {e}"))?;
+        eprintln!("psa: wrote {path}");
     }
-
     // Drain the journal once (after every run, so progressive timelines
-    // span all levels) and write the Chrome trace before any report path.
+    // span all levels).
     let trace_events = match &flags.trace {
         Some(path) => {
             let events = analyzer.trace_events();
@@ -537,6 +509,9 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
         return finish(stopped);
     }
 
+    if let Some(line) = progressive_line {
+        println!("{line}");
+    }
     println!(
         "{name}: level {} — {} statements, {} iterations, {:.2?} wall, \
          peak {:.2} MiB, exit RSRSG: {} graphs / {} nodes / {} links{}",
@@ -681,15 +656,6 @@ fn analyze(src: &str, name: &str, flags: Flags) -> Result<(), String> {
                 rsrsg.total_nodes()
             );
         }
-    }
-
-    if let Some(dir) = flags.dot_dir {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("{dir}: {e}"))?;
-        let ctx = analyzer.shape_ctx();
-        let path = format!("{dir}/exit.dot");
-        let dot_text = dot::rsrsg_to_dot(result.exit.graphs(), &ctx, "exit");
-        std::fs::write(&path, dot_text).map_err(|e| format!("{path}: {e}"))?;
-        println!("wrote {path}");
     }
     finish(stopped)
 }

@@ -85,6 +85,24 @@ fn stats_flag_prints_op_counters() {
 }
 
 #[test]
+fn auto_level_json_is_one_document() {
+    let f = write_tmp("list_auto_json.c", LIST);
+    let out = psa()
+        .args(["analyze", f.to_str().unwrap(), "--level", "auto", "--json"])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let v = psa_core::json::Json::parse(stdout.trim()).expect("stdout is one JSON document");
+    let level = v.get("stats").and_then(|s| s.get("level"));
+    assert_eq!(level.and_then(|l| l.as_str()), Some("L1"));
+}
+
+#[test]
 fn analyze_levels_and_auto() {
     let f = write_tmp("list_lvl.c", LIST);
     for lvl in ["L1", "L2", "L3", "auto"] {
@@ -125,6 +143,29 @@ fn dot_export_writes_file() {
 }
 
 #[test]
+fn dot_export_with_json_writes_file_and_keeps_stdout_json() {
+    let f = write_tmp("list_dot_json.c", LIST);
+    let dir = std::env::temp_dir().join("psa-cli-tests").join("dots-json");
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = psa()
+        .args([
+            "analyze",
+            f.to_str().unwrap(),
+            "--json",
+            "--dot",
+            dir.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    psa_core::json::Json::parse(stdout.trim()).expect("stdout is one JSON document");
+    let dot = std::fs::read_to_string(dir.join("exit.dot")).expect("--dot wrote exit.dot");
+    assert!(dot.contains("digraph"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("exit.dot"));
+}
+
+#[test]
 fn bench_code_builtin_runs() {
     let out = psa().args(["bench-code", "matvec"]).output().unwrap();
     assert!(
@@ -151,7 +192,7 @@ fn unknown_flag_fails_cleanly() {
 fn ir_and_serve_reject_flags_they_ignore() {
     let f = write_tmp("list_ir_flags.c", LIST);
     let file = f.to_str().unwrap();
-    let cases: [(&[&str], &str); 2] = [
+    let cases: [(&[&str], &str); 5] = [
         (
             &[
                 "ir",
@@ -166,6 +207,13 @@ fn ir_and_serve_reject_flags_they_ignore() {
             "`--check`",
         ),
         (&["serve", "--level", "L3", "--stmt-dump"], "`--level`"),
+        // The table-snapshot flags are accepted nowhere.
+        (&["analyze", file, "--load-cache", "f"], "`--load-cache`"),
+        (
+            &["bench-code", "treeadd", "--save-cache", "f"],
+            "`--save-cache`",
+        ),
+        (&["serve", "--load-cache", "f"], "`--load-cache`"),
     ];
     for (args, flag) in cases {
         let out = psa().args(args).output().unwrap();

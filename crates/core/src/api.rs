@@ -21,12 +21,11 @@ pub struct AnalysisOptions {
     /// retrieve it with [`Analyzer::trace_events`]. Off by default:
     /// disabled tracing leaves every analysis output bit-identical.
     pub trace: bool,
-    /// Pre-warmed shared tables to analyze against — e.g. restored from a
-    /// [`psa_rsg::snapshot`] or held by the resident daemon across
-    /// requests. `None` (the default) starts cold. Interned forms and
-    /// memos carry over; per-handle observers (metrics, cancellation,
-    /// tracer) are whatever the supplied handle holds, so daemon callers
-    /// pass a fresh [`SharedTables::session`] per request.
+    /// Warm shared tables to analyze against: the resident daemon passes a
+    /// fresh [`SharedTables::session`] of its tables per request. `None`
+    /// (the default) starts cold. Interned forms and memos carry over;
+    /// per-handle observers (metrics, cancellation, tracer) are whatever
+    /// the supplied handle holds.
     pub tables: Option<Arc<SharedTables>>,
 }
 

@@ -239,14 +239,6 @@ pub enum AnalysisError {
         /// The panic payload, when it was a string.
         message: String,
     },
-    /// A shared-table snapshot could not be saved or loaded
-    /// (`--save-cache` / `--load-cache`, daemon `save_cache`/`load_cache`).
-    /// Wraps [`psa_rsg::snapshot::SnapshotError`], which distinguishes I/O
-    /// problems, corruption/truncation, and format-version mismatches.
-    Snapshot {
-        /// The rendered [`psa_rsg::snapshot::SnapshotError`].
-        message: String,
-    },
 }
 
 impl AnalysisError {
@@ -274,22 +266,11 @@ impl std::fmt::Display for AnalysisError {
             AnalysisError::Internal { message } => {
                 write!(f, "internal analysis error: {message}")
             }
-            AnalysisError::Snapshot { message } => {
-                write!(f, "{message}")
-            }
         }
     }
 }
 
 impl std::error::Error for AnalysisError {}
-
-impl From<psa_rsg::snapshot::SnapshotError> for AnalysisError {
-    fn from(e: psa_rsg::snapshot::SnapshotError) -> Self {
-        AnalysisError::Snapshot {
-            message: e.to_string(),
-        }
-    }
-}
 
 /// The product of a run: per-statement RSRSGs plus statistics. A run under
 /// degradation caps may be **partial**: [`AnalysisResult::stopped`] records
@@ -478,10 +459,10 @@ impl<'a> Engine<'a> {
     /// Deliberately *not* a function-body hash: the per-statement memo key is
     /// `(epoch, stmt slot)`, where the slot is minted from the statement's
     /// *content* ([`Engine::stmt_content_key`]). Two functions — or two
-    /// versions of one function, across requests or across a snapshot
-    /// restore — that execute an identical statement over an identical
-    /// universe therefore share its memoized transfers, which is what makes
-    /// warm-start and incremental re-analysis pay off.
+    /// versions of one function across daemon requests — that execute an
+    /// identical statement over an identical universe therefore share its
+    /// memoized transfers, which is what makes the daemon's warm requests
+    /// and incremental re-analysis pay off.
     pub(crate) fn config_key(&self) -> u64 {
         let repr = format!("{:x}|{}", self.ctx.universe_key(), self.config.level);
         psa_ir::fnv1a(repr.as_bytes())

@@ -232,9 +232,9 @@ impl GraphAction<'_> {
 /// `slot` is the dense id [`SharedTables::stmt_slot_for`] minted from the
 /// statement's *content* (not its position), or from an edge action's
 /// content under a key disjoint from every statement's, so identical
-/// statements share memoized transfers across function versions, daemon
-/// requests and snapshot restores. Trace events still carry the positional statement
-/// index (`tcx.stmt`) for human-facing timelines.
+/// statements share memoized transfers across function versions and daemon
+/// requests. Trace events still carry the positional statement index
+/// (`tcx.stmt`) for human-facing timelines.
 ///
 /// Outputs are compressed and interned *here*, so a memo hit shares the
 /// interner's representative graphs (an `Arc` handle each, no arena copy)

@@ -21,8 +21,6 @@
 //! | `analyze`    | `source` (required), `function`, `level` (`"L1"`/`"L2"`/`"L3"`), `key`, `budget_ms`, `budget_nodes`, `budget_rsgs`, `trace` |
 //! | `reanalyze`  | like `analyze`; diffs against the last program submitted under the same `key` |
 //! | `stats`      | — (cumulative `server` section only)              |
-//! | `save_cache` | `path` — snapshot the shared tables               |
-//! | `load_cache` | `path` — replace the shared tables from a snapshot |
 //! | `shutdown`   | — (acknowledges, then exits the loop)             |
 //!
 //! Responses: `{"id": ..., "result": {...}}` on success, else
@@ -44,20 +42,19 @@
 //! memo epoch, nothing replayed unsoundly.
 
 use crate::api::{AnalysisOptions, Analyzer, Error};
-use crate::engine::AnalysisError;
 use crate::json::Json;
 use crate::report::{build_report, ops_to_json};
 use crate::stats::{Budget, OpStats};
-use psa_rsg::{snapshot, Level, SharedTables};
+use psa_rsg::{Level, SharedTables};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Server-lifetime options. There are none: every knob (level, budget,
 /// trace) arrives in each request's params. The type is kept so that
-/// [`Server::new`] and [`Server::with_tables`] keep their signatures for
-/// existing callers (the psa-bench harness among them).
+/// [`Server::new`] keeps its signature for existing callers (the psa-bench
+/// harness among them).
 #[derive(Debug, Clone, Default)]
 pub struct ServeOptions {}
 
@@ -77,39 +74,26 @@ struct ServerTotals {
 
 /// The resident analysis service. [`Server::serve`] runs the read loop;
 /// [`Server::handle`] processes one already-parsed request (the unit tests
-/// and the in-process session tests drive it directly).
+/// and the in-process session tests drive it directly). The server owns its
+/// shared tables for its whole life; each request analyzes on a session of
+/// them.
 pub struct Server {
-    tables: RwLock<Arc<SharedTables>>,
+    tables: SharedTables,
     programs: Mutex<HashMap<String, CachedProgram>>,
     totals: Mutex<ServerTotals>,
 }
 
 impl Server {
     /// A server over fresh (cold) tables.
-    pub fn new(options: ServeOptions) -> Server {
-        Server::with_tables(Arc::new(SharedTables::new()), options)
-    }
-
-    /// A server over pre-warmed tables (e.g. restored from a snapshot).
-    pub fn with_tables(tables: Arc<SharedTables>, _options: ServeOptions) -> Server {
+    pub fn new(_options: ServeOptions) -> Server {
         Server {
-            tables: RwLock::new(tables),
+            tables: SharedTables::new(),
             programs: Mutex::new(HashMap::new()),
             totals: Mutex::new(ServerTotals {
                 requests: 0,
                 ops: OpStats::default(),
             }),
         }
-    }
-
-    /// The current shared tables (the handle `load_cache` may swap).
-    pub fn tables(&self) -> Arc<SharedTables> {
-        Arc::clone(
-            &self
-                .tables
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
     }
 
     /// Run the newline-delimited request loop until EOF or `shutdown`.
@@ -175,8 +159,6 @@ impl Server {
             "analyze" => self.analyze(params, false),
             "reanalyze" => self.analyze(params, true),
             "stats" => Ok(self.stats_result()),
-            "save_cache" => self.save_cache(params),
-            "load_cache" => self.load_cache(params),
             other => Err(("protocol".to_string(), format!("unknown method `{other}`"))),
         };
         match outcome {
@@ -220,7 +202,7 @@ impl Server {
 
         // Per-request isolation: interner and memos are shared, but this
         // request gets its own metrics, cancellation token and tracer.
-        let session = Arc::new(self.tables().session());
+        let session = Arc::new(self.tables.session());
         let analysis_options = AnalysisOptions {
             function,
             level: Some(level),
@@ -322,7 +304,7 @@ impl Server {
     /// requests, gauges kept at their observed peaks).
     fn server_section(&self) -> Json {
         let totals = psa_rsg::lock_recover(&self.totals);
-        let sizes = self.tables().snapshot();
+        let sizes = self.tables.snapshot();
         let mut j = Json::obj();
         j.set("requests", totals.requests);
         j.set("interner_size", sizes.interner_size);
@@ -330,41 +312,6 @@ impl Server {
         j.set("transfer_entries", sizes.transfer_cache_size);
         j.set("ops", ops_to_json(&totals.ops));
         j
-    }
-
-    fn save_cache(&self, params: &Json) -> Result<Json, (String, String)> {
-        let Some(path) = params.get("path").and_then(Json::as_str) else {
-            return Err(("protocol".into(), "missing params.path".into()));
-        };
-        let tables = self.tables();
-        snapshot::save(&tables, path)
-            .map_err(|e| ("snapshot".to_string(), AnalysisError::from(e).to_string()))?;
-        let mut out = Json::obj();
-        out.set("path", path);
-        let sizes = tables.snapshot();
-        out.set("interner_size", sizes.interner_size);
-        out.set("transfer_entries", sizes.transfer_cache_size);
-        Ok(out)
-    }
-
-    fn load_cache(&self, params: &Json) -> Result<Json, (String, String)> {
-        let Some(path) = params.get("path").and_then(Json::as_str) else {
-            return Err(("protocol".into(), "missing params.path".into()));
-        };
-        let restored = snapshot::load(path)
-            .map_err(|e| ("snapshot".to_string(), AnalysisError::from(e).to_string()))?;
-        let mut out = Json::obj();
-        out.set("path", path);
-        let sizes = restored.snapshot();
-        out.set("interner_size", sizes.interner_size);
-        out.set("transfer_entries", sizes.transfer_cache_size);
-        // Requests already running keep their session of the old tables;
-        // new requests session off the restored ones.
-        *self
-            .tables
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Arc::new(restored);
-        Ok(out)
     }
 }
 
@@ -608,19 +555,19 @@ mod tests {
                 .and_then(Json::as_str),
             Some("protocol")
         );
-        let nocache = server.handle(request(4, "load_cache", {
-            let mut p = Json::obj();
-            p.set("path", "/nonexistent/psa.cache");
-            p
-        }));
-        assert_eq!(
-            nocache
-                .get("error")
-                .unwrap()
-                .get("kind")
-                .and_then(Json::as_str),
-            Some("snapshot")
-        );
+        // No method saves or loads the tables: the server owns them for
+        // its whole life.
+        for (id, method) in [(4, "save_cache"), (5, "load_cache")] {
+            let resp = server.handle(request(id, method, {
+                let mut p = Json::obj();
+                p.set("path", "psa.cache");
+                p
+            }));
+            let err = resp.get("error").expect("error response");
+            assert_eq!(err.get("kind").and_then(Json::as_str), Some("protocol"));
+            let message = err.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("unknown method"), "{message}");
+        }
     }
 
     #[test]

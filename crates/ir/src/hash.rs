@@ -1,6 +1,7 @@
-//! The two hash functions every crate shares. Their values persist (in
-//! snapshot checksums, universe and epoch keys, statement slots and the
-//! summary cache's body keys), so neither may change.
+//! The two hash functions every crate shares: universe and epoch keys,
+//! statement slots, the summary cache's body keys and the canonical
+//! labelling's hash colors all derive from them. The tests below pin their
+//! reference outputs.
 
 /// FNV-1a (64-bit) over a byte slice: deterministic across processes and
 /// platforms.

@@ -359,8 +359,8 @@ fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     let mut out = Vec::with_capacity(order.len() * 48);
     out.extend_from_slice(&(order.len() as u32).to_le_bytes());
     // The slot count is part of the form even when the trailing slots are
-    // unbound: the shared interner serves many universes (warm daemon,
-    // restored snapshots), and the minted representative's PL vector must
+    // unbound: the shared interner serves many universes (the warm
+    // daemon), and the minted representative's PL vector must
     // be indexable by every pvar of the universe that interned it.
     out.extend_from_slice(&(g.num_pvar_slots() as u32).to_le_bytes());
     for &n in order.iter() {

@@ -179,8 +179,8 @@ impl ShapeCtx {
     /// operation identical semantics (transfer warnings embed pvar names,
     /// so names are part of the key), which is what lets the engine's
     /// transfer-memo epoch be derived from the universe instead of the
-    /// whole function body — the basis of cross-function and
-    /// cross-process (snapshot) memo reuse.
+    /// whole function body — the basis of memo reuse across functions and
+    /// across daemon requests.
     pub fn universe_key(&self) -> u64 {
         let repr = format!(
             "{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",

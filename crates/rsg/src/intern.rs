@@ -413,25 +413,6 @@ impl<K: Eq + Hash, V> Striped<K, V> {
     }
 }
 
-impl<K: Ord + Clone, V: Clone> Striped<K, V> {
-    /// Every entry, sorted by key for deterministic output (snapshot
-    /// codec).
-    pub(crate) fn entries(&self) -> Vec<(K, V)> {
-        let mut v: Vec<(K, V)> = self
-            .stripes
-            .iter()
-            .flat_map(|s| {
-                lock_recover(s)
-                    .iter()
-                    .map(|(k, v)| (k.clone(), v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        v.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        v
-    }
-}
-
 /// Run-wide hash-consing table for canonical forms.
 ///
 /// The dedup index is a `Striped` map keyed by the canonical bytes;
@@ -704,16 +685,6 @@ impl Interner {
         self.form(id).fp
     }
 
-    /// The representative graph of an interned id: the graph that first
-    /// minted the entry, shared with whoever interned it (isomorphic to
-    /// every later graph interning to the same id). Immutable. Lock-free.
-    ///
-    /// # Panics
-    /// If `id` was not minted by this interner.
-    pub fn graph(&self, id: CanonId) -> Arc<Rsg> {
-        self.form(id).graph.clone()
-    }
-
     /// The full [`CanonEntry`] of an interned id. Lock-free.
     ///
     /// # Panics
@@ -727,7 +698,10 @@ impl Interner {
         }
     }
 
-    /// Resolve an id into `(entry, graph)`. Lock-free.
+    /// Resolve an id into `(entry, graph)`. The graph is the entry's
+    /// representative: the graph that first minted it, shared (not copied)
+    /// and isomorphic to every later graph interning to the same id.
+    /// Lock-free.
     ///
     /// # Panics
     /// If `id` was not minted by this interner.
@@ -1031,8 +1005,7 @@ impl OpStats {
 
 /// An insertion-ordered registry mapping caller-supplied 64-bit keys to
 /// compact dense ids, used for both configuration epochs and statement
-/// slots in transfer-memo keys. Ids mint in first-seen order, which is
-/// what lets a snapshot replay the registry and land on identical ids.
+/// slots in transfer-memo keys. Ids mint densely in first-seen order.
 #[derive(Debug, Default)]
 pub struct KeyRegistry {
     map: Mutex<HashMap<u64, u32>>,
@@ -1054,17 +1027,6 @@ impl KeyRegistry {
     /// True when no key has been registered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Every `(key, id)` pair, sorted by id — the replay order a snapshot
-    /// must use so restored ids match.
-    pub fn dump(&self) -> Vec<(u64, u32)> {
-        let mut v: Vec<(u64, u32)> = lock_recover(&self.map)
-            .iter()
-            .map(|(&k, &id)| (k, id))
-            .collect();
-        v.sort_by_key(|&(_, id)| id);
-        v
     }
 }
 
@@ -1098,8 +1060,7 @@ pub struct SummaryEntry {
 /// tables. Keys combine a 64-bit body hash (so textually identical bodies
 /// from different lowerings share entries), the configuration epoch (level
 /// and semantic flags change transfer meaning), and the entry graph's
-/// [`CanonId`]. Not persisted by table snapshots — summaries rebuild
-/// cheaply and embed `CanonId`s that a snapshot would have to remap.
+/// [`CanonId`].
 #[derive(Debug, Default)]
 pub struct SummaryCache {
     entries: Mutex<HashMap<(u64, u32, CanonId), SummaryEntry>>,
@@ -1203,10 +1164,10 @@ pub struct SharedTables {
     pub(crate) transfer: Arc<Striped<TransferKey, Arc<TransferOutcome>>>,
     /// JOIN memo: the interned id of `compress(join(a, b))` per level and
     /// input pair. Ids only, no graphs: the interner already keeps each
-    /// output's representative. Not persisted by snapshots.
+    /// output's representative.
     pub(crate) join: Arc<Striped<JoinKey, CanonId>>,
     /// Recursive-call summary table (per function body + epoch + entry
-    /// graph). Shared like the other tables; not persisted by snapshots.
+    /// graph). Shared like the other tables.
     pub summaries: Arc<SummaryCache>,
     /// Op-level counters (per handle; see [`SharedTables::session`]).
     pub metrics: OpMetrics,
@@ -1226,8 +1187,8 @@ pub struct SharedTables {
     /// Registry of statement slots: a content key (statement + active
     /// induction pvars) maps to a compact slot id used in transfer-memo
     /// keys, so identical statements share memo entries across functions,
-    /// engine runs and processes (via snapshots) regardless of where they
-    /// sit in a block list.
+    /// engine runs and daemon requests regardless of where they sit in a
+    /// block list.
     slots: Arc<KeyRegistry>,
 }
 
@@ -1307,19 +1268,9 @@ impl SharedTables {
     /// Identical statements — same operation, operand pvars/selectors and
     /// active induction pvars — share one slot, so their memoized transfers
     /// are shared across functions and across engine runs on the same table
-    /// set, including runs separated by a snapshot save/restore.
+    /// set, such as the daemon's successive requests.
     pub fn stmt_slot_for(&self, content_key: u64) -> u32 {
         self.slots.id_for(content_key)
-    }
-
-    /// The epoch registry, sorted by epoch id (snapshot codec).
-    pub fn epochs_dump(&self) -> Vec<(u64, u32)> {
-        self.epochs.dump()
-    }
-
-    /// The statement-slot registry, sorted by slot id (snapshot codec).
-    pub fn slots_dump(&self) -> Vec<(u64, u32)> {
-        self.slots.dump()
     }
 
     /// Tables that intern (storage still needs ids) but answer every
@@ -1763,12 +1714,11 @@ mod tests {
         let t = SharedTables::new();
         let g = sll(4);
         let e = t.intern(&g);
-        let back = t.interner.graph(e.id);
+        let (entry, graph) = t.interner.resolve(e.id);
         assert!(
-            Arc::ptr_eq(&back, &g),
+            Arc::ptr_eq(&graph, &g),
             "the minting graph is shared, not copied"
         );
-        let (entry, graph) = t.interner.resolve(e.id);
         assert_eq!(entry.id, e.id);
         assert_eq!(entry.bytes, e.bytes);
         assert_eq!(canonical_bytes(&graph), canonical_bytes(&g));
@@ -1970,14 +1920,11 @@ mod tests {
     }
 
     #[test]
-    fn stmt_slots_mint_densely_and_dump_in_order() {
+    fn stmt_slots_mint_densely_and_stay_stable() {
         let t = SharedTables::new();
         assert_eq!(t.stmt_slot_for(0xdead), 0);
         assert_eq!(t.stmt_slot_for(0xbeef), 1);
         assert_eq!(t.stmt_slot_for(0xdead), 0, "stable per key");
-        let dump = t.slots_dump();
-        assert_eq!(dump, vec![(0xdead, 0), (0xbeef, 1)]);
-        assert_eq!(t.epochs_dump(), Vec::new());
     }
 
     #[test]
@@ -2000,23 +1947,6 @@ mod tests {
         s.cancel.cancel_with(CancelCause::Deadline);
         assert!(s.cancel.is_cancelled());
         assert!(!base.cancel.is_cancelled());
-    }
-
-    #[test]
-    fn memo_dump_accessors_roundtrip() {
-        let t = SharedTables::new();
-        let a = t.intern(&sll(2));
-        let b = t.intern(&sll(3));
-        t.subsume_store(a.id, b.id, false);
-        t.subsume_store(a.id, a.id, true);
-        assert_eq!(
-            t.subsume.entries(),
-            vec![((a.id, a.id), true), ((a.id, b.id), false)]
-        );
-        t.transfer_store(1, 5, a.id, Arc::new(TransferOutcome::default()));
-        t.transfer_store(0, 9, b.id, Arc::new(TransferOutcome::default()));
-        let keys: Vec<TransferKey> = t.transfer.entries().into_iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![(0, 9, b.id), (1, 5, a.id)]);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod prune;
 pub mod render;
 pub mod scratch;
 pub mod sets;
-pub mod snapshot;
 pub mod spath;
 pub mod subsume;
 pub mod trace;

@@ -1,10 +1,9 @@
-//! In-process daemon session suite (warm-start ISSUE tentpole): drives
-//! [`psa::core::serve::Server`] through a multi-request lifetime and checks
-//! the warm-table contract end to end — warm resubmissions are bit-
-//! identical to cold runs and replay memoized transfers, per-request op
-//! counters are isolated while the `server` section accumulates, edits go
-//! through the incremental `reanalyze` path, and a snapshot saved by one
-//! server warms a freshly started one.
+//! In-process daemon session suite: drives [`psa::core::serve::Server`]
+//! through a multi-request lifetime and checks the warm-table contract end
+//! to end — warm resubmissions are bit-identical to cold runs and replay
+//! memoized transfers, per-request op counters are isolated while the
+//! `server` section accumulates, and edits go through the incremental
+//! `reanalyze` path.
 
 use psa::codes::{sparse_matvec, Sizes};
 use psa::core::json::Json;
@@ -140,47 +139,4 @@ fn reanalyze_after_edit_is_incremental_and_stays_warm() {
         op(&resp, "transfer_memo_hits") > 0,
         "unchanged statements must replay from the warm memo"
     );
-}
-
-#[test]
-fn snapshot_saved_by_one_server_warms_a_fresh_one() {
-    let dir = std::env::temp_dir().join(format!("psa_serve_session_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("warm.psas");
-    let path_str = path.to_str().unwrap().to_string();
-    let src = sparse_matvec(Sizes::tiny());
-
-    let first = Server::new(ServeOptions::default());
-    let cold = first.handle(request(1, "analyze", analyze_params(&src, "mv")));
-    let saved = first.handle(request(2, "save_cache", {
-        let mut p = Json::obj();
-        p.set("path", path_str.as_str());
-        p
-    }));
-    assert!(
-        saved.get("result").is_some(),
-        "save_cache failed: {saved:?}"
-    );
-
-    let second = Server::new(ServeOptions::default());
-    let loaded = second.handle(request(1, "load_cache", {
-        let mut p = Json::obj();
-        p.set("path", path_str.as_str());
-        p
-    }));
-    assert!(
-        loaded.get("result").is_some(),
-        "load_cache failed: {loaded:?}"
-    );
-    let warm = second.handle(request(2, "analyze", analyze_params(&src, "mv")));
-
-    assert_eq!(
-        report_sans_stats(&cold).compact(),
-        report_sans_stats(&warm).compact(),
-        "report after snapshot hand-off diverged"
-    );
-    assert!(op(&warm, "transfer_memo_hits") > 0);
-    assert_eq!(op(&warm, "transfer_memo_misses"), 0);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
