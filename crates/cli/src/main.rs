@@ -12,7 +12,9 @@
 //! ```
 //!
 //! `--json` prints exactly one JSON document on stdout; the files that
-//! `--dot` and `--trace` write are announced on stderr. `psa serve` takes
+//! `--dot` and `--trace` write are announced on stderr. The text views
+//! `--stmt-dump`, `--parallel-report` and `--annotate` cannot be combined
+//! with `--json`: the command fails naming the flag. `psa serve` takes
 //! no flags: it reads newline-delimited JSON requests on stdin
 //! (`psa_core::serve`, DESIGN.md §13).
 //!
@@ -204,6 +206,20 @@ fn parse_flags(args: &[String], only: Option<&[&str]>) -> Result<Flags, String> 
         }
         i += 1;
     }
+    // `--json` owns stdout; these flags print text there.
+    if f.json {
+        for (set, flag) in [
+            (f.annotate, "--annotate"),
+            (f.parallel_report, "--parallel-report"),
+            (f.stmt_dump, "--stmt-dump"),
+        ] {
+            if set {
+                return Err(format!(
+                    "`{flag}` prints text and cannot be combined with `--json`"
+                ));
+            }
+        }
+    }
     Ok(f)
 }
 
@@ -268,6 +284,8 @@ fn usage() -> String {
      [--dot DIR] [--stmt-dump] [--parallel-report] [--annotate] [--json] [--stats]\n  \
      \x20            [--budget-nodes N] [--budget-rsgs N] [--budget-ms N] [--trace FILE]\n  \
      \x20            [--check asserts,memory] [--seeds N]\n  \
+     \x20            (--json prints one JSON document and rejects --stmt-dump,\n  \
+     \x20             --parallel-report and --annotate)\n  \
      psa ir <file.c> [--function NAME]\n  \
      psa bench-code <matvec|matmat|lu|barnes-hut|treeadd|power|em3d|bisort|tsp|health|perimeter|voronoi> [flags]\n  \
      psa serve\n  \

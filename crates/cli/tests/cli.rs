@@ -189,6 +189,30 @@ fn unknown_flag_fails_cleanly() {
 }
 
 #[test]
+fn json_rejects_text_view_flags() {
+    let f = write_tmp("list_json_views.c", LIST);
+    let file = f.to_str().unwrap();
+    for flag in ["--annotate", "--parallel-report", "--stmt-dump"] {
+        for args in [
+            ["analyze", file, "--json", flag],
+            ["bench-code", "treeadd", flag, "--json"],
+        ] {
+            let out = psa().args(args).output().unwrap();
+            assert!(!out.status.success(), "{args:?} must fail");
+            assert!(out.stdout.is_empty(), "{args:?} printed a report");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("`{flag}`")) && stderr.contains("--json"),
+                "{stderr}"
+            );
+        }
+        // Without `--json` the flag still works.
+        let out = psa().args(["analyze", file, flag]).output().unwrap();
+        assert!(out.status.success(), "{flag} alone must succeed");
+    }
+}
+
+#[test]
 fn ir_and_serve_reject_flags_they_ignore() {
     let f = write_tmp("list_ir_flags.c", LIST);
     let file = f.to_str().unwrap();

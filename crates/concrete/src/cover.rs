@@ -253,7 +253,7 @@ mod tests {
         // lengths.
         let ctx = ShapeCtx::synthetic(1, 1);
         let summary = compress(
-            &builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );

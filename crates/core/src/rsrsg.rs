@@ -107,7 +107,7 @@ impl Rsrsg {
         let t = &ctx.tables;
         let m = &t.metrics;
         m.insert_calls.fetch_add(1, Ordering::Relaxed);
-        let cand = compress(&g, ctx, level);
+        let cand = compress(g, ctx, level);
         m.compress_calls.fetch_add(1, Ordering::Relaxed);
         self.reduce_in(Arc::new(cand), None, ctx, level);
     }
@@ -177,9 +177,9 @@ impl Rsrsg {
                 }
             }
             // COMPATIBLE requires equal pinning signatures, which the
-            // fingerprint hashes: gate the expensive structural check
-            // (alias classes + spaths) on them, except in the reference
-            // oracle.
+            // fingerprint hashes: gate the structural check (alias
+            // relation + C_NODES on the pinned nodes) on them, except in
+            // the reference oracle.
             if let Some(i) = self.canon.iter().zip(&self.graphs).position(|(me, mg)| {
                 (!keyed || Fingerprint::may_be_compatible(&me.fp, &e.fp))
                     && compatible(mg, &cand, level)
@@ -408,7 +408,7 @@ fn join_compressed(
     }
     m.compress_calls.fetch_add(1, Ordering::Relaxed);
     let j0 = t.tracer.enabled().then(Instant::now);
-    let joined = Arc::new(compress(&join(a.1, b.1, level), ctx, level));
+    let joined = Arc::new(compress(join(a.1, b.1, level), ctx, level));
     t.tracer.span_since(TraceKind::Join, j0, 0, 0);
     let e = t.intern(&joined);
     if memo {
@@ -603,7 +603,7 @@ mod tests {
         for n in [3usize, 4, 5, 6] {
             let g = builder::singly_linked_list(n, 1, PvarId(0), sel(0));
             a.insert(g.clone(), &ctx1, Level::L1);
-            let c = Arc::new(psa_rsg::compress::compress(&g, &ctx2, Level::L1));
+            let c = Arc::new(psa_rsg::compress::compress(g.clone(), &ctx2, Level::L1));
             let e = ctx2.tables.intern(&c);
             b.insert_compressed(c, e, &ctx2, Level::L1);
         }

@@ -263,10 +263,10 @@ pub fn transfer_one_cached(
         m.transfer_memo_hits.fetch_add(1, Ordering::Relaxed);
         t.tracer
             .instant(TraceKind::TransferMemoHit, tcx.stmt as u64, e.id.0 as u64);
-        for w in &hit.warnings {
+        for w in hit.warnings() {
             stats.warn(w.clone());
         }
-        stats.revisits.extend(hit.revisits.iter().copied());
+        stats.revisits.extend(hit.revisits().iter().copied());
         return hit
             .outs
             .iter()
@@ -285,7 +285,7 @@ pub fn transfer_one_cached(
         .into_iter()
         .map(|o| {
             let c0 = t.tracer.enabled().then(Instant::now);
-            let c = compress(&o, tcx.ctx, tcx.level);
+            let c = compress(o, tcx.ctx, tcx.level);
             m.compress_calls.fetch_add(1, Ordering::Relaxed);
             t.tracer
                 .span_since(TraceKind::Compress, c0, tcx.stmt as u64, 0);
@@ -294,12 +294,12 @@ pub fn transfer_one_cached(
         .collect();
     let entries = t.intern_batch(&compressed);
     let outs: Vec<(Arc<Rsg>, CanonEntry)> = compressed.into_iter().zip(entries).collect();
-    let outcome = TransferOutcome {
-        outs: outs.iter().map(|(_, oe)| oe.id).collect(),
-        warnings: scratch.warnings.clone(),
-        revisits: scratch.revisits.iter().copied().collect(),
-    };
-    t.transfer_store(epoch, slot, e.id, Arc::new(outcome));
+    let outcome = TransferOutcome::new(
+        outs.iter().map(|(_, oe)| oe.id).collect(),
+        scratch.warnings.clone(),
+        scratch.revisits.iter().copied().collect(),
+    );
+    t.transfer_store(epoch, slot, e.id, outcome);
     for w in scratch.warnings {
         stats.warn(w);
     }
@@ -597,7 +597,7 @@ mod tests {
     fn stale_sharing_flags_keep_extra_links_after_a_materializing_load() {
         let (x, y, nxt) = (PvarId(0), PvarId(1), sel(0));
         let ctx = ShapeCtx::synthetic(2, 1);
-        let list = compress(&builder::singly_linked_list(8, 2, x, nxt), &ctx, Level::L1);
+        let list = compress(builder::singly_linked_list(8, 2, x, nxt), &ctx, Level::L1);
         let mut stale = list.clone();
         for n in stale.node_ids().collect::<Vec<_>>() {
             let node = stale.node_mut(n);
@@ -777,7 +777,7 @@ mod tests {
         // materialized; p1 lands on a singular node.
         let ctx = ShapeCtx::synthetic(2, 1);
         let g0 = builder::singly_linked_list(5, 2, PvarId(0), sel(0));
-        let g = compress(&g0, &ctx, Level::L1);
+        let g = compress(g0.clone(), &ctx, Level::L1);
         assert_eq!(g.num_nodes(), 3);
         let out = run(
             &g,

@@ -11,9 +11,11 @@
 
 use crate::ctx::{Level, ShapeCtx};
 use crate::graph::Rsg;
-use crate::node::{Node, NodeId};
-use crate::sets::CycleSet;
-use crate::spath::{self};
+use crate::node::{Node, NodeId, NodeRef};
+use crate::scratch;
+use crate::sets::{CycleSet, SelSet};
+use crate::spath::{self, SPath};
+use std::cmp::Ordering;
 
 /// MERGE_NODES (§3.1) over nodes `a`/`b` of graph `g` (used by intra-graph
 /// compression, inter-graph join, and the RSRSG widening join).
@@ -137,115 +139,159 @@ fn merge_group(g: &Rsg, group: &[NodeId]) -> Node {
     acc
 }
 
-/// The equality-based part of the `C_NODES_RSG` signature.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct GroupKey {
-    ty: u32,
-    structure: u32,
-    shared: bool,
-    shsel: u64,
-    touch: Vec<u32>,
-    zero_spath: Vec<u32>,
+/// The equality part of the `C_NODES_RSG` signature as an order over node
+/// ids: TYPE, STRUCTURE, SHARED, SHSEL, TOUCH, zero-length SPATH, field by
+/// field, each set lexicographically. One sort by it leaves every class
+/// contiguous and the classes in key order.
+fn class_order(g: &Rsg, labels: &[u32], sps: &[SPath], a: u32, b: u32) -> Ordering {
+    let (na, nb) = (g.node(NodeId(a)), g.node(NodeId(b)));
+    let (a, b) = (a as usize, b as usize);
+    na.ty
+        .0
+        .cmp(&nb.ty.0)
+        .then(labels[a].cmp(&labels[b]))
+        .then(na.shared.cmp(&nb.shared))
+        .then(na.shsel.0.cmp(&nb.shsel.0))
+        .then_with(|| na.touch.cmp(nb.touch))
+        .then_with(|| sps[a].zero.cmp(&sps[b].zero))
+}
+
+/// A group under construction in [`compress_once`]'s greedy pass: its
+/// number in output order and its members' accumulated reference pattern
+/// (intersection of musts, union of mays).
+struct View {
+    group: u32,
+    selin: SelSet,
+    selout: SelSet,
+    may_in: SelSet,
+    may_out: SelSet,
+    /// No member has a one-length SPATH.
+    one_empty: bool,
+}
+
+scratch::pool!(@impl VIEW_POOL, View);
+
+impl View {
+    fn new(group: u32, n: NodeRef<'_>, one_empty: bool) -> View {
+        View {
+            group,
+            selin: n.selin,
+            selout: n.selout,
+            may_in: n.may_selin(),
+            may_out: n.may_selout(),
+            one_empty,
+        }
+    }
+
+    /// `C_REFPAT` against the accumulated view.
+    fn refpat_ok(&self, n: NodeRef<'_>) -> bool {
+        self.selin.diff(n.may_selin()).is_empty()
+            && n.selin.diff(self.may_in).is_empty()
+            && self.selout.diff(n.may_selout()).is_empty()
+            && n.selout.diff(self.may_out).is_empty()
+    }
+
+    fn absorb(&mut self, n: NodeRef<'_>, one_empty: bool) {
+        self.selin = self.selin.inter(n.selin);
+        self.selout = self.selout.inter(n.selout);
+        self.may_in = self.may_in.union(n.may_selin());
+        self.may_out = self.may_out.union(n.may_selout());
+        self.one_empty &= one_empty;
+    }
 }
 
 /// One COMPRESS pass: partition by the equality signature, then greedily
-/// sub-partition by the non-transitive compatibilities — `C_REFPAT`
-/// (musts ⊆ mays both ways, tracked against the accumulated group view) and
-/// `C_SPATH1` when the level requires it. Merge groups, rebuild.
-/// Returns `(graph, merged_any)`.
-fn compress_once(g: &Rsg, _ctx: &ShapeCtx, level: Level) -> (Rsg, bool) {
+/// sub-partition each class by the non-transitive compatibilities —
+/// `C_REFPAT` (musts ⊆ mays both ways, against the accumulated group view)
+/// and `C_SPATH1` when the level requires it. Merge groups, rebuild.
+/// Returns `None` when no group has two members.
+///
+/// The partition is one `(group, node)` pair per node in a pooled buffer:
+/// a stable sort by [`class_order`] orders the classes, the greedy pass
+/// numbers the groups, and only a merging pass sorts by group to rebuild.
+/// A pass that merges nothing allocates nothing beyond the STRUCTURE
+/// labels and the SPATHs.
+fn compress_once(g: &Rsg, level: Level) -> Option<Rsg> {
     let labels = g.structure_labels();
     let sps = spath::spaths(g);
+    let class = |a: u32, b: u32| class_order(g, &labels, &sps, a, b);
 
-    // Partition by the equality key.
-    let mut parts: std::collections::BTreeMap<GroupKey, Vec<NodeId>> =
-        std::collections::BTreeMap::new();
-    for id in g.node_ids() {
-        let n = g.node(id);
-        let key = GroupKey {
-            ty: n.ty.0,
-            structure: labels[id.0 as usize],
-            shared: n.shared,
-            shsel: n.shsel.0,
-            touch: n.touch.iter().map(|p| p.0).collect(),
-            zero_spath: sps[id.0 as usize].zero.iter().map(|p| p.0).collect(),
-        };
-        parts.entry(key).or_default().push(id);
-    }
+    let mut part = scratch::span_buf();
+    part.extend(g.node_ids().map(|id| (0, id.0)));
+    part.sort_by(|x, y| class(x.1, y.1));
 
-    // Greedy sub-partition by refpat (+ spath1) compatibility, tracked
-    // against the accumulating group view.
-    struct GroupView {
-        members: Vec<NodeId>,
-        // Accumulated refpat: intersection of musts, union of mays.
-        selin: crate::sets::SelSet,
-        selout: crate::sets::SelSet,
-        may_in: crate::sets::SelSet,
-        may_out: crate::sets::SelSet,
-        one: Vec<(psa_ir::PvarId, psa_cfront::types::SelectorId)>,
-        one_empty_ok: bool,
-    }
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-    for (_, members) in parts {
-        if members.len() == 1 {
-            groups.push(members);
-            continue;
+    let mut views = scratch::buf::<View>();
+    let mut groups = 0u32;
+    let mut merged_any = false;
+    let mut lo = 0;
+    while lo < part.len() {
+        let mut hi = lo + 1;
+        while hi < part.len() && class(part[lo].1, part[hi].1).is_eq() {
+            hi += 1;
         }
-        let mut sub: Vec<GroupView> = Vec::new();
-        'member: for id in members {
-            let n = g.node(id);
-            let sp = &sps[id.0 as usize];
-            for view in sub.iter_mut() {
-                let refpat_ok = view.selin.diff(n.may_selin()).is_empty()
-                    && n.selin.diff(view.may_in).is_empty()
-                    && view.selout.diff(n.may_selout()).is_empty()
-                    && n.selout.diff(view.may_out).is_empty();
-                let spath_ok = !level.use_spath1()
-                    || (sp.one.is_empty() && view.one_empty_ok)
-                    || sp.one.iter().any(|x| view.one.contains(x));
-                if refpat_ok && spath_ok {
-                    view.members.push(id);
-                    view.selin = view.selin.inter(n.selin);
-                    view.selout = view.selout.inter(n.selout);
-                    view.may_in = view.may_in.union(n.may_selin());
-                    view.may_out = view.may_out.union(n.may_selout());
-                    view.one_empty_ok &= sp.one.is_empty();
-                    for x in &sp.one {
-                        if !view.one.contains(x) {
-                            view.one.push(*x);
-                        }
-                    }
-                    continue 'member;
-                }
-            }
-            sub.push(GroupView {
-                members: vec![id],
-                selin: n.selin,
-                selout: n.selout,
-                may_in: n.may_selin(),
-                may_out: n.may_selout(),
-                one: sp.one.clone(),
-                one_empty_ok: sp.one.is_empty(),
+        views.clear();
+        for i in lo..hi {
+            let n = g.node(NodeId(part[i].1));
+            let one = &sps[part[i].1 as usize].one;
+            // A view's one-length paths are its members' (the earlier
+            // positions of this class carrying its group number).
+            let shares_one = |group: u32| {
+                part[lo..i].iter().any(|&(grp, m)| {
+                    grp == group && sps[m as usize].one.iter().any(|x| one.contains(x))
+                })
+            };
+            let fit = views.iter_mut().find(|v| {
+                v.refpat_ok(n)
+                    && (!level.use_spath1()
+                        || (one.is_empty() && v.one_empty)
+                        || shares_one(v.group))
             });
+            part[i].0 = match fit {
+                Some(v) => {
+                    v.absorb(n, one.is_empty());
+                    merged_any = true;
+                    v.group
+                }
+                None => {
+                    let group = groups;
+                    groups += 1;
+                    views.push(View::new(group, n, one.is_empty()));
+                    group
+                }
+            };
         }
-        groups.extend(sub.into_iter().map(|v| v.members));
+        lo = hi;
     }
-
-    let merged_any = groups.iter().any(|grp| grp.len() >= 2);
     if !merged_any {
-        return (g.clone(), false);
+        return None;
     }
 
-    // Rebuild: map old ids to new ids.
-    let cap = g.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0);
-    let mut map: Vec<Option<NodeId>> = vec![None; cap];
+    // Group order, members in id order within each group: JOIN pairs
+    // nodes by id, so the output numbering is part of the result.
+    part.sort_unstable();
+    let mut members = scratch::node_buf();
+    members.extend(part.iter().map(|&(_, id)| NodeId(id)));
+    let mut rest = &members[..];
+    let groups = part.chunk_by(|x, y| x.0 == y.0).map(|run| {
+        let (grp, tail) = rest.split_at(run.len());
+        rest = tail;
+        grp
+    });
+    Some(rebuild(g, groups))
+}
+
+/// Rebuild `g` with each group merged into one node, in group order.
+/// Singleton groups copy their node; PL and NL follow the node map.
+fn rebuild<'a>(g: &Rsg, groups: impl IntoIterator<Item = &'a [NodeId]>) -> Rsg {
+    let mut map: Vec<Option<NodeId>> = vec![None; g.num_slots()];
     let mut out = Rsg::empty(g.num_pvar_slots());
-    for grp in &groups {
-        let new_id = if grp.len() == 1 {
-            out.add_node(g.node(grp[0]).to_node())
+    for grp in groups {
+        let node = if grp.len() == 1 {
+            g.node(grp[0]).to_node()
         } else {
-            out.add_node(merge_group(g, grp))
+            merge_group(g, grp)
         };
+        let new_id = out.add_node(node);
         for &old in grp {
             map[old.0 as usize] = Some(new_id);
         }
@@ -260,22 +306,23 @@ fn compress_once(g: &Rsg, _ctx: &ShapeCtx, level: Level) -> (Rsg, bool) {
             map[b.0 as usize].expect("mapped"),
         );
     }
-    (out, true)
+    out
 }
 
 /// COMPRESS to a fixed point: merging can expose further compatible pairs
 /// (structure labels and SPATHs change), so iterate until stable. The node
 /// count strictly decreases on every merging pass, so this terminates.
-pub fn compress(g: &Rsg, ctx: &ShapeCtx, level: Level) -> Rsg {
-    let mut cur = g.clone();
-    cur.gc();
-    loop {
-        let (next, merged) = compress_once(&cur, ctx, level);
-        if !merged {
-            return next;
-        }
-        cur = next;
+///
+/// Takes the graph by value: garbage is collected in place, each merging
+/// pass rebuilds a fresh graph, and the output is one final `clone()`, the
+/// rebuild boundary (freed slots become allocatable, capacity is trimmed
+/// for a graph that lives on in the tables).
+pub fn compress(mut g: Rsg, _ctx: &ShapeCtx, level: Level) -> Rsg {
+    g.gc();
+    while let Some(next) = compress_once(&g, level) {
+        g = next;
     }
+    g.clone()
 }
 
 /// Forced summarization (k-limiting): COMPRESS with the `C_NODES_RSG`
@@ -293,7 +340,7 @@ pub fn compress(g: &Rsg, ctx: &ShapeCtx, level: Level) -> Rsg {
 /// summary per struct type; a graph still over the cap at that floor is
 /// returned anyway.
 pub fn force_compress(g: &Rsg, ctx: &ShapeCtx, level: Level, max_nodes: usize) -> Rsg {
-    let mut cur = compress(g, ctx, level);
+    let mut cur = compress(g.clone(), ctx, level);
     // Escalating relaxation rounds, each widening the set of mergeable
     // nodes: round 0 is the documented k-limit (non-pointed nodes of one
     // (TYPE, TOUCH) class); round 1 drops TOUCH equality, unioning the
@@ -309,7 +356,7 @@ pub fn force_compress(g: &Rsg, ctx: &ShapeCtx, level: Level, max_nodes: usize) -
         if let Some(next) = force_round(&cur, round) {
             // Coarsening can expose ordinary compatibilities; re-establish
             // the normal COMPRESS fixpoint on the coarsened graph.
-            cur = compress(&next, ctx, level);
+            cur = compress(next, ctx, level);
         }
     }
     cur
@@ -365,30 +412,7 @@ fn force_round(cur: &Rsg, round: u8) -> Option<Rsg> {
         }
     }
 
-    let cap = src.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0);
-    let mut map: Vec<Option<NodeId>> = vec![None; cap];
-    let mut out = Rsg::empty(src.num_pvar_slots());
-    for grp in &groups {
-        let new_id = if grp.len() == 1 {
-            out.add_node(src.node(grp[0]).to_node())
-        } else {
-            out.add_node(merge_group(&src, grp))
-        };
-        for &old in grp {
-            map[old.0 as usize] = Some(new_id);
-        }
-    }
-    for (p, n) in src.pl_iter() {
-        out.set_pl(p, map[n.0 as usize].expect("mapped"));
-    }
-    for (a, sel, b) in src.links() {
-        out.add_link(
-            map[a.0 as usize].expect("mapped"),
-            sel,
-            map[b.0 as usize].expect("mapped"),
-        );
-    }
-    Some(out)
+    Some(rebuild(&src, groups.iter().map(Vec::as_slice)))
 }
 
 #[cfg(test)]
@@ -413,7 +437,7 @@ mod tests {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = list4();
         assert_eq!(g.num_nodes(), 4);
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         // head (pvar-pointed, selin ∅), middle (selin {s0}, selout {s0}),
         // tail (selout ∅): 3 classes.
         assert_eq!(c.num_nodes(), 3);
@@ -429,7 +453,7 @@ mod tests {
     fn spath1_keeps_one_hop_node_separate() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = list4();
-        let c = compress(&g, &ctx, Level::L2);
+        let c = compress(g.clone(), &ctx, Level::L2);
         // At L2, the node one hop from p0 cannot merge with the deeper
         // middle node: head, second, middle(third), tail = 4 nodes.
         assert_eq!(c.num_nodes(), 4);
@@ -439,7 +463,7 @@ mod tests {
     fn longer_list_compresses_same_at_l1() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = builder::singly_linked_list(10, 1, PvarId(0), sel(0));
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         assert_eq!(c.num_nodes(), 3, "any length ≥ 3 collapses to 3 nodes");
     }
 
@@ -451,7 +475,7 @@ mod tests {
         // other middle node.
         let ids: Vec<_> = g.node_ids().collect();
         *g.node_mut(ids[1]).shared = true;
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         assert_eq!(c.num_nodes(), 4);
     }
 
@@ -462,7 +486,7 @@ mod tests {
         let ids: Vec<_> = g.node_ids().collect();
         g.node_mut(ids[1]).touch.insert(PvarId(1));
         // At L3 the touched middle differs from the untouched middle.
-        let c3 = compress(&g, &ctx, Level::L3);
+        let c3 = compress(g.clone(), &ctx, Level::L3);
         assert_eq!(c3.num_nodes(), 4);
         // The compatibility predicate always compares TOUCH, but at L1 the
         // engine never populates it; simulate by clearing.
@@ -470,7 +494,7 @@ mod tests {
         for id in g1.node_ids().collect::<Vec<_>>() {
             *g1.node_mut(id).touch = crate::sets::TouchSet::new();
         }
-        let c1 = compress(&g1, &ctx, Level::L1);
+        let c1 = compress(g1.clone(), &ctx, Level::L1);
         assert_eq!(c1.num_nodes(), 3);
     }
 
@@ -492,7 +516,7 @@ mod tests {
         g.node_mut(b).set_must_out(sel(0));
         g.node_mut(c).set_must_in(sel(0));
         let before = g.num_nodes();
-        let out = compress(&g, &ctx, Level::L1);
+        let out = compress(g.clone(), &ctx, Level::L1);
         // STRUCTURE forbids cross-structure merges; within each list nothing
         // merges either (lists of 3 have distinct head/middle/tail).
         assert_eq!(out.num_nodes(), before);
@@ -534,8 +558,8 @@ mod tests {
     fn compress_idempotent() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = list4();
-        let c1 = compress(&g, &ctx, Level::L1);
-        let c2 = compress(&c1, &ctx, Level::L1);
+        let c1 = compress(g.clone(), &ctx, Level::L1);
+        let c2 = compress(c1.clone(), &ctx, Level::L1);
         assert_eq!(c1.num_nodes(), c2.num_nodes());
         assert_eq!(c1.num_links(), c2.num_links());
     }
@@ -544,7 +568,7 @@ mod tests {
     fn force_compress_noop_under_cap() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = list4();
-        let normal = compress(&g, &ctx, Level::L1);
+        let normal = compress(g.clone(), &ctx, Level::L1);
         let forced = force_compress(&g, &ctx, Level::L1, 8);
         assert_eq!(forced.num_nodes(), normal.num_nodes());
         assert_eq!(forced.num_links(), normal.num_links());
@@ -557,7 +581,7 @@ mod tests {
         // L2 keeps 4 nodes apart (C_SPATH1); the relaxed merge collapses
         // all non-pvar-pointed nodes of the single list type into one
         // summary, leaving head + summary.
-        let normal = compress(&g, &ctx, Level::L2);
+        let normal = compress(g.clone(), &ctx, Level::L2);
         assert_eq!(normal.num_nodes(), 4);
         let forced = force_compress(&g, &ctx, Level::L2, 3);
         assert!(forced.num_nodes() <= 3);
@@ -609,7 +633,7 @@ mod tests {
     fn doubly_linked_list_compress_preserves_cycles() {
         let ctx = ShapeCtx::synthetic(1, 2);
         let g = builder::doubly_linked_list(5, 1, PvarId(0), sel(0), sel(1));
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         // head, middle summary, tail.
         assert_eq!(c.num_nodes(), 3);
         // Middle summary keeps the <nxt,prv> and <prv,nxt> cycle pairs.

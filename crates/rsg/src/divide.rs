@@ -180,7 +180,7 @@ mod tests {
         // singular head whose sel goes to the summary.
         let ctx = crate::ctx::ShapeCtx::synthetic(1, 1);
         let g0 = builder::singly_linked_list(5, 1, PvarId(0), sel(0));
-        let g = crate::compress::compress(&g0, &ctx, crate::ctx::Level::L1);
+        let g = crate::compress::compress(g0.clone(), &ctx, crate::ctx::Level::L1);
         assert_eq!(g.num_nodes(), 3);
         let parts = divide(&g, PvarId(0), sel(0));
         // Head's nxt goes only to the middle summary (list of length 5):

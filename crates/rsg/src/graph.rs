@@ -1344,7 +1344,7 @@ mod presence_tests {
     fn presence_stops_at_summaries_and_forks() {
         let ctx = crate::ctx::ShapeCtx::synthetic(1, 1);
         let g = crate::compress::compress(
-            &builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
             &ctx,
             crate::ctx::Level::L1,
         );

@@ -730,15 +730,50 @@ fn subsume_key_hash(&(a, b): &SubsumeKey) -> u64 {
 /// statement: the interned ids of the (compressed) output graphs, plus the
 /// diagnostics the transfer emitted, replayed on every hit so a memoized
 /// run reports the same warnings and TOUCH revisits as a cold one.
+///
+/// The memo stores it by value: one shared id slice, and the diagnostics
+/// in a second allocation only when the transfer emitted any. A lookup
+/// clones two handles.
 #[derive(Debug, Clone, Default)]
 pub struct TransferOutcome {
     /// Interned ids of the compressed output graphs, in production order.
-    pub outs: Vec<CanonId>,
+    pub outs: Arc<[CanonId]>,
+    /// The emitted diagnostics; `None` when there were none.
+    diagnostics: Option<Arc<TransferDiagnostics>>,
+}
+
+/// What a transfer reported besides its outputs.
+#[derive(Debug)]
+struct TransferDiagnostics {
     /// Diagnostics emitted while computing the outputs (e.g. possible NULL
     /// dereference on a crashing configuration).
-    pub warnings: Vec<String>,
+    warnings: Vec<String>,
     /// Induction pvars whose TOUCH mark was re-visited during the transfer.
-    pub revisits: Vec<psa_ir::PvarId>,
+    revisits: Vec<psa_ir::PvarId>,
+}
+
+impl TransferOutcome {
+    /// An outcome; the diagnostics allocation is made only when
+    /// `warnings` or `revisits` is non-empty.
+    pub fn new(
+        outs: Arc<[CanonId]>,
+        warnings: Vec<String>,
+        revisits: Vec<psa_ir::PvarId>,
+    ) -> TransferOutcome {
+        let diagnostics = (!warnings.is_empty() || !revisits.is_empty())
+            .then(|| Arc::new(TransferDiagnostics { warnings, revisits }));
+        TransferOutcome { outs, diagnostics }
+    }
+
+    /// The emitted warnings.
+    pub fn warnings(&self) -> &[String] {
+        self.diagnostics.as_deref().map_or(&[], |d| &d.warnings)
+    }
+
+    /// The re-visited induction pvars.
+    pub fn revisits(&self) -> &[psa_ir::PvarId] {
+        self.diagnostics.as_deref().map_or(&[], |d| &d.revisits)
+    }
 }
 
 /// Transfer-memo key: which configuration epoch (see
@@ -1161,7 +1196,7 @@ pub struct SharedTables {
     /// Subsumption memo: embedding verdicts per `(general, specific)`.
     pub(crate) subsume: Arc<Striped<SubsumeKey, bool>>,
     /// Per-statement transfer memo.
-    pub(crate) transfer: Arc<Striped<TransferKey, Arc<TransferOutcome>>>,
+    pub(crate) transfer: Arc<Striped<TransferKey, TransferOutcome>>,
     /// JOIN memo: the interned id of `compress(join(a, b))` per level and
     /// input pair. Ids only, no graphs: the interner already keeps each
     /// output's representative.
@@ -1346,13 +1381,14 @@ impl SharedTables {
     }
 
     /// The memoized outcome of transferring `input` through statement slot
-    /// `stmt` under configuration `epoch`, if any.
+    /// `stmt` under configuration `epoch`, if any. The stripe lock is
+    /// released before the caller resolves the ids.
     pub fn transfer_lookup(
         &self,
         epoch: u32,
         stmt: u32,
         input: CanonId,
-    ) -> Option<Arc<TransferOutcome>> {
+    ) -> Option<TransferOutcome> {
         let k = (epoch, stmt, input);
         self.transfer
             .lock(transfer_key_hash(&k), &self.metrics, &self.tracer)
@@ -1362,13 +1398,7 @@ impl SharedTables {
 
     /// Record the outcome of transferring `input` through statement slot
     /// `stmt` under configuration `epoch`.
-    pub fn transfer_store(
-        &self,
-        epoch: u32,
-        stmt: u32,
-        input: CanonId,
-        outcome: Arc<TransferOutcome>,
-    ) {
+    pub fn transfer_store(&self, epoch: u32, stmt: u32, input: CanonId, outcome: TransferOutcome) {
         let k = (epoch, stmt, input);
         self.transfer
             .lock(transfer_key_hash(&k), &self.metrics, &self.tracer)
@@ -1648,7 +1678,7 @@ mod tests {
         let ctx = ShapeCtx::synthetic(2, 2);
         for n in [1usize, 2, 3, 5, 8] {
             let g = sll(n);
-            let c = compress(&g, &ctx, Level::L1);
+            let c = compress((*g).clone(), &ctx, Level::L1);
             if subsumes(&c, &g) {
                 assert!(
                     Fingerprint::may_subsume(&Fingerprint::of(&c), &Fingerprint::of(&g)),
@@ -1731,20 +1761,30 @@ mod tests {
         let g = sll(3);
         let e = t.intern(&g);
         assert!(t.transfer_lookup(0, 7, e.id).is_none());
-        let outcome = Arc::new(TransferOutcome {
-            outs: vec![e.id],
-            warnings: vec!["w".into()],
-            revisits: vec![PvarId(0)],
-        });
-        t.transfer_store(0, 7, e.id, outcome.clone());
+        t.transfer_store(
+            0,
+            8,
+            e.id,
+            TransferOutcome::new(vec![e.id].into(), vec![], vec![]),
+        );
+        let quiet = t.transfer_lookup(0, 8, e.id).unwrap();
+        assert_eq!(&quiet.outs[..], &[e.id]);
+        assert!(
+            quiet.diagnostics.is_none(),
+            "no diagnostics, no second allocation"
+        );
+        assert!(quiet.warnings().is_empty() && quiet.revisits().is_empty());
+        let outcome = TransferOutcome::new(vec![e.id].into(), vec!["w".into()], vec![PvarId(0)]);
+        t.transfer_store(0, 7, e.id, outcome);
         let hit = t.transfer_lookup(0, 7, e.id).unwrap();
-        assert_eq!(hit.outs, vec![e.id]);
-        assert_eq!(hit.warnings, vec!["w".to_string()]);
+        assert_eq!(&hit.outs[..], &[e.id]);
+        assert_eq!(hit.warnings(), ["w".to_string()]);
+        assert_eq!(hit.revisits(), [PvarId(0)]);
         // Other epochs and statements do not alias.
         assert!(t.transfer_lookup(1, 7, e.id).is_none());
-        assert!(t.transfer_lookup(0, 8, e.id).is_none());
+        assert!(t.transfer_lookup(0, 9, e.id).is_none());
         let snap = t.snapshot();
-        assert_eq!(snap.transfer_cache_size, 1);
+        assert_eq!(snap.transfer_cache_size, 2);
         // Uncontended single-thread use never records lock waits.
         assert_eq!(snap.lock_wait_ns(), 0);
         assert_eq!(snap.lock_contended(), 0);
@@ -1937,7 +1977,7 @@ mod tests {
         // to the same epoch, and memo stores are visible both ways.
         assert_eq!(s.intern(&sll(3)).id, e.id);
         assert_eq!(s.epoch_for(42), epoch);
-        s.transfer_store(epoch, 0, e.id, Arc::new(TransferOutcome::default()));
+        s.transfer_store(epoch, 0, e.id, TransferOutcome::default());
         assert!(base.transfer_lookup(epoch, 0, e.id).is_some());
         // Observers are not: the session's metrics started at zero and the
         // base cancel token is unaffected by a session cancel.

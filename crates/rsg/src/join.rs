@@ -16,25 +16,19 @@
 use crate::compress::merge_nodes;
 use crate::ctx::Level;
 use crate::graph::Rsg;
-use crate::node::NodeId;
+use crate::node::{NodeId, NodeRef};
+use crate::scratch;
 use crate::spath::{self, SPath};
 use psa_ir::PvarId;
 
-/// The alias relation of a graph: for each bound pvar, the group of pvars
-/// bound to the same node. Returned as a sorted partition (only classes of
-/// bound pvars; singletons included).
-pub fn alias_classes(g: &Rsg) -> Vec<Vec<PvarId>> {
-    let mut by_node: std::collections::BTreeMap<NodeId, Vec<PvarId>> =
-        std::collections::BTreeMap::new();
-    for (p, n) in g.pl_iter() {
-        by_node.entry(n).or_default().push(p);
-    }
-    let mut classes: Vec<Vec<PvarId>> = by_node.into_values().collect();
-    for c in &mut classes {
-        c.sort_unstable();
-    }
-    classes.sort();
-    classes
+/// The SPATH-free part of C_NODES: equal TYPE, SHARED, SHSEL and TOUCH,
+/// and compatible reference patterns.
+fn same_props(a: NodeRef<'_>, b: NodeRef<'_>) -> bool {
+    a.ty == b.ty
+        && a.shared == b.shared
+        && a.shsel == b.shsel
+        && a.touch == b.touch
+        && a.refpat_compatible(b)
 }
 
 /// C_NODES (§4): node compatibility across graphs (no STRUCTURE — that is
@@ -48,52 +42,87 @@ pub fn c_nodes(
     sp2: &SPath,
     level: Level,
 ) -> bool {
-    let a = g1.node(n1);
-    let b = g2.node(n2);
-    a.ty == b.ty
-        && a.shared == b.shared
-        && a.shsel == b.shsel
-        && a.touch == b.touch
-        && a.refpat_compatible(b)
-        && spath::c_spath(sp1, sp2, level.use_spath1())
+    same_props(g1.node(n1), g2.node(n2)) && spath::c_spath(sp1, sp2, level.use_spath1())
 }
 
+/// No bound pvar seen yet for a node slot.
+const UNBOUND: u32 = u32::MAX;
+
 /// COMPATIBLE (§4): may `g1` and `g2` be joined?
+///
+/// Reads only the pinned nodes. One pass over the PL slots checks equal
+/// NULL-ness and equal alias relations: each pvar must see, in both
+/// graphs, the same first (lowest) pvar bound to its node. C_NODES then
+/// runs once per alias class on the class's pair of nodes. The class fixes
+/// their zero-length SPATHs (C_SPATH0), and their one-length SPATHs come
+/// from the nodes' in-links out of pinned nodes, so no whole-graph SPATH
+/// is built.
 pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
     debug_assert_eq!(g1.num_pvar_slots(), g2.num_pvar_slots());
-    // Same NULL-ness for every pvar.
-    let dom1: Vec<PvarId> = g1.pl_iter().map(|(p, _)| p).collect();
-    let dom2: Vec<PvarId> = g2.pl_iter().map(|(p, _)| p).collect();
-    if dom1 != dom2 {
-        return false;
-    }
     // Same known scalar facts: merging configs with different flag values
     // would erase exactly the distinctions flag tracking exists for.
     if g1.scalars() != g2.scalars() {
         return false;
     }
-    // Equal alias relations.
-    if alias_classes(g1) != alias_classes(g2) {
-        return false;
-    }
-    // Pvar-pointed nodes pairwise compatible.
-    let sp1 = spath::spaths(g1);
-    let sp2 = spath::spaths(g2);
-    for (p, n1) in g1.pl_iter() {
-        let n2 = g2.pl(p).expect("same domain");
-        if !c_nodes(
-            g1,
-            n1,
-            g2,
-            n2,
-            &sp1[n1.0 as usize],
-            &sp2[n2.0 as usize],
-            level,
-        ) {
-            return false;
+    let mut first1 = scratch::idx_buf();
+    let mut first2 = scratch::idx_buf();
+    first1.resize(g1.num_slots(), UNBOUND);
+    first2.resize(g2.num_slots(), UNBOUND);
+    for p in 0..g1.num_pvar_slots() {
+        let p = PvarId(p as u32);
+        match (g1.pl(p), g2.pl(p)) {
+            (None, None) => {}
+            (Some(n1), Some(n2)) => {
+                let (f1, f2) = (&mut first1[n1.0 as usize], &mut first2[n2.0 as usize]);
+                if *f1 == UNBOUND {
+                    *f1 = p.0;
+                }
+                if *f2 == UNBOUND {
+                    *f2 = p.0;
+                }
+                if f1 != f2 {
+                    return false;
+                }
+            }
+            _ => return false,
         }
     }
-    true
+    g1.pl_iter()
+        .filter(|&(p, n1)| first1[n1.0 as usize] == p.0)
+        .all(|(p, n1)| {
+            let n2 = g2.pl(p).expect("same domain");
+            same_props(g1.node(n1), g2.node(n2))
+                && (!level.use_spath1() || one_paths_compatible(g1, n1, &first1, g2, n2, &first2))
+        })
+}
+
+/// C_SPATH1's one-length part for a pair of nodes pinned by the same alias
+/// class, given equal alias relations: both nodes lack one-length SPATHs,
+/// or some `<q, sel>` reaches both. `<q, sel>` reaches `n1` when `n1` has
+/// an in-link `sel` from the node `q` is bound to; that node's alias class
+/// is bound to one node in `g2` too, found through the class's first pvar.
+fn one_paths_compatible(
+    g1: &Rsg,
+    n1: NodeId,
+    first1: &[u32],
+    g2: &Rsg,
+    n2: NodeId,
+    first2: &[u32],
+) -> bool {
+    let pinned = |first: &[u32], m: NodeId| first[m.0 as usize] != UNBOUND;
+    let mut pinned_in1 = g1
+        .in_links(n1)
+        .iter()
+        .filter(|&&(m1, _)| pinned(first1, m1))
+        .peekable();
+    if pinned_in1.peek().is_none() {
+        return !g2.in_links(n2).iter().any(|&(m2, _)| pinned(first2, m2));
+    }
+    pinned_in1.any(|&(m1, sel)| {
+        let q = PvarId(first1[m1.0 as usize]);
+        let m2 = g2.pl(q).expect("same domain");
+        g2.has_link(m2, sel, n2)
+    })
 }
 
 /// JOIN (§4.3). Callers must ensure [`compatible`] holds.
@@ -258,17 +287,30 @@ mod tests {
     }
 
     #[test]
-    fn alias_classes_group_by_target() {
-        let mut g = Rsg::empty(3);
-        let a = g.add_fresh(StructId(0));
-        let b = g.add_fresh(StructId(0));
-        g.set_pl(PvarId(0), a);
-        g.set_pl(PvarId(1), a);
-        g.set_pl(PvarId(2), b);
-        assert_eq!(
-            alias_classes(&g),
-            vec![vec![PvarId(0), PvarId(1)], vec![PvarId(2)]]
-        );
+    fn alias_partition_decides_compatibility_not_node_ids() {
+        // g1 binds {p0, p1} and {p2}; g2 the same classes on nodes made in
+        // the other order; g3 binds {p0} and {p1, p2}.
+        let mut g1 = Rsg::empty(3);
+        let a = g1.add_fresh(StructId(0));
+        let b = g1.add_fresh(StructId(0));
+        g1.set_pl(PvarId(0), a);
+        g1.set_pl(PvarId(1), a);
+        g1.set_pl(PvarId(2), b);
+        let mut g2 = Rsg::empty(3);
+        let b2 = g2.add_fresh(StructId(0));
+        let a2 = g2.add_fresh(StructId(0));
+        g2.set_pl(PvarId(0), a2);
+        g2.set_pl(PvarId(1), a2);
+        g2.set_pl(PvarId(2), b2);
+        let mut g3 = Rsg::empty(3);
+        let c = g3.add_fresh(StructId(0));
+        let d = g3.add_fresh(StructId(0));
+        g3.set_pl(PvarId(0), c);
+        g3.set_pl(PvarId(1), d);
+        g3.set_pl(PvarId(2), d);
+        assert!(compatible(&g1, &g2, Level::L1));
+        assert!(!compatible(&g1, &g3, Level::L1));
+        assert!(!compatible(&g3, &g2, Level::L1));
     }
 
     #[test]
@@ -300,13 +342,13 @@ mod tests {
     fn identical_graphs_compatible_and_join_to_same_shape() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g = compress(
-            &builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );
         assert!(compatible(&g, &g, Level::L1));
         let j = join(&g, &g, Level::L1);
-        let jc = compress(&j, &ctx, Level::L1);
+        let jc = compress(j.clone(), &ctx, Level::L1);
         assert_eq!(jc.num_nodes(), g.num_nodes());
         assert_eq!(jc.num_links(), g.num_links());
     }
@@ -317,17 +359,17 @@ mod tests {
         // "2+ list" shape.
         let ctx = ShapeCtx::synthetic(1, 1);
         let g3 = compress(
-            &builder::singly_linked_list(4, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(4, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );
         let g5 = compress(
-            &builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );
         assert!(compatible(&g3, &g5, Level::L1));
-        let j = compress(&join(&g3, &g5, Level::L1), &ctx, Level::L1);
+        let j = compress(join(&g3, &g5, Level::L1), &ctx, Level::L1);
         assert_eq!(j.num_nodes(), 3, "head / middle summary / tail");
         let head = j.pl(PvarId(0)).unwrap();
         assert!(!j.node(head).summary);
@@ -379,12 +421,12 @@ mod tests {
     fn join_never_marks_pvar_nodes_summary() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g3 = compress(
-            &builder::singly_linked_list(3, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(3, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );
         let g4 = compress(
-            &builder::singly_linked_list(4, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(4, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );

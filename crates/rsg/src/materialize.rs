@@ -117,7 +117,7 @@ mod tests {
     fn compressed_list() -> (Rsg, NodeId, NodeId) {
         let ctx = ShapeCtx::synthetic(1, 1);
         let g0 = builder::singly_linked_list(6, 1, PvarId(0), sel(0));
-        let g = compress(&g0, &ctx, Level::L1);
+        let g = compress(g0.clone(), &ctx, Level::L1);
         let head = g.pl(PvarId(0)).unwrap();
         let mid = g.succs(head, sel(0))[0];
         assert!(g.node(mid).summary);

@@ -69,22 +69,30 @@ pub fn buf<T: Poolable>() -> ScratchBuf<T> {
     ScratchBuf { buf }
 }
 
+/// Give `$ty` a thread-local pool, and with a `$name`, a public checkout
+/// function for it. The `@impl` form serves a kernel's private element
+/// type, which it then checks out with [`buf`].
 macro_rules! pool {
     ($(#[$doc:meta])* $name:ident, $static_name:ident, $ty:ty) => {
-        thread_local! {
-            static $static_name: RefCell<Vec<Vec<$ty>>> = const { RefCell::new(Vec::new()) };
-        }
-        impl Poolable for $ty {
-            fn pool() -> &'static std::thread::LocalKey<RefCell<Vec<Vec<$ty>>>> {
-                &$static_name
-            }
-        }
+        pool!(@impl $static_name, $ty);
         $(#[$doc])*
         pub fn $name() -> ScratchBuf<$ty> {
             buf::<$ty>()
         }
     };
+    (@impl $static_name:ident, $ty:ty) => {
+        thread_local! {
+            static $static_name: ::std::cell::RefCell<Vec<Vec<$ty>>> =
+                const { ::std::cell::RefCell::new(Vec::new()) };
+        }
+        impl $crate::scratch::Poolable for $ty {
+            fn pool() -> &'static ::std::thread::LocalKey<::std::cell::RefCell<Vec<Vec<$ty>>>> {
+                &$static_name
+            }
+        }
+    };
 }
+pub(crate) use pool;
 
 pool!(
     /// A pooled `Vec<NodeId>`.
@@ -112,7 +120,8 @@ pool!(
 );
 pool!(
     /// A pooled `Vec<(u32, u32)>` — `(start, len)` spans into a flat buffer
-    /// (the subsumption search's per-node candidate segments).
+    /// (the subsumption search's per-node candidate segments), or COMPRESS's
+    /// `(group, node)` partition.
     span_buf,
     SPAN_POOL,
     (u32, u32)

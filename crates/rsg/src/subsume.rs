@@ -355,7 +355,7 @@ mod tests {
     fn summary_subsumes_longer_lists() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let summary = compress(
-            &builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );
@@ -376,7 +376,7 @@ mod tests {
     fn specific_does_not_subsume_general() {
         let ctx = ShapeCtx::synthetic(1, 1);
         let summary = compress(
-            &builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
+            builder::singly_linked_list(5, 1, PvarId(0), sel(0)),
             &ctx,
             Level::L1,
         );

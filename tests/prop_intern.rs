@@ -154,7 +154,7 @@ proptest! {
     #[test]
     fn memoized_path_agrees_with_raw_search(a in arb_rsg(), b in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        let (a, b) = (compress(&a, &ctx, Level::L1), compress(&b, &ctx, Level::L1));
+        let (a, b) = (compress(a.clone(), &ctx, Level::L1), compress(b.clone(), &ctx, Level::L1));
         let (a, b) = (Arc::new(a), Arc::new(b));
         let t = SharedTables::new();
         let ea = t.intern(&a);
@@ -174,7 +174,7 @@ proptest! {
     #[test]
     fn self_subsumption_is_cached_true(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        let g = Arc::new(compress(&g, &ctx, Level::L1));
+        let g = Arc::new(compress(g.clone(), &ctx, Level::L1));
         let t = SharedTables::new();
         let e = t.intern(&g);
         prop_assert!(t.subsumes_interned((&e, &g), (&e, &g)));
@@ -196,8 +196,8 @@ proptest! {
         // forms cover longer lists, so true subsumptions occur too.
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = pair;
-        let ca = compress(&a, &ctx, Level::L1);
-        let cb = compress(&b, &ctx, Level::L1);
+        let ca = compress(a.clone(), &ctx, Level::L1);
+        let cb = compress(b.clone(), &ctx, Level::L1);
         for (x, y) in [(&a, &b), (&b, &a), (&ca, &b), (&cb, &a), (&ca, &cb), (&cb, &ca)] {
             if subsumes(x, y) {
                 prop_assert!(Fingerprint::may_subsume(&Fingerprint::of(x), &Fingerprint::of(y)));
@@ -212,7 +212,7 @@ proptest! {
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = pair;
         for level in [Level::L1, Level::L2, Level::L3] {
-            let (ca, cb) = (compress(&a, &ctx, level), compress(&b, &ctx, level));
+            let (ca, cb) = (compress(a.clone(), &ctx, level), compress(b.clone(), &ctx, level));
             for (x, y) in [(&a, &b), (&ca, &cb)] {
                 let (fx, fy) = (Fingerprint::of(x), Fingerprint::of(y));
                 if compatible(x, y, level) {

@@ -8,7 +8,7 @@ use psa::rsg::divide::divide;
 use psa::rsg::join::{compatible, join};
 use psa::rsg::prune::{prune, prune_with};
 use psa::rsg::subsume::subsumes;
-use psa::rsg::{builder, Level, Rsg, ShapeCtx};
+use psa::rsg::{builder, Level, NodeId, Rsg, ShapeCtx};
 use psa_cfront::types::{SelectorId, StructId};
 
 /// A random but structurally valid RSG: a forest of lists and trees over one
@@ -80,8 +80,8 @@ proptest! {
     fn compress_is_idempotent(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
         for level in [Level::L1, Level::L2] {
-            let c1 = compress(&g, &ctx, level);
-            let c2 = compress(&c1, &ctx, level);
+            let c1 = compress(g.clone(), &ctx, level);
+            let c2 = compress(c1.clone(), &ctx, level);
             prop_assert!(isomorphic(&c1, &c2), "compress must be idempotent at {}", level);
         }
     }
@@ -89,14 +89,14 @@ proptest! {
     #[test]
     fn compress_never_increases_size(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         prop_assert!(c.num_nodes() <= g.num_nodes());
     }
 
     #[test]
     fn compressed_graph_subsumes_original(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        let c = compress(&g, &ctx, Level::L1);
+        let c = compress(g.clone(), &ctx, Level::L1);
         prop_assert!(subsumes(&c, &g), "summarization only generalizes");
     }
 
@@ -164,8 +164,8 @@ proptest! {
     fn join_is_commutative_up_to_iso(a in arb_rsg(), b in arb_rsg()) {
         if compatible(&a, &b, Level::L1) {
             let ctx = ShapeCtx::synthetic(3, 2);
-            let ab = compress(&join(&a, &b, Level::L1), &ctx, Level::L1);
-            let ba = compress(&join(&b, &a, Level::L1), &ctx, Level::L1);
+            let ab = compress(join(&a, &b, Level::L1), &ctx, Level::L1);
+            let ba = compress(join(&b, &a, Level::L1), &ctx, Level::L1);
             // Both joins must subsume both inputs; exact isomorphism is not
             // guaranteed (greedy pairing), so check mutual subsumption of
             // the inputs instead.
@@ -196,12 +196,354 @@ proptest! {
     #[test]
     fn invariants_preserved_by_ops(g in arb_rsg()) {
         let ctx = ShapeCtx::synthetic(3, 2);
-        compress(&g, &ctx, Level::L1).check_invariants(&ctx).unwrap();
+        compress(g.clone(), &ctx, Level::L1).check_invariants(&ctx).unwrap();
         if let Some(p) = prune(&g) {
             p.check_invariants(&ctx).unwrap();
         }
         for part in divide(&g, PvarId(0), SelectorId(0)) {
             part.check_invariants(&ctx).unwrap();
+        }
+    }
+}
+
+/// One edit of [`mutate`]: `(kind, node, value)`, each taken modulo what it
+/// indexes.
+type Mutation = (u8, u8, u8);
+
+fn mutations() -> impl Strategy<Value = Vec<Mutation>> {
+    proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..6)
+}
+
+/// Edit node properties, links, scalar facts and (kind 7 only) PL, so that
+/// the kernels' key fields, reference patterns and one-length SPATHs vary.
+fn mutate(mut g: Rsg, muts: &[Mutation]) -> Rsg {
+    for &(kind, x, v) in muts {
+        let ids: Vec<NodeId> = g.node_ids().collect();
+        if ids.is_empty() {
+            break;
+        }
+        let n = ids[x as usize % ids.len()];
+        let sel = SelectorId(u32::from(v % 2));
+        let p = PvarId(u32::from(v % 3));
+        match kind % 8 {
+            0 => g.node_mut(n).set_must_out(sel),
+            1 => g.node_mut(n).set_must_in(sel),
+            2 => {
+                if let Some(&(s2, b)) = g.out_links(n).first() {
+                    g.remove_link(n, s2, b);
+                }
+            }
+            3 => {
+                let shared = !g.node(n).shared;
+                *g.node_mut(n).shared = shared;
+            }
+            4 => g.node_mut(n).shsel.insert(sel),
+            5 => g.node_mut(n).touch.insert(p),
+            6 => {
+                // A possible link out of a pinned node: a new one-length
+                // SPATH for `n`.
+                if let Some(m) = g.pl(p) {
+                    g.add_link(m, sel, n);
+                    g.node_mut(m).pos_selout.insert(sel);
+                    g.node_mut(n).pos_selin.insert(sel);
+                }
+            }
+            _ => g.set_scalar(u32::from(v % 2), i64::from(x % 2)),
+        }
+    }
+    g
+}
+
+/// The same graph with node ids assigned in reverse order.
+fn renumbered(g: &Rsg) -> Rsg {
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    let mut map = std::collections::BTreeMap::new();
+    let mut h = Rsg::empty(g.num_pvar_slots());
+    for &n in ids.iter().rev() {
+        map.insert(n, h.add_node(g.node(n).to_node()));
+    }
+    for (a, s, b) in g.links() {
+        h.add_link(map[&a], s, map[&b]);
+    }
+    for (p, n) in g.pl_iter() {
+        h.set_pl(p, map[&n]);
+    }
+    for (&v, &k) in g.scalars().iter() {
+        h.set_scalar(v, k);
+    }
+    h
+}
+
+/// Bind pvar 2 to node `x` (mod the node count): two pvars then share a
+/// node, so alias classes have more than one member.
+fn bind_alias(mut g: Rsg, x: u8) -> Rsg {
+    let ids: Vec<NodeId> = g.node_ids().collect();
+    g.set_pl(PvarId(2), ids[x as usize % ids.len()]);
+    g
+}
+
+/// Test-only copies of the reduction kernels as they were before the
+/// allocation-free rewrite: COMPATIBLE over whole-graph SPATHs and
+/// alias-class maps, COMPRESS partitioning through a `BTreeMap`. The
+/// kernels must match them bit for bit.
+mod reference {
+    use psa::ir::PvarId;
+    use psa::rsg::compress::merge_nodes;
+    use psa::rsg::spath::{self, SPath};
+    use psa::rsg::{CycleSet, Level, Node, NodeId, Rsg, SelSet};
+    use std::collections::BTreeMap;
+
+    fn alias_classes(g: &Rsg) -> Vec<Vec<PvarId>> {
+        let mut by_node: BTreeMap<NodeId, Vec<PvarId>> = BTreeMap::new();
+        for (p, n) in g.pl_iter() {
+            by_node.entry(n).or_default().push(p);
+        }
+        let mut classes: Vec<Vec<PvarId>> = by_node.into_values().collect();
+        for c in &mut classes {
+            c.sort_unstable();
+        }
+        classes.sort();
+        classes
+    }
+
+    fn c_nodes(
+        g1: &Rsg,
+        n1: NodeId,
+        g2: &Rsg,
+        n2: NodeId,
+        sp1: &SPath,
+        sp2: &SPath,
+        level: Level,
+    ) -> bool {
+        let (a, b) = (g1.node(n1), g2.node(n2));
+        a.ty == b.ty
+            && a.shared == b.shared
+            && a.shsel == b.shsel
+            && a.touch == b.touch
+            && a.refpat_compatible(b)
+            && spath::c_spath(sp1, sp2, level.use_spath1())
+    }
+
+    pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
+        let dom1: Vec<PvarId> = g1.pl_iter().map(|(p, _)| p).collect();
+        let dom2: Vec<PvarId> = g2.pl_iter().map(|(p, _)| p).collect();
+        if dom1 != dom2 || g1.scalars() != g2.scalars() {
+            return false;
+        }
+        if alias_classes(g1) != alias_classes(g2) {
+            return false;
+        }
+        let sp1 = spath::spaths(g1);
+        let sp2 = spath::spaths(g2);
+        g1.pl_iter().all(|(p, n1)| {
+            let n2 = g2.pl(p).unwrap();
+            c_nodes(
+                g1,
+                n1,
+                g2,
+                n2,
+                &sp1[n1.0 as usize],
+                &sp2[n2.0 as usize],
+                level,
+            )
+        })
+    }
+
+    fn merge_group(g: &Rsg, group: &[NodeId]) -> Node {
+        let mut acc = merge_nodes(g, group[0], group[1], true);
+        for &nid in &group[2..] {
+            let n = g.node(nid);
+            let selin = acc.selin.inter(n.selin);
+            let selout = acc.selout.inter(n.selout);
+            let pos_selin = acc
+                .selin
+                .union(n.selin)
+                .union(acc.pos_selin)
+                .union(n.pos_selin)
+                .diff(selin);
+            let pos_selout = acc
+                .selout
+                .union(n.selout)
+                .union(acc.pos_selout)
+                .union(n.pos_selout)
+                .diff(selout);
+            let pairs: Vec<_> = acc
+                .cyclelinks
+                .iter()
+                .filter(|&(s1, s2)| n.cyclelinks.contains(s1, s2) || g.succs(nid, s1).is_empty())
+                .collect();
+            acc = Node {
+                selin,
+                selout,
+                pos_selin,
+                pos_selout,
+                cyclelinks: CycleSet::from_pairs(pairs),
+                summary: true,
+                ..acc
+            };
+        }
+        acc
+    }
+
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct GroupKey {
+        ty: u32,
+        structure: u32,
+        shared: bool,
+        shsel: u64,
+        touch: Vec<u32>,
+        zero_spath: Vec<u32>,
+    }
+
+    struct GroupView {
+        members: Vec<NodeId>,
+        selin: SelSet,
+        selout: SelSet,
+        may_in: SelSet,
+        may_out: SelSet,
+        one: Vec<(PvarId, psa_cfront::types::SelectorId)>,
+        one_empty_ok: bool,
+    }
+
+    fn compress_once(g: &Rsg, level: Level) -> (Rsg, bool) {
+        let labels = g.structure_labels();
+        let sps = spath::spaths(g);
+        let mut parts: BTreeMap<GroupKey, Vec<NodeId>> = BTreeMap::new();
+        for id in g.node_ids() {
+            let n = g.node(id);
+            let key = GroupKey {
+                ty: n.ty.0,
+                structure: labels[id.0 as usize],
+                shared: n.shared,
+                shsel: n.shsel.0,
+                touch: n.touch.iter().map(|p| p.0).collect(),
+                zero_spath: sps[id.0 as usize].zero.iter().map(|p| p.0).collect(),
+            };
+            parts.entry(key).or_default().push(id);
+        }
+        let mut groups: Vec<Vec<NodeId>> = Vec::new();
+        for (_, members) in parts {
+            let mut sub: Vec<GroupView> = Vec::new();
+            'member: for id in members {
+                let n = g.node(id);
+                let sp = &sps[id.0 as usize];
+                for view in sub.iter_mut() {
+                    let refpat_ok = view.selin.diff(n.may_selin()).is_empty()
+                        && n.selin.diff(view.may_in).is_empty()
+                        && view.selout.diff(n.may_selout()).is_empty()
+                        && n.selout.diff(view.may_out).is_empty();
+                    let spath_ok = !level.use_spath1()
+                        || (sp.one.is_empty() && view.one_empty_ok)
+                        || sp.one.iter().any(|x| view.one.contains(x));
+                    if refpat_ok && spath_ok {
+                        view.members.push(id);
+                        view.selin = view.selin.inter(n.selin);
+                        view.selout = view.selout.inter(n.selout);
+                        view.may_in = view.may_in.union(n.may_selin());
+                        view.may_out = view.may_out.union(n.may_selout());
+                        view.one_empty_ok &= sp.one.is_empty();
+                        for x in &sp.one {
+                            if !view.one.contains(x) {
+                                view.one.push(*x);
+                            }
+                        }
+                        continue 'member;
+                    }
+                }
+                sub.push(GroupView {
+                    members: vec![id],
+                    selin: n.selin,
+                    selout: n.selout,
+                    may_in: n.may_selin(),
+                    may_out: n.may_selout(),
+                    one: sp.one.clone(),
+                    one_empty_ok: sp.one.is_empty(),
+                });
+            }
+            groups.extend(sub.into_iter().map(|v| v.members));
+        }
+        if groups.iter().all(|grp| grp.len() < 2) {
+            return (g.clone(), false);
+        }
+        let mut map: Vec<Option<NodeId>> = vec![None; g.num_slots()];
+        let mut out = Rsg::empty(g.num_pvar_slots());
+        for grp in &groups {
+            let node = if grp.len() == 1 {
+                g.node(grp[0]).to_node()
+            } else {
+                merge_group(g, grp)
+            };
+            let new_id = out.add_node(node);
+            for &old in grp {
+                map[old.0 as usize] = Some(new_id);
+            }
+        }
+        for (p, n) in g.pl_iter() {
+            out.set_pl(p, map[n.0 as usize].unwrap());
+        }
+        for (a, sel, b) in g.links() {
+            out.add_link(map[a.0 as usize].unwrap(), sel, map[b.0 as usize].unwrap());
+        }
+        (out, true)
+    }
+
+    pub fn compress(g: &Rsg, level: Level) -> Rsg {
+        let mut cur = g.clone();
+        cur.gc();
+        loop {
+            let (next, merged) = compress_once(&cur, level);
+            if !merged {
+                return next;
+            }
+            cur = next;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn compatible_matches_whole_graph_reference(
+        a in arb_rsg(),
+        b in arb_rsg(),
+        alias in any::<u8>(),
+        muts in mutations(),
+        rebind in any::<u8>(),
+        renumber in any::<bool>(),
+    ) {
+        // Independent pairs mostly fail the domain check; a mutated copy
+        // keeps the PL and reaches C_NODES' reference-pattern and SPATH
+        // parts, and rebinding pvar 2 in the copy splits or moves an alias
+        // class while keeping the domain.
+        let a = bind_alias(a, alias);
+        let b = bind_alias(b, alias);
+        let copy = mutate(if renumber { renumbered(&a) } else { a.clone() }, &muts);
+        let moved = bind_alias(copy.clone(), rebind);
+        for level in Level::ALL {
+            for (x, y) in [(&a, &b), (&a, &copy), (&copy, &a), (&a, &moved)] {
+                prop_assert_eq!(
+                    compatible(x, y, level),
+                    reference::compatible(x, y, level),
+                    "COMPATIBLE must match the whole-graph reference at {}", level
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compress_matches_btreemap_reference(g in arb_rsg(), muts in mutations(), alias in any::<u8>()) {
+        // `Rsg: PartialEq` compares every column slot by slot, so this
+        // pins the output node order as well as the merges.
+        let ctx = ShapeCtx::synthetic(3, 2);
+        for g in [mutate(g.clone(), &muts), bind_alias(mutate(g, &muts), alias)] {
+            for level in Level::ALL {
+                prop_assert_eq!(
+                    compress(g.clone(), &ctx, level),
+                    reference::compress(&g, level),
+                    "COMPRESS must match the BTreeMap reference at {}", level
+                );
+            }
         }
     }
 }

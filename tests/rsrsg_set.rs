@@ -47,7 +47,7 @@ fn candidate_generalizing_members_replaces_them() {
     s.insert(concrete.clone(), &ctx, Level::L1);
     // The compressed/united general list covers the concrete one.
     let general = psa::rsg::compress::compress(
-        &builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
+        builder::singly_linked_list(6, 1, PvarId(0), sel(0)),
         &ctx,
         Level::L1,
     );
