@@ -169,27 +169,33 @@ impl RawAssert {
 /// parse is a hard error (silently dropping a typoed assertion would be the
 /// worst possible behavior for a checker).
 pub fn extract_asserts(src: &str) -> Result<Vec<RawAssert>, Diagnostic> {
-    let mut out = Vec::new();
-    if !src.contains("@assert") {
-        return Ok(out);
-    }
-    for c in scan_comments(src) {
+    assert_comments(src).collect()
+}
+
+/// Each `@assert` comment of `src`, parsed, in source order.
+pub(crate) fn assert_comments(
+    src: &str,
+) -> impl Iterator<Item = Result<RawAssert, Diagnostic>> + '_ {
+    let comments = if src.contains("@assert") {
+        scan_comments(src)
+    } else {
+        Vec::new()
+    };
+    comments.into_iter().filter_map(|c| {
         let body = c.text.trim_start_matches(['*', ' ', '\t']).trim();
-        if let Some(rest) = body.strip_prefix("@assert") {
-            if !rest.is_empty() && !rest.starts_with([' ', '\t', '(', '!']) {
-                // e.g. `@assertion` — a different word, not ours.
-                continue;
-            }
-            let span = Span {
-                start: c.start,
-                end: c.end,
-                line: c.line,
-                col: c.col,
-            };
-            out.push(parse_assert(rest.trim(), span)?);
+        let rest = body.strip_prefix("@assert")?;
+        if !rest.is_empty() && !rest.starts_with([' ', '\t', '(', '!']) {
+            // e.g. `@assertion` — a different word, not ours.
+            return None;
         }
-    }
-    Ok(out)
+        let span = Span {
+            start: c.start,
+            end: c.end,
+            line: c.line,
+            col: c.col,
+        };
+        Some(parse_assert(rest.trim(), span))
+    })
 }
 
 // ------------------------------------------------------------- scanning
@@ -645,5 +651,11 @@ mod tests {
         // A malformed assertion still parses as C; checking reports it.
         let program = crate::parse(&format!("// @assert reach(h\n{body}")).unwrap();
         assert!(program.asserts.is_empty());
+        // It costs the well-formed ones nothing.
+        let src = format!("// @assert reach(h\n// @assert acyclic(t)\n{body}");
+        let program = crate::parse(&src).unwrap();
+        assert_eq!(program.asserts.len(), 1);
+        assert_eq!(program.asserts[0].pred.pvars(), ["t"]);
+        assert!(extract_asserts(&src).is_err());
     }
 }

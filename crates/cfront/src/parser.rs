@@ -28,7 +28,11 @@ pub fn parse(src: &str) -> Result<Program, Diagnostic> {
         depth: 0,
     };
     let mut program = p.program()?;
-    program.asserts = crate::asserts::extract_asserts(src).unwrap_or_default();
+    // Keep each well-formed assertion: a typo in one must not unbind the
+    // names the others read. Checking reports the typo.
+    program.asserts = crate::asserts::assert_comments(src)
+        .filter_map(Result::ok)
+        .collect();
     Ok(program)
 }
 

@@ -806,9 +806,9 @@ impl<'a> Engine<'a> {
                 let mut succ_in = Rsrsg::from_interned(&block_in_ids[si], &self.ctx);
                 let mut changed = succ_in.union_with(&contrib, &self.ctx, level);
                 if succ_in.len() > WIDEN_CAP {
-                    let before = succ_in.signature();
+                    let before = succ_in.sorted_ids();
                     succ_in.widen(&self.ctx, level, WIDEN_CAP);
-                    changed = succ_in.signature() != before || changed;
+                    changed = succ_in.sorted_ids() != before || changed;
                 }
                 charge(&mut in_bytes[si], &mut live_in, succ_in.approx_bytes());
                 block_in_ids[si] = succ_in.canon_ids();

@@ -9,18 +9,19 @@
 //! matches the paper's construction.
 //!
 //! Canonical forms are hash-consed through the run-wide
-//! [`psa_rsg::intern::Interner`] carried by [`ShapeCtx`]: members store a
-//! compact [`CanonEntry`] (id + shared bytes + fingerprint) instead of owned
-//! byte vectors, duplicate detection is an id comparison, and subsumption
-//! queries stay inside the candidate's pinning group and go through the
-//! pre-filters and memo table of [`psa_rsg::intern::SharedTables`]. A
+//! [`psa_rsg::intern::Interner`] carried by [`ShapeCtx`]: each member is
+//! its graph plus a 16-byte [`CanonEntry`] (id + two pinning keys),
+//! duplicate detection is an id comparison, and subsumption queries stay
+//! inside the candidate's pinning group and go through the pinned-node
+//! stage and memo table of [`psa_rsg::intern::SharedTables`]. A
 //! member is the very graph the interner keeps as its form's
 //! representative when it was the first to mint that form. Both JOINs, the
 //! reduction loop's and the widening's, go through one helper and the
 //! tables' JOIN memo.
 
+use psa_rsg::canon::canonical_bytes;
 use psa_rsg::compress::compress;
-use psa_rsg::intern::{CanonEntry, CanonId, Fingerprint, PinSignature};
+use psa_rsg::intern::{CanonEntry, CanonId, PinSignature};
 use psa_rsg::join::{compatible, join};
 use psa_rsg::trace::TraceKind;
 use psa_rsg::{Level, Rsg, ShapeCtx};
@@ -107,8 +108,10 @@ impl Rsrsg {
         let t = &ctx.tables;
         let m = &t.metrics;
         m.insert_calls.fetch_add(1, Ordering::Relaxed);
+        let c0 = t.tracer.enabled().then(Instant::now);
         let cand = compress(g, ctx, level);
         m.compress_calls.fetch_add(1, Ordering::Relaxed);
+        t.tracer.span_since(TraceKind::Compress, c0, 0, 0);
         self.reduce_in(Arc::new(cand), None, ctx, level);
     }
 
@@ -131,11 +134,11 @@ impl Rsrsg {
     /// subsumed candidates, replace subsumed members, until reduced.
     ///
     /// Both subsumption scans query only the candidate's **pinning group**,
-    /// the members whose [`Fingerprint::pin_hash`] equals its own:
-    /// [`Fingerprint::may_subsume`] rejects every other pair, so skipping
-    /// them changes no verdict. The scans still walk members in order, so
-    /// member order, the duplicate check and the first-compatible JOIN are
-    /// unchanged. The reference oracle queries every member.
+    /// the members whose [`CanonEntry::pin_hash`] equals its own: an
+    /// embedding preserves everything that key hashes, so skipping the
+    /// other members changes no verdict. The scans still walk members in
+    /// order, so member order, the duplicate check and the first-compatible
+    /// JOIN are unchanged. The reference oracle queries every member.
     fn reduce_in(
         &mut self,
         first: Arc<Rsg>,
@@ -153,7 +156,7 @@ impl Rsrsg {
                 m.insert_dups.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            let in_group = |me: &CanonEntry| !keyed || me.fp.pin_hash() == e.fp.pin_hash();
+            let in_group = |me: &CanonEntry| !keyed || me.pin_hash == e.pin_hash;
             if self
                 .canon
                 .iter()
@@ -177,12 +180,11 @@ impl Rsrsg {
                 }
             }
             // COMPATIBLE requires equal pinning signatures, which the
-            // fingerprint hashes: gate the structural check (alias
-            // relation + C_NODES on the pinned nodes) on them, except in
-            // the reference oracle.
+            // entry keys hash: gate the structural check (alias relation +
+            // C_NODES on the pinned nodes) on them, except in the
+            // reference oracle.
             if let Some(i) = self.canon.iter().zip(&self.graphs).position(|(me, mg)| {
-                (!keyed || Fingerprint::may_be_compatible(&me.fp, &e.fp))
-                    && compatible(mg, &cand, level)
+                (!keyed || me.may_be_compatible(&e)) && compatible(mg, &cand, level)
             }) {
                 let member = self.graphs.remove(i);
                 let member_entry = self.canon.remove(i);
@@ -208,18 +210,21 @@ impl Rsrsg {
             .metrics
             .union_calls
             .fetch_add(1, Ordering::Relaxed);
-        // Change detection by sorted canonical ids: within one interner,
-        // id multisets and byte-form multisets are in bijection, so this
-        // matches a [`Rsrsg::signature`] comparison without touching the
-        // canonical bytes.
-        let mut before = self.canon_ids();
-        before.sort_unstable();
+        let before = self.sorted_ids();
         for (g, e) in other.graphs.iter().zip(&other.canon) {
-            self.insert_compressed(g.clone(), e.clone(), ctx, level);
+            self.insert_compressed(g.clone(), *e, ctx, level);
         }
-        let mut after = self.canon_ids();
-        after.sort_unstable();
-        after != before
+        self.sorted_ids() != before
+    }
+
+    /// Interned canonical ids of the members, sorted: the set's change
+    /// test. Within one interner, id multisets and byte-form multisets are
+    /// in bijection, so comparing these matches a [`Rsrsg::signature`]
+    /// comparison without re-encoding a graph.
+    pub(crate) fn sorted_ids(&self) -> Vec<CanonId> {
+        let mut ids = self.canon_ids();
+        ids.sort_unstable();
+        ids
     }
 
     /// Interned canonical ids of the members, **in member order** (not
@@ -253,13 +258,14 @@ impl Rsrsg {
         s
     }
 
-    /// A canonical signature of the whole set (sorted member forms), used
-    /// for fixed-point detection. The entries are the canonical *bytes*
-    /// (shared, not copied), so signatures compare by content and stay
-    /// meaningful across different interners (e.g. cache-on vs. cache-off
-    /// engines in the differential suite).
-    pub fn signature(&self) -> Vec<Arc<[u8]>> {
-        let mut s: Vec<Arc<[u8]>> = self.canon.iter().map(|e| e.bytes.clone()).collect();
+    /// A canonical signature of the whole set: its members' canonical
+    /// bytes, re-encoded from the graphs and sorted. Signatures compare by
+    /// content, so they stay meaningful across different interners (e.g.
+    /// cache-on vs. cache-off engines in the differential suite). Within
+    /// one interner, comparing sorted ids is the same test without the
+    /// encoding.
+    pub fn signature(&self) -> Vec<Vec<u8>> {
+        let mut s: Vec<Vec<u8>> = self.iter().map(canonical_bytes).collect();
         s.sort();
         s
     }
@@ -276,7 +282,7 @@ impl Rsrsg {
         for (g, c) in self.graphs.iter().zip(&self.canon) {
             if pred(g) {
                 out.graphs.push(Arc::clone(g));
-                out.canon.push(c.clone());
+                out.canon.push(*c);
             }
         }
         out
@@ -304,11 +310,11 @@ impl Rsrsg {
             let mut key_count: HashMap<u32, usize> = HashMap::new();
             if keyed {
                 for e in &self.canon {
-                    *key_count.entry(e.fp.sig_key()).or_default() += 1;
+                    *key_count.entry(e.sig_key).or_default() += 1;
                 }
             }
             for (e, g) in self.canon.iter().zip(&self.graphs) {
-                if !keyed || key_count[&e.fp.sig_key()] > 1 {
+                if !keyed || key_count[&e.sig_key] > 1 {
                     sigs.entry(e.id)
                         .or_insert_with(|| PinSignature::of(g).bytes);
                 }
@@ -360,9 +366,9 @@ impl Rsrsg {
         true
     }
 
-    /// Approximate structural bytes of the whole set. Canonical bytes are
-    /// interner-shared, so they count a pointer-sized handle each rather
-    /// than their full length.
+    /// Approximate structural bytes of the whole set: the member graphs
+    /// plus one [`CanonEntry`] each. Canonical bytes live only in the
+    /// interner, so members count none.
     pub fn approx_bytes(&self) -> usize {
         self.graphs.iter().map(|g| g.approx_bytes()).sum::<usize>()
             + self.canon.len() * std::mem::size_of::<CanonEntry>()

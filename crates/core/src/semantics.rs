@@ -239,13 +239,12 @@ impl GraphAction<'_> {
 /// Outputs are compressed and interned *here*, so a memo hit shares the
 /// interner's representative graphs (an `Arc` handle each, no arena copy)
 /// and the caller inserts them through [`Rsrsg::insert_compressed`],
-/// skipping both the pipeline and the COMPRESS. The miss path interns all
-/// of a statement's outputs through one [`SharedTables::intern_batch`]
-/// call, so a single canonicalization-scratch checkout serves the whole
-/// output fan. Warnings and revisits observed on the miss are stored in
-/// the [`TransferOutcome`] and replayed verbatim on every hit —
-/// `AnalysisStats::warn` deduplicates and `revisits` is a set, so replay is
-/// exactly what a recompute would have reported.
+/// skipping both the pipeline and the COMPRESS. The miss path interns the
+/// outputs in production order, so ids mint in that order. Warnings and
+/// revisits observed on the miss are stored in the [`TransferOutcome`]
+/// and replayed verbatim on every hit — `AnalysisStats::warn`
+/// deduplicates and `revisits` is a set, so replay is exactly what a
+/// recompute would have reported.
 #[allow(clippy::too_many_arguments)]
 pub fn transfer_one_cached(
     g: &Rsg,
@@ -281,19 +280,18 @@ pub fn transfer_one_cached(
         .instant(TraceKind::TransferMemoMiss, tcx.stmt as u64, e.id.0 as u64);
     let mut scratch = AnalysisStats::default();
     let raw = action.apply(g, tcx, &mut scratch);
-    let compressed: Vec<Arc<Rsg>> = raw
+    let outs: Vec<(Arc<Rsg>, CanonEntry)> = raw
         .into_iter()
         .map(|o| {
             let c0 = t.tracer.enabled().then(Instant::now);
-            let c = compress(o, tcx.ctx, tcx.level);
+            let c = Arc::new(compress(o, tcx.ctx, tcx.level));
             m.compress_calls.fetch_add(1, Ordering::Relaxed);
             t.tracer
                 .span_since(TraceKind::Compress, c0, tcx.stmt as u64, 0);
-            Arc::new(c)
+            let e = t.intern(&c);
+            (c, e)
         })
         .collect();
-    let entries = t.intern_batch(&compressed);
-    let outs: Vec<(Arc<Rsg>, CanonEntry)> = compressed.into_iter().zip(entries).collect();
     let outcome = TransferOutcome::new(
         outs.iter().map(|(_, oe)| oe.id).collect(),
         scratch.warnings.clone(),

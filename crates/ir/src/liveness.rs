@@ -372,6 +372,19 @@ mod tests {
     }
 
     #[test]
+    fn a_malformed_assertion_keeps_the_well_formed_ones() {
+        let code = psa_codes::olden::tsp(Sizes::default());
+        let asserted = code.replacen(
+            "    return 0;",
+            "    // @assert acyclic(sp)\n    // @assert reach(root\n    return 0;",
+            1,
+        );
+        assert_ne!(code, asserted);
+        let ir = lower(&asserted);
+        assert!(kills_of(&ir, &["top"]).is_empty(), "`sp` is still asserted");
+    }
+
+    #[test]
     fn nested_cursors_die_on_the_outer_back_edge() {
         let ir = lower(
             "struct node { int v; struct node *nxt; struct node *dn; };

@@ -40,13 +40,11 @@
 //! bytes (stored as one flat arena plus spans instead of a per-node
 //! `BTreeMap<NodeId, Vec<u8>>`), and the u64 hash/signature vectors — lives
 //! in a thread-local [`CanonScratch`] reused across calls, so steady-state
-//! canonicalization allocates only the output vector. [`canonical_bytes_batch`]
-//! runs many graphs through one scratch checkout; the exact fallback path
-//! (refinement stalled) reconstructs the `BTreeMap` form for refinement and
-//! individualization. Both paths write their bytes through one serializer,
-//! `serialize_from_scratch`, under the node order each one found.
-//! Hashes are computed over exactly the same byte sequences as before, so
-//! the output is bit-identical to the unbatched implementation.
+//! canonicalization allocates only the output vector. The exact fallback
+//! path (refinement stalled) reconstructs the `BTreeMap` form for
+//! refinement and individualization. Both paths write their bytes through
+//! one serializer, `serialize_from_scratch`, under the node order each one
+//! found.
 
 use crate::graph::Rsg;
 use crate::node::NodeId;
@@ -93,25 +91,6 @@ pub fn canonical_bytes(g: &Rsg) -> Vec<u8> {
         // Re-entrant call (defensive; nothing below recurses into this
         // entry point): fall back to a throwaway scratch.
         Err(_) => canonical_bytes_scratch(g, &mut CanonScratch::default()),
-    })
-}
-
-/// Canonical byte serializations for a batch of graphs, in input order,
-/// through a single scratch checkout. Output `i` is bit-identical to
-/// `canonical_bytes(graphs[i])`.
-pub fn canonical_bytes_batch(graphs: &[&Rsg]) -> Vec<Vec<u8>> {
-    SCRATCH.with(|s| match s.try_borrow_mut() {
-        Ok(mut scratch) => graphs
-            .iter()
-            .map(|g| canonical_bytes_scratch(g, &mut scratch))
-            .collect(),
-        Err(_) => {
-            let mut scratch = CanonScratch::default();
-            graphs
-                .iter()
-                .map(|g| canonical_bytes_scratch(g, &mut scratch))
-                .collect()
-        }
     })
 }
 

@@ -3,13 +3,14 @@
 //! The fixed-point engine re-serializes candidate graphs, scans member
 //! lists linearly, and re-runs the backtracking embedding search
 //! ([`crate::subsume::subsumes`]) for the same graph pairs on every
-//! worklist revisit. This module removes all three costs, the same
-//! canonical-form sharing and cheap pre-filtering that Predator and
-//! Marron's structural analysis credit for their scalability:
+//! worklist revisit. This module removes all three costs with the
+//! canonical-form sharing that Predator and Marron's structural analysis
+//! credit for their scalability:
 //!
 //! * [`Interner`] — a run-wide table mapping canonical bytes to a compact
-//!   [`CanonId`], so duplicate detection is a hash lookup and RSRSGs store
-//!   `u32` ids plus shared `Arc<[u8]>` bytes instead of owned byte vectors.
+//!   [`CanonId`], so duplicate detection is a hash lookup and an RSRSG
+//!   member carries a 16-byte [`CanonEntry`]: the id plus its two pinning
+//!   keys. The dedup index holds the only copy of the canonical bytes.
 //!   Each entry also retains a representative of its canonical form (the
 //!   caller's `Arc<Rsg>` that minted it, shared rather than copied), so an
 //!   id can be resolved back into a graph — this is what lets the engine
@@ -22,12 +23,10 @@
 //!   concurrent serve request sharing the tables) is answered by lookup.
 //!   Entries record the diagnostics (warnings, TOUCH revisits) the
 //!   original transfer produced so a hit replays them;
-//! * [`Fingerprint`] — a constant-size structural summary (pvar pinning,
-//!   node type/touch blooms, link selector set, scalar facts) whose
-//!   [`Fingerprint::may_subsume`] and [`Fingerprint::may_be_compatible`]
-//!   are **necessary** conditions for subsumption and COMPATIBLE,
-//!   rejecting most pairs in a few word operations before the exponential
-//!   search or the spath comparison ever runs;
+//! * the **pinning keys** of a [`CanonEntry`] — `pin_hash` and `sig_key`,
+//!   hashes of the graph's [`PinSignature`]. Equal `pin_hash` is
+//!   necessary for subsumption and equal keys for COMPATIBLE, so an RSRSG
+//!   insert queries only the members that share them;
 //! * the **subsumption memo** — `(CanonId, CanonId) → bool` embedding
 //!   verdicts, so a subsumption query for a pair of canonical forms runs
 //!   the backtracking search at most once per analysis run;
@@ -65,7 +64,7 @@
 //! Everything is guarded by `std::sync` primitives (the build environment
 //! has no registry access for `parking_lot`).
 
-use crate::canon::{canonical_bytes, canonical_bytes_batch};
+use crate::canon::canonical_bytes;
 use crate::ctx::Level;
 use crate::graph::Rsg;
 use crate::subsume::{embedding_stage, pinned_stage, subsumes};
@@ -113,58 +112,6 @@ impl LockTable {
 /// canonical bytes ⇔ isomorphic graphs (within one [`Interner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CanonId(pub u32);
-
-/// A constant-size structural summary of an RSG, derived only from
-/// isomorphism-invariant data so all graphs sharing a [`CanonId`] share the
-/// fingerprint.
-///
-/// The `*_bloom` fields are 64-bit Bloom filters (one hash, one bit per
-/// element). Bloom containment is implied by set containment, so the
-/// subset checks in [`Fingerprint::may_subsume`] stay *necessary*
-/// conditions: a `false` answer proves `subsumes` would return `false`,
-/// while `true` means "run the real search".
-///
-/// The struct is exactly 64 bytes (asserted below): it is copied into every
-/// [`CanonEntry`], and `CanonEntry`'s size is part of each RSRSG's
-/// `approx_bytes`, so growing it would move the reported peak RSRSG bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fingerprint {
-    /// [`PinSignature::pin_hash`]: the pvar domain, alias partition and
-    /// TYPE/TOUCH of every pvar-pointed node. Subsumption requires them
-    /// equal.
-    pin_hash: u64,
-    /// Bloom over `(TYPE, TOUCH)` of every node. An embedding maps each
-    /// specific node onto a general node with equal type and touch set.
-    node_bloom: u64,
-    /// Bloom over `(TYPE, TOUCH)` of summary nodes only: a specific
-    /// summary node needs a general *summary* host.
-    summary_bloom: u64,
-    /// Bloom over `(src (TYPE, TOUCH), selector, dst (TYPE, TOUCH))` of NL
-    /// links: an embedding maps every specific link onto a general link
-    /// with the same selector between hosts of equal type and touch set.
-    link_bloom: u64,
-    /// Bloom over `(var, value)` scalar facts: every fact the general
-    /// graph promises must hold in the specific graph.
-    scalar_bloom: u64,
-    /// Bloom over `(TYPE, TOUCH)` of SHARED nodes only: a specific shared
-    /// node needs a general host that is also shared (SHARED may only grow
-    /// from specific to general).
-    shared_bloom: u64,
-    /// Node count.
-    num_nodes: u32,
-    /// Summary-node count. With zero general summary nodes the embedding
-    /// is injective, so the specific graph cannot be larger.
-    num_summary: u32,
-    /// NL link count. Under an injective embedding (no general summary
-    /// nodes) distinct specific links map onto distinct general links.
-    num_links: u32,
-    /// 32-bit hash of the full [`PinSignature::bytes`]. COMPATIBLE
-    /// requires equal signatures. It fills what would otherwise be the
-    /// struct's padding.
-    sig_key: u32,
-}
-
-const _: () = assert!(std::mem::size_of::<Fingerprint>() == 64);
 
 /// The **pvar-pinning signature** of a graph: everything
 /// [`crate::join::compatible`] compares before it builds simple paths.
@@ -234,119 +181,50 @@ impl PinSignature {
         }
         PinSignature { bytes, pin_hash }
     }
-}
 
-fn bloom_bit(h: u64) -> u64 {
-    1u64 << (mix(h) & 63)
-}
-
-impl Fingerprint {
-    /// Compute the fingerprint of a graph.
-    pub fn of(g: &Rsg) -> Fingerprint {
-        let sig = PinSignature::of(g);
-        let sig_hash = mix(fnv1a(&sig.bytes));
-        let mut fp = Fingerprint {
-            pin_hash: sig.pin_hash,
-            sig_key: (sig_hash ^ (sig_hash >> 32)) as u32,
-            ..Fingerprint::default()
-        };
-        let mut node_keys = vec![0u64; g.num_slots()];
-        for n in g.node_ids() {
-            let nd = g.node(n);
-            let mut key = nd.ty.0 as u64 + 1;
-            for t in nd.touch.iter() {
-                key = mix(key ^ (t.0 as u64 + 0x1000));
-            }
-            node_keys[n.0 as usize] = key;
-            fp.node_bloom |= bloom_bit(key);
-            fp.num_nodes += 1;
-            if nd.summary {
-                fp.summary_bloom |= bloom_bit(key);
-                fp.num_summary += 1;
-            }
-            if nd.shared {
-                fp.shared_bloom |= bloom_bit(key);
-            }
-        }
-        for (a, s, b) in g.links() {
-            let lk = mix(node_keys[a.0 as usize] ^ (s.0 as u64 + 0x2000))
-                ^ node_keys[b.0 as usize].rotate_left(17);
-            fp.link_bloom |= bloom_bit(lk);
-            fp.num_links += 1;
-        }
-        for (v, k) in g.scalars() {
-            fp.scalar_bloom |= bloom_bit(mix(*v as u64 + 0x3000) ^ *k as u64);
-        }
-        fp
-    }
-
-    /// Necessary condition for `compatible(a, b)` (see
-    /// [`crate::join::compatible`]): COMPATIBLE requires equal
-    /// [`PinSignature`]s, so differing pinning hashes, signature keys or
-    /// scalar blooms prove the structural check would fail. `true` is
-    /// inconclusive.
-    pub fn may_be_compatible(a: &Fingerprint, b: &Fingerprint) -> bool {
-        a.pin_hash == b.pin_hash && a.sig_key == b.sig_key && a.scalar_bloom == b.scalar_bloom
-    }
-
-    /// The 32-bit key of the graph's full [`PinSignature`]: graphs with
-    /// different keys have different signatures.
+    /// 32-bit hash of the full signature [`PinSignature::bytes`]: graphs
+    /// with different keys have different signatures.
     pub fn sig_key(&self) -> u32 {
-        self.sig_key
-    }
-
-    /// The graph's [`PinSignature::pin_hash`], its **pinning group**:
-    /// subsumption holds only within one group, so an RSRSG insert queries
-    /// only the members whose key equals the candidate's.
-    pub fn pin_hash(&self) -> u64 {
-        self.pin_hash
-    }
-
-    /// Necessary condition for `subsumes(general, specific)`: `false`
-    /// proves the embedding search would fail, `true` is inconclusive.
-    pub fn may_subsume(general: &Fingerprint, specific: &Fingerprint) -> bool {
-        // Pvar domains, alias partitions and pinned TYPE/TOUCH must agree
-        // exactly.
-        general.pin_hash == specific.pin_hash
-            // Every specific (TYPE, TOUCH) class needs a general host.
-            && specific.node_bloom & !general.node_bloom == 0
-            // Specific summary nodes need general summary hosts.
-            && specific.summary_bloom & !general.summary_bloom == 0
-            // Every specific (src class, selector, dst class) link needs a
-            // matching general link.
-            && specific.link_bloom & !general.link_bloom == 0
-            // Every general scalar promise must hold in the specific graph.
-            && general.scalar_bloom & !specific.scalar_bloom == 0
-            // Specific shared nodes need shared general hosts.
-            && specific.shared_bloom & !general.shared_bloom == 0
-            // Without summary hosts the embedding is injective: the
-            // specific graph cannot have more nodes, and since distinct
-            // specific links then map onto distinct general links, no more
-            // links either.
-            && (general.num_summary > 0
-                || (specific.num_nodes <= general.num_nodes
-                    && specific.num_links <= general.num_links))
+        let h = mix(fnv1a(&self.bytes));
+        (h ^ (h >> 32)) as u32
     }
 }
 
-/// One interned canonical form: the id, the shared serialized bytes and the
-/// precomputed fingerprint. Cloning is two `Arc` bumps and a `memcpy`.
-#[derive(Debug, Clone)]
+/// One interned canonical form as an RSRSG member carries it: the id and
+/// the two keys of the graph's [`PinSignature`], both isomorphism-invariant
+/// so all graphs sharing an id share them. `Copy`, 16 bytes (asserted
+/// below): its size is part of each RSRSG's `approx_bytes`, so growing it
+/// moves the reported peak RSRSG bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CanonEntry {
     /// Compact id, unique per canonical form within one interner.
     pub id: CanonId,
-    /// The canonical serialization (shared, immutable).
-    pub bytes: Arc<[u8]>,
-    /// Structural summary for subsumption pre-filtering.
-    pub fp: Fingerprint,
+    /// [`PinSignature::sig_key`]. COMPATIBLE requires equal signatures,
+    /// so it requires equal keys.
+    pub sig_key: u32,
+    /// [`PinSignature::pin_hash`], the graph's **pinning group**:
+    /// subsumption holds only within one group, so an RSRSG insert queries
+    /// only the members whose key equals the candidate's.
+    pub pin_hash: u64,
+}
+
+const _: () = assert!(std::mem::size_of::<CanonEntry>() == 16);
+
+impl CanonEntry {
+    /// Necessary condition for `compatible(a, b)` (see
+    /// [`crate::join::compatible`]): COMPATIBLE requires equal
+    /// [`PinSignature`]s, so differing keys prove the structural check
+    /// would fail. `true` is inconclusive.
+    pub fn may_be_compatible(&self, other: &CanonEntry) -> bool {
+        self.pin_hash == other.pin_hash && self.sig_key == other.sig_key
+    }
 }
 
 /// The immutable payload of one minted canonical form, stored in the
 /// lock-free slab.
 #[derive(Debug)]
 struct InternedForm {
-    bytes: Arc<[u8]>,
-    fp: Fingerprint,
+    entry: CanonEntry,
     graph: Arc<Rsg>,
 }
 
@@ -415,15 +293,14 @@ impl<K: Eq + Hash, V> Striped<K, V> {
 
 /// Run-wide hash-consing table for canonical forms.
 ///
-/// The dedup index is a `Striped` map keyed by the canonical bytes;
-/// id → entry resolution is lock-free through an append-only segmented
-/// slab whose slots are filled before their ids are published. Graphs are
-/// interned through [`SharedTables::intern`] and
-/// [`SharedTables::intern_batch`].
+/// The dedup index is a `Striped` map keyed by the canonical bytes, and
+/// holds the only copy of them; id → entry resolution is lock-free through
+/// an append-only segmented slab whose slots are filled before their ids
+/// are published. Graphs are interned through [`SharedTables::intern`].
 #[derive(Debug)]
 pub struct Interner {
     /// `canonical bytes → id`, striped by byte hash.
-    index: Striped<Arc<[u8]>, u32>,
+    index: Striped<Box<[u8]>, u32>,
     /// Append-only id → form slab. Segments materialize on demand; each
     /// slot is written exactly once, before its id escapes the minting
     /// thread, so readers never observe an empty slot for a valid id.
@@ -605,11 +482,10 @@ impl Interner {
             .expect("CanonId not minted by this interner")
     }
 
-    /// The dedup-or-mint step behind [`SharedTables::intern`] and
-    /// [`SharedTables::intern_batch`]; `bytes` must be
-    /// `canonical_bytes(g)`. A fresh id keeps a handle to `g` itself as its
-    /// representative graph, so the caller's graph and the interner's
-    /// share one node arena.
+    /// The dedup-or-mint step behind [`SharedTables::intern`]; `bytes`
+    /// must be `canonical_bytes(g)`. A fresh id keeps a handle to `g`
+    /// itself as its representative graph, so the caller's graph and the
+    /// interner's share one node arena.
     fn intern_with_bytes(
         &self,
         g: &Arc<Rsg>,
@@ -626,30 +502,28 @@ impl Interner {
             metrics.intern_misses.fetch_add(1, Ordering::Relaxed);
             let id = self.next.fetch_add(1, Ordering::Relaxed);
             tracer.instant(TraceKind::InternMiss, id as u64, 0);
-            let fp = Fingerprint::of(g);
-            let arc: Arc<[u8]> = bytes.into();
-            // Canonical bytes are stored twice (slab + map key arc is
-            // shared, so count once) plus the representative graph. The
+            let sig = PinSignature::of(g);
+            let entry = CanonEntry {
+                id: CanonId(id),
+                sig_key: sig.sig_key(),
+                pin_hash: sig.pin_hash,
+            };
+            // The index key is the one copy of the canonical bytes. The
             // graph is charged in full although the caller shares it, so
             // the `max_table_bytes` budget keeps its meaning.
-            let minted = arc.len() as u64 + g.approx_bytes() as u64;
+            let minted = bytes.len() as u64 + g.approx_bytes() as u64;
             self.bytes.fetch_add(minted, Ordering::Relaxed);
             // Fill-before-publish: the slab slot must be readable before
             // the id appears in the map or escapes to the caller.
             self.publish(
                 id,
                 InternedForm {
-                    bytes: arc.clone(),
-                    fp,
+                    entry,
                     graph: Arc::clone(g),
                 },
             );
-            map.insert(arc.clone(), id);
-            CanonEntry {
-                id: CanonId(id),
-                bytes: arc,
-                fp,
-            }
+            map.insert(bytes.into_boxed_slice(), id);
+            entry
         }
     }
 
@@ -669,33 +543,12 @@ impl Interner {
         self.len() == 0
     }
 
-    /// The canonical bytes of an interned id. Lock-free.
-    ///
-    /// # Panics
-    /// If `id` was not minted by this interner.
-    pub fn bytes(&self, id: CanonId) -> Arc<[u8]> {
-        self.form(id).bytes.clone()
-    }
-
-    /// The fingerprint of an interned id. Lock-free.
-    ///
-    /// # Panics
-    /// If `id` was not minted by this interner.
-    pub fn fingerprint(&self, id: CanonId) -> Fingerprint {
-        self.form(id).fp
-    }
-
-    /// The full [`CanonEntry`] of an interned id. Lock-free.
+    /// The [`CanonEntry`] of an interned id. Lock-free.
     ///
     /// # Panics
     /// If `id` was not minted by this interner.
     pub fn entry(&self, id: CanonId) -> CanonEntry {
-        let form = self.form(id);
-        CanonEntry {
-            id,
-            bytes: form.bytes.clone(),
-            fp: form.fp,
-        }
+        self.form(id).entry
     }
 
     /// Resolve an id into `(entry, graph)`. The graph is the entry's
@@ -707,14 +560,7 @@ impl Interner {
     /// If `id` was not minted by this interner.
     pub fn resolve(&self, id: CanonId) -> (CanonEntry, Arc<Rsg>) {
         let form = self.form(id);
-        (
-            CanonEntry {
-                id,
-                bytes: form.bytes.clone(),
-                fp: form.fp,
-            },
-            form.graph.clone(),
-        )
+        (form.entry, form.graph.clone())
     }
 }
 
@@ -894,7 +740,7 @@ op_metrics! {
         subsume_queries,
         /// Queries answered from the memo table.
         subsume_cache_hits,
-        /// Queries rejected by the fingerprint pre-filter (no search run).
+        /// Queries rejected by the pinned-node stage (no search run).
         subsume_prefilter_rejects,
         /// Queries that fell through to the backtracking embedding search.
         subsume_searches,
@@ -1337,32 +1183,6 @@ impl SharedTables {
             .intern_with_bytes(g, bytes, &self.metrics, &self.tracer)
     }
 
-    /// Intern a batch of graphs in input order, amortizing the
-    /// canonicalization scratch (hash vectors, color arenas) across the
-    /// whole batch instead of checking it out per graph. Ids mint in
-    /// exactly the order a loop of [`SharedTables::intern`] calls would
-    /// mint them, so batch and sequential interning are bit-identical. The
-    /// whole batch is one canon span (`arg` = total bytes, `arg2` = graph
-    /// count).
-    pub fn intern_batch(&self, graphs: &[Arc<Rsg>]) -> Vec<CanonEntry> {
-        let t0 = self.tracer.enabled().then(Instant::now);
-        let refs: Vec<&Rsg> = graphs.iter().map(|g| &**g).collect();
-        let all_bytes = canonical_bytes_batch(&refs);
-        if t0.is_some() {
-            let bytes: usize = all_bytes.iter().map(Vec::len).sum();
-            self.tracer
-                .span_since(TraceKind::Canon, t0, bytes as u64, graphs.len() as u64);
-        }
-        graphs
-            .iter()
-            .zip(all_bytes)
-            .map(|(g, bytes)| {
-                self.interner
-                    .intern_with_bytes(g, bytes, &self.metrics, &self.tracer)
-            })
-            .collect()
-    }
-
     /// The memoized verdict of `subsumes(general, specific)`, if any.
     pub fn subsume_lookup(&self, general: CanonId, specific: CanonId) -> Option<bool> {
         let k = (general, specific);
@@ -1422,14 +1242,15 @@ impl SharedTables {
             .insert(k, out);
     }
 
-    /// `subsumes(general, specific)` through the pre-filters and the memo
-    /// table. With the cache disabled (the engine's reference oracle) this
-    /// is exactly the raw search (plus counters), which is what makes
+    /// `subsumes(general, specific)` through the pinned-node stage and the
+    /// memo table. With the cache disabled (the engine's reference oracle)
+    /// this is exactly the raw search (plus counters), which is what makes
     /// default and reference runs comparable bit-for-bit.
     ///
-    /// Query order: [`Fingerprint::may_subsume`] → the pinned-node stage
-    /// of [`subsumes`] → memo lookup → its embedding stage, whose verdict
-    /// is stored. A reject by either pre-filter counts as
+    /// Query order: the pinned-node stage of [`subsumes`] → memo lookup →
+    /// its embedding stage, whose verdict is stored. The caller has already
+    /// narrowed the query to the candidate's pinning group (equal
+    /// [`CanonEntry::pin_hash`]). A pinned-stage reject counts as
     /// `subsume_prefilter_rejects` and is never stored, so the common case
     /// resolves without touching a stripe lock and the memo holds embedding
     /// verdicts only. The pinned stage is a pure function of the pair's
@@ -1447,9 +1268,7 @@ impl SharedTables {
         let m = &self.metrics;
         m.subsume_queries.fetch_add(1, Ordering::Relaxed);
         if self.cache_enabled {
-            if !Fingerprint::may_subsume(&general.0.fp, &specific.0.fp)
-                || !pinned_stage(general.1, specific.1)
-            {
+            if !pinned_stage(general.1, specific.1) {
                 m.subsume_prefilter_rejects.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
@@ -1515,50 +1334,11 @@ mod tests {
         assert_eq!(a.id, b.id);
         assert_ne!(a.id, c.id);
         assert_eq!(t.interner.len(), 2);
-        assert_eq!(a.bytes, b.bytes);
+        assert_eq!(a, b);
         let snap = t.snapshot();
         assert_eq!(snap.intern_hits, 1);
         assert_eq!(snap.intern_misses, 2);
         assert_eq!(snap.interner_size, 2);
-    }
-
-    #[test]
-    fn intern_batch_matches_sequential() {
-        let t1 = SharedTables::new();
-        let t2 = SharedTables::new();
-        let graphs: Vec<Arc<Rsg>> = [3usize, 4, 3, 5].iter().map(|&n| sll(n)).collect();
-        let seq: Vec<CanonEntry> = graphs.iter().map(|g| t1.intern(g)).collect();
-        let batch = t2.intern_batch(&graphs);
-        assert_eq!(seq.len(), batch.len());
-        for (a, b) in seq.iter().zip(&batch) {
-            assert_eq!(a.id, b.id, "ids mint in the same order");
-            assert_eq!(a.bytes, b.bytes);
-            assert_eq!(a.fp, b.fp);
-        }
-        let s1 = t1.snapshot();
-        let s2 = t2.snapshot();
-        assert_eq!(s1.intern_hits, s2.intern_hits);
-        assert_eq!(s1.intern_misses, s2.intern_misses);
-        assert_eq!(t1.interner.len(), t2.interner.len());
-    }
-
-    #[test]
-    fn intern_batch_records_one_canon_span() {
-        use crate::trace::TraceKind;
-        let t = SharedTables::new();
-        t.tracer.enable();
-        let graphs: Vec<Arc<Rsg>> = [3usize, 4, 5].iter().map(|&n| sll(n)).collect();
-        let entries = t.intern_batch(&graphs);
-        let canon: Vec<_> = t
-            .tracer
-            .drain()
-            .into_iter()
-            .filter(|e| e.kind == TraceKind::Canon)
-            .collect();
-        assert_eq!(canon.len(), 1, "one span for the whole batch");
-        let bytes: usize = entries.iter().map(|e| e.bytes.len()).sum();
-        assert_eq!(canon[0].arg, bytes as u64);
-        assert_eq!(canon[0].arg2, 3);
     }
 
     #[test]
@@ -1568,11 +1348,9 @@ mod tests {
         let t = SharedTables::new();
         let e = t.intern(&sll(3));
         let guards: Vec<_> = t.interner.index.stripes.iter().map(lock_recover).collect();
-        assert_eq!(t.interner.bytes(e.id), e.bytes);
-        assert_eq!(t.interner.fingerprint(e.id), e.fp);
-        assert_eq!(t.interner.entry(e.id).id, e.id);
+        assert_eq!(t.interner.entry(e.id), e);
         let (entry, _g) = t.interner.resolve(e.id);
-        assert_eq!(entry.id, e.id);
+        assert_eq!(entry, e);
         assert_eq!(t.interner.len(), 1, "len() is slab-backed, lock-free");
         drop(guards);
     }
@@ -1642,37 +1420,33 @@ mod tests {
             .filter(|e| e.kind == TraceKind::Canon)
             .collect();
         assert_eq!(canon.len(), 2);
-        assert!(canon
-            .iter()
-            .all(|e| e.arg == a.bytes.len() as u64 && e.arg2 == 1));
+        let len = canonical_bytes(&sll(3)).len() as u64;
+        assert!(canon.iter().all(|e| e.arg == len && e.arg2 == 1));
     }
 
     #[test]
-    fn interned_bytes_match_canonical_bytes() {
+    fn entry_keys_are_the_pinning_signature() {
         let t = SharedTables::new();
         let g = sll(5);
         let e = t.intern(&g);
-        assert_eq!(&e.bytes[..], canonical_bytes(&g).as_slice());
-        assert_eq!(t.interner.bytes(e.id), e.bytes);
-        assert_eq!(t.interner.fingerprint(e.id), e.fp);
-    }
-
-    #[test]
-    fn fingerprint_prefilter_is_necessary_not_sufficient() {
-        // Different domains: prefilter must reject, matching subsumes.
+        let sig = PinSignature::of(&g);
+        assert_eq!((e.pin_hash, e.sig_key), (sig.pin_hash, sig.sig_key()));
+        assert!(e.may_be_compatible(&e));
+        // Different domains: different pinning groups, and subsumption
+        // agrees that neither graph covers the other.
         let a = builder::singly_linked_list(3, 2, PvarId(0), SelectorId(0));
         let b = builder::singly_linked_list(3, 2, PvarId(1), SelectorId(0));
-        let fa = Fingerprint::of(&a);
-        let fb = Fingerprint::of(&b);
-        assert!(!Fingerprint::may_subsume(&fa, &fb));
-        assert!(!subsumes(&a, &b));
-        // Equal graphs: prefilter passes and subsumes agrees.
-        assert!(Fingerprint::may_subsume(&fa, &fa));
-        assert!(subsumes(&a, &a));
+        let (ea, eb) = (
+            t.intern(&Arc::new(a.clone())),
+            t.intern(&Arc::new(b.clone())),
+        );
+        assert_ne!(ea.pin_hash, eb.pin_hash);
+        assert!(!ea.may_be_compatible(&eb));
+        assert!(!subsumes(&a, &b) && !subsumes(&b, &a));
     }
 
     #[test]
-    fn prefilter_never_rejects_true_subsumption() {
+    fn true_subsumption_stays_in_its_pinning_group() {
         use crate::compress::compress;
         use crate::{Level, ShapeCtx};
         let ctx = ShapeCtx::synthetic(2, 2);
@@ -1680,9 +1454,10 @@ mod tests {
             let g = sll(n);
             let c = compress((*g).clone(), &ctx, Level::L1);
             if subsumes(&c, &g) {
-                assert!(
-                    Fingerprint::may_subsume(&Fingerprint::of(&c), &Fingerprint::of(&g)),
-                    "prefilter rejected a true subsumption (n = {n})"
+                assert_eq!(
+                    PinSignature::of(&c).pin_hash,
+                    PinSignature::of(&g).pin_hash,
+                    "a true subsumption left its pinning group (n = {n})"
                 );
             }
         }
@@ -1706,8 +1481,8 @@ mod tests {
 
     #[test]
     fn pinned_stage_rejects_before_the_memo() {
-        // The fingerprint cannot see SHSEL on a pinned node, so this pair
-        // passes it; the pinned-node stage rejects it, counts a pre-filter
+        // The pinning group leaves out SHSEL on a pinned node, so this pair
+        // shares one; the pinned-node stage rejects it, counts a pre-filter
         // reject and stores nothing.
         let t = SharedTables::new();
         let general = sll(3);
@@ -1716,7 +1491,7 @@ mod tests {
         specific.node_mut(head).shsel.insert(SelectorId(0));
         let specific = Arc::new(specific);
         let (eg, es) = (t.intern(&general), t.intern(&specific));
-        assert!(Fingerprint::may_subsume(&eg.fp, &es.fp));
+        assert_eq!(eg.pin_hash, es.pin_hash);
         assert!(!t.subsumes_interned((&eg, &general), (&es, &specific)));
         assert!(!subsumes(&general, &specific));
         let s = t.snapshot();
@@ -1749,10 +1524,8 @@ mod tests {
             Arc::ptr_eq(&graph, &g),
             "the minting graph is shared, not copied"
         );
-        assert_eq!(entry.id, e.id);
-        assert_eq!(entry.bytes, e.bytes);
+        assert_eq!(entry, e);
         assert_eq!(canonical_bytes(&graph), canonical_bytes(&g));
-        assert_eq!(t.interner.entry(e.id).id, e.id);
     }
 
     #[test]

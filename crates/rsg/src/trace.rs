@@ -37,14 +37,14 @@ pub enum TraceKind {
     WorklistIter,
     /// A JOIN kernel call. `arg` = statement id when known.
     Join,
-    /// A COMPRESS kernel call. `arg` = statement id when known.
+    /// A COMPRESS kernel call. `arg` = statement id when known, else 0.
     Compress,
     /// A DIVIDE kernel call. `arg` = statement id.
     Divide,
     /// A PRUNE kernel call. `arg` = statement id.
     Prune,
-    /// Canonical-byte encoding inside interning, one span per intern call
-    /// or batch. `arg` = encoded bytes, `arg2` = graphs encoded.
+    /// Canonical-byte encoding inside interning, one span per intern call.
+    /// `arg` = encoded bytes, `arg2` = graphs encoded (always 1).
     Canon,
     /// A subsumption query (pre-filter, memo or search). `arg` = general
     /// [`crate::CanonId`], `arg2` = specific id.

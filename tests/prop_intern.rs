@@ -1,15 +1,16 @@
 //! Property-based tests for the canonical-form interner and the memoized
-//! subsumption front-end (ISSUE satellite): interning must be a bijection
-//! between canonical byte strings and ids, invariant under graph
-//! renumbering, and the memo/pre-filter path must agree with the raw
-//! backtracking search on every pair.
+//! subsumption front-end: interning must be a bijection between canonical
+//! byte strings and ids, invariant under graph renumbering, the entry's
+//! pinning keys (its fingerprint) must be sound filters, and the
+//! memo/pre-filter path must agree with the raw backtracking search on
+//! every pair.
 
 use proptest::prelude::*;
 use psa::core::rsrsg::Rsrsg;
 use psa::ir::PvarId;
 use psa::rsg::canon::canonical_bytes;
 use psa::rsg::compress::compress;
-use psa::rsg::intern::{Fingerprint, SharedTables};
+use psa::rsg::intern::{CanonEntry, SharedTables};
 use psa::rsg::join::compatible;
 use psa::rsg::subsume::subsumes;
 use psa::rsg::{builder, Level, Rsg, ShapeCtx};
@@ -25,7 +26,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
 }
 
 /// Pinning decorations as a bit mask over the list head (`p0`'s node), so
-/// the fingerprint's pinning keys see every input they hash: bit 0 aliases
+/// the entry's pinning keys see every input they hash: bit 0 aliases
 /// `p2` with `p0`, bit 1 sets SHARED, bit 2 SHSEL(s0), bit 3 TOUCH{p1},
 /// bit 4 records the scalar fact `v0 == (bit 5)`.
 fn arb_pinning() -> impl Strategy<Value = u8> {
@@ -95,6 +96,11 @@ fn arb_pair() -> impl Strategy<Value = (Rsg, Rsg)> {
         })
 }
 
+/// The interned entry of `g` in a fresh table set: its id and pinning keys.
+fn entry(g: &Rsg) -> CanonEntry {
+    SharedTables::new().intern(&Arc::new(g.clone()))
+}
+
 /// The same graph rebuilt with node ids permuted (reverse insertion order).
 fn renumbered(g: &Rsg) -> Rsg {
     let ids: Vec<_> = g.node_ids().collect();
@@ -123,9 +129,13 @@ proptest! {
         let t = SharedTables::new();
         let g = Arc::new(g);
         let e = t.intern(&g);
-        prop_assert_eq!(&e.bytes[..], &canonical_bytes(&g)[..]);
-        prop_assert_eq!(&t.interner.bytes(e.id)[..], &e.bytes[..]);
-        prop_assert_eq!(t.interner.fingerprint(e.id), e.fp);
+        // The id resolves to a graph with the same canonical bytes, and
+        // interning that graph again hits the same entry.
+        let (resolved, rep) = t.interner.resolve(e.id);
+        prop_assert_eq!(resolved, e);
+        prop_assert_eq!(canonical_bytes(&rep), canonical_bytes(&g));
+        prop_assert_eq!(t.intern(&rep), e);
+        prop_assert_eq!(t.snapshot().intern_hits, 1);
     }
 
     #[test]
@@ -134,8 +144,7 @@ proptest! {
         let b = Arc::new(renumbered(&g));
         let a = t.intern(&Arc::new(g));
         let b = t.intern(&b);
-        prop_assert_eq!(a.id, b.id);
-        prop_assert_eq!(a.fp, b.fp);
+        prop_assert_eq!(a, b);
         prop_assert_eq!(t.interner.len(), 1);
         let s = t.snapshot();
         prop_assert_eq!(s.intern_misses, 1);
@@ -145,9 +154,10 @@ proptest! {
     #[test]
     fn distinct_canonical_forms_get_distinct_ids(a in arb_rsg(), b in arb_rsg()) {
         let t = SharedTables::new();
+        let same = canonical_bytes(&a) == canonical_bytes(&b);
         let ea = t.intern(&Arc::new(a));
         let eb = t.intern(&Arc::new(b));
-        prop_assert_eq!(ea.id == eb.id, ea.bytes == eb.bytes);
+        prop_assert_eq!(ea.id == eb.id, same);
         prop_assert!(t.interner.len() <= 2);
     }
 
@@ -191,8 +201,8 @@ proptest! {
 
     #[test]
     fn fingerprint_is_a_sound_prefilter(pair in arb_pair()) {
-        // The pre-filter may only reject pairs the raw search also rejects:
-        // subsumes(a, b) must imply may_subsume(fp(a), fp(b)). Compressed
+        // The pinning group may only exclude pairs the raw search also
+        // rejects: subsumes(a, b) must imply equal pin_hash. Compressed
         // forms cover longer lists, so true subsumptions occur too.
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = pair;
@@ -200,24 +210,23 @@ proptest! {
         let cb = compress(b.clone(), &ctx, Level::L1);
         for (x, y) in [(&a, &b), (&b, &a), (&ca, &b), (&cb, &a), (&ca, &cb), (&cb, &ca)] {
             if subsumes(x, y) {
-                prop_assert!(Fingerprint::may_subsume(&Fingerprint::of(x), &Fingerprint::of(y)));
+                prop_assert_eq!(entry(x).pin_hash, entry(y).pin_hash);
             }
         }
     }
 
     #[test]
     fn fingerprint_is_a_sound_compatibility_filter(pair in arb_pair()) {
-        // compatible(a, b, L) must imply may_be_compatible(fp(a), fp(b)) at
+        // compatible(a, b, L) must imply equal pin_hash and sig_key at
         // every level, on raw and on compressed forms.
         let ctx = ShapeCtx::synthetic(3, 2);
         let (a, b) = pair;
         for level in [Level::L1, Level::L2, Level::L3] {
             let (ca, cb) = (compress(a.clone(), &ctx, level), compress(b.clone(), &ctx, level));
             for (x, y) in [(&a, &b), (&ca, &cb)] {
-                let (fx, fy) = (Fingerprint::of(x), Fingerprint::of(y));
                 if compatible(x, y, level) {
-                    prop_assert!(Fingerprint::may_be_compatible(&fx, &fy));
-                    prop_assert_eq!(fx.sig_key(), fy.sig_key());
+                    let (ex, ey) = (entry(x), entry(y));
+                    prop_assert_eq!((ex.pin_hash, ex.sig_key), (ey.pin_hash, ey.sig_key));
                 }
             }
         }
@@ -247,9 +256,7 @@ proptest! {
             a.insert(g.clone(), &default_ctx, level);
             b.insert(g, &reference_ctx, level);
         }
-        let members = |s: &Rsrsg| -> Vec<Arc<[u8]>> {
-            s.canon_entries().iter().map(|e| e.bytes.clone()).collect()
-        };
+        let members = |s: &Rsrsg| -> Vec<Vec<u8>> { s.iter().map(canonical_bytes).collect() };
         prop_assert_eq!(members(&a), members(&b));
         let (sa, sb) = (default_ctx.tables.snapshot(), reference_ctx.tables.snapshot());
         prop_assert_eq!(sa.insert_dups, sb.insert_dups);
@@ -273,15 +280,15 @@ fn interner_is_shared_across_shape_ctx_clones() {
 #[test]
 fn fingerprint_distinguishes_node_types() {
     // Same shape, different struct type: the pvar-pointed node's TYPE is
-    // part of the pinning hash, so the fingerprints differ and neither
-    // direction may pass the subsumption pre-filter.
+    // part of the pinning hash, so the graphs fall in different pinning
+    // groups and neither subsumes the other.
     let a = builder::singly_linked_list(3, 2, PvarId(0), SelectorId(0));
     let mut b = a.clone();
     for n in b.node_ids().collect::<Vec<_>>() {
         *b.node_mut(n).ty = StructId(7);
     }
-    let (fa, fb) = (Fingerprint::of(&a), Fingerprint::of(&b));
-    assert_ne!(fa, fb);
-    assert!(!Fingerprint::may_subsume(&fa, &fb));
-    assert!(!Fingerprint::may_subsume(&fb, &fa));
+    let (ea, eb) = (entry(&a), entry(&b));
+    assert_ne!(ea.pin_hash, eb.pin_hash);
+    assert!(!ea.may_be_compatible(&eb));
+    assert!(!subsumes(&a, &b) && !subsumes(&b, &a));
 }

@@ -77,8 +77,7 @@ fn chrome_trace_schema_on_fig1_dll() {
 }
 
 /// Each kernel call is one span that ends before the next call of its kind
-/// starts on that track; interning a batch is one canon span, not one per
-/// graph stamped from the batch start.
+/// starts on that track.
 #[test]
 fn kernel_spans_of_one_kind_never_overlap_on_a_track() {
     let src = dll_source();
@@ -228,4 +227,25 @@ fn cancelled_run_records_the_cause() {
         .collect();
     assert_eq!(cancels.len(), 1, "exactly one raise is journaled");
     assert_eq!(cancels[0].arg, CancelCause::Rsgs.code() as u64);
+}
+
+/// Every COMPRESS kernel run is traced: a `compress` span, or the `join`
+/// span that wraps the COMPRESS after a JOIN. The recursive codes reach
+/// `Rsrsg::insert`'s COMPRESS through the call glue, so they check it.
+#[test]
+fn every_compress_run_is_one_span() {
+    use psa::codes::{olden, Sizes};
+    for (code, src) in [
+        ("treeadd", olden::treeadd(Sizes::default())),
+        ("bisort", olden::bisort(Sizes::default())),
+    ] {
+        let analyzer = Analyzer::new(&src, options(true)).unwrap();
+        let res = analyzer.run().unwrap();
+        let spans = analyzer
+            .trace_events()
+            .iter()
+            .filter(|e| matches!(e.kind, TraceKind::Compress | TraceKind::Join))
+            .count() as u64;
+        assert_eq!(spans, res.stats.ops.compress_calls, "{code}");
+    }
 }

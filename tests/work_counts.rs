@@ -24,42 +24,42 @@ type Row = (&'static str, Level, usize, u64, u64, u64, usize);
 
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
-    ("matvec",     L1,  190,    885,   112,      346,    491396),
-    ("matvec",     L2,  270,   1413,   250,      818,    720580),
-    ("matvec",     L3,  274,   1636,   253,      922,    745052),
-    ("matmat",     L1,  339,   2610,   291,     1170,   1516220),
-    ("matmat",     L2,  553,   3644,   552,     2213,   1952844),
-    ("matmat",     L3,  558,   4175,   548,     2200,   2006276),
-    ("lu",         L1,  340,   1507,   291,      629,    839024),
-    ("lu",         L2,  581,   2972,   513,     2770,   1169400),
-    ("lu",         L3,  420,   2573,   516,     2303,   1348372),
-    ("barnes-hut", L1,  460,   2980,   631,     1467,   1554608),
-    ("barnes-hut", L2,  610,   4005,   567,     4360,   2084124),
-    ("barnes-hut", L3,  631,   5436,   786,     4464,   2500028),
-    ("treeadd",    L1,    1,    220,    31,       44,      3304),
-    ("treeadd",    L2,    1,    399,    54,       83,      4504),
-    ("treeadd",    L3,    1,    399,    54,       83,      4504),
-    ("power",      L1,  163,    722,   131,      346,    348032),
-    ("power",      L2,  210,   1123,   251,      954,    575060),
-    ("power",      L3,  227,   1311,   204,     1048,    551112),
-    ("em3d",       L1,  123,    650,    41,      163,    546216),
-    ("em3d",       L2,  139,    699,    18,      226,    699504),
-    ("em3d",       L3,  139,    832,    18,      265,    703216),
-    ("bisort",     L1,    9,    234,    64,       37,     17656),
-    ("bisort",     L2,    9,    492,   156,       96,     21736),
-    ("bisort",     L3,    9,    492,   156,       96,     21736),
-    ("tsp",        L1,  353,   1227,   172,      601,    721100),
-    ("tsp",        L2,  585,   2070,   376,     2259,    797884),
-    ("tsp",        L3,  596,   2228,   389,     2403,    817668),
-    ("health",     L1,  233,    993,    95,      334,    545408),
-    ("health",     L2,  347,   1659,   284,      776,    786284),
-    ("health",     L3,  341,   1775,   333,      768,    791556),
-    ("perimeter",  L1,    1,    328,    68,       65,      3920),
-    ("perimeter",  L2,    1,   1683,   342,      241,      7088),
-    ("perimeter",  L3,    1,   1683,   342,      241,      7088),
-    ("voronoi",    L1,  352,   1101,   165,      552,    529768),
-    ("voronoi",    L2,  565,   1953,   381,     2306,    829300),
-    ("voronoi",    L3,  573,   2095,   392,     2438,    849288),
+    ("matvec",     L1,  190,    885,   112,      400,    438692),
+    ("matvec",     L2,  270,   1413,   250,      912,    668884),
+    ("matvec",     L3,  274,   1636,   253,     1046,    692780),
+    ("matmat",     L1,  339,   2610,   291,     1233,   1409372),
+    ("matmat",     L2,  553,   3644,   552,     2302,   1851972),
+    ("matmat",     L3,  558,   4175,   548,     2428,   1905404),
+    ("lu",         L1,  340,   1507,   291,      674,    765512),
+    ("lu",         L2,  581,   2972,   513,     2842,   1098192),
+    ("lu",         L3,  420,   2573,   516,     2619,   1284652),
+    ("barnes-hut", L1,  460,   2980,   631,     1526,   1471016),
+    ("barnes-hut", L2,  610,   4005,   567,     4549,   1992396),
+    ("barnes-hut", L3,  631,   5436,   786,     5707,   2406644),
+    ("treeadd",    L1,    1,    220,    31,       49,      2800),
+    ("treeadd",    L2,    1,    399,    54,       88,      4000),
+    ("treeadd",    L3,    1,    399,    54,       88,      4000),
+    ("power",      L1,  163,    722,   131,      409,    308360),
+    ("power",      L2,  210,   1123,   251,     1032,    530852),
+    ("power",      L3,  227,   1311,   204,     1154,    504744),
+    ("em3d",       L1,  123,    650,    41,      194,    499560),
+    ("em3d",       L2,  139,    699,    18,      268,    652848),
+    ("em3d",       L3,  139,    832,    18,      321,    656560),
+    ("bisort",     L1,    9,    234,    64,       42,     15568),
+    ("bisort",     L2,    9,    492,   156,      101,     19648),
+    ("bisort",     L3,    9,    492,   156,      101,     19648),
+    ("tsp",        L1,  353,   1227,   172,      660,    686468),
+    ("tsp",        L2,  585,   2070,   376,     2365,    751468),
+    ("tsp",        L3,  596,   2228,   389,     2564,    771248),
+    ("health",     L1,  233,    993,    95,      340,    507896),
+    ("health",     L2,  347,   1659,   284,      793,    744596),
+    ("health",     L3,  341,   1775,   333,      830,    749868),
+    ("perimeter",  L1,    1,    328,    68,       70,      3416),
+    ("perimeter",  L2,    1,   1683,   342,      246,      6584),
+    ("perimeter",  L3,    1,   1683,   342,      246,      6584),
+    ("voronoi",    L1,  352,   1101,   165,      611,    499024),
+    ("voronoi",    L2,  565,   1953,   381,     2416,    783868),
+    ("voronoi",    L3,  573,   2095,   392,     2593,    803856),
 ];
 
 /// The row of one `psa bench-code` run: the CLI's path, at one level.
