@@ -338,6 +338,78 @@ fn budget_json_carries_degradation_fields() {
     assert!(stats.get("stopped").unwrap().as_str().is_some());
 }
 
+/// The `cancel` causes of a Chrome trace file in timestamp order, and its
+/// count of `force_compress` instants.
+fn trace_stops(path: &std::path::Path) -> (Vec<String>, usize) {
+    let text = std::fs::read_to_string(path).unwrap();
+    let doc = psa_core::json::Json::parse(&text).expect("valid trace JSON");
+    let events = doc.get("traceEvents").unwrap().as_array().unwrap();
+    let named = |e: &&psa_core::json::Json, name: &str| {
+        e.get("name").and_then(|n| n.as_str()) == Some(name)
+    };
+    let mut cancels: Vec<(f64, String)> = events
+        .iter()
+        .filter(|e| named(e, "cancel"))
+        .map(|e| {
+            let ts = e.get("ts").unwrap().as_f64().unwrap();
+            let cause = e.get("args").unwrap().get("cause").unwrap().as_str();
+            (ts, cause.unwrap().to_string())
+        })
+        .collect();
+    cancels.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let forced = events.iter().filter(|e| named(e, "force_compress")).count();
+    (cancels.into_iter().map(|(_, c)| c).collect(), forced)
+}
+
+#[test]
+fn interprocedural_give_up_reaches_the_chrome_export() {
+    // Under an RSG cap of 1 the recursive callee's own run stops first
+    // (`rsgs`), then the caller gives up at the call (`interproc`).
+    let trace = std::env::temp_dir().join("psa-cli-tests/treeadd_rsgs_trace.json");
+    std::fs::create_dir_all(trace.parent().unwrap()).unwrap();
+    let out = psa()
+        .args([
+            "bench-code",
+            "treeadd",
+            "--level",
+            "L1",
+            "--budget-rsgs",
+            "1",
+        ])
+        .args(["--json", "--trace", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a stopped run exits 1");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let v = psa_core::json::Json::parse(stdout.trim()).expect("valid JSON");
+    let stopped = v.get("stats").unwrap().get("stopped").unwrap().as_str();
+    assert!(
+        stopped.is_some_and(|s| s.starts_with("interprocedural analysis stopped")),
+        "{stopped:?}"
+    );
+    assert_eq!(trace_stops(&trace).0, ["rsgs", "interproc"]);
+
+    // A node cap degrades inside the callee without stopping it; the
+    // caller refuses the degraded summary: one stop, the caller's.
+    let trace = trace.with_file_name("treeadd_nodes_trace.json");
+    let out = psa()
+        .args([
+            "bench-code",
+            "treeadd",
+            "--level",
+            "L2",
+            "--budget-nodes",
+            "3",
+        ])
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "a stopped run exits 1");
+    let (causes, forced) = trace_stops(&trace);
+    assert_eq!(causes, ["interproc"]);
+    assert!(forced >= 1, "the node cap must force a summarization");
+}
+
 /// The builder-plus-traversal input of the stopped-run tests.
 fn list_with_traversal() -> String {
     LIST.replace(

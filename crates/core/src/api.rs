@@ -24,8 +24,8 @@ pub struct AnalysisOptions {
     /// Warm shared tables to analyze against: the resident daemon passes a
     /// fresh [`SharedTables::session`] of its tables per request. `None`
     /// (the default) starts cold. Interned forms and memos carry over;
-    /// per-handle observers (metrics, cancellation, tracer) are whatever
-    /// the supplied handle holds.
+    /// per-handle observers (metrics, tracer) are whatever the supplied
+    /// handle holds.
     pub tables: Option<Arc<SharedTables>>,
 }
 

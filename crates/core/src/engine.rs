@@ -33,7 +33,7 @@ use crate::semantics::{
 };
 use crate::stats::{AnalysisStats, Budget};
 use psa_ir::{BlockId, Cond, FuncIr, Stmt, StmtId, Terminator};
-use psa_rsg::intern::{CancelCause, CanonId};
+use psa_rsg::intern::CanonId;
 use psa_rsg::trace::TraceKind;
 use psa_rsg::{Level, ShapeCtx};
 use std::sync::atomic::Ordering;
@@ -44,6 +44,11 @@ use std::time::Instant;
 /// analysis practicable on codes whose control flow fragments the RSRSG;
 /// see [`Rsrsg::widen`].
 const WIDEN_CAP: usize = 12;
+
+/// Block visits before a run gives up with [`BudgetKind::Iterations`]: a
+/// non-convergence safety net (the property space is finite, so it should
+/// never trip).
+const MAX_ITERATIONS: usize = 100_000;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -112,8 +117,8 @@ pub enum BudgetKind {
         /// The configured limit.
         limit: usize,
     },
-    /// The iteration budget [`Budget::max_iterations`] was exhausted
-    /// before a fixed point.
+    /// The engine's block-visit safety net (`MAX_ITERATIONS`, 100 000) was
+    /// exhausted before a fixed point.
     Iterations {
         /// Iterations executed.
         iterations: usize,
@@ -122,14 +127,6 @@ pub enum BudgetKind {
     Rsgs {
         /// How many graphs accumulated.
         graphs: usize,
-        /// The configured limit.
-        limit: usize,
-    },
-    /// The shared interner/memo tables grew past
-    /// [`Budget::max_table_bytes`].
-    TableBytes {
-        /// Approximate table bytes when the cap tripped.
-        bytes: usize,
         /// The configured limit.
         limit: usize,
     },
@@ -190,6 +187,24 @@ impl std::fmt::Display for InterprocReason {
     }
 }
 
+impl BudgetKind {
+    /// The `arg` of the `cancel` trace instant a soft stop journals:
+    /// `2` deadline, `4` RSG cap, `5` interprocedural give-up; `None` for
+    /// the hard caps, which stop nothing softly. Codes 1 (a causeless
+    /// cancel) and 3 (the retired table-byte cap) are never reused, so
+    /// older traces read the same.
+    pub fn stop_code(&self) -> Option<u64> {
+        match self {
+            BudgetKind::Deadline { .. } => Some(2),
+            BudgetKind::Rsgs { .. } => Some(4),
+            BudgetKind::Interproc { .. } => Some(5),
+            BudgetKind::Bytes { .. }
+            | BudgetKind::Graphs { .. }
+            | BudgetKind::Iterations { .. } => None,
+        }
+    }
+}
+
 impl std::fmt::Display for BudgetKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -205,9 +220,6 @@ impl std::fmt::Display for BudgetKind {
             }
             BudgetKind::Rsgs { graphs, limit } => {
                 write!(f, "RSRSG reached {graphs} graphs (soft cap {limit})")
-            }
-            BudgetKind::TableBytes { bytes, limit } => {
-                write!(f, "shared tables reached ~{bytes} bytes (cap {limit})")
             }
             BudgetKind::Deadline { limit_ms } => {
                 write!(f, "wall-clock deadline of {limit_ms} ms passed")
@@ -291,12 +303,13 @@ pub struct AnalysisResult {
     pub stats: AnalysisStats,
     /// Per-statement degradation marks (indexed by [`StmtId`], sticky):
     /// `true` when the statement's RSRSG was force-summarized under
-    /// [`Budget::max_nodes`], or when a cancellation left the statement's
-    /// state possibly stale (its block was still pending re-transfer).
+    /// [`Budget::max_nodes`], or when a stop left the statement's state
+    /// possibly stale (its block was still pending re-transfer, or lies
+    /// downstream of one).
     pub degraded: Vec<bool>,
-    /// `Some` when a degradation cap (RSG count, table bytes, deadline)
-    /// cancelled remaining work: the fixed point was *not* reached and the
-    /// per-point RSRSGs are a partial under-approximation of it. `None`
+    /// `Some` when a soft stop (RSG count, deadline, interprocedural
+    /// give-up) cancelled remaining work: the fixed point was *not* reached
+    /// and the per-point RSRSGs are a partial under-approximation of it. `None`
     /// means the fixed point completed (forced summarization under the node
     /// cap still completes — check [`AnalysisResult::degraded`]).
     pub stopped: Option<BudgetKind>,
@@ -359,11 +372,6 @@ pub struct Engine<'a> {
     entry_state: Option<Rsrsg>,
     /// Summary-computation nesting depth (0 for a root run).
     call_depth: u32,
-    /// Set by the call transfer when an interprocedural summary had to
-    /// give up; `run_inner` converts it into a soft stop exactly like the
-    /// RSG/deadline caps. A `Cell` because the transfer path only holds
-    /// `&self`.
-    interproc_stop: std::cell::Cell<Option<InterprocReason>>,
 }
 
 impl<'a> Engine<'a> {
@@ -393,7 +401,6 @@ impl<'a> Engine<'a> {
             config,
             entry_state: None,
             call_depth: 0,
-            interproc_stop: std::cell::Cell::new(None),
         }
     }
 
@@ -417,7 +424,6 @@ impl<'a> Engine<'a> {
             callees,
             entry_state: Some(entry),
             call_depth,
-            interproc_stop: std::cell::Cell::new(None),
         }
     }
 
@@ -439,13 +445,6 @@ impl<'a> Engine<'a> {
     /// Current summary nesting depth.
     pub(crate) fn call_depth(&self) -> u32 {
         self.call_depth
-    }
-
-    /// Record an interprocedural stop; picked up by the statement loop.
-    pub(crate) fn set_interproc_stop(&self, reason: InterprocReason) {
-        if self.interproc_stop.get().is_none() {
-            self.interproc_stop.set(Some(reason));
-        }
     }
 
     /// The epoch key of this run's transfer-relevant configuration: the
@@ -492,17 +491,13 @@ impl<'a> Engine<'a> {
     ///
     /// Panic-free: any panic on the analysis path is contained here and
     /// converted to [`AnalysisError::Internal`]. The shared tables recover
-    /// from mutex poisoning ([`psa_rsg::lock_recover`]) and the
-    /// cancellation token is reset on entry and after a panic, so a failed
-    /// run never poisons a later run on the same [`ShapeCtx`].
+    /// from mutex poisoning ([`psa_rsg::lock_recover`]) and hold no run
+    /// state, so a failed or stopped run never poisons a later run on the
+    /// same [`ShapeCtx`].
     pub fn run(&self) -> Result<AnalysisResult, AnalysisError> {
-        self.ctx.tables.cancel.reset();
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run_inner())) {
             Ok(r) => r,
             Err(payload) => {
-                // A cap may have raised the token before the panic; clear
-                // it so the tables stay usable.
-                self.ctx.tables.cancel.reset();
                 let message = if let Some(s) = payload.downcast_ref::<&str>() {
                     (*s).to_string()
                 } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -537,14 +532,24 @@ impl<'a> Engine<'a> {
         };
 
         // Degradation state. With no degradation cap set (the default),
-        // `deadline` is `None`, the cancellation token is never raised, and
-        // every check below is a no-op — the run is bit-identical to one
-        // without the budget layer.
+        // `deadline` is `None` and every check below is a no-op — the run
+        // is bit-identical to one without the budget layer. A soft stop is
+        // journaled as one `cancel` instant where it is recorded.
         let budget = self.config.budget;
         let deadline: Option<(Instant, u64)> =
             budget.deadline.map(|d| (start + d, d.as_millis() as u64));
-        let cancel = &self.ctx.tables.cancel;
+        let deadline_stop = || {
+            deadline
+                .filter(|&(dl, _)| Instant::now() >= dl)
+                .map(|(_, limit_ms)| BudgetKind::Deadline { limit_ms })
+        };
         let tracer = &self.ctx.tables.tracer;
+        let journal = |which: BudgetKind| {
+            if let Some(code) = which.stop_code() {
+                tracer.instant(TraceKind::Cancel, code, 0);
+            }
+            which
+        };
         let mut degraded = vec![false; nstmts];
         let mut stopped: Option<BudgetKind> = None;
 
@@ -599,32 +604,17 @@ impl<'a> Engine<'a> {
             on_list[bi] = false;
             iterations += 1;
             tracer.instant(TraceKind::WorklistIter, b.0 as u64, iterations as u64);
-            if iterations > budget.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 return Err(AnalysisError::budget(
                     BudgetKind::Iterations { iterations },
                     None,
                 ));
             }
 
-            // Degradation checks at the block boundary: table bytes and the
-            // wall-clock deadline (also polled per statement below).
-            if stopped.is_none() {
-                if let Some(limit) = budget.max_table_bytes {
-                    let bytes = self.ctx.tables.approx_table_bytes();
-                    if bytes > limit {
-                        stopped = Some(BudgetKind::TableBytes { bytes, limit });
-                    }
-                }
-            }
-            if stopped.is_none() {
-                if let Some((dl, limit_ms)) = deadline {
-                    if Instant::now() >= dl {
-                        stopped = Some(BudgetKind::Deadline { limit_ms });
-                    }
-                }
-            }
-            if let Some(which) = &stopped {
-                self.raise_cancel(which);
+            // The wall-clock deadline at the block boundary (also polled
+            // per statement below).
+            stopped = deadline_stop().map(journal);
+            if stopped.is_some() {
                 worklist.insert(b); // this block's statements are stale too
                 break;
             }
@@ -636,7 +626,8 @@ impl<'a> Engine<'a> {
                 let si = sid.0 as usize;
                 let span_t0 = tracer.enabled().then(Instant::now);
                 let in_width = cur.len();
-                cur = self.transfer_stmt_incremental(
+                let interproc;
+                (cur, interproc) = self.transfer_stmt_incremental(
                     cur,
                     sid,
                     epoch,
@@ -668,76 +659,29 @@ impl<'a> Engine<'a> {
                         Some(sid),
                     ));
                 }
-                // An interprocedural summary gave up at this statement:
-                // soft-stop exactly like the degradation caps (the call's
-                // output passed the input through, which is only sound
-                // under the degraded/stopped discipline).
-                if stopped.is_none() {
-                    if let Some(reason) = self.interproc_stop.take() {
-                        stopped = Some(BudgetKind::Interproc { reason });
-                    }
-                }
-                // Soft caps: record the partial state, cancel the rest.
-                if stopped.is_none() {
-                    if let Some(limit) = budget.max_rsgs {
-                        if cur.len() > limit {
-                            stopped = Some(BudgetKind::Rsgs {
-                                graphs: cur.len(),
-                                limit,
-                            });
-                        }
-                    }
-                }
-                if stopped.is_none() {
-                    // The fold loops raise the token when a cap trips
-                    // mid-statement; recover the recorded cause instead of
-                    // blaming whichever cap is polled first (the deadline,
-                    // historically).
-                    match cancel.cause() {
-                        Some(CancelCause::TableBytes) => {
-                            stopped = Some(BudgetKind::TableBytes {
-                                bytes: self.ctx.tables.approx_table_bytes(),
-                                limit: budget.max_table_bytes.unwrap_or(0),
-                            });
-                        }
-                        Some(CancelCause::Rsgs) => {
-                            stopped = Some(BudgetKind::Rsgs {
-                                graphs: cur.len(),
-                                limit: budget.max_rsgs.unwrap_or(0),
-                            });
-                        }
-                        Some(CancelCause::Deadline) => {
-                            if let Some((_, limit_ms)) = deadline {
-                                stopped = Some(BudgetKind::Deadline { limit_ms });
-                            }
-                        }
-                        Some(CancelCause::Interproc) => {
-                            stopped = Some(BudgetKind::Interproc {
-                                reason: self
-                                    .interproc_stop
-                                    .take()
-                                    .unwrap_or(InterprocReason::NestedStop),
-                            });
-                        }
-                        None => {}
-                    }
-                }
-                if stopped.is_none() {
-                    if let Some((dl, limit_ms)) = deadline {
-                        if Instant::now() >= dl {
-                            stopped = Some(BudgetKind::Deadline { limit_ms });
-                        }
-                    }
-                }
+                // Soft stops, first match wins: an interprocedural give-up
+                // at this statement (the call passed its input through,
+                // sound only under the stopped discipline), the RSG cap,
+                // then the deadline, which the fold loop polls mid-statement.
+                stopped = interproc
+                    .map(|reason| BudgetKind::Interproc { reason })
+                    .or_else(|| {
+                        let graphs = cur.len();
+                        budget
+                            .max_rsgs
+                            .filter(|&limit| graphs > limit)
+                            .map(|limit| BudgetKind::Rsgs { graphs, limit })
+                    })
+                    .or_else(deadline_stop)
+                    .map(journal);
                 stats.max_graphs_per_stmt = stats.max_graphs_per_stmt.max(cur.len());
                 for g in cur.iter() {
                     stats.max_nodes_per_graph = stats.max_nodes_per_graph.max(g.num_nodes());
                 }
                 charge(&mut stmt_bytes[si], &mut live_stmt, cur.approx_bytes());
                 after_ids[si] = cur.canon_ids();
-                if let Some(which) = &stopped {
+                if stopped.is_some() {
                     degraded[si] = true;
-                    self.raise_cancel(which);
                     break;
                 }
             }
@@ -820,15 +764,24 @@ impl<'a> Engine<'a> {
         }
 
         if stopped.is_some() {
-            // Every block still awaiting (re-)transfer has possibly-stale
-            // per-statement state: mark it so the report shows exactly
-            // which program points the partial result cannot vouch for.
-            for b in &worklist {
-                for &sid in &self.ir.block(*b).stmts {
+            // A block still awaiting (re-)transfer has possibly-stale
+            // state, and so has every block downstream of one, including
+            // blocks never reached, whose empty RSRSGs would read as
+            // "unreachable". Mark that whole forward closure, so the report
+            // shows exactly which program points the partial result cannot
+            // vouch for; blocks with no pending ancestor are final.
+            let mut stale = vec![false; nblocks];
+            let mut pending: Vec<BlockId> = worklist.into_iter().collect();
+            while let Some(b) = pending.pop() {
+                if std::mem::replace(&mut stale[b.0 as usize], true) {
+                    continue;
+                }
+                let block = self.ir.block(b);
+                for &sid in &block.stmts {
                     degraded[sid.0 as usize] = true;
                 }
+                pending.extend(block.term.successors());
             }
-            cancel.reset();
         }
 
         stats.iterations = iterations;
@@ -861,24 +814,6 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Raise the cancellation token with the cause matching a tripped
-    /// budget cap, journaling one `Cancel` event on the first raise.
-    fn raise_cancel(&self, which: &BudgetKind) {
-        let cause = match which {
-            BudgetKind::TableBytes { .. } => CancelCause::TableBytes,
-            BudgetKind::Rsgs { .. } => CancelCause::Rsgs,
-            BudgetKind::Deadline { .. } => CancelCause::Deadline,
-            BudgetKind::Interproc { .. } => CancelCause::Interproc,
-            _ => return,
-        };
-        if self.ctx.tables.cancel.cancel_with(cause) {
-            self.ctx
-                .tables
-                .tracer
-                .instant(TraceKind::Cancel, cause.code() as u64, 0);
-        }
-    }
-
     /// Transfer one statement over an RSRSG and apply widening, consulting
     /// the per-statement delta cache and the run-wide transfer memo.
     ///
@@ -892,6 +827,9 @@ impl<'a> Engine<'a> {
     /// post-widening output. Anything else — widening, TOUCH edge
     /// adjustments, or joins having removed/reordered members — fails the
     /// prefix check and falls back to a full re-transfer.
+    ///
+    /// The second value is `Some` when the statement is a call whose
+    /// summary computation gave up (see [`crate::interproc::transfer_call`]).
     #[allow(clippy::too_many_arguments)]
     fn transfer_stmt_incremental(
         &self,
@@ -902,7 +840,7 @@ impl<'a> Engine<'a> {
         deadline: Option<Instant>,
         cache: &mut Option<StmtDelta>,
         stats: &mut AnalysisStats,
-    ) -> Rsrsg {
+    ) -> (Rsrsg, Option<InterprocReason>) {
         stats.stmt_transfers += 1;
         let level = self.config.level;
         let info = self.ir.stmt(sid);
@@ -913,17 +851,18 @@ impl<'a> Engine<'a> {
             Stmt::Scalar(_) | Stmt::ScalarStore(_, _) | Stmt::Free(_) => {
                 let mut out = cur;
                 out.widen(&self.ctx, level, WIDEN_CAP);
-                return out;
+                return (out, None);
             }
             // Calls go through the summary machinery, bypassing the delta
             // and transfer memos: the output depends on the summary cache
             // state, not just the input ids (the summary cache *is* the
             // call-level memo). On a summary give-up the input passes
-            // through and `interproc_stop` soft-stops the run.
+            // through and the returned reason soft-stops the run.
             Stmt::Call(c) => {
-                let mut out = crate::interproc::transfer_call(self, c, &cur, sid, deadline, stats);
+                let (mut out, stop) =
+                    crate::interproc::transfer_call(self, c, &cur, sid, deadline, stats);
                 out.widen(&self.ctx, level, WIDEN_CAP);
-                return out;
+                return (out, stop);
             }
             Stmt::ScalarConst(v, k) => GraphAction::Scalar(*v, Some(*k)),
             Stmt::ScalarHavoc(v, _) => GraphAction::Scalar(*v, None),
@@ -940,7 +879,6 @@ impl<'a> Engine<'a> {
             active_ipvars: &active,
             reference_prune: self.config.reference,
             deadline,
-            table_bytes_limit: self.config.budget.max_table_bytes,
             stmt: sid.0,
         };
 
@@ -948,7 +886,7 @@ impl<'a> Engine<'a> {
         if self.config.reference {
             let mut out = transfer_rsrsg(&cur, &action, &tcx, stats);
             out.widen(&self.ctx, level, WIDEN_CAP);
-            return out;
+            return (out, None);
         }
 
         let m = &self.ctx.tables.metrics;
@@ -959,7 +897,7 @@ impl<'a> Engine<'a> {
                 m.delta_stmt_hits.fetch_add(1, Ordering::Relaxed);
                 m.delta_graphs_reused
                     .fetch_add(in_ids.len() as u64, Ordering::Relaxed);
-                return Rsrsg::from_interned(&c.postwiden, &self.ctx);
+                return (Rsrsg::from_interned(&c.postwiden, &self.ctx), None);
             }
             Some(c) if in_ids.len() > c.input_ids.len() && in_ids.starts_with(&c.input_ids) => {
                 // Append-only growth: continue the insert fold from the
@@ -987,7 +925,7 @@ impl<'a> Engine<'a> {
             prewiden,
             postwiden: out.canon_ids(),
         });
-        out
+        (out, None)
     }
 
     /// Apply a loop-edge edit (the `ScalarEq` true edge's learned constant,
@@ -995,8 +933,8 @@ impl<'a> Engine<'a> {
     /// contribution. Each graph goes through the transfer memo under a slot
     /// minted from the action's content, disjoint from every statement's
     /// slot; the reference oracle applies the edit uncached. The edge
-    /// polls no deadline or table cap: a partial contribution could leave
-    /// a successor's input short without marking it stale.
+    /// polls no deadline: a partial contribution could leave a successor's
+    /// input short without marking it stale.
     fn transfer_edge(
         &self,
         input: &Rsrsg,
@@ -1017,7 +955,7 @@ impl<'a> Engine<'a> {
 
     /// Transfer `input.graphs()[skip..]` through the memoized per-graph
     /// transfer and fold the compressed, interned outputs into `out` in
-    /// input order, stopping early once the cancellation token is raised.
+    /// input order, stopping at the first graph after the deadline.
     #[allow(clippy::too_many_arguments)]
     fn fold_transfer(
         &self,
@@ -1033,7 +971,7 @@ impl<'a> Engine<'a> {
         let graphs = &input.graphs()[skip..];
         let entries = &input.canon_entries()[skip..];
         for (g, e) in graphs.iter().zip(entries) {
-            if tcx.should_stop() {
+            if tcx.deadline_passed() {
                 break;
             }
             for (og, oe) in transfer_one_cached(g, e, action, slot, epoch, tcx, stats) {
@@ -1329,17 +1267,15 @@ mod tests {
 
     #[test]
     fn both_caps_armed_reports_the_cap_that_tripped() {
-        // Regression: with a deadline armed alongside another degradation
-        // cap, any mid-statement cancellation used to be blamed on the
-        // deadline. A one-byte table cap trips immediately while the
-        // one-hour deadline never does — the stop reason must name the
-        // table cap, and the cancel token must carry the true cause.
+        // With a deadline armed alongside the RSG cap, the stop must name
+        // the cap that tripped, not the deadline that never does, and the
+        // journal must record exactly one `cancel` carrying its code.
         let (p, t) = parse_and_type(LIST_BUILD).unwrap();
         let ir = lower_program(&p, &t, "main").unwrap();
         let cfg = EngineConfig {
             level: Level::L1,
             budget: Budget {
-                max_table_bytes: Some(1),
+                max_rsgs: Some(1),
                 deadline: Some(std::time::Duration::from_secs(3600)),
                 ..Budget::default()
             },
@@ -1349,14 +1285,11 @@ mod tests {
         engine.ctx().tables.tracer.enable();
         let res = engine.run().unwrap();
         assert!(
-            matches!(res.stopped, Some(BudgetKind::TableBytes { limit: 1, .. })),
-            "stop reason must be the table cap, got {:?}",
+            matches!(res.stopped, Some(BudgetKind::Rsgs { limit: 1, .. })),
+            "stop reason must be the RSG cap, got {:?}",
             res.stopped
         );
         assert!(res.any_degraded());
-        // The journal records exactly one raise, attributed to the true
-        // cause (the token itself is reset at run end to keep the shared
-        // tables reusable).
         let cancels: Vec<_> = engine
             .ctx()
             .tables
@@ -1365,11 +1298,8 @@ mod tests {
             .into_iter()
             .filter(|e| e.kind == psa_rsg::TraceKind::Cancel)
             .collect();
-        assert_eq!(cancels.len(), 1, "one trace event per raise");
-        assert_eq!(
-            cancels[0].arg,
-            psa_rsg::CancelCause::TableBytes.code() as u64
-        );
+        assert_eq!(cancels.len(), 1, "one trace event per stopped run");
+        assert_eq!(cancels[0].arg, 4);
     }
 
     #[test]
@@ -1387,7 +1317,6 @@ mod tests {
             budget: Budget {
                 max_nodes: Some(1 << 20),
                 max_rsgs: Some(1 << 20),
-                max_table_bytes: Some(1 << 40),
                 deadline: Some(std::time::Duration::from_secs(3600)),
                 ..Budget::default()
             },

@@ -95,9 +95,9 @@ thread_local! {
 }
 
 /// Transfer one `Call` statement over the caller's RSRSG. On a summary
-/// give-up the caller's input is passed through unchanged and the stop
-/// reason is recorded on the engine — sound only because `run_inner` then
-/// marks the statement degraded and soft-stops the run.
+/// give-up the caller's input is passed through unchanged with the stop
+/// reason — sound only because `run_inner` then marks the statement
+/// degraded and soft-stops the run.
 pub(crate) fn transfer_call(
     eng: &Engine<'_>,
     cs: &CallStmt,
@@ -105,7 +105,7 @@ pub(crate) fn transfer_call(
     sid: StmtId,
     deadline: Option<Instant>,
     stats: &mut AnalysisStats,
-) -> Rsrsg {
+) -> (Rsrsg, Option<InterprocReason>) {
     let callees = eng.callees();
     let callee = &callees[cs.callee as usize];
     let ctx = eng.ctx();
@@ -135,9 +135,8 @@ pub(crate) fn transfer_call(
             Err(LocalizeStop::Split(s, in_region)) => {
                 focus_steps += 1;
                 if focus_steps > MAX_FOCUS_STEPS {
-                    eng.set_interproc_stop(InterprocReason::Cutpoint);
                     record_site(stats, sid, info);
-                    return cur.clone();
+                    return (cur.clone(), Some(InterprocReason::Cutpoint));
                 }
                 work.push(split_summary(&g, s, &in_region));
                 continue;
@@ -145,9 +144,8 @@ pub(crate) fn transfer_call(
             Err(LocalizeStop::Focus(src, sel)) => {
                 focus_steps += 1;
                 if focus_steps > MAX_FOCUS_STEPS {
-                    eng.set_interproc_stop(InterprocReason::Cutpoint);
                     record_site(stats, sid, info);
-                    return cur.clone();
+                    return (cur.clone(), Some(InterprocReason::Cutpoint));
                 }
                 for mut v in psa_rsg::divide::divide_at(&g, src, sel, false) {
                     if let Some(t) = v.succs(src, sel).first() {
@@ -167,9 +165,8 @@ pub(crate) fn transfer_call(
                 continue;
             }
             Err(LocalizeStop::Give(reason)) => {
-                eng.set_interproc_stop(reason);
                 record_site(stats, sid, info);
-                return cur.clone();
+                return (cur.clone(), Some(reason));
             }
         };
         let prepared = prepare_entry(callee, &g, &region);
@@ -184,9 +181,8 @@ pub(crate) fn transfer_call(
                     s
                 }
                 Err(reason) => {
-                    eng.set_interproc_stop(reason);
                     record_site(stats, sid, info);
-                    return cur.clone();
+                    return (cur.clone(), Some(reason));
                 }
             },
         };
@@ -209,7 +205,7 @@ pub(crate) fn transfer_call(
     }
     info.recursive = true;
     record_site(stats, sid, info);
-    out
+    (out, None)
 }
 
 fn record_site(stats: &mut AnalysisStats, sid: StmtId, info: CallSiteInfo) {

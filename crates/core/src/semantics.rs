@@ -18,7 +18,7 @@ use psa_cfront::types::SelectorId;
 use psa_ir::{Cond, PtrStmt, PvarId};
 use psa_rsg::compress::compress;
 use psa_rsg::divide::divide_with;
-use psa_rsg::intern::{CancelCause, CanonEntry, TransferOutcome};
+use psa_rsg::intern::{CanonEntry, TransferOutcome};
 use psa_rsg::materialize::materialize;
 use psa_rsg::prune::prune_with;
 use psa_rsg::scratch;
@@ -42,15 +42,10 @@ pub struct TransferCtx<'a> {
     /// oracle ([`crate::engine::EngineConfig::reference`]); see
     /// [`psa_rsg::prune::prune_reference`].
     pub reference_prune: bool,
-    /// Wall-clock point after which the per-graph fold loops cancel
-    /// remaining work via the shared [`psa_rsg::CancelToken`]; `None` (the
+    /// Wall-clock point after which the per-graph fold loops stop
+    /// transferring (see [`TransferCtx::deadline_passed`]); `None` (the
     /// default) disables the check entirely.
     pub deadline: Option<Instant>,
-    /// Shared-table byte cap, polled by the per-graph fold loops alongside
-    /// the deadline so a blowing interner cancels mid-statement (with the
-    /// true cause recorded on the token) instead of waiting for the next
-    /// block boundary; `None` (the default) disables the check entirely.
-    pub table_bytes_limit: Option<usize>,
     /// The statement being transferred, used to attribute kernel trace
     /// spans to program points (`0` outside a statement context).
     pub stmt: u32,
@@ -65,51 +60,17 @@ impl<'a> TransferCtx<'a> {
             active_ipvars,
             reference_prune: false,
             deadline: None,
-            table_bytes_limit: None,
             stmt: 0,
         }
     }
 
-    /// Poll the cooperative caps between per-graph transfers: `true` when
-    /// work should stop because the token is already raised, the deadline
-    /// passed, or the shared tables outgrew their byte cap. The first
-    /// detection raises the token with the true [`CancelCause`] and
-    /// journals one `Cancel` trace event, so the engine can attribute the
-    /// partial result to the budget that actually tripped.
-    pub fn should_stop(&self) -> bool {
-        let tables = &self.ctx.tables;
-        if tables.cancel.is_cancelled() {
-            return true;
-        }
-        if let Some(dl) = self.deadline {
-            if Instant::now() >= dl {
-                if tables.cancel.cancel_with(CancelCause::Deadline) {
-                    tables.tracer.instant(
-                        TraceKind::Cancel,
-                        CancelCause::Deadline.code() as u64,
-                        0,
-                    );
-                }
-                return true;
-            }
-        }
-        if let Some(limit) = self.table_bytes_limit {
-            if tables.approx_table_bytes() > limit {
-                if tables.cancel.cancel_with(CancelCause::TableBytes) {
-                    tables.tracer.instant(
-                        TraceKind::Cancel,
-                        CancelCause::TableBytes.code() as u64,
-                        0,
-                    );
-                }
-                return true;
-            }
-        }
-        false
+    /// Has the deadline passed? The per-graph fold loops poll this between
+    /// member graphs and stop at the first graph after it; the engine's
+    /// post-statement deadline check then records the stop.
+    pub fn deadline_passed(&self) -> bool {
+        self.deadline.is_some_and(|dl| Instant::now() >= dl)
     }
-}
 
-impl<'a> TransferCtx<'a> {
     /// Should `x` be recorded in TOUCH sets here?
     fn touches(&self, x: PvarId) -> bool {
         self.level.use_touch() && self.active_ipvars.contains(&x)
@@ -143,11 +104,10 @@ impl<'a> TransferCtx<'a> {
 }
 
 /// Transfer one graph action over a whole RSRSG with no memo: every member
-/// through [`GraphAction::apply`], every output inserted (COMPRESS and the
+/// through `GraphAction::apply`, every output inserted (COMPRESS and the
 /// reduction loop). This is the reference oracle's path for statements and
-/// loop edges alike. Honors cooperative cancellation and the deadline
-/// between member graphs, like the engine's memoized fold (see
-/// [`crate::stats::Budget`]).
+/// loop edges alike. Stops at the first member graph after the deadline,
+/// like the engine's memoized fold (see [`crate::stats::Budget`]).
 pub fn transfer_rsrsg(
     input: &Rsrsg,
     action: &GraphAction<'_>,
@@ -156,7 +116,7 @@ pub fn transfer_rsrsg(
 ) -> Rsrsg {
     let mut out = Rsrsg::new();
     for g in input.iter() {
-        if tcx.should_stop() {
+        if tcx.deadline_passed() {
             break;
         }
         for gi in action.apply(g, tcx, stats) {
@@ -229,9 +189,9 @@ impl GraphAction<'_> {
 /// Memoized per-graph transfer: the `(config-epoch, slot, CanonId) →
 /// interned outputs` map, for statements and loop-edge edits alike.
 ///
-/// `slot` is the dense id [`SharedTables::stmt_slot_for`] minted from the
-/// statement's *content* (not its position), or from an edge action's
-/// content under a key disjoint from every statement's, so identical
+/// `slot` is the dense id [`psa_rsg::SharedTables::stmt_slot_for`] minted
+/// from the statement's *content* (not its position), or from an edge
+/// action's content under a key disjoint from every statement's, so identical
 /// statements share memoized transfers across function versions and daemon
 /// requests. Trace events still carry the positional statement index
 /// (`tcx.stmt`) for human-facing timelines.

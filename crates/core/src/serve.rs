@@ -7,10 +7,10 @@
 //! [`SharedTables`]: the interner, subsumption memo and transfer memo stay
 //! hot across requests, so a request that resubmits — or edits — a
 //! previously analyzed program replays memoized transfers instead of
-//! recomputing them. Per-request state (metrics, cancellation, trace
-//! journal) is isolated through [`SharedTables::session`], so one
-//! request's budget cancelling cannot stop another request and
-//! per-request reports never accumulate another request's counters.
+//! recomputing them. Per-request observers (metrics, trace journal) are
+//! isolated through [`SharedTables::session`], so per-request reports never
+//! accumulate another request's counters; a budget stop is a value its own
+//! engine run returns, so one request's budget cannot stop another.
 //!
 //! # Protocol
 //!
@@ -201,7 +201,7 @@ impl Server {
         let trace = params.get("trace").and_then(Json::as_bool).unwrap_or(false);
 
         // Per-request isolation: interner and memos are shared, but this
-        // request gets its own metrics, cancellation token and tracer.
+        // request gets its own metrics and tracer.
         let session = Arc::new(self.tables.session());
         let analysis_options = AnalysisOptions {
             function,

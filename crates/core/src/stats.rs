@@ -101,13 +101,14 @@ pub struct CallSiteInfo {
 ///
 /// Two families with different failure modes:
 ///
-/// * **Hard caps** (`max_bytes`, `max_graphs`, `max_iterations`) abort the
-///   run with [`AnalysisError::BudgetExceeded`](crate::AnalysisError) —
-///   the paper's "compiler runs out of memory" outcome.
-/// * **Degradation caps** (`max_nodes`, `max_rsgs`, `max_table_bytes`,
-///   `deadline`) never abort. `max_nodes` triggers forced summarization
-///   (sound but coarser graphs, statements marked degraded); the others
-///   cancel remaining work cooperatively and return a partial result with
+/// * **Hard caps** (`max_bytes`, `max_graphs`) abort the run with
+///   [`AnalysisError::BudgetExceeded`](crate::AnalysisError) — the paper's
+///   "compiler runs out of memory" outcome. The engine's fixed block-visit
+///   safety net aborts the same way.
+/// * **Degradation caps** (`max_nodes`, `max_rsgs`, `deadline`) never
+///   abort. `max_nodes` triggers forced summarization (sound but coarser
+///   graphs, statements marked degraded); the others stop the run and
+///   return a partial result with
 ///   [`AnalysisResult::stopped`](crate::AnalysisResult) set.
 ///
 /// All new caps default to `None`/unset, in which case the engine's
@@ -118,20 +119,14 @@ pub struct Budget {
     pub max_bytes: Option<usize>,
     /// Abort when a statement's RSRSG exceeds this many graphs.
     pub max_graphs: usize,
-    /// Abort after this many block-transfer iterations (non-convergence
-    /// safety net; the property space is finite so this should not trigger).
-    pub max_iterations: usize,
     /// Force-summarize any RSG above this many nodes (k-limiting COMPRESS
     /// with relaxed compatibility); the affected statement is marked
     /// degraded but the fixed point still completes.
     pub max_nodes: Option<usize>,
-    /// Cancel remaining work when a statement's RSRSG reaches this many
-    /// graphs (softer than `max_graphs`: partial result, not an error).
+    /// Stop the run when a statement's RSRSG exceeds this many graphs
+    /// (softer than `max_graphs`: partial result, not an error).
     pub max_rsgs: Option<usize>,
-    /// Cancel remaining work when the shared interner/memo tables exceed
-    /// approximately this many bytes.
-    pub max_table_bytes: Option<usize>,
-    /// Cancel remaining work after this much wall-clock time.
+    /// Stop the run after this much wall-clock time.
     pub deadline: Option<Duration>,
 }
 
@@ -140,10 +135,8 @@ impl Default for Budget {
         Budget {
             max_bytes: None,
             max_graphs: 512,
-            max_iterations: 100_000,
             max_nodes: None,
             max_rsgs: None,
-            max_table_bytes: None,
             deadline: None,
         }
     }
@@ -205,7 +198,6 @@ mod tests {
         let b = Budget::default();
         assert_eq!(b.max_nodes, None);
         assert_eq!(b.max_rsgs, None);
-        assert_eq!(b.max_table_bytes, None);
         assert_eq!(b.deadline, None);
     }
 }

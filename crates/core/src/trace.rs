@@ -21,7 +21,7 @@
 use crate::json::Json;
 use psa_ir::FuncIr;
 use psa_rsg::trace::{TraceEvent, TraceKind};
-use psa_rsg::{CancelCause, Level};
+use psa_rsg::Level;
 use std::collections::BTreeMap;
 
 /// The level's 1-based ordinal, used as the `arg` of [`TraceKind::Run`]
@@ -42,6 +42,17 @@ fn lock_table_name(code: u64) -> &'static str {
         1 => "subsume",
         2 => "transfer",
         3 => "join",
+        _ => "unknown",
+    }
+}
+
+/// Stop name for [`TraceKind::Cancel`] events (wire values are
+/// [`crate::engine::BudgetKind::stop_code`]s).
+fn stop_name(code: u64) -> &'static str {
+    match code {
+        2 => "deadline",
+        4 => "rsgs",
+        5 => "interproc",
         _ => "unknown",
     }
 }
@@ -138,14 +149,7 @@ fn write_args(out: &mut String, e: &TraceEvent) {
         TraceKind::TransferMemoHit | TraceKind::TransferMemoMiss => {
             write!(out, "{{\"stmt\": {}, \"input\": {}}}", e.arg, e.arg2)
         }
-        TraceKind::Cancel => {
-            let cause = u8::try_from(e.arg).ok().and_then(CancelCause::from_code);
-            write!(
-                out,
-                "{{\"cause\": \"{}\"}}",
-                cause.map_or("unknown", CancelCause::name)
-            )
-        }
+        TraceKind::Cancel => write!(out, "{{\"cause\": \"{}\"}}", stop_name(e.arg)),
         TraceKind::LockWait => write!(
             out,
             "{{\"table\": \"{}\", \"wait_ns\": {}}}",
@@ -696,14 +700,27 @@ mod tests {
 
     #[test]
     fn cancel_args_name_the_cause() {
-        for (code, name) in [
-            (CancelCause::Deadline.code(), "deadline"),
-            (CancelCause::TableBytes.code(), "table_bytes"),
-            (CancelCause::Rsgs.code(), "rsgs"),
-            (CancelCause::Interproc.code(), "interproc"),
-            (1, "unknown"),
+        use crate::engine::{BudgetKind, InterprocReason};
+        let deadline = BudgetKind::Deadline { limit_ms: 0 };
+        let rsgs = BudgetKind::Rsgs {
+            graphs: 2,
+            limit: 1,
+        };
+        let interproc = BudgetKind::Interproc {
+            reason: InterprocReason::Depth,
+        };
+        // Codes 1 and 3 are retired: no stop journals them.
+        for (kind, code, name) in [
+            (Some(deadline), 2, "deadline"),
+            (Some(rsgs), 4, "rsgs"),
+            (Some(interproc), 5, "interproc"),
+            (None, 1, "unknown"),
+            (None, 3, "unknown"),
         ] {
-            let doc = streamed(&[ev(TraceKind::Cancel, 0, 0, 0, code.into(), 0)]);
+            if let Some(kind) = kind {
+                assert_eq!(kind.stop_code(), Some(code), "{kind:?}");
+            }
+            let doc = streamed(&[ev(TraceKind::Cancel, 0, 0, 0, code, 0)]);
             let te = doc.get("traceEvents").unwrap().as_array().unwrap();
             let cancel = te
                 .iter()

@@ -39,7 +39,7 @@
 //! The fast path's working set — the id list, the per-node initial color
 //! bytes (stored as one flat arena plus spans instead of a per-node
 //! `BTreeMap<NodeId, Vec<u8>>`), and the u64 hash/signature vectors — lives
-//! in a thread-local [`CanonScratch`] reused across calls, so steady-state
+//! in a thread-local `CanonScratch` reused across calls, so steady-state
 //! canonicalization allocates only the output vector. The exact fallback
 //! path (refinement stalled) reconstructs the `BTreeMap` form for
 //! refinement and individualization. Both paths write their bytes through

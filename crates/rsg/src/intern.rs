@@ -72,7 +72,7 @@ use crate::trace::{TraceKind, Tracer};
 use psa_ir::{fnv1a, splitmix64 as mix};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 use std::time::Instant;
 
@@ -309,10 +309,6 @@ pub struct Interner {
     next: AtomicU32,
     /// Count of fully published entries (the `len()` gauge).
     published: AtomicU64,
-    /// Approximate retained bytes (canonical serializations plus
-    /// representative graphs), maintained on mint so budget checks never
-    /// walk the table.
-    bytes: AtomicU64,
 }
 
 impl Default for Interner {
@@ -322,7 +318,6 @@ impl Default for Interner {
             segments: (0..SLAB_MAX_SEGS).map(|_| OnceLock::new()).collect(),
             next: AtomicU32::new(0),
             published: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
         }
     }
 }
@@ -336,109 +331,6 @@ impl Default for Interner {
 /// `Striped::lock` so the recovery policy cannot drift per call site.
 pub fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Why a [`CancelToken`] was raised. The first raiser wins: later raises
-/// keep the original cause, so the engine can attribute a partial result
-/// to the budget that actually tripped rather than to whichever cap it
-/// happens to poll first (the old behaviour blamed the deadline for any
-/// mid-statement cancellation when one was set).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CancelCause {
-    /// The wall-clock deadline passed.
-    Deadline,
-    /// The shared-table byte cap tripped.
-    TableBytes,
-    /// The per-statement RSG-count cap tripped.
-    Rsgs,
-    /// Interprocedural analysis gave up soundly: a call-site localization
-    /// found a cutpoint or escaping TOUCH mark, or a recursive-summary cap
-    /// (entries, rounds, depth) tripped. The partial result is sound but
-    /// carries no claims past the stopping call.
-    Interproc,
-}
-
-impl CancelCause {
-    /// Every cause, in code order.
-    const ALL: [CancelCause; 4] = [
-        CancelCause::Deadline,
-        CancelCause::TableBytes,
-        CancelCause::Rsgs,
-        CancelCause::Interproc,
-    ];
-
-    /// Stable small-integer code, used for trace-event arguments. Code 1
-    /// is retired (it named a cause-less raise); the others keep their
-    /// values so older traces read the same.
-    pub fn code(self) -> u8 {
-        match self {
-            CancelCause::Deadline => 2,
-            CancelCause::TableBytes => 3,
-            CancelCause::Rsgs => 4,
-            CancelCause::Interproc => 5,
-        }
-    }
-
-    /// Stable name, used for the `cause` of exported trace events.
-    pub fn name(self) -> &'static str {
-        match self {
-            CancelCause::Deadline => "deadline",
-            CancelCause::TableBytes => "table_bytes",
-            CancelCause::Rsgs => "rsgs",
-            CancelCause::Interproc => "interproc",
-        }
-    }
-
-    /// The cause with this [`CancelCause::code`], if any.
-    pub fn from_code(code: u8) -> Option<CancelCause> {
-        CancelCause::ALL.into_iter().find(|c| c.code() == code)
-    }
-}
-
-/// Cooperative cancellation token shared by the engine worklist and the
-/// statement-transfer fold loops. Raised when a soft resource budget (RSGs
-/// per statement, table bytes, deadline) trips or an interprocedural
-/// summary gives up; every loop that honors it stops transferring and lets
-/// the engine surface a partial, `degraded`-marked result instead of
-/// running on. The token remembers *why* it was raised (first cause wins)
-/// so the engine reports the true stop reason.
-#[derive(Debug, Default)]
-pub struct CancelToken {
-    flag: AtomicBool,
-    /// `0` = not raised; otherwise a [`CancelCause::code`].
-    cause: AtomicU8,
-}
-
-impl CancelToken {
-    /// Request cancellation, recording `cause` if this is the first raise.
-    /// Returns `true` exactly when this call raised the token (so callers
-    /// can emit one trace event per raise). Never blocks.
-    pub fn cancel_with(&self, cause: CancelCause) -> bool {
-        let first = self
-            .cause
-            .compare_exchange(0, cause.code(), Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        self.flag.store(true, Ordering::Release);
-        first
-    }
-
-    /// Has cancellation been requested?
-    pub fn is_cancelled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
-    }
-
-    /// The first-raise cause, if the token has been raised.
-    pub fn cause(&self) -> Option<CancelCause> {
-        CancelCause::from_code(self.cause.load(Ordering::Acquire))
-    }
-
-    /// Clear the token and its cause (the engine resets it at run start,
-    /// so a cancelled run does not poison later runs sharing the same
-    /// tables).
-    pub fn reset(&self) {
-        self.cause.store(0, Ordering::Release);
-        self.flag.store(false, Ordering::Release);
-    }
 }
 
 impl Interner {
@@ -508,11 +400,6 @@ impl Interner {
                 sig_key: sig.sig_key(),
                 pin_hash: sig.pin_hash,
             };
-            // The index key is the one copy of the canonical bytes. The
-            // graph is charged in full although the caller shares it, so
-            // the `max_table_bytes` budget keeps its meaning.
-            let minted = bytes.len() as u64 + g.approx_bytes() as u64;
-            self.bytes.fetch_add(minted, Ordering::Relaxed);
             // Fill-before-publish: the slab slot must be readable before
             // the id appears in the map or escapes to the caller.
             self.publish(
@@ -530,12 +417,6 @@ impl Interner {
     /// Number of distinct canonical forms interned so far. Lock-free.
     pub fn len(&self) -> usize {
         self.published.load(Ordering::Acquire) as usize
-    }
-
-    /// Approximate retained bytes (canonical encodings + representative
-    /// graphs). Lock-free: reads the counter maintained on mint.
-    pub fn approx_bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed) as usize
     }
 
     /// True when nothing has been interned.
@@ -1029,12 +910,13 @@ impl SummaryCache {
 ///
 /// The *tables* (interner, subsumption memo, transfer memo, JOIN memo,
 /// epoch and statement-slot registries) sit behind `Arc`s, while the *observers*
-/// (metrics, cancellation token, tracer) are owned per handle. A
-/// [`SharedTables::session`] therefore shares every byte of cached state
-/// with its parent but counts, cancels and traces independently — the
-/// isolation the resident analysis daemon needs to serve concurrent
-/// requests off one warm table set without one request's deadline
-/// cancelling another or its counters leaking into another's report.
+/// (metrics, tracer) are owned per handle. A [`SharedTables::session`]
+/// therefore shares every byte of cached state with its parent but counts
+/// and traces independently — the isolation the resident analysis daemon
+/// needs to serve concurrent requests off one warm table set without one
+/// request's counters or events leaking into another's report. Nothing
+/// here carries run state: a budget stop is a value the engine returns, so
+/// no handle needs a reset between runs.
 #[derive(Debug)]
 pub struct SharedTables {
     /// Canonical-form interner.
@@ -1052,11 +934,6 @@ pub struct SharedTables {
     pub summaries: Arc<SummaryCache>,
     /// Op-level counters (per handle; see [`SharedTables::session`]).
     pub metrics: OpMetrics,
-    /// Cooperative cancellation flag, observed by the engine worklist and
-    /// its transfer loops. Reset by each `Engine::run` so one
-    /// cancelled run does not poison the next run sharing these tables.
-    /// Per handle: sessions cancel independently.
-    pub cancel: CancelToken,
     /// Run-wide event journal (disabled by default; enabling it never
     /// changes analysis results, only records them). Per handle.
     pub tracer: Tracer,
@@ -1089,7 +966,6 @@ impl SharedTables {
             join: Arc::new(Striped::new(LockTable::Join)),
             summaries: Arc::new(SummaryCache::new()),
             metrics: OpMetrics::default(),
-            cancel: CancelToken::default(),
             tracer: Tracer::new(),
             cache_enabled: true,
             epochs: Arc::new(KeyRegistry::default()),
@@ -1099,10 +975,9 @@ impl SharedTables {
 
     /// A handle sharing this table set's cached state — interner,
     /// subsumption, transfer and JOIN memos, epoch and slot registries — with
-    /// fresh, independent observers (metrics, cancellation token, tracer).
-    /// The daemon takes one session per request: the request inherits every
-    /// warm entry, its budget deadline can only cancel itself, and its op
-    /// counters start at zero.
+    /// fresh, independent observers (metrics, tracer). The daemon takes one
+    /// session per request: the request inherits every warm entry, and its
+    /// op counters and trace journal start empty.
     pub fn session(&self) -> SharedTables {
         SharedTables {
             interner: self.interner.clone(),
@@ -1111,27 +986,11 @@ impl SharedTables {
             join: self.join.clone(),
             summaries: self.summaries.clone(),
             metrics: OpMetrics::default(),
-            cancel: CancelToken::default(),
             tracer: Tracer::new(),
             cache_enabled: self.cache_enabled,
             epochs: self.epochs.clone(),
             slots: self.slots.clone(),
         }
-    }
-
-    /// Approximate bytes retained by the shared tables: interned canonical
-    /// forms and representative graphs, plus a flat per-entry estimate for
-    /// the subsumption, transfer and JOIN memos. Used by the table-byte
-    /// budget; an estimate, not an allocator measurement.
-    pub fn approx_table_bytes(&self) -> usize {
-        // HashMap entry overhead plus key/value payload, flat-rated.
-        const SUBSUME_ENTRY_BYTES: usize = 32;
-        const TRANSFER_ENTRY_BYTES: usize = 96;
-        const JOIN_ENTRY_BYTES: usize = 32;
-        self.interner.approx_bytes()
-            + self.subsume.len() * SUBSUME_ENTRY_BYTES
-            + self.transfer.len() * TRANSFER_ENTRY_BYTES
-            + self.join.len() * JOIN_ENTRY_BYTES
     }
 
     /// The epoch id for a configuration key, minting a fresh one for keys
@@ -1353,44 +1212,6 @@ mod tests {
         assert_eq!(entry, e);
         assert_eq!(t.interner.len(), 1, "len() is slab-backed, lock-free");
         drop(guards);
-    }
-
-    #[test]
-    fn cancel_token_first_cause_wins() {
-        let t = CancelToken::default();
-        assert!(!t.is_cancelled());
-        assert_eq!(t.cause(), None);
-        assert!(t.cancel_with(CancelCause::TableBytes), "first raise");
-        assert!(
-            !t.cancel_with(CancelCause::Deadline),
-            "second raise reports not-first"
-        );
-        assert!(t.is_cancelled());
-        assert_eq!(
-            t.cause(),
-            Some(CancelCause::TableBytes),
-            "the original cause survives later raises"
-        );
-        t.reset();
-        assert!(!t.is_cancelled());
-        assert_eq!(t.cause(), None);
-        assert!(t.cancel_with(CancelCause::Deadline), "raisable again");
-        assert_eq!(t.cause(), Some(CancelCause::Deadline));
-    }
-
-    #[test]
-    fn cancel_cause_codes_roundtrip() {
-        for c in [
-            CancelCause::Deadline,
-            CancelCause::TableBytes,
-            CancelCause::Rsgs,
-            CancelCause::Interproc,
-        ] {
-            assert_eq!(CancelCause::from_code(c.code()), Some(c));
-        }
-        assert_eq!(CancelCause::from_code(0), None);
-        assert_eq!(CancelCause::from_code(1), None, "code 1 is retired");
-        assert_eq!(CancelCause::from_code(200), None);
     }
 
     #[test]
@@ -1752,14 +1573,10 @@ mod tests {
         assert_eq!(s.epoch_for(42), epoch);
         s.transfer_store(epoch, 0, e.id, TransferOutcome::default());
         assert!(base.transfer_lookup(epoch, 0, e.id).is_some());
-        // Observers are not: the session's metrics started at zero and the
-        // base cancel token is unaffected by a session cancel.
+        // Observers are not: the session's metrics started at zero.
         assert_eq!(s.metrics.snapshot().intern_misses, 0);
         assert_eq!(s.metrics.snapshot().intern_hits, 1);
         assert_eq!(base.metrics.snapshot().intern_misses, 1);
-        s.cancel.cancel_with(CancelCause::Deadline);
-        assert!(s.cancel.is_cancelled());
-        assert!(!base.cancel.is_cancelled());
     }
 
     #[test]

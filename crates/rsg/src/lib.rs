@@ -47,8 +47,7 @@ pub mod trace;
 pub use ctx::{Level, ShapeCtx};
 pub use graph::Rsg;
 pub use intern::{
-    lock_recover, CancelCause, CancelToken, CanonEntry, CanonId, OpStats, SharedTables,
-    SummaryCache, SummaryEntry,
+    lock_recover, CanonEntry, CanonId, OpStats, SharedTables, SummaryCache, SummaryEntry,
 };
 pub use node::{Node, NodeId};
 pub use sets::{CycleSet, SelSet, TouchSet};

@@ -62,13 +62,14 @@ pub enum TraceKind {
     /// A forced summarization round under the node budget. `arg` =
     /// statement id.
     ForceCompress,
-    /// The [`crate::CancelToken`] was raised. `arg` = cause code
-    /// ([`crate::intern::CancelCause::code`]).
+    /// An engine run stopped on a soft budget, one per stopped run. `arg`
+    /// = stop code (`2` deadline, `4` RSG cap, `5` interprocedural give-up;
+    /// `BudgetKind::stop_code` in `psa-core`).
     Cancel,
     /// A contended stripe-lock acquisition on a shared table. `arg` = table
-    /// code (`0` interner, `1` subsumption memo, `2` transfer memo — the
-    /// discriminant of [`crate::intern::LockTable`]), `arg2` = nanoseconds
-    /// waited.
+    /// code (`0` interner, `1` subsumption memo, `2` transfer memo, `3`
+    /// JOIN memo — the discriminant of [`crate::intern::LockTable`]),
+    /// `arg2` = nanoseconds waited.
     LockWait,
 }
 

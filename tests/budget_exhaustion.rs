@@ -35,7 +35,6 @@ fn unset_budgets_are_bit_identical_on_paper_codes() {
         let huge = Budget {
             max_nodes: Some(1 << 20),
             max_rsgs: Some(1 << 20),
-            max_table_bytes: Some(1 << 40),
             deadline: Some(Duration::from_secs(3600)),
             ..Budget::default()
         };
@@ -263,19 +262,33 @@ fn rsg_cap_stops_matvec_softly() {
     assert!(res.any_degraded());
 }
 
+/// A stopped run marks every statement it cannot vouch for: the pending
+/// blocks and everything downstream of them, including the statements the
+/// run never reached, whose empty RSRSGs would otherwise read as
+/// "unreachable". The statements before the first loop ran to their fixed
+/// point and stay unmarked.
 #[test]
-fn table_bytes_cap_stops_softly() {
+fn rsg_capped_matvec_marks_every_unreached_statement() {
     let budget = Budget {
-        max_table_bytes: Some(1),
+        max_rsgs: Some(1),
         ..Budget::default()
     };
     let res = analyzer_with_budget(&sparse_matvec(Sizes::default()), budget)
         .run_at(Level::L1)
-        .expect("table-bytes cap is a soft cap");
-    assert!(matches!(
-        res.stopped,
-        Some(BudgetKind::TableBytes { limit: 1, .. })
-    ));
+        .expect("RSG cap is a soft cap");
+    assert!(res.stopped.is_some());
+    let mut empty = 0;
+    for (i, s) in res.after_stmt.iter().enumerate() {
+        if s.is_empty() {
+            empty += 1;
+            assert!(res.degraded[i], "st{i} holds no graph but is unmarked");
+        }
+    }
+    assert!(empty > 0, "the cap must stop matvec before its end");
+    assert!(
+        !res.degraded[0] && !res.degraded[1],
+        "st0 and st1 are final"
+    );
 }
 
 /// The hard byte cap stays an error (Table 1's OOM semantics), now through

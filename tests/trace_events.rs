@@ -5,7 +5,7 @@
 
 use psa::core::trace::{chrome_trace_write, summarize};
 use psa::core::{AnalysisOptions, Analyzer, BudgetKind};
-use psa::rsg::{CancelCause, Level, TraceKind};
+use psa::rsg::{Level, TraceKind};
 
 fn dll_source() -> String {
     psa::codes::generators::dll_program(6)
@@ -225,8 +225,8 @@ fn cancelled_run_records_the_cause() {
         .iter()
         .filter(|e| e.kind == TraceKind::Cancel)
         .collect();
-    assert_eq!(cancels.len(), 1, "exactly one raise is journaled");
-    assert_eq!(cancels[0].arg, CancelCause::Rsgs.code() as u64);
+    assert_eq!(cancels.len(), 1, "exactly one stop is journaled");
+    assert_eq!(Some(cancels[0].arg), res.stopped.unwrap().stop_code());
 }
 
 /// Every COMPRESS kernel run is traced: a `compress` span, or the `join`
