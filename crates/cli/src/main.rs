@@ -178,6 +178,7 @@ fn parse_flags(args: &[String], only: Option<&[&str]>) -> Result<Flags, String> 
                 // Comma-separated list of checks: `--check asserts,memory`.
                 let v = args
                     .get(i)
+                    .filter(|v| v.split(',').any(|c| !c.trim().is_empty()))
                     .ok_or("--check needs a value (asserts, memory, or a comma-separated list)")?;
                 for check in v.split(',').map(str::trim).filter(|c| !c.is_empty()) {
                     let kind = match check {

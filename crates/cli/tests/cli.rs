@@ -384,8 +384,9 @@ fn interprocedural_give_up_reaches_the_chrome_export() {
     let v = psa_core::json::Json::parse(stdout.trim()).expect("valid JSON");
     let stopped = v.get("stats").unwrap().get("stopped").unwrap().as_str();
     assert!(
-        stopped.is_some_and(|s| s.starts_with("interprocedural analysis stopped")),
-        "{stopped:?}"
+        stopped.is_some_and(|s| s.starts_with("interprocedural analysis stopped")
+            && s.contains("nested callee analysis stopped on its RSG soft cap (rsgs)")),
+        "the stop names the callee's RSG cap: {stopped:?}"
     );
     assert_eq!(trace_stops(&trace).0, ["rsgs", "interproc"]);
 
@@ -405,6 +406,11 @@ fn interprocedural_give_up_reaches_the_chrome_export() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(1), "a stopped run exits 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("nested callee analysis degraded: the node cap forced a summarization"),
+        "the stop names the callee's degradation: {stderr}"
+    );
     let (causes, forced) = trace_stops(&trace);
     assert_eq!(causes, ["interproc"]);
     assert!(forced >= 1, "the node cap must force a summarization");
@@ -626,6 +632,24 @@ fn check_rejects_unknown_value_cleanly() {
         "clean diagnostic, got: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "no panic: {stderr}");
+}
+
+#[test]
+fn check_rejects_an_empty_list() {
+    // An empty list would run no check and exit 0 with a plain summary.
+    let f = write_tmp("list_empty_check.c", LIST);
+    for value in ["", ",", " , "] {
+        let out = psa()
+            .args(["analyze", f.to_str().unwrap(), "--check", value])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "`--check {value:?}` must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--check needs a value (asserts, memory, or a comma-separated list)"),
+            "`--check {value:?}`: {stderr}"
+        );
+    }
 }
 
 #[test]

@@ -23,9 +23,10 @@
 //! per-point state (`after_stmt`/`block_in`/`block_out`) lives as vectors
 //! of interned [`CanonId`]s during the run — the per-statement deep
 //! `clone()` of the whole RSRSG is gone, and structural-byte accounting is
-//! maintained incrementally instead of rescanned every iteration.
-//! [`EngineConfig::reference`] swaps all of that for the sequential
-//! recompute-everything pipeline the differential tests compare against.
+//! maintained incrementally instead of rescanned every iteration. A run on
+//! [`psa_rsg::intern::SharedTables::without_cache`] tables swaps all of
+//! that for the sequential recompute-everything reference oracle the
+//! differential tests compare against.
 
 use crate::rsrsg::Rsrsg;
 use crate::semantics::{
@@ -57,14 +58,6 @@ pub struct EngineConfig {
     pub level: Level,
     /// Resource budget.
     pub budget: Budget,
-    /// Test and bench oracle, not a tuning knob: run the recompute-everything
-    /// reference pipeline the default path must match bit for bit. Subsumption
-    /// goes through the raw backtracking search
-    /// ([`psa_rsg::intern::SharedTables::without_cache`]), every statement
-    /// re-transfers every graph (no transfer memo, no delta worklist), PRUNE
-    /// is the whole-graph rescan ([`psa_rsg::prune::prune_reference`]).
-    /// Build it with [`EngineConfig::reference`].
-    pub reference: bool,
 }
 
 impl Default for EngineConfig {
@@ -72,7 +65,6 @@ impl Default for EngineConfig {
         EngineConfig {
             level: Level::L1,
             budget: Budget::default(),
-            reference: false,
         }
     }
 }
@@ -82,15 +74,6 @@ impl EngineConfig {
     pub fn at_level(level: Level) -> EngineConfig {
         EngineConfig {
             level,
-            ..Default::default()
-        }
-    }
-
-    /// The reference oracle at `level` (see [`EngineConfig::reference`]).
-    pub fn reference(level: Level) -> EngineConfig {
-        EngineConfig {
-            level,
-            reference: true,
             ..Default::default()
         }
     }
@@ -150,9 +133,9 @@ pub enum BudgetKind {
 /// [`BudgetKind::Interproc`] so downstream clients clamp to may-fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InterprocReason {
-    /// The nested callee analysis itself degraded or stopped on a budget;
-    /// its exit set is an under-approximation the caller must not consume.
-    NestedStop,
+    /// The nested callee analysis itself stopped, degraded or failed; its
+    /// exit set is an under-approximation the caller must not consume.
+    NestedStop(NestedCause),
     /// The summary fixpoint did not converge within the round cap.
     SummaryRounds,
     /// One function accumulated more distinct entry graphs than the
@@ -167,11 +150,31 @@ pub enum InterprocReason {
     Cutpoint,
 }
 
+/// What spoiled a nested callee run ([`InterprocReason::NestedStop`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NestedCause {
+    /// A soft stop, by its [`BudgetKind::stop_code`]: the deadline, the RSG
+    /// cap, or a deeper interprocedural give-up.
+    Stopped(u64),
+    /// The node cap forced a summarization.
+    Degraded,
+    /// A hard error.
+    Failed,
+}
+
 impl std::fmt::Display for InterprocReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            InterprocReason::NestedStop => {
-                write!(f, "nested callee analysis degraded or stopped on a budget")
+            InterprocReason::NestedStop(NestedCause::Stopped(code)) => {
+                let (name, what) = BudgetKind::stop_name(*code);
+                write!(f, "nested callee analysis stopped on its {what} ({name})")
+            }
+            InterprocReason::NestedStop(NestedCause::Degraded) => write!(
+                f,
+                "nested callee analysis degraded: the node cap forced a summarization"
+            ),
+            InterprocReason::NestedStop(NestedCause::Failed) => {
+                write!(f, "nested callee analysis failed with a hard error")
             }
             InterprocReason::SummaryRounds => {
                 write!(f, "summary fixpoint exceeded the iteration-round cap")
@@ -201,6 +204,17 @@ impl BudgetKind {
             BudgetKind::Bytes { .. }
             | BudgetKind::Graphs { .. }
             | BudgetKind::Iterations { .. } => None,
+        }
+    }
+
+    /// A stop code's name and what tripped it, read by the Chrome export
+    /// and a nested stop's text; `"unknown"` for a code no stop journals.
+    pub fn stop_name(code: u64) -> (&'static str, &'static str) {
+        match code {
+            2 => ("deadline", "wall-clock deadline"),
+            4 => ("rsgs", "RSG soft cap"),
+            5 => ("interproc", "interprocedural give-up"),
+            _ => ("unknown", "unknown stop"),
         }
     }
 }
@@ -385,15 +399,11 @@ impl<'a> Engine<'a> {
     /// Create an engine reusing an existing universe. Because the
     /// [`ShapeCtx`] carries the shared interner and subsumption memo, this
     /// is how the progressive driver makes L2/L3 re-analysis hit the tables
-    /// populated at L1.
+    /// populated at L1. The tables are the one oracle switch: on
+    /// [`psa_rsg::intern::SharedTables::without_cache`] tables the engine is
+    /// the test-only reference oracle (raw subsumption search, every graph
+    /// re-transferred with no memo or delta worklist, rescan PRUNE).
     pub fn with_shape_ctx(ir: &'a FuncIr, config: EngineConfig, ctx: ShapeCtx) -> Engine<'a> {
-        let ctx = if !config.reference || !ctx.tables.cache_enabled() {
-            ctx
-        } else {
-            ctx.with_tables(std::sync::Arc::new(
-                psa_rsg::intern::SharedTables::without_cache(),
-            ))
-        };
         Engine {
             callees: &ir.callees,
             ir,
@@ -877,13 +887,12 @@ impl<'a> Engine<'a> {
             ctx: &self.ctx,
             level,
             active_ipvars: &active,
-            reference_prune: self.config.reference,
             deadline,
             stmt: sid.0,
         };
 
         // Reference oracle: the recompute-everything pipeline, sequential.
-        if self.config.reference {
+        if !self.ctx.tables.cache_enabled() {
             let mut out = transfer_rsrsg(&cur, &action, &tcx, stats);
             out.widen(&self.ctx, level, WIDEN_CAP);
             return (out, None);
@@ -943,7 +952,7 @@ impl<'a> Engine<'a> {
         stats: &mut AnalysisStats,
     ) -> Rsrsg {
         let tcx = TransferCtx::new(&self.ctx, self.config.level, &[]);
-        if self.config.reference {
+        if !self.ctx.tables.cache_enabled() {
             return transfer_rsrsg(input, &action, &tcx, stats);
         }
         let key = psa_ir::fnv1a(format!("edge|{action:?}").as_bytes());
@@ -1163,7 +1172,6 @@ mod tests {
                 max_bytes: Some(512),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         match Engine::new(&ir, cfg).run() {
             Err(AnalysisError::BudgetExceeded {
@@ -1184,7 +1192,6 @@ mod tests {
                 max_graphs: 1,
                 ..Budget::default()
             },
-            ..Default::default()
         };
         match Engine::new(&ir, cfg).run() {
             Err(AnalysisError::BudgetExceeded {
@@ -1205,7 +1212,6 @@ mod tests {
                 max_nodes: Some(3),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         let res = Engine::new(&ir, cfg).run().unwrap();
         assert!(res.is_complete(), "forced summarization never cancels");
@@ -1228,7 +1234,6 @@ mod tests {
                 deadline: Some(std::time::Duration::ZERO),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         let engine = Engine::new(&ir, cfg);
         let res = engine.run().unwrap();
@@ -1255,7 +1260,6 @@ mod tests {
                 max_rsgs: Some(1),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         let res = Engine::new(&ir, cfg).run().unwrap();
         assert!(matches!(
@@ -1279,7 +1283,6 @@ mod tests {
                 deadline: Some(std::time::Duration::from_secs(3600)),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         let engine = Engine::new(&ir, cfg);
         engine.ctx().tables.tracer.enable();
@@ -1320,7 +1323,6 @@ mod tests {
                 deadline: Some(std::time::Duration::from_secs(3600)),
                 ..Budget::default()
             },
-            ..Default::default()
         };
         let capped = Engine::new(&ir, huge_caps).run().unwrap();
         assert!(capped.is_complete());

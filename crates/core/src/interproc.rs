@@ -50,7 +50,7 @@
 //! degraded and soft-stops, so clients clamp everything downstream to
 //! may-fail — a budget-stopped summary can never launder a `safe` claim.
 
-use crate::engine::{Engine, InterprocReason};
+use crate::engine::{BudgetKind, Engine, InterprocReason, NestedCause};
 use crate::rsrsg::Rsrsg;
 use crate::stats::{AnalysisStats, CallSiteInfo};
 use psa_cfront::types::SelectorId;
@@ -147,11 +147,13 @@ pub(crate) fn transfer_call(
                     record_site(stats, sid, info);
                     return (cur.clone(), Some(InterprocReason::Cutpoint));
                 }
-                for mut v in psa_rsg::divide::divide_at(&g, src, sel, false) {
+                // The reference oracle's cache-less tables prune by rescan.
+                let rescan = !ctx.tables.cache_enabled();
+                for mut v in psa_rsg::divide::divide_at(&g, src, sel, rescan) {
                     if let Some(t) = v.succs(src, sel).first() {
                         if v.node(t).summary {
                             let m = psa_rsg::materialize::materialize(&mut v, src, sel, t);
-                            match psa_rsg::prune::prune_with(&v, false) {
+                            match psa_rsg::prune::prune_with(&v, rescan) {
                                 Some(p) => v = p,
                                 None => continue,
                             }
@@ -725,9 +727,10 @@ fn internal_leak(callee: &CalleeFunc, exits: &[CanonId], ctx: &ShapeCtx) -> bool
 
 /// One pass of the nested engine over the callee body. Sequential, on the
 /// shared tables, bounded by the wall-clock remaining of the outer
-/// deadline. Any degradation, stop, or hard budget error inside the callee
-/// surfaces as [`InterprocReason::NestedStop`] — a partial exit set is an
-/// under-approximation the caller must never consume.
+/// deadline. Any stop, degradation, or hard budget error inside the callee
+/// surfaces as [`InterprocReason::NestedStop`] naming its [`NestedCause`] —
+/// a partial exit set is an under-approximation the caller must never
+/// consume.
 fn run_callee_once(
     eng: &Engine<'_>,
     callee: &CalleeFunc,
@@ -738,7 +741,10 @@ fn run_callee_once(
     if let Some(dl) = deadline {
         let remaining = dl.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
-            return Err(InterprocReason::NestedStop);
+            // No time left for the callee: its own deadline stop.
+            let stop = BudgetKind::Deadline { limit_ms: 0 }.stop_code();
+            let stop = stop.expect("a deadline is a soft stop");
+            return Err(InterprocReason::NestedStop(NestedCause::Stopped(stop)));
         }
         config.budget.deadline = Some(remaining);
     }
@@ -750,14 +756,13 @@ fn run_callee_once(
         entry,
         eng.call_depth() + 1,
     );
-    match nested.run_inner() {
-        Ok(res) => {
-            if res.stopped.is_some() || res.any_degraded() {
-                Err(InterprocReason::NestedStop)
-            } else {
-                Ok(res)
-            }
-        }
-        Err(_) => Err(InterprocReason::NestedStop),
-    }
+    let cause = match nested.run_inner() {
+        Ok(res) => match res.stopped.and_then(|k| k.stop_code()) {
+            Some(code) => NestedCause::Stopped(code),
+            None if res.any_degraded() => NestedCause::Degraded,
+            None => return Ok(res),
+        },
+        Err(_) => NestedCause::Failed,
+    };
+    Err(InterprocReason::NestedStop(cause))
 }

@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use api::{analyze_source, AnalysisOptions, Analyzer};
 pub use engine::{
-    AnalysisError, AnalysisResult, BudgetKind, Engine, EngineConfig, InterprocReason,
+    AnalysisError, AnalysisResult, BudgetKind, Engine, EngineConfig, InterprocReason, NestedCause,
 };
 pub use progressive::{Goal, ProgressiveOutcome, ProgressiveRunner};
 pub use rsrsg::Rsrsg;

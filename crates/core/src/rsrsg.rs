@@ -229,7 +229,8 @@ impl Rsrsg {
 
     /// Interned canonical ids of the members, **in member order** (not
     /// sorted). The engine's delta worklist, which every run except the
-    /// [`crate::engine::EngineConfig::reference`] oracle takes, relies on
+    /// reference oracle (cache-less tables, see
+    /// [`crate::engine::Engine::with_shape_ctx`]) takes, relies on
     /// this order: a set that only grew by appends has its old id vector as
     /// a strict prefix.
     pub fn canon_ids(&self) -> Vec<CanonId> {

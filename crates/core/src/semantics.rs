@@ -37,11 +37,6 @@ pub struct TransferCtx<'a> {
     /// Induction pvars of the loops enclosing the current statement —
     /// the only pvars eligible for TOUCH (empty below L3).
     pub active_ipvars: &'a [PvarId],
-    /// Route every PRUNE through the whole-graph rescan reference
-    /// implementation instead of the worklist. Set only by the reference
-    /// oracle ([`crate::engine::EngineConfig::reference`]); see
-    /// [`psa_rsg::prune::prune_reference`].
-    pub reference_prune: bool,
     /// Wall-clock point after which the per-graph fold loops stop
     /// transferring (see [`TransferCtx::deadline_passed`]); `None` (the
     /// default) disables the check entirely.
@@ -52,13 +47,12 @@ pub struct TransferCtx<'a> {
 }
 
 impl<'a> TransferCtx<'a> {
-    /// A default-configured context (worklist PRUNE, no deadline).
+    /// A context with no deadline, outside any statement.
     pub fn new(ctx: &'a ShapeCtx, level: Level, active_ipvars: &'a [PvarId]) -> Self {
         TransferCtx {
             ctx,
             level,
             active_ipvars,
-            reference_prune: false,
             deadline: None,
             stmt: 0,
         }
@@ -81,23 +75,24 @@ impl<'a> TransferCtx<'a> {
         counter(&self.ctx.tables.metrics).fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Prune through the configured implementation, as a traced span.
+    /// Prune as a traced span: the worklist PRUNE, or the whole-graph
+    /// rescan ([`psa_rsg::prune::prune_reference`]) on the reference
+    /// oracle's cache-less tables.
     fn prune(&self, g: &Rsg) -> Option<Rsg> {
         self.count(|m| &m.prune_calls);
         let tracer = &self.ctx.tables.tracer;
         let t0 = tracer.enabled().then(Instant::now);
-        let out = prune_with(g, self.reference_prune);
+        let out = prune_with(g, !self.ctx.tables.cache_enabled());
         tracer.span_since(TraceKind::Prune, t0, self.stmt as u64, 0);
         out
     }
 
-    /// Divide through the configured prune implementation, as a traced
-    /// span.
+    /// Divide through the tables' prune implementation, as a traced span.
     fn divide(&self, g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
         self.count(|m| &m.divide_calls);
         let tracer = &self.ctx.tables.tracer;
         let t0 = tracer.enabled().then(Instant::now);
-        let out = divide_with(g, x, sel, self.reference_prune);
+        let out = divide_with(g, x, sel, !self.ctx.tables.cache_enabled());
         tracer.span_since(TraceKind::Divide, t0, self.stmt as u64, 0);
         out
     }

@@ -46,17 +46,6 @@ fn lock_table_name(code: u64) -> &'static str {
     }
 }
 
-/// Stop name for [`TraceKind::Cancel`] events (wire values are
-/// [`crate::engine::BudgetKind::stop_code`]s).
-fn stop_name(code: u64) -> &'static str {
-    match code {
-        2 => "deadline",
-        4 => "rsgs",
-        5 => "interproc",
-        _ => "unknown",
-    }
-}
-
 /// Stream the journal as Chrome trace JSON (the JSON Object Format:
 /// `{"traceEvents": [...]}`, loadable in Perfetto or `chrome://tracing`)
 /// directly into `out`, one event per line.
@@ -149,7 +138,11 @@ fn write_args(out: &mut String, e: &TraceEvent) {
         TraceKind::TransferMemoHit | TraceKind::TransferMemoMiss => {
             write!(out, "{{\"stmt\": {}, \"input\": {}}}", e.arg, e.arg2)
         }
-        TraceKind::Cancel => write!(out, "{{\"cause\": \"{}\"}}", stop_name(e.arg)),
+        TraceKind::Cancel => write!(
+            out,
+            "{{\"cause\": \"{}\"}}",
+            crate::engine::BudgetKind::stop_name(e.arg).0
+        ),
         TraceKind::LockWait => write!(
             out,
             "{{\"table\": \"{}\", \"wait_ns\": {}}}",

@@ -5,57 +5,37 @@
 //! meaningless; equality must be isomorphism up to node renaming (pvars and
 //! selectors are globally named and fixed).
 //!
-//! We compute a canonical labelling by partition refinement (Weisfeiler–
-//! Leman style, seeded with the full node property vector and the pvars
-//! pointing at each node) followed by individualization with backtracking:
-//! when refinement stalls with a non-discrete partition, each member of the
-//! first ambiguous class is tried and the lexicographically smallest
-//! serialization wins. RSGs are small (tens of nodes) and, after COMPRESS,
-//! contain pairwise property-distinct nodes, so backtracking almost never
-//! triggers.
+//! One search computes the canonical labelling. Node colors are u64
+//! hashes, seeded from each node's full property vector and the pvars
+//! pointing at it, then refined Weisfeiler–Leman style (each round folds a
+//! node's color with its hash-sorted `(direction, selector, neighbor
+//! color)` terms) until the partition is discrete or stops splitting. A
+//! discrete partition ranks nodes by hash. A stalled one (a symmetry or a
+//! hash collision) individualizes each member of its smallest tied class
+//! in turn with a fresh color and recurses; the lexicographically smallest
+//! serialization wins. After COMPRESS an RSG's nodes are pairwise
+//! property-distinct, so the search almost never branches.
 //!
-//! # The hash-color fast path
-//!
-//! The exact refinement carries full byte/`Vec<u32>` signatures through
-//! `BTreeMap` palettes — correct, but allocation-heavy, and it dominates
-//! interning time. [`canonical_bytes`] therefore first runs the same
-//! refinement over *u64 hash colors* (splitmix-style mixing of the
-//! initial color bytes, then of the sorted neighbor color multisets):
-//!
-//! * if the hash partition becomes *discrete* (all `n` hashes distinct),
-//!   ordering nodes by hash is an isomorphism-invariant total order —
-//!   hashes are computed from ids only through id-independent inputs — so
-//!   serialization under the hash ranks is canonical. A u64 collision can
-//!   only *merge* classes, never split them, so a collision can never
-//!   smuggle a non-discrete partition through this gate;
-//! * if refinement *stalls* (class count stops growing, whether from a
-//!   genuine symmetry or a hash collision), we fall back to the exact
-//!   byte-color refinement with individualization above. Stalling is itself
-//!   isomorphism-invariant, so isomorphic graphs always take the same path
-//!   and compare equal.
-//!
-//! # Scratch reuse
-//!
-//! The fast path's working set — the id list, the per-node initial color
-//! bytes (stored as one flat arena plus spans instead of a per-node
-//! `BTreeMap<NodeId, Vec<u8>>`), and the u64 hash/signature vectors — lives
-//! in a thread-local `CanonScratch` reused across calls, so steady-state
-//! canonicalization allocates only the output vector. The exact fallback
-//! path (refinement stalled) reconstructs the `BTreeMap` form for
-//! refinement and individualization. Both paths write their bytes through
-//! one serializer, `serialize_from_scratch`, under the node order each one
-//! found.
+//! Colors depend on node ids only through id-independent inputs, and the
+//! branch tries every member of a class chosen by hash value, so the result
+//! is isomorphism-invariant; a collision only merges classes, which moves
+//! an individualization earlier. The bytes serialize the whole graph under
+//! a total node order, so equal bytes imply isomorphic graphs. Past
+//! `MAX_INDIVIDUALIZE_DEPTH`, ties are ranked by node id: isomorphic graphs
+//! may then compare unequal (one extra engine iteration), never the
+//! reverse. The working set lives in a reused thread-local `CanonScratch`,
+//! so a graph that refines to a discrete partition allocates only its
+//! output.
 
 use crate::graph::Rsg;
 use crate::node::NodeId;
 use psa_ir::{fnv1a, splitmix64 as mix};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 
-/// Reusable buffers for the hash-color fast path.
+/// Reusable buffers for canonicalization.
 #[derive(Default)]
 struct CanonScratch {
-    /// Live node ids of the graph being encoded.
+    /// Live node ids of the graph being encoded, ascending.
     ids: Vec<NodeId>,
     /// Flat arena of initial-color bytes, one span per node in `ids` order.
     init_bytes: Vec<u8>,
@@ -69,13 +49,11 @@ struct CanonScratch {
     sig: Vec<u64>,
     /// Distinct-class counting buffer.
     seen: Vec<u64>,
-    /// Node order under the final hash ranks.
-    order: Vec<NodeId>,
-    /// Dense `raw node id → rank` under `order` (fast-path serialization).
+    /// Indices into `ids` in rank order.
+    order: Vec<u32>,
+    /// Dense `raw node id → rank` under `order`.
     rank: Vec<u32>,
-    /// Dense `raw node id → index into ids/init_spans`.
-    span_of: Vec<u32>,
-    /// Ranked-link sort buffer for the fast-path serialization.
+    /// Ranked-link sort buffer for the serialization.
     links: Vec<(u32, u32, u32)>,
 }
 
@@ -108,27 +86,23 @@ fn canonical_bytes_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
         }
         return out;
     }
-    // Initial colors into the flat arena (one span per node).
+    seed_colors(g, s);
+    search(g, s, 0)
+}
+
+/// Write the initial colors of `s.ids` into the flat arena (one span per
+/// node) and seed `s.h` with their hashes.
+fn seed_colors(g: &Rsg, s: &mut CanonScratch) {
     s.init_bytes.clear();
     s.init_spans.clear();
-    for i in 0..s.ids.len() {
-        let start = s.init_bytes.len() as u32;
-        initial_color_into(g, s.ids[i], &mut s.init_bytes);
-        s.init_spans.push((start, s.init_bytes.len() as u32));
+    s.h.clear();
+    s.h.resize(s.ids.last().map_or(0, |id| id.0 as usize + 1), 0);
+    for &id in &s.ids {
+        let start = s.init_bytes.len();
+        initial_color_into(g, id, &mut s.init_bytes);
+        s.init_spans.push((start as u32, s.init_bytes.len() as u32));
+        s.h[id.0 as usize] = mix(fnv1a(&s.init_bytes[start..]));
     }
-    if wl_hash_colors(g, s) {
-        return serialize_from_scratch(g, s);
-    }
-    // Exact fallback: rebuild the per-node byte-color map the refinement
-    // and individualization machinery expects.
-    let ids = s.ids.clone();
-    let init: BTreeMap<NodeId, Vec<u8>> = ids
-        .iter()
-        .zip(&s.init_spans)
-        .map(|(&n, &(a, b))| (n, s.init_bytes[a as usize..b as usize].to_vec()))
-        .collect();
-    let colors = best_coloring(g, &ids, &init, 0, s);
-    serialize_colored(g, &colors, s)
 }
 
 /// Are two graphs isomorphic (as RSGs)?
@@ -162,69 +136,49 @@ fn initial_color_into(g: &Rsg, n: NodeId, c: &mut Vec<u8>) {
     }
 }
 
-/// Refine colors until stable; returns a stable coloring (possibly with
-/// ties).
-fn refine(g: &Rsg, ids: &[NodeId], init: &BTreeMap<NodeId, Vec<u8>>) -> BTreeMap<NodeId, u32> {
-    // Convert initial byte colors to dense ints, assigned in sorted key
-    // order so that color values are independent of node id order.
-    let keys: std::collections::BTreeSet<&Vec<u8>> = ids.iter().map(|n| &init[n]).collect();
-    let palette: BTreeMap<&Vec<u8>, u32> = keys
-        .into_iter()
-        .enumerate()
-        .map(|(i, k)| (k, i as u32))
+/// Nested individualizations before ties are ranked by node id.
+const MAX_INDIVIDUALIZE_DEPTH: usize = 8;
+
+/// Salt of the fresh color an individualized node gets from its class
+/// color and the search depth. Without the depth, a member of a class that
+/// stalls again right away would get the same fresh color one level down
+/// and merge with the member individualized above it: fans of 5 identical
+/// children then ran the search to `MAX_INDIVIDUALIZE_DEPTH`.
+const INDIVIDUALIZED: u64 = 0x1D1D_1A11_2EDC_0101;
+
+/// Refine the colors in `s.h`, then branch: serialize a discrete partition
+/// under its hash ranks, or individualize each member of the smallest tied
+/// class and keep the smallest bytes.
+fn search(g: &Rsg, s: &mut CanonScratch, depth: usize) -> Vec<u8> {
+    wl_hash_colors(g, s);
+    rank_by_color(s);
+    let color = |i: &u32| s.h[s.ids[*i as usize].0 as usize];
+    let tie = s
+        .order
+        .windows(2)
+        .position(|w| color(&w[0]) == color(&w[1]));
+    let Some(at) = tie.filter(|_| depth < MAX_INDIVIDUALIZE_DEPTH) else {
+        // Discrete — or at the depth cap, where ties stay ranked by node
+        // id: isomorphic graphs may then compare unequal, which costs one
+        // extra engine iteration, never unsoundness.
+        return serialize_from_scratch(g, s);
+    };
+    let target = color(&s.order[at]);
+    let members: Vec<NodeId> = s.order[at..]
+        .iter()
+        .take_while(|i| color(i) == target)
+        .map(|&i| s.ids[i as usize])
         .collect();
-    let mut color: BTreeMap<NodeId, u32> = ids.iter().map(|&n| (n, palette[&init[&n]])).collect();
-    loop {
-        let mut sigs: BTreeMap<NodeId, Vec<u32>> = BTreeMap::new();
-        for &n in ids {
-            let mut sig = vec![color[&n]];
-            let mut outs: Vec<(u32, u32)> = g
-                .out_links(n)
-                .iter()
-                .map(|&(s, b)| (s.0, color[&b]))
-                .collect();
-            outs.sort_unstable();
-            sig.push(u32::MAX); // separator
-            for (s, c) in outs {
-                sig.push(s);
-                sig.push(c);
-            }
-            let mut ins: Vec<(u32, u32)> = g
-                .in_links(n)
-                .iter()
-                .map(|&(a, s)| (s.0, color[&a]))
-                .collect();
-            ins.sort_unstable();
-            sig.push(u32::MAX - 1);
-            for (s, c) in ins {
-                sig.push(s);
-                sig.push(c);
-            }
-            sigs.insert(n, sig);
-        }
-        let sig_keys: std::collections::BTreeSet<&Vec<u32>> =
-            ids.iter().map(|n| &sigs[n]).collect();
-        let sig_palette: BTreeMap<&Vec<u32>, u32> = sig_keys
-            .into_iter()
-            .enumerate()
-            .map(|(i, k)| (k, i as u32))
-            .collect();
-        let next_color: BTreeMap<NodeId, u32> =
-            ids.iter().map(|&n| (n, sig_palette[&sigs[&n]])).collect();
-        let old_classes = color
-            .values()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        let new_classes = next_color
-            .values()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len();
-        let stable = new_classes == old_classes;
-        color = next_color;
-        if stable {
-            return color;
-        }
-    }
+    let saved = s.h.clone();
+    members
+        .into_iter()
+        .map(|m| {
+            s.h.clone_from(&saved);
+            s.h[m.0 as usize] = mix(target ^ INDIVIDUALIZED ^ depth as u64);
+            search(g, s, depth + 1)
+        })
+        .min()
+        .expect("a tied class has members")
 }
 
 /// Distinct hash colors among the live ids, counted through the reusable
@@ -237,38 +191,17 @@ fn count_classes(ids: &[NodeId], h: &[u64], seen: &mut Vec<u64>) -> usize {
     seen.len()
 }
 
-/// WL refinement over u64 hash colors, working entirely in the scratch
-/// buffers (initial hashes come from the flat color arena). On success the
-/// partition is discrete: `scratch.order` holds the nodes sorted by hash
-/// (the canonical order) and `scratch.rank` the dense inverse, and the
-/// caller serializes straight from the scratch. Returns `false` when the
-/// partition stalls before discreteness (genuine symmetry or hash
-/// collision) — the caller then runs the exact path.
-fn wl_hash_colors(g: &Rsg, scratch: &mut CanonScratch) -> bool {
-    let CanonScratch {
-        ids,
-        init_bytes,
-        init_spans,
-        h,
-        next,
-        sig,
-        seen,
-        order,
-        rank,
-        ..
-    } = scratch;
+/// WL refinement of `s.h` in place, in the scratch buffers, until the
+/// partition is discrete or stops splitting (a symmetry, or a collision
+/// merging classes); `s.h` keeps the last colors that lost no class.
+fn wl_hash_colors(g: &Rsg, s: &mut CanonScratch) {
+    let (ids, h, next) = (&s.ids, &mut s.h, &mut s.next);
+    let (sig, seen) = (&mut s.sig, &mut s.seen);
     let n = ids.len();
-    let cap = ids.iter().map(|id| id.0 as usize + 1).max().unwrap_or(0);
-    h.clear();
-    h.resize(cap, 0);
-    for (i, &id) in ids.iter().enumerate() {
-        let (a, b) = init_spans[i];
-        h[id.0 as usize] = mix(fnv1a(&init_bytes[a as usize..b as usize]));
-    }
     let mut classes = count_classes(ids, h, seen);
     while classes < n {
         next.clear();
-        next.resize(cap, 0);
+        next.resize(h.len(), 0);
         for &id in ids.iter() {
             sig.clear();
             for &(s, b) in g.out_links(id) {
@@ -293,48 +226,33 @@ fn wl_hash_colors(g: &Rsg, scratch: &mut CanonScratch) -> bool {
         }
         let next_classes = count_classes(ids, next, seen);
         if next_classes <= classes {
-            // Stalled short of discreteness — or a collision merged classes
-            // (refinement with the old color folded in can otherwise only
-            // split). Either way the exact path decides.
-            return false;
+            // Folding in the old color otherwise only splits classes.
+            return;
         }
         std::mem::swap(h, next);
         classes = next_classes;
     }
-    // Discrete: rank nodes by hash value.
-    order.clear();
-    order.extend_from_slice(ids);
-    order.sort_unstable_by_key(|id| h[id.0 as usize]);
-    rank.clear();
-    rank.resize(cap, 0);
-    for (i, &id) in order.iter().enumerate() {
-        rank[id.0 as usize] = i as u32;
-    }
-    true
 }
 
-/// The one canonical-form writer: nodes in `order`, initial-color bytes
-/// from the flat arena, link/pvar ranks from the dense `rank` vector. The
-/// fast path leaves `order` and `rank` behind from a successful
-/// [`wl_hash_colors`] run; the exact path fills them in
-/// [`serialize_colored`].
-fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
-    let CanonScratch {
-        ids,
-        init_bytes,
-        init_spans,
-        order,
-        rank,
-        span_of,
-        links,
-        ..
-    } = s;
-    let cap = rank.len();
-    span_of.clear();
-    span_of.resize(cap, 0);
-    for (i, &id) in ids.iter().enumerate() {
-        span_of[id.0 as usize] = i as u32;
+/// Order the nodes by hash color, ties by node id, and fill the dense
+/// `rank` inverse. On a discrete partition the id key never decides.
+fn rank_by_color(s: &mut CanonScratch) {
+    let (ids, h, order) = (&s.ids, &s.h, &mut s.order);
+    order.clear();
+    order.extend(0..ids.len() as u32);
+    order.sort_unstable_by_key(|&i| (h[ids[i as usize].0 as usize], i));
+    s.rank.clear();
+    s.rank.resize(h.len(), 0);
+    for (r, &i) in order.iter().enumerate() {
+        s.rank[ids[i as usize].0 as usize] = r as u32;
     }
+}
+
+/// The canonical-form writer: nodes in `order`, initial-color bytes from
+/// the flat arena, link/pvar ranks from the dense `rank` vector
+/// ([`rank_by_color`] fills both).
+fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
+    let (order, rank, links) = (&s.order, &s.rank, &mut s.links);
     let mut out = Vec::with_capacity(order.len() * 48);
     out.extend_from_slice(&(order.len() as u32).to_le_bytes());
     // The slot count is part of the form even when the trailing slots are
@@ -342,9 +260,9 @@ fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     // daemon), and the minted representative's PL vector must
     // be indexable by every pvar of the universe that interned it.
     out.extend_from_slice(&(g.num_pvar_slots() as u32).to_le_bytes());
-    for &n in order.iter() {
-        let (a, b) = init_spans[span_of[n.0 as usize] as usize];
-        out.extend_from_slice(&init_bytes[a as usize..b as usize]);
+    for &i in order.iter() {
+        let (a, b) = s.init_spans[i as usize];
+        out.extend_from_slice(&s.init_bytes[a as usize..b as usize]);
         out.push(0xFF);
     }
     links.clear();
@@ -371,67 +289,6 @@ fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     out
 }
 
-const MAX_INDIVIDUALIZE_DEPTH: usize = 8;
-
-fn best_coloring(
-    g: &Rsg,
-    ids: &[NodeId],
-    init: &BTreeMap<NodeId, Vec<u8>>,
-    depth: usize,
-    s: &mut CanonScratch,
-) -> BTreeMap<NodeId, u32> {
-    let colors = refine(g, ids, init);
-    // Find the first ambiguous class (smallest color with ≥ 2 members).
-    let mut by_color: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-    for &n in ids {
-        by_color.entry(colors[&n]).or_default().push(n);
-    }
-    let ambiguous = by_color.values().find(|v| v.len() >= 2);
-    let Some(class) = ambiguous else {
-        return colors;
-    };
-    if depth >= MAX_INDIVIDUALIZE_DEPTH {
-        // Give up on perfect canonicalization; break ties by node id. This
-        // can only cause spurious inequality between isomorphic graphs,
-        // which costs one extra engine iteration, never unsoundness.
-        let mut out = colors;
-        let n = ids.len() as u32;
-        for (i, &id) in ids.iter().enumerate() {
-            out.insert(id, out[&id] * n + i as u32);
-        }
-        return out;
-    }
-    // Individualize each candidate; keep the lexicographically smallest
-    // serialization.
-    let mut best: Option<(Vec<u8>, BTreeMap<NodeId, u32>)> = None;
-    for &cand in class {
-        let mut init2 = init.clone();
-        init2.get_mut(&cand).unwrap().push(0xAA); // distinguish
-        let colors2 = best_coloring(g, ids, &init2, depth + 1, s);
-        let ser = serialize_colored(g, &colors2, s);
-        if best.as_ref().map(|(b, _)| ser < *b).unwrap_or(true) {
-            best = Some((ser, colors2));
-        }
-    }
-    best.unwrap().1
-}
-
-/// Serialize a graph under a total node coloring (every coloring
-/// [`best_coloring`] returns is one): order the scratch's nodes by color,
-/// fill the dense `rank`, and write through [`serialize_from_scratch`].
-fn serialize_colored(g: &Rsg, colors: &BTreeMap<NodeId, u32>, s: &mut CanonScratch) -> Vec<u8> {
-    s.order.clear();
-    s.order.extend_from_slice(&s.ids);
-    s.order.sort_by_key(|n| colors[n]);
-    let cap = s.ids.iter().map(|id| id.0 as usize + 1).max().unwrap_or(0);
-    s.rank.clear();
-    s.rank.resize(cap, 0);
-    for (i, &id) in s.order.iter().enumerate() {
-        s.rank[id.0 as usize] = i as u32;
-    }
-    serialize_from_scratch(g, s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,32 +308,22 @@ mod tests {
 
     #[test]
     fn permuted_construction_is_isomorphic() {
-        // Build the same 3-list in two different node orders.
-        let mut g1 = Rsg::empty(1);
-        let a = g1.add_fresh(StructId(0));
-        let b = g1.add_fresh(StructId(0));
-        let c = g1.add_fresh(StructId(0));
-        g1.set_pl(PvarId(0), a);
-        g1.add_link(a, sel(0), b);
-        g1.add_link(b, sel(0), c);
-        g1.node_mut(a).set_must_out(sel(0));
-        g1.node_mut(b).set_must_in(sel(0));
-        g1.node_mut(b).set_must_out(sel(0));
-        g1.node_mut(c).set_must_in(sel(0));
-
-        let mut g2 = Rsg::empty(1);
-        let c2 = g2.add_fresh(StructId(0));
-        let b2 = g2.add_fresh(StructId(0));
-        let a2 = g2.add_fresh(StructId(0));
-        g2.set_pl(PvarId(0), a2);
-        g2.add_link(a2, sel(0), b2);
-        g2.add_link(b2, sel(0), c2);
-        g2.node_mut(a2).set_must_out(sel(0));
-        g2.node_mut(b2).set_must_in(sel(0));
-        g2.node_mut(b2).set_must_out(sel(0));
-        g2.node_mut(c2).set_must_in(sel(0));
-
-        assert!(isomorphic(&g1, &g2));
+        // Build the same 3-list with its nodes created in two orders.
+        let list = |reversed: bool| {
+            let mut g = Rsg::empty(1);
+            let mut n: Vec<NodeId> = (0..3).map(|_| g.add_fresh(StructId(0))).collect();
+            if reversed {
+                n.reverse();
+            }
+            g.set_pl(PvarId(0), n[0]);
+            for w in n.windows(2) {
+                g.add_link(w[0], sel(0), w[1]);
+                g.node_mut(w[0]).set_must_out(sel(0));
+                g.node_mut(w[1]).set_must_in(sel(0));
+            }
+            g
+        };
+        assert!(isomorphic(&list(false), &list(true)));
     }
 
     #[test]
@@ -506,32 +353,24 @@ mod tests {
 
     #[test]
     fn symmetric_graph_canonicalizes() {
-        // Two identical unreached... two identical parallel children: a
+        // A root with two identical children, created in either order: a
         // symmetric case requiring individualization.
-        let mut g1 = Rsg::empty(1);
-        let r = g1.add_fresh(StructId(0));
-        let x = g1.add_fresh(StructId(0));
-        let y = g1.add_fresh(StructId(0));
-        g1.set_pl(PvarId(0), r);
-        g1.add_link(r, sel(0), x);
-        g1.add_link(r, sel(0), y);
-        g1.node_mut(x).pos_selin.insert(sel(0));
-        g1.node_mut(y).pos_selin.insert(sel(0));
-        g1.node_mut(r).pos_selout.insert(sel(0));
-
-        // Same graph with x/y created in the opposite order.
-        let mut g2 = Rsg::empty(1);
-        let r2 = g2.add_fresh(StructId(0));
-        let y2 = g2.add_fresh(StructId(0));
-        let x2 = g2.add_fresh(StructId(0));
-        g2.set_pl(PvarId(0), r2);
-        g2.add_link(r2, sel(0), x2);
-        g2.add_link(r2, sel(0), y2);
-        g2.node_mut(x2).pos_selin.insert(sel(0));
-        g2.node_mut(y2).pos_selin.insert(sel(0));
-        g2.node_mut(r2).pos_selout.insert(sel(0));
-
-        assert!(isomorphic(&g1, &g2));
+        let fan = |swapped: bool| {
+            let mut g = Rsg::empty(1);
+            let r = g.add_fresh(StructId(0));
+            let mut kids = [g.add_fresh(StructId(0)), g.add_fresh(StructId(0))];
+            if swapped {
+                kids.reverse();
+            }
+            g.set_pl(PvarId(0), r);
+            g.node_mut(r).pos_selout.insert(sel(0));
+            for k in kids {
+                g.add_link(r, sel(0), k);
+                g.node_mut(k).pos_selin.insert(sel(0));
+            }
+            g
+        };
+        assert!(isomorphic(&fan(false), &fan(true)));
     }
 
     #[test]
@@ -544,6 +383,22 @@ mod tests {
         let a = builder::circular_list(3, 1, PvarId(0), sel(0));
         let b = builder::circular_list(4, 1, PvarId(0), sel(0));
         assert!(!isomorphic(&a, &b));
+    }
+
+    #[test]
+    fn circular_list_stalls_the_refinement() {
+        // The fold XORs a node's own color into each neighbor term, so in
+        // circ(3) the pinned head's `h ^ M ^ t` equals the tail's
+        // `t ^ M ^ h`: refinement stops at two classes, and only
+        // individualization tells the graph from a 3-list.
+        let g = builder::circular_list(3, 1, PvarId(0), sel(0));
+        let mut s = CanonScratch::default();
+        s.ids.extend(g.node_ids());
+        seed_colors(&g, &mut s);
+        wl_hash_colors(&g, &mut s);
+        assert_eq!(count_classes(&s.ids, &s.h, &mut Vec::new()), 2);
+        let sll = builder::singly_linked_list(3, 1, PvarId(0), sel(0));
+        assert!(!isomorphic(&g, &sll));
     }
 
     #[test]

@@ -23,27 +23,22 @@ pub fn divide(g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
     divide_with(g, x, sel, false)
 }
 
-/// [`divide`] with an explicit PRUNE implementation choice:
-/// `reference_prune` routes every post-division prune through the rescan
-/// reference path (see [`crate::prune::prune_reference`]) instead of the
-/// worklist — the knob the differential suites flip.
-pub fn divide_with(g: &Rsg, x: PvarId, sel: SelectorId, reference_prune: bool) -> Vec<Rsg> {
+/// [`divide`] with an explicit PRUNE implementation choice: `rescan`
+/// routes every post-division prune through the rescan reference path (see
+/// [`crate::prune::prune_reference`]) instead of the worklist — the
+/// reference oracle's choice.
+pub fn divide_with(g: &Rsg, x: PvarId, sel: SelectorId, rescan: bool) -> Vec<Rsg> {
     let Some(n) = g.pl(x) else {
         return vec![g.clone()];
     };
-    divide_at(g, n, sel, reference_prune)
+    divide_at(g, n, sel, rescan)
 }
 
 /// Divide `g` with respect to a *node* and `sel` — the pvar-free core of
 /// [`divide`]. The interprocedural localization uses this to resolve a
 /// caller-frame edge `<n, sel, ·>` to a single definite target before
 /// materializing that target out of a summary node.
-pub fn divide_at(
-    g: &Rsg,
-    n: crate::node::NodeId,
-    sel: SelectorId,
-    reference_prune: bool,
-) -> Vec<Rsg> {
+pub fn divide_at(g: &Rsg, n: crate::node::NodeId, sel: SelectorId, rescan: bool) -> Vec<Rsg> {
     let succs = g.succs(n, sel);
     let must = g.node(n).selout.contains(sel);
     let mut out = Vec::with_capacity(succs.len() + 1);
@@ -60,7 +55,7 @@ pub fn divide_at(
         if !gi.node(target).summary {
             gi.node_mut(target).set_must_in(sel);
         }
-        if let Some(p) = prune_with(&gi, reference_prune) {
+        if let Some(p) = prune_with(&gi, rescan) {
             out.push(p);
         }
     }
@@ -72,7 +67,7 @@ pub fn divide_at(
             gn.remove_link(n, sel, other);
         }
         gn.node_mut(n).clear_out(sel);
-        if let Some(p) = prune_with(&gn, reference_prune) {
+        if let Some(p) = prune_with(&gn, rescan) {
             out.push(p);
         }
     }

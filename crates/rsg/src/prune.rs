@@ -47,8 +47,8 @@
 //! — and therefore the final graph, bit for bit — are identical to
 //! [`prune_reference`], the original rescan-until-stable loop kept as the
 //! differential baseline. The proptest suite and the engine's reference
-//! oracle (`EngineConfig::reference` in psa-core) check that equivalence
-//! end to end.
+//! oracle (a psa-core engine on [`crate::intern::SharedTables::without_cache`]
+//! tables) check that equivalence end to end.
 
 use crate::graph::Rsg;
 use crate::node::NodeId;

@@ -1,5 +1,6 @@
-//! Plain-text rendering of RSGs — the console sibling of the DOT exporter,
-//! used by traces, failing-test output and the CLI.
+//! Plain-text rendering of RSGs — the console sibling of the DOT exporter.
+//! Nothing outside this module's tests calls it yet; it is kept for the
+//! planned witness dumps of `psa explain` (ROADMAP.md item 6).
 
 use crate::ctx::ShapeCtx;
 use crate::graph::Rsg;

@@ -3,19 +3,22 @@
 //! `differential_transfer_memo`): the subsumption memo, the transfer memo,
 //! the delta worklist and the worklist PRUNE of the default engine path
 //! must together be *observationally identical* to the
-//! recompute-everything oracle [`EngineConfig::reference`]. Each program is
+//! recompute-everything reference oracle, an engine on
+//! [`SharedTables::without_cache`] tables. Each program is
 //! analyzed both ways, and the exit set, every per-statement and
 //! per-block-input signature, the warnings, the revisits and any error must
 //! match.
 //!
-//! Signatures are canonical bytes (content-compared `Arc<[u8]>`s), so the
-//! comparison is independent of which interner minted them — and in
-//! particular independent of which isomorphic representative the interner
-//! retained for a canonical form.
+//! Signatures are sorted canonical byte strings, so the comparison is
+//! independent of which interner minted them — and in particular
+//! independent of which isomorphic representative the interner retained
+//! for a canonical form.
 
 use psa::core::engine::{AnalysisError, AnalysisResult, Engine, EngineConfig};
 use psa::ir::{lower_program, FuncIr};
-use psa::rsg::Level;
+use psa::rsg::intern::SharedTables;
+use psa::rsg::{Level, ShapeCtx};
+use std::sync::Arc;
 
 pub fn lower(src: &str) -> FuncIr {
     let (p, t) = psa::cfront::parse_and_type(src).expect("program parses");
@@ -33,8 +36,14 @@ pub fn run_pair(
 ) {
     let ir = lower(src);
     let default = Engine::new(&ir, EngineConfig::at_level(level)).run();
-    let reference = Engine::new(&ir, EngineConfig::reference(level)).run();
+    let reference = reference_engine(&ir, level).run();
     (default, reference)
+}
+
+/// The reference oracle at `level`: an engine on fresh cache-less tables.
+pub fn reference_engine(ir: &FuncIr, level: Level) -> Engine<'_> {
+    let ctx = ShapeCtx::from_ir(ir).with_tables(Arc::new(SharedTables::without_cache()));
+    Engine::with_shape_ctx(ir, EngineConfig::at_level(level), ctx)
 }
 
 /// Assert the default run matches the reference run, and that the

@@ -1,7 +1,8 @@
 //! Differential regression suite for the default engine path: the
 //! subsumption memo, the transfer memo, the delta worklist and the worklist
 //! PRUNE must together be *observationally identical* to the
-//! recompute-everything oracle [`EngineConfig::reference`], over the union
+//! recompute-everything reference oracle (an engine on cache-less
+//! `SharedTables::without_cache` tables), over the union
 //! of the corpora of the per-feature suites (`differential_cache`,
 //! `differential_kernels`, `differential_transfer_memo`, which also hold
 //! the memo-hit tests and the property test). The comparison itself lives

@@ -6,7 +6,9 @@ use psa::codes::generators::dll_program;
 use psa::core::engine::{Engine, EngineConfig};
 use psa::core::progressive::{Goal, ProgressiveRunner};
 use psa::ir::lower_program;
-use psa::rsg::Level;
+use psa::rsg::intern::SharedTables;
+use psa::rsg::{Level, ShapeCtx};
+use std::sync::Arc;
 
 fn dll_ir() -> psa::ir::FuncIr {
     let (p, t) = psa::cfront::parse_and_type(&dll_program(8)).unwrap();
@@ -114,7 +116,8 @@ fn identical_runs_report_identical_counters() {
 #[test]
 fn cache_off_run_still_counts_searches() {
     let ir = dll_ir();
-    let res = Engine::new(&ir, EngineConfig::reference(Level::L1))
+    let ctx = ShapeCtx::from_ir(&ir).with_tables(Arc::new(SharedTables::without_cache()));
+    let res = Engine::with_shape_ctx(&ir, EngineConfig::at_level(Level::L1), ctx)
         .run()
         .unwrap();
     let ops = &res.stats.ops;
