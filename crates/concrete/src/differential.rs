@@ -220,17 +220,28 @@ mod tests {
     #[test]
     fn node_capped_degraded_result_is_still_sound() {
         // Forced summarization coarsens the RSGs but must keep them
-        // over-approximations of every concrete state.
-        let config = EngineConfig {
-            budget: psa_core::stats::Budget {
-                max_nodes: Some(3),
-                ..psa_core::stats::Budget::default()
-            },
-            ..EngineConfig::at_level(Level::L2)
-        };
-        let rep = check_soundness_with(LIST, config, &[1, 2, 3]);
-        assert!(rep.is_sound(), "{:#?}", rep.violations);
-        assert!(rep.checked_points > 10);
+        // over-approximations of every concrete state, at every level: L3
+        // compares TOUCH exactly, and the doubly-linked list gives the
+        // k-limit members with differing SHARED/SHSEL to fold.
+        let dll = include_str!("../../../tests/corpus/dll_fig1.c");
+        for (name, src, cap) in [("list", LIST, 3), ("dll_fig1", dll, 5)] {
+            for level in Level::ALL {
+                let config = EngineConfig {
+                    level,
+                    budget: psa_core::stats::Budget {
+                        max_nodes: Some(cap),
+                        ..psa_core::stats::Budget::default()
+                    },
+                };
+                let rep = check_soundness_with(src, config, &[1, 2, 3]);
+                assert!(
+                    rep.is_sound(),
+                    "{name} at {level}, cap {cap}: {:#?}",
+                    rep.violations
+                );
+                assert!(rep.checked_points > 10);
+            }
+        }
     }
 
     #[test]

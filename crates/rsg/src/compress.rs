@@ -15,126 +15,80 @@ use crate::node::{Node, NodeId, NodeRef};
 use crate::scratch;
 use crate::sets::{CycleSet, SelSet};
 use crate::spath::{self, SPath};
+use psa_cfront::types::SelectorId;
 use std::cmp::Ordering;
 
-/// MERGE_NODES (§3.1) over nodes `a`/`b` of graph `g` (used by intra-graph
-/// compression, inter-graph join, and the RSRSG widening join).
+/// MERGE_NODES (§3.1) of nodes `a` and `b`, given for each whether it has
+/// an out-link through a selector (`a_out`, `b_out`). The one copy of the
+/// set algebra: [`merge_nodes`], JOIN across its two graphs and
+/// `merge_group`'s fold call it.
 ///
-/// Preconditions (checked in debug builds): equal TYPE and TOUCH. SHARED
-/// and SHSEL reconcile by union (sound for may-flags; the compress/join
-/// compatibility predicates require equality anyway — only the widening
-/// join merges differing flags). `summary` is the flag for the result
-/// (true for intra-graph merges; `a.summary || b.summary` for joins).
-pub fn merge_nodes(g: &Rsg, aid: NodeId, bid: NodeId, summary: bool) -> Node {
-    let a = g.node(aid);
-    let b = g.node(bid);
+/// Preconditions (checked in debug builds): equal TYPE and TOUCH. The
+/// must-sets intersect and the possible sets widen. SHARED and SHSEL are
+/// may-flags and take the OR: exact when they are equal, as C_NODES and
+/// the widening's pinning signature require, and sound when the k-limit
+/// merges differing flags. CYCLELINKS keeps the common
+/// pairs, and a one-sided pair when the other node has no out-link through
+/// the pair's first selector (so it cannot witness a violation). `summary`
+/// is the flag for the result.
+pub(crate) fn merge(
+    a: NodeRef<'_>,
+    a_out: impl Fn(SelectorId) -> bool,
+    b: NodeRef<'_>,
+    b_out: impl Fn(SelectorId) -> bool,
+    summary: bool,
+) -> Node {
     debug_assert_eq!(a.ty, b.ty);
     debug_assert_eq!(a.touch, b.touch);
-    // SHARED/SHSEL are may-flags: the union is a sound (if nodes with equal
-    // flags merge, it is also exact — the compress/join compatibility
-    // predicates require equality; the RSRSG widening join deliberately
-    // merges nodes with different flags and takes the OR).
-    let shared = a.shared || b.shared;
-    let shsel = a.shsel.union(b.shsel);
-
     let selin = a.selin.inter(b.selin);
     let selout = a.selout.inter(b.selout);
-    let pos_selin = a
-        .selin
-        .union(b.selin)
-        .union(a.pos_selin)
-        .union(b.pos_selin)
-        .diff(selin);
-    let pos_selout = a
-        .selout
-        .union(b.selout)
-        .union(a.pos_selout)
-        .union(b.pos_selout)
-        .diff(selout);
-
-    // CYCLELINKS: keep common pairs; keep a one-sided pair when the other
-    // node has no out-link through the pair's first selector (so it cannot
-    // witness a violation).
     let mut pairs = Vec::new();
     for (s1, s2) in a.cyclelinks.iter() {
-        if b.cyclelinks.contains(s1, s2) || g.succs(bid, s1).is_empty() {
+        if b.cyclelinks.contains(s1, s2) || !b_out(s1) {
             pairs.push((s1, s2));
         }
     }
     for (s1, s2) in b.cyclelinks.iter() {
-        if !a.cyclelinks.contains(s1, s2) && g.succs(aid, s1).is_empty() {
+        if !a.cyclelinks.contains(s1, s2) && !a_out(s1) {
             pairs.push((s1, s2));
         }
     }
-
     Node {
         ty: a.ty,
-        shared,
-        shsel,
+        shared: a.shared || b.shared,
+        shsel: a.shsel.union(b.shsel),
         selin,
         selout,
-        pos_selin,
-        pos_selout,
+        pos_selin: a.may_selin().union(b.may_selin()).diff(selin),
+        pos_selout: a.may_selout().union(b.may_selout()).diff(selout),
         cyclelinks: CycleSet::from_pairs(pairs),
         touch: a.touch.clone(),
         summary,
     }
 }
 
-/// Merge a whole group left to right.
+/// Does `n` have an out-link through a selector in `g`? ([`merge`]'s test.)
+pub(crate) fn has_out(g: &Rsg, n: NodeId) -> impl Fn(SelectorId) -> bool + '_ {
+    move |s| !g.succs(n, s).is_empty()
+}
+
+/// [`merge`] of nodes `a` and `b` of one graph `g`.
+pub(crate) fn merge_nodes(g: &Rsg, a: NodeId, b: NodeId, summary: bool) -> Node {
+    merge(g.node(a), has_out(g, a), g.node(b), has_out(g, b), summary)
+}
+
+/// Merge a whole group by folding [`merge`] left to right. The paper's
+/// MERGE_COMP_NODES is a right fold; merging is associative up to the
+/// conservative CYCLELINKS rule, and a left fold keeps the code iterative.
+/// Every step reads the original graph's links, as in the paper (the
+/// formulas reference `NL(rsg)`), and the accumulated node counts as
+/// having every out-link, so a later member's one-sided CYCLELINKS pair
+/// never survives.
 fn merge_group(g: &Rsg, group: &[NodeId]) -> Node {
     debug_assert!(group.len() >= 2);
-    // Fold MERGE_NODES over the group. The paper's MERGE_COMP_NODES is a
-    // right fold; merging is associative up to the conservative CYCLELINKS
-    // rule, and a left fold keeps the code iterative. Intermediate results
-    // are evaluated against the original graph's links, as in the paper
-    // (the formulas reference `NL(rsg)`).
     let mut acc = merge_nodes(g, group[0], group[1], true);
-    for &nid in &group[2..] {
-        // Build a view: compare `acc` with node `nid`. We temporarily treat
-        // `acc`'s links as the union of the group's prior members' links by
-        // checking succs on each member.
-        let n = g.node(nid);
-        let selin = acc.selin.inter(n.selin);
-        let selout = acc.selout.inter(n.selout);
-        let pos_selin = acc
-            .selin
-            .union(n.selin)
-            .union(acc.pos_selin)
-            .union(n.pos_selin)
-            .diff(selin);
-        let pos_selout = acc
-            .selout
-            .union(n.selout)
-            .union(acc.pos_selout)
-            .union(n.pos_selout)
-            .diff(selout);
-        let mut pairs = Vec::new();
-        for (s1, s2) in acc.cyclelinks.iter() {
-            if n.cyclelinks.contains(s1, s2) || g.succs(nid, s1).is_empty() {
-                pairs.push((s1, s2));
-            }
-        }
-        for (s1, s2) in n.cyclelinks.iter() {
-            // `acc` has an s1-link when any earlier member had one; be
-            // conservative and drop the pair unless acc also had it (handled
-            // above) — i.e. one-sided pairs from later members survive only
-            // if acc's cycle set already had them. This is strictly
-            // conservative (soundness is never hurt by dropping must-pairs).
-            let _ = (s1, s2);
-        }
-        acc = Node {
-            ty: acc.ty,
-            shared: acc.shared,
-            shsel: acc.shsel,
-            selin,
-            selout,
-            pos_selin,
-            pos_selout,
-            cyclelinks: CycleSet::from_pairs(pairs),
-            touch: acc.touch.clone(),
-            summary: true,
-        };
+    for &n in &group[2..] {
+        acc = merge(NodeRef::of(&acc), |_| true, g.node(n), has_out(g, n), true);
     }
     acc
 }
@@ -328,91 +282,50 @@ pub fn compress(mut g: Rsg, _ctx: &ShapeCtx, level: Level) -> Rsg {
 /// Forced summarization (k-limiting): COMPRESS with the `C_NODES_RSG`
 /// compatibility relaxed to the merge preconditions alone — equal TYPE and
 /// TOUCH — so the node count falls under a budget cap even when the precise
-/// predicate keeps nodes apart. Pvar-pointed nodes stay singular (their PL
-/// precision drives DIVIDE/materialization); everything else of one
-/// (TYPE, TOUCH) class collapses into a single summary node. The result is
-/// sound but coarser: may-sets union, must-sets intersect, SHARED/SHSEL
-/// take the OR, CYCLELINKS keep only pairs no member can contradict.
+/// predicate keeps nodes apart. Pvar-pointed nodes stay singular (the
+/// representation's singularity invariant forbids a pvar pointing at a
+/// summary node, and their PL precision drives DIVIDE/materialization);
+/// everything else of one (TYPE, TOUCH) class collapses into a single
+/// summary node. The result is sound but coarser: may-sets union,
+/// must-sets intersect, SHARED/SHSEL take the OR over every member,
+/// CYCLELINKS keep only pairs no member can contradict.
 ///
-/// Best effort: if the graph still exceeds `max_nodes` after the
-/// (TYPE, TOUCH) round, TOUCH equality is relaxed too (touch sets union).
-/// The reachable floor is one singleton per pvar-pointed node plus one
-/// summary per struct type; a graph still over the cap at that floor is
-/// returned anyway.
+/// Best effort: the reachable floor is one singleton per pvar-pointed node
+/// plus one summary per (TYPE, TOUCH) class; a graph still over the cap at
+/// that floor is returned anyway.
 pub fn force_compress(g: &Rsg, ctx: &ShapeCtx, level: Level, max_nodes: usize) -> Rsg {
-    let mut cur = compress(g.clone(), ctx, level);
-    // Escalating relaxation rounds, each widening the set of mergeable
-    // nodes: round 0 is the documented k-limit (non-pointed nodes of one
-    // (TYPE, TOUCH) class); round 1 drops TOUCH equality, unioning the
-    // touch sets (conservative for the may-reading the parallelism client
-    // makes of TOUCH). Pvar-pointed nodes always stay singular — the
-    // representation's singularity invariant forbids a pvar pointing at a
-    // summary node — so the reachable floor is one singleton per pointed
-    // node plus one summary per struct type.
-    for round in 0..=1u8 {
-        if cur.num_nodes() <= max_nodes {
-            return cur;
-        }
-        if let Some(next) = force_round(&cur, round) {
-            // Coarsening can expose ordinary compatibilities; re-establish
-            // the normal COMPRESS fixpoint on the coarsened graph.
-            cur = compress(next, ctx, level);
-        }
+    let cur = compress(g.clone(), ctx, level);
+    if cur.num_nodes() <= max_nodes {
+        return cur;
     }
-    cur
+    match force_round(&cur) {
+        // Coarsening can expose ordinary compatibilities; re-establish the
+        // normal COMPRESS fixpoint on the coarsened graph.
+        Some(next) => compress(next, ctx, level),
+        None => cur,
+    }
 }
 
-/// One relaxation round of [`force_compress`]; `None` when nothing merged.
-fn force_round(cur: &Rsg, round: u8) -> Option<Rsg> {
-    let pointed: std::collections::BTreeSet<NodeId> = cur.pl_iter().map(|(_, n)| n).collect();
-    let mut parts: std::collections::BTreeMap<(u32, Vec<u32>), Vec<NodeId>> =
-        std::collections::BTreeMap::new();
-    let mut groups: Vec<Vec<NodeId>> = Vec::new();
-    for id in cur.node_ids() {
-        if pointed.contains(&id) {
-            groups.push(vec![id]);
-        } else {
-            let n = cur.node(id);
-            let touch_key: Vec<u32> = if round == 0 {
-                n.touch.iter().map(|p| p.0).collect()
-            } else {
-                Vec::new()
-            };
-            parts.entry((n.ty.0, touch_key)).or_default().push(id);
-        }
+/// [`force_compress`]'s merge: pinned nodes first, in id order, then one
+/// group per (TYPE, TOUCH) class of the others, in key order. `None` when
+/// no class has two members.
+fn force_round(cur: &Rsg) -> Option<Rsg> {
+    let mut is_pinned = vec![false; cur.num_slots()];
+    for (_, n) in cur.pl_iter() {
+        is_pinned[n.0 as usize] = true;
     }
-    let mut merged_any = false;
-    for (_, members) in parts {
-        merged_any |= members.len() >= 2;
-        groups.push(members);
-    }
-    if !merged_any {
+    let (pinned, mut rest): (Vec<NodeId>, Vec<NodeId>) =
+        cur.node_ids().partition(|n| is_pinned[n.0 as usize]);
+    let key = |n: &NodeId| {
+        let n = cur.node(*n);
+        (n.ty.0, n.touch)
+    };
+    rest.sort_by(|a, b| key(a).cmp(&key(b)));
+    if rest.windows(2).all(|w| key(&w[0]) != key(&w[1])) {
         return None;
     }
-
-    // Round 1 merges nodes with differing TOUCH: pre-union each group's
-    // touch sets so the MERGE_NODES preconditions hold. TOUCH is
-    // may-information to its clients (a larger set only withholds
-    // parallelization), so the union is a sound widening.
-    let mut src = cur.clone();
-    if round >= 1 {
-        for grp in &groups {
-            if grp.len() < 2 {
-                continue;
-            }
-            let mut union = src.node(grp[0]).touch.clone();
-            for &m in &grp[1..] {
-                for p in src.node(m).touch.iter().collect::<Vec<_>>() {
-                    union.insert(p);
-                }
-            }
-            for &m in grp {
-                *src.node_mut(m).touch = union.clone();
-            }
-        }
-    }
-
-    Some(rebuild(&src, groups.iter().map(Vec::as_slice)))
+    let classes = rest.chunk_by(|a, b| key(a) == key(b));
+    Some(rebuild(cur, pinned.chunks(1).chain(classes)))
 }
 
 #[cfg(test)]
@@ -608,25 +521,31 @@ mod tests {
     }
 
     #[test]
-    fn force_compress_escalates_past_touch_differences() {
-        // Two non-pointed nodes of one type whose TOUCH sets differ: the
-        // (TYPE, TOUCH) round keeps them apart, the TYPE-only round merges
-        // them with unioned touch.
-        let ctx = ShapeCtx::synthetic(2, 1);
-        let mut g = builder::singly_linked_list(4, 2, PvarId(0), sel(0));
-        let ids: Vec<_> = g.node_ids().collect();
-        g.node_mut(ids[1]).touch.insert(PvarId(1));
-        let forced = force_compress(&g, &ctx, Level::L3, 2);
-        assert_eq!(forced.num_nodes(), 2, "head + one per-type summary");
-        forced.check_invariants(&ctx).unwrap();
-        let summary = forced
-            .node_ids()
-            .find(|&n| forced.node(n).summary)
-            .expect("summary node");
-        assert!(
-            forced.node(summary).touch.contains(PvarId(1)),
-            "touch sets union when the TYPE-only round merges"
-        );
+    fn force_compress_keeps_every_members_may_flags() {
+        // One SHARED, SHSEL(sel 0) node behind the head of a 6-list, at each
+        // position: the k-limit folds it into the one summary with the
+        // other non-head nodes, and the fold must OR the may-flags of every
+        // member, not only of the first two.
+        let ctx = ShapeCtx::synthetic(1, 1);
+        for pos in 1..6 {
+            let mut g = builder::singly_linked_list(6, 1, PvarId(0), sel(0));
+            let n = g.node_ids().nth(pos).unwrap();
+            *g.node_mut(n).shared = true;
+            g.node_mut(n).shsel.insert(sel(0));
+            for level in Level::ALL {
+                let forced = force_compress(&g, &ctx, level, 2);
+                forced.check_invariants(&ctx).unwrap();
+                let nodes: Vec<_> = forced.node_ids().map(|m| forced.node(m)).collect();
+                assert!(
+                    nodes.iter().any(|m| m.shared),
+                    "SHARED lost at {level}, position {pos}"
+                );
+                assert!(
+                    nodes.iter().any(|m| m.shsel.contains(sel(0))),
+                    "SHSEL(sel 0) lost at {level}, position {pos}"
+                );
+            }
+        }
     }
 
     #[test]

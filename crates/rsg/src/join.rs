@@ -7,260 +7,189 @@
 //! by each pvar: equal TYPE, SHARED, SHSEL and TOUCH, compatible reference
 //! patterns and compatible simple paths.
 //!
-//! The joined graph keeps every node and link of both inputs; nodes pointed
-//! to by the same pvar are merged (MERGE_NODES), and remaining cross-graph
-//! compatible pairs merge greedily. Keeping unmerged nodes separate is
-//! always sound — the union over-approximates both inputs — so the greedy
-//! pairing affects only precision and size, never soundness.
+//! Both kernels read one pvar pairing, [`pin_pairs`]: the one-to-one map
+//! between the nodes that the same pvars are bound to. COMPATIBLE runs
+//! C_NODES on each pair. JOIN merges each pair (MERGE_NODES), pairs every
+//! remaining `g1` node, in node-id order, with the first remaining `g2`
+//! node it is C_NODES-compatible with, and keeps every node and link of
+//! both inputs. Keeping unmerged nodes separate is always sound — the union
+//! over-approximates both inputs — so the greedy pairing affects only
+//! precision and size, never soundness. No whole-graph SPATH is built: the
+//! pairing fixes the zero-length SPATHs, and a node's one-length SPATHs are
+//! its in-links from pinned nodes.
 
-use crate::compress::merge_nodes;
+use crate::compress::{has_out, merge};
 use crate::ctx::Level;
 use crate::graph::Rsg;
-use crate::node::{NodeId, NodeRef};
-use crate::scratch;
-use crate::spath::{self, SPath};
+use crate::node::NodeId;
+use crate::scratch::{self, ScratchBuf};
 use psa_ir::PvarId;
 
-/// The SPATH-free part of C_NODES: equal TYPE, SHARED, SHSEL and TOUCH,
-/// and compatible reference patterns.
-fn same_props(a: NodeRef<'_>, b: NodeRef<'_>) -> bool {
-    a.ty == b.ty
-        && a.shared == b.shared
-        && a.shsel == b.shsel
-        && a.touch == b.touch
-        && a.refpat_compatible(b)
+/// No partner for a node slot.
+const UNPAIRED: u32 = u32::MAX;
+
+/// The pvar pairing of two graphs, per node slot: `of1[n1]` is the `g2`
+/// node bound to the same pvars as `g1`'s `n1`, `of2` the inverse, and
+/// [`UNPAIRED`] marks a node no pvar is bound to.
+pub(crate) struct PinPairs {
+    of1: ScratchBuf<u32>,
+    of2: ScratchBuf<u32>,
 }
 
-/// C_NODES (§4): node compatibility across graphs (no STRUCTURE — that is
-/// the intra-graph `C_NODES_RSG` extra).
-pub fn c_nodes(
-    g1: &Rsg,
-    n1: NodeId,
-    g2: &Rsg,
-    n2: NodeId,
-    sp1: &SPath,
-    sp2: &SPath,
-    level: Level,
-) -> bool {
-    same_props(g1.node(n1), g2.node(n2)) && spath::c_spath(sp1, sp2, level.use_spath1())
-}
-
-/// No bound pvar seen yet for a node slot.
-const UNBOUND: u32 = u32::MAX;
-
-/// COMPATIBLE (§4): may `g1` and `g2` be joined?
-///
-/// Reads only the pinned nodes. One pass over the PL slots checks equal
-/// NULL-ness and equal alias relations: each pvar must see, in both
-/// graphs, the same first (lowest) pvar bound to its node. C_NODES then
-/// runs once per alias class on the class's pair of nodes. The class fixes
-/// their zero-length SPATHs (C_SPATH0), and their one-length SPATHs come
-/// from the nodes' in-links out of pinned nodes, so no whole-graph SPATH
-/// is built.
-pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
-    debug_assert_eq!(g1.num_pvar_slots(), g2.num_pvar_slots());
-    // Same known scalar facts: merging configs with different flag values
-    // would erase exactly the distinctions flag tracking exists for.
-    if g1.scalars() != g2.scalars() {
-        return false;
+impl PinPairs {
+    /// The `g2` node bound to the same pvars as `n1`.
+    fn partner(&self, n1: NodeId) -> Option<NodeId> {
+        Some(self.of1[n1.0 as usize])
+            .filter(|&m| m != UNPAIRED)
+            .map(NodeId)
     }
-    let mut first1 = scratch::idx_buf();
-    let mut first2 = scratch::idx_buf();
-    first1.resize(g1.num_slots(), UNBOUND);
-    first2.resize(g2.num_slots(), UNBOUND);
+
+    /// Is some pvar bound to `g2`'s `n2`?
+    fn pinned2(&self, n2: NodeId) -> bool {
+        self.of2[n2.0 as usize] != UNPAIRED
+    }
+}
+
+/// The one-to-one map between the nodes of `g1` and `g2` bound to the same
+/// pvars, or `None` when NULL-ness or the alias partitions differ: each
+/// pvar must be bound in both graphs or in neither, and the pvars bound to
+/// one node must be bound to one node in the other graph too.
+pub(crate) fn pin_pairs(g1: &Rsg, g2: &Rsg) -> Option<PinPairs> {
+    debug_assert_eq!(g1.num_pvar_slots(), g2.num_pvar_slots());
+    let mut of1 = scratch::idx_buf();
+    let mut of2 = scratch::idx_buf();
+    of1.resize(g1.num_slots(), UNPAIRED);
+    of2.resize(g2.num_slots(), UNPAIRED);
     for p in 0..g1.num_pvar_slots() {
         let p = PvarId(p as u32);
         match (g1.pl(p), g2.pl(p)) {
             (None, None) => {}
             (Some(n1), Some(n2)) => {
-                let (f1, f2) = (&mut first1[n1.0 as usize], &mut first2[n2.0 as usize]);
-                if *f1 == UNBOUND {
-                    *f1 = p.0;
-                }
-                if *f2 == UNBOUND {
-                    *f2 = p.0;
-                }
-                if f1 != f2 {
-                    return false;
+                let (f1, f2) = (&mut of1[n1.0 as usize], &mut of2[n2.0 as usize]);
+                if *f1 == UNPAIRED && *f2 == UNPAIRED {
+                    (*f1, *f2) = (n2.0, n1.0);
+                } else if *f1 != n2.0 || *f2 != n1.0 {
+                    return None;
                 }
             }
-            _ => return false,
+            _ => return None,
         }
     }
-    g1.pl_iter()
-        .filter(|&(p, n1)| first1[n1.0 as usize] == p.0)
-        .all(|(p, n1)| {
-            let n2 = g2.pl(p).expect("same domain");
-            same_props(g1.node(n1), g2.node(n2))
-                && (!level.use_spath1() || one_paths_compatible(g1, n1, &first1, g2, n2, &first2))
-        })
+    Some(PinPairs { of1, of2 })
 }
 
-/// C_SPATH1's one-length part for a pair of nodes pinned by the same alias
-/// class, given equal alias relations: both nodes lack one-length SPATHs,
-/// or some `<q, sel>` reaches both. `<q, sel>` reaches `n1` when `n1` has
-/// an in-link `sel` from the node `q` is bound to; that node's alias class
-/// is bound to one node in `g2` too, found through the class's first pvar.
-fn one_paths_compatible(
-    g1: &Rsg,
-    n1: NodeId,
-    first1: &[u32],
-    g2: &Rsg,
-    n2: NodeId,
-    first2: &[u32],
-) -> bool {
-    let pinned = |first: &[u32], m: NodeId| first[m.0 as usize] != UNBOUND;
+/// C_NODES (§4) across graphs: equal TYPE, SHARED, SHSEL and TOUCH,
+/// compatible reference patterns and compatible SPATHs (no STRUCTURE: that
+/// is the intra-graph `C_NODES_RSG` extra). The nodes are a
+/// pair of [`pin_pairs`] or two nodes no pvar is bound to, so their
+/// zero-length SPATHs are equal (C_SPATH0) and only C_SPATH1's one-length
+/// part is left to check.
+fn c_nodes(g1: &Rsg, n1: NodeId, g2: &Rsg, n2: NodeId, pairs: &PinPairs, level: Level) -> bool {
+    let (a, b) = (g1.node(n1), g2.node(n2));
+    a.ty == b.ty
+        && a.shared == b.shared
+        && a.shsel == b.shsel
+        && a.touch == b.touch
+        && a.refpat_compatible(b)
+        && (!level.use_spath1() || one_paths_compatible(g1, n1, g2, n2, pairs))
+}
+
+/// C_SPATH1's one-length part: both nodes lack one-length SPATHs, or some
+/// `<q, sel>` reaches both. `<q, sel>` reaches `n1` when `n1` has an
+/// in-link `sel` from the node `q` is bound to, and `q` is bound in `g2` to
+/// that node's partner.
+fn one_paths_compatible(g1: &Rsg, n1: NodeId, g2: &Rsg, n2: NodeId, pairs: &PinPairs) -> bool {
     let mut pinned_in1 = g1
         .in_links(n1)
         .iter()
-        .filter(|&&(m1, _)| pinned(first1, m1))
+        .filter_map(|&(m1, sel)| Some((pairs.partner(m1)?, sel)))
         .peekable();
     if pinned_in1.peek().is_none() {
-        return !g2.in_links(n2).iter().any(|&(m2, _)| pinned(first2, m2));
+        return !g2.in_links(n2).iter().any(|&(m2, _)| pairs.pinned2(m2));
     }
-    pinned_in1.any(|&(m1, sel)| {
-        let q = PvarId(first1[m1.0 as usize]);
-        let m2 = g2.pl(q).expect("same domain");
-        g2.has_link(m2, sel, n2)
+    pinned_in1.any(|(m2, sel)| g2.has_link(m2, sel, n2))
+}
+
+/// COMPATIBLE (§4): may `g1` and `g2` be joined?
+///
+/// Reads only the pinned nodes: equal scalar facts, a [`pin_pairs`]
+/// pairing, and C_NODES on each pair.
+pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
+    // Same known scalar facts: merging configs with different flag values
+    // would erase exactly the distinctions flag tracking exists for.
+    if g1.scalars() != g2.scalars() {
+        return false;
+    }
+    let Some(pairs) = pin_pairs(g1, g2) else {
+        return false;
+    };
+    g1.node_ids().all(|n1| {
+        pairs
+            .partner(n1)
+            .is_none_or(|n2| c_nodes(g1, n1, g2, n2, &pairs, level))
     })
 }
 
-/// JOIN (§4.3). Callers must ensure [`compatible`] holds.
+/// JOIN (§4.3). Callers must ensure [`compatible`] holds, or at least that
+/// the graphs have equal [`PinSignature`](crate::intern::PinSignature)s, as
+/// the widening's forced JOIN does: the pvar pairing must exist.
+///
+/// The output is written in one pass: `g1`'s nodes in id order, each
+/// merged with its partner; then `g2`'s unpaired nodes in id order; then
+/// every link of both inputs.
 pub fn join(g1: &Rsg, g2: &Rsg, level: Level) -> Rsg {
-    // 1. Disjoint union.
-    let mut combined = Rsg::empty(g1.num_pvar_slots());
-    let map = |g: &Rsg, out: &mut Rsg| -> Vec<Option<NodeId>> {
-        let cap = g.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0);
-        let mut m: Vec<Option<NodeId>> = vec![None; cap];
-        for id in g.node_ids() {
-            m[id.0 as usize] = Some(out.add_node(g.node(id).to_node()));
-        }
-        m
-    };
-    let m1 = map(g1, &mut combined);
-    let m2 = map(g2, &mut combined);
-    for (a, s, b) in g1.links() {
-        combined.add_link(m1[a.0 as usize].unwrap(), s, m1[b.0 as usize].unwrap());
-    }
-    for (a, s, b) in g2.links() {
-        combined.add_link(m2[a.0 as usize].unwrap(), s, m2[b.0 as usize].unwrap());
-    }
-
-    // 2. Merge pairs: same-pvar targets always; then greedy C_NODES pairs.
-    let total = combined
-        .node_ids()
-        .map(|n| n.0 as usize + 1)
-        .max()
-        .unwrap_or(0);
-    let mut uf: Vec<usize> = (0..total).collect();
-    fn find(uf: &mut [usize], mut x: usize) -> usize {
-        while uf[x] != x {
-            uf[x] = uf[uf[x]];
-            x = uf[x];
-        }
-        x
-    }
-    let union = |uf: &mut Vec<usize>, a: NodeId, b: NodeId| {
-        let ra = find(uf, a.0 as usize);
-        let rb = find(uf, b.0 as usize);
-        if ra != rb {
-            uf[ra.max(rb)] = ra.min(rb);
-        }
-    };
-    for (p, n1) in g1.pl_iter() {
-        if let Some(n2) = g2.pl(p) {
-            union(
-                &mut uf,
-                m1[n1.0 as usize].unwrap(),
-                m2[n2.0 as usize].unwrap(),
-            );
-        }
-    }
-    let sp1 = spath::spaths(g1);
-    let sp2 = spath::spaths(g2);
-    // Nodes already merged through a pvar pair are out of the greedy pass.
-    let mut group_size = vec![0usize; total];
-    for i in 0..total {
-        let r = find(&mut uf, i);
-        group_size[r] += 1;
-    }
-    let ungrouped = |uf: &mut Vec<usize>, group_size: &[usize], id: NodeId| {
-        group_size[find(uf, id.0 as usize)] == 1
-    };
-    let mut matched2: Vec<bool> =
-        vec![false; g2.node_ids().map(|n| n.0 as usize + 1).max().unwrap_or(0)];
+    let pairs = pin_pairs(g1, g2).expect("JOIN inputs have equal NULL-ness and alias partitions");
+    // Each slot holds its node's partner in the other graph until the node
+    // is written, then its output id.
+    let mut map1 = scratch::idx_buf();
+    let mut map2 = scratch::idx_buf();
+    map1.extend_from_slice(&pairs.of1);
+    map2.extend_from_slice(&pairs.of2);
+    // The greedy pass over the unpinned nodes: a `g2` node is taken once
+    // it has a partner.
     for n1 in g1.node_ids() {
-        let c1 = m1[n1.0 as usize].unwrap();
-        if !ungrouped(&mut uf, &group_size, c1) {
+        if map1[n1.0 as usize] != UNPAIRED {
             continue;
         }
-        for n2 in g2.node_ids() {
-            if matched2[n2.0 as usize] {
-                continue;
-            }
-            let c2 = m2[n2.0 as usize].unwrap();
-            if !ungrouped(&mut uf, &group_size, c2) {
-                continue;
-            }
-            if c_nodes(
-                g1,
-                n1,
-                g2,
-                n2,
-                &sp1[n1.0 as usize],
-                &sp2[n2.0 as usize],
-                level,
-            ) {
-                union(&mut uf, c1, c2);
-                matched2[n2.0 as usize] = true;
-                break;
-            }
+        let partner = g2
+            .node_ids()
+            .filter(|n2| map2[n2.0 as usize] == UNPAIRED)
+            .find(|&n2| c_nodes(g1, n1, g2, n2, &pairs, level));
+        if let Some(n2) = partner {
+            map1[n1.0 as usize] = n2.0;
+            map2[n2.0 as usize] = n1.0;
         }
     }
 
-    // 3. Build the output with merged nodes.
-    let mut groups: std::collections::BTreeMap<usize, Vec<NodeId>> =
-        std::collections::BTreeMap::new();
-    for id in combined.node_ids().collect::<Vec<_>>() {
-        let r = find(&mut uf, id.0 as usize);
-        groups.entry(r).or_default().push(id);
-    }
     let mut out = Rsg::empty(g1.num_pvar_slots());
-    let mut final_map: Vec<Option<NodeId>> = vec![None; total];
-    for members in groups.values() {
-        let new_id = if members.len() == 1 {
-            out.add_node(combined.node(members[0]).to_node())
-        } else {
-            // Fold MERGE_NODES pairwise over the combined graph (whose NL is
-            // the union, giving the conservative cyclelinks rule the right
-            // visibility). Cross-graph merges are summaries only if a member
-            // already was one. The fold mutates only this group's own
-            // accumulator node and `merge_nodes` reads only the two merged
-            // nodes plus the (unchanged) adjacency, so folding in place on
-            // `combined` is exact — groups are disjoint and never observe
-            // another group's accumulator.
-            let acc_id = members[0];
-            for &m in &members[1..] {
-                let summary = combined.node(acc_id).summary || combined.node(m).summary;
-                let merged = merge_nodes(&combined, acc_id, m, summary);
-                combined.node_mut(acc_id).assign(merged);
+    for n1 in g1.node_ids() {
+        let a = g1.node(n1);
+        let slot = &mut map1[n1.0 as usize];
+        let node = match *slot {
+            UNPAIRED => a.to_node(),
+            m => {
+                let n2 = NodeId(m);
+                let b = g2.node(n2);
+                let summary = a.summary || b.summary;
+                merge(a, has_out(g1, n1), b, has_out(g2, n2), summary)
             }
-            out.add_node(combined.node(acc_id).to_node())
         };
-        for &m in members {
-            final_map[m.0 as usize] = Some(new_id);
+        *slot = out.add_node(node).0;
+    }
+    for n2 in g2.node_ids() {
+        let slot = &mut map2[n2.0 as usize];
+        *slot = match *slot {
+            UNPAIRED => out.add_node(g2.node(n2).to_node()).0,
+            n1 => map1[n1 as usize],
+        };
+    }
+    for (g, map) in [(g1, &map1), (g2, &map2)] {
+        for (a, s, b) in g.links() {
+            out.add_link(NodeId(map[a.0 as usize]), s, NodeId(map[b.0 as usize]));
         }
     }
-    for (a, s, b) in combined.links() {
-        out.add_link(
-            final_map[a.0 as usize].unwrap(),
-            s,
-            final_map[b.0 as usize].unwrap(),
-        );
-    }
     for (p, n1) in g1.pl_iter() {
-        let c = m1[n1.0 as usize].unwrap();
-        out.set_pl(p, final_map[c.0 as usize].unwrap());
+        out.set_pl(p, NodeId(map1[n1.0 as usize]));
     }
     // Keep the facts both sides agree on (equal under COMPATIBLE; the
     // widening join may merge differing maps, where intersection is the

@@ -19,9 +19,14 @@
 //!   octree construction) separate from the anonymous middle of a structure,
 //!   which is exactly what fixes the Barnes-Hut `SHSEL(body)` imprecision at
 //!   L2 (§5.1).
+//!
+//! Only COMPRESS materializes SPATHs ([`spaths`]): the zero-length paths
+//! are part of its class key and the one-length paths gate its greedy
+//! pass. COMPATIBLE and JOIN build none. Their pvar pairing
+//! (`join::pin_pairs`) fixes the zero-length paths, and a one-length path
+//! into a node is an in-link from a pinned node.
 
 use crate::graph::Rsg;
-use crate::node::NodeId;
 use psa_cfront::types::SelectorId;
 use psa_ir::PvarId;
 
@@ -53,48 +58,17 @@ pub fn spaths(g: &Rsg) -> Vec<SPath> {
     out
 }
 
-/// C_SPATH0: equal zero-length simple paths.
-pub fn c_spath0(a: &SPath, b: &SPath) -> bool {
-    a.zero == b.zero
-}
-
-/// C_SPATH1: C_SPATH0 plus compatible one-length paths (both empty, or a
-/// common element).
-pub fn c_spath1(a: &SPath, b: &SPath) -> bool {
-    if !c_spath0(a, b) {
-        return false;
-    }
-    if a.one.is_empty() && b.one.is_empty() {
-        return true;
-    }
-    a.one.iter().any(|x| b.one.binary_search(x).is_ok())
-}
-
-/// Dispatch on the level's SPATH mode.
-pub fn c_spath(a: &SPath, b: &SPath, use_spath1: bool) -> bool {
-    if use_spath1 {
-        c_spath1(a, b)
-    } else {
-        c_spath0(a, b)
-    }
-}
-
-/// Convenience: the SPATH of a single node.
-pub fn spath_of(g: &Rsg, n: NodeId) -> SPath {
-    let all = spaths(g);
-    all[n.0 as usize].clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NodeId;
     use psa_cfront::types::StructId;
 
     fn sel(i: u32) -> SelectorId {
         SelectorId(i)
     }
 
-    /// p0 -> a -s0-> b -s0-> c ; p1 -> b
+    /// p0 -> a -s0-> b -s0-> c
     fn chain() -> (Rsg, NodeId, NodeId, NodeId) {
         let mut g = Rsg::empty(3);
         let a = g.add_fresh(StructId(0));
@@ -116,64 +90,5 @@ mod tests {
         assert_eq!(sp[b.0 as usize].one, vec![(PvarId(0), sel(0))]);
         assert!(sp[c.0 as usize].zero.is_empty());
         assert!(sp[c.0 as usize].one.is_empty());
-    }
-
-    #[test]
-    fn c_spath0_pins_pvar_targets() {
-        let (g, a, b, c) = chain();
-        let sp = spaths(&g);
-        // a is pvar-pointed, b/c are not: a incompatible with both.
-        assert!(!c_spath0(&sp[a.0 as usize], &sp[b.0 as usize]));
-        // b and c both have empty zero paths: compatible at level 0.
-        assert!(c_spath0(&sp[b.0 as usize], &sp[c.0 as usize]));
-    }
-
-    #[test]
-    fn c_spath1_separates_one_hop_nodes() {
-        let (g, _a, b, c) = chain();
-        let sp = spaths(&g);
-        // b is one hop from p0, c is two hops: incompatible at level 1.
-        assert!(!c_spath1(&sp[b.0 as usize], &sp[c.0 as usize]));
-    }
-
-    #[test]
-    fn c_spath1_allows_shared_one_paths() {
-        // Two nodes both one hop from the same pvar through the same sel.
-        let mut g = Rsg::empty(1);
-        let a = g.add_fresh(StructId(0));
-        let b = g.add_fresh(StructId(0));
-        let c = g.add_fresh(StructId(0));
-        g.set_pl(PvarId(0), a);
-        g.add_link(a, sel(0), b);
-        g.add_link(a, sel(0), c);
-        let sp = spaths(&g);
-        assert!(c_spath1(&sp[b.0 as usize], &sp[c.0 as usize]));
-    }
-
-    #[test]
-    fn c_spath1_both_far_compatible() {
-        let (g, _a, _b, c) = chain();
-        let mut g = g;
-        let d = g.add_fresh(StructId(0));
-        g.add_link(c, sel(0), d);
-        let sp = spaths(&g);
-        // c and d both have empty one-sets ... c has empty one (two hops),
-        // d three hops: compatible.
-        assert!(c_spath1(&sp[c.0 as usize], &sp[d.0 as usize]));
-    }
-
-    #[test]
-    fn dispatch_respects_mode() {
-        let (g, _a, b, c) = chain();
-        let sp = spaths(&g);
-        assert!(c_spath(&sp[b.0 as usize], &sp[c.0 as usize], false));
-        assert!(!c_spath(&sp[b.0 as usize], &sp[c.0 as usize], true));
-    }
-
-    #[test]
-    fn spath_of_single() {
-        let (g, a, _b, _c) = chain();
-        let sp = spath_of(&g, a);
-        assert_eq!(sp.zero, vec![PvarId(0)]);
     }
 }

@@ -54,7 +54,7 @@ fn unset_budgets_are_bit_identical_on_paper_codes() {
 /// cancellation), the affected statements are marked degraded, and every
 /// retained RSG either respects the cap or sits at the sound k-limiting
 /// floor — pvar-pointed singletons (the singularity invariant forbids
-/// merging them) plus at most one summary per struct type.
+/// merging them) plus at most one summary per (TYPE, TOUCH) class.
 #[test]
 fn barnes_hut_l3_completes_under_node_cap() {
     const CAP: usize = 6;
@@ -77,17 +77,19 @@ fn barnes_hut_l3_completes_under_node_cap() {
             if g.num_nodes() <= CAP {
                 continue;
             }
-            // Over the cap: no further sound merge may exist, i.e. all
-            // non-pointed nodes carry pairwise-distinct struct types.
+            // Over the cap: no further k-limiting merge may exist, i.e.
+            // all non-pointed nodes carry pairwise-distinct (TYPE, TOUCH)
+            // keys.
             over_cap_at_floor += 1;
             let pointed: std::collections::BTreeSet<_> = g.pl_iter().map(|(_, n)| n).collect();
-            let mut seen_types = std::collections::BTreeSet::new();
+            let mut seen_classes = std::collections::BTreeSet::new();
             for n in g.node_ids() {
                 if pointed.contains(&n) {
                     continue;
                 }
+                let node = g.node(n);
                 assert!(
-                    seen_types.insert(g.node(n).ty),
+                    seen_classes.insert((node.ty, node.touch.clone())),
                     "after_stmt[{i}]: an over-cap RSG ({} nodes, cap {CAP}) still \
                      holds two mergeable non-pointed nodes",
                     g.num_nodes()

@@ -5,6 +5,7 @@ use psa::ir::PvarId;
 use psa::rsg::canon::{canonical_bytes, isomorphic};
 use psa::rsg::compress::compress;
 use psa::rsg::divide::divide;
+use psa::rsg::intern::PinSignature;
 use psa::rsg::join::{compatible, join};
 use psa::rsg::prune::{prune, prune_with};
 use psa::rsg::subsume::subsumes;
@@ -282,13 +283,13 @@ fn bind_alias(mut g: Rsg, x: u8) -> Rsg {
     g
 }
 
-/// Test-only copies of the reduction kernels as they were before the
-/// allocation-free rewrite: COMPATIBLE over whole-graph SPATHs and
-/// alias-class maps, COMPRESS partitioning through a `BTreeMap`. The
+/// Test-only copies of the reduction kernels as they were before they
+/// were rewritten: COMPATIBLE over whole-graph SPATHs and alias-class
+/// maps, COMPRESS partitioning through a `BTreeMap`, JOIN through a
+/// disjoint union and a union-find, each MERGE_NODES written out. The
 /// kernels must match them bit for bit.
 mod reference {
     use psa::ir::PvarId;
-    use psa::rsg::compress::merge_nodes;
     use psa::rsg::spath::{self, SPath};
     use psa::rsg::{CycleSet, Level, Node, NodeId, Rsg, SelSet};
     use std::collections::BTreeMap;
@@ -321,7 +322,16 @@ mod reference {
             && a.shsel == b.shsel
             && a.touch == b.touch
             && a.refpat_compatible(b)
-            && spath::c_spath(sp1, sp2, level.use_spath1())
+            && c_spath(sp1, sp2, level)
+    }
+
+    /// C_SPATH0, and at SPATH1 levels C_SPATH1: equal zero-length paths,
+    /// and one-length paths both empty or sharing an element.
+    fn c_spath(a: &SPath, b: &SPath, level: Level) -> bool {
+        a.zero == b.zero
+            && (!level.use_spath1()
+                || (a.one.is_empty() && b.one.is_empty())
+                || a.one.iter().any(|x| b.one.binary_search(x).is_ok()))
     }
 
     pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
@@ -347,6 +357,158 @@ mod reference {
                 level,
             )
         })
+    }
+
+    fn merge_nodes(g: &Rsg, aid: NodeId, bid: NodeId, summary: bool) -> Node {
+        let (a, b) = (g.node(aid), g.node(bid));
+        let selin = a.selin.inter(b.selin);
+        let selout = a.selout.inter(b.selout);
+        let mut pairs = Vec::new();
+        for (s1, s2) in a.cyclelinks.iter() {
+            if b.cyclelinks.contains(s1, s2) || g.succs(bid, s1).is_empty() {
+                pairs.push((s1, s2));
+            }
+        }
+        for (s1, s2) in b.cyclelinks.iter() {
+            if !a.cyclelinks.contains(s1, s2) && g.succs(aid, s1).is_empty() {
+                pairs.push((s1, s2));
+            }
+        }
+        Node {
+            ty: a.ty,
+            shared: a.shared || b.shared,
+            shsel: a.shsel.union(b.shsel),
+            selin,
+            selout,
+            pos_selin: a
+                .selin
+                .union(b.selin)
+                .union(a.pos_selin)
+                .union(b.pos_selin)
+                .diff(selin),
+            pos_selout: a
+                .selout
+                .union(b.selout)
+                .union(a.pos_selout)
+                .union(b.pos_selout)
+                .diff(selout),
+            cyclelinks: CycleSet::from_pairs(pairs),
+            touch: a.touch.clone(),
+            summary,
+        }
+    }
+
+    pub fn join(g1: &Rsg, g2: &Rsg, level: Level) -> Rsg {
+        // 1. Disjoint union.
+        let mut combined = Rsg::empty(g1.num_pvar_slots());
+        let map = |g: &Rsg, out: &mut Rsg| -> Vec<Option<NodeId>> {
+            let mut m: Vec<Option<NodeId>> = vec![None; g.num_slots()];
+            for id in g.node_ids() {
+                m[id.0 as usize] = Some(out.add_node(g.node(id).to_node()));
+            }
+            m
+        };
+        let m1 = map(g1, &mut combined);
+        let m2 = map(g2, &mut combined);
+        for (a, s, b) in g1.links() {
+            combined.add_link(m1[a.0 as usize].unwrap(), s, m1[b.0 as usize].unwrap());
+        }
+        for (a, s, b) in g2.links() {
+            combined.add_link(m2[a.0 as usize].unwrap(), s, m2[b.0 as usize].unwrap());
+        }
+
+        // 2. Union same-pvar targets, then greedy C_NODES pairs.
+        let total = combined.num_slots();
+        let mut uf: Vec<usize> = (0..total).collect();
+        fn find(uf: &mut [usize], mut x: usize) -> usize {
+            while uf[x] != x {
+                uf[x] = uf[uf[x]];
+                x = uf[x];
+            }
+            x
+        }
+        let union = |uf: &mut Vec<usize>, a: NodeId, b: NodeId| {
+            let ra = find(uf, a.0 as usize);
+            let rb = find(uf, b.0 as usize);
+            if ra != rb {
+                uf[ra.max(rb)] = ra.min(rb);
+            }
+        };
+        for (p, n1) in g1.pl_iter() {
+            if let Some(n2) = g2.pl(p) {
+                union(
+                    &mut uf,
+                    m1[n1.0 as usize].unwrap(),
+                    m2[n2.0 as usize].unwrap(),
+                );
+            }
+        }
+        let sp1 = spath::spaths(g1);
+        let sp2 = spath::spaths(g2);
+        let mut group_size = vec![0usize; total];
+        for i in 0..total {
+            let r = find(&mut uf, i);
+            group_size[r] += 1;
+        }
+        let ungrouped = |uf: &mut Vec<usize>, id: NodeId| group_size[find(uf, id.0 as usize)] == 1;
+        let mut matched2 = vec![false; g2.num_slots()];
+        for n1 in g1.node_ids() {
+            let c1 = m1[n1.0 as usize].unwrap();
+            if !ungrouped(&mut uf, c1) {
+                continue;
+            }
+            for n2 in g2.node_ids() {
+                let c2 = m2[n2.0 as usize].unwrap();
+                if matched2[n2.0 as usize] || !ungrouped(&mut uf, c2) {
+                    continue;
+                }
+                let (a, b) = (&sp1[n1.0 as usize], &sp2[n2.0 as usize]);
+                if c_nodes(g1, n1, g2, n2, a, b, level) {
+                    union(&mut uf, c1, c2);
+                    matched2[n2.0 as usize] = true;
+                    break;
+                }
+            }
+        }
+
+        // 3. One output node per group, folding MERGE_NODES in place.
+        let mut groups: BTreeMap<usize, Vec<NodeId>> = BTreeMap::new();
+        for id in combined.node_ids().collect::<Vec<_>>() {
+            let r = find(&mut uf, id.0 as usize);
+            groups.entry(r).or_default().push(id);
+        }
+        let mut out = Rsg::empty(g1.num_pvar_slots());
+        let mut final_map: Vec<Option<NodeId>> = vec![None; total];
+        for members in groups.values() {
+            let acc = members[0];
+            for &m in &members[1..] {
+                let summary = combined.node(acc).summary || combined.node(m).summary;
+                let merged = merge_nodes(&combined, acc, m, summary);
+                combined.node_mut(acc).assign(merged);
+            }
+            let new_id = out.add_node(combined.node(acc).to_node());
+            for &m in members {
+                final_map[m.0 as usize] = Some(new_id);
+            }
+        }
+        for (a, s, b) in combined.links() {
+            out.add_link(
+                final_map[a.0 as usize].unwrap(),
+                s,
+                final_map[b.0 as usize].unwrap(),
+            );
+        }
+        for (p, n1) in g1.pl_iter() {
+            let c = m1[n1.0 as usize].unwrap();
+            out.set_pl(p, final_map[c.0 as usize].unwrap());
+        }
+        for (v, k) in g1.scalars() {
+            if g2.scalars().get(*v) == Some(*k) {
+                out.set_scalar(*v, *k);
+            }
+        }
+        out.gc();
+        out
     }
 
     fn merge_group(g: &Rsg, group: &[NodeId]) -> Node {
@@ -543,6 +705,34 @@ proptest! {
                     reference::compress(&g, level),
                     "COMPRESS must match the BTreeMap reference at {}", level
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn join_matches_union_find_reference(
+        a in arb_rsg(),
+        b in arb_rsg(),
+        alias in any::<u8>(),
+        muts in mutations(),
+        renumber in any::<bool>(),
+    ) {
+        // JOIN's inputs are COMPATIBLE pairs (the reduction loop) or pairs
+        // with equal pinning signatures (the widening's forced JOIN). A
+        // mutated copy keeps the PL, so it reaches both kinds and the
+        // greedy pass; `Rsg: PartialEq` pins the output node order.
+        let a = bind_alias(a, alias);
+        let b = bind_alias(b, alias);
+        let copy = mutate(if renumber { renumbered(&a) } else { a.clone() }, &muts);
+        for level in Level::ALL {
+            for (x, y) in [(&a, &b), (&a, &copy), (&copy, &a)] {
+                if compatible(x, y, level) || PinSignature::of(x).bytes == PinSignature::of(y).bytes {
+                    prop_assert_eq!(
+                        join(x, y, level),
+                        reference::join(x, y, level),
+                        "JOIN must match the union-find reference at {}", level
+                    );
+                }
             }
         }
     }
