@@ -553,6 +553,45 @@ fn annotate_emits_source_with_verdicts() {
     );
 }
 
+#[test]
+fn annotate_puts_loop_comments_on_loop_statements() {
+    // A `while` condition lowers to a terminator, and an inlined callee's
+    // statements carry the callee's lines, so no statement of the body
+    // marks where its loop starts: the comment goes on the loop statement.
+    for (code, loops) in [("barnes-hut", 9), ("em3d", 4)] {
+        let out = psa()
+            .args(["bench-code", code, "--level", "L1", "--annotate"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let lines: Vec<&str> = stdout.lines().collect();
+        let mut seen = 0;
+        for (i, line) in lines.iter().enumerate() {
+            if !line.contains("/* psa: loop") {
+                continue;
+            }
+            seen += 1;
+            let next = lines[i + 1..]
+                .iter()
+                .find(|l| !l.contains("/* psa: loop"))
+                .expect("an annotation precedes a source line")
+                .trim_start();
+            assert!(
+                ["for", "while", "do"].iter().any(|kw| next.starts_with(kw)
+                    && !next[kw.len()..].starts_with(char::is_alphanumeric)),
+                "{code}: `{}` precedes `{next}`",
+                line.trim()
+            );
+        }
+        assert_eq!(seen, loops, "{code}: one annotation per loop");
+    }
+}
+
 const UAF: &str = r#"
 struct node { int v; struct node *nxt; };
 int main() {

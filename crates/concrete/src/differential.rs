@@ -3,8 +3,10 @@
 //! statement covers every concrete state observed there.
 
 use crate::cover::{any_covers, violation};
+use crate::heap::ConcreteState;
 use crate::interp::{execute, ExecResult, InterpConfig};
 use psa_core::engine::{AnalysisResult, Engine, EngineConfig};
+use psa_core::rsrsg::Rsrsg;
 use psa_ir::FuncIr;
 use psa_rsg::Level;
 
@@ -128,17 +130,11 @@ pub fn check_coverage(
             report.checked_points += 1;
             let rsrsg = result.at(point.stmt);
             if !any_covers(rsrsg.iter(), &point.state, level) {
-                // Collect the most informative reason (first member's).
-                let why = rsrsg
-                    .iter()
-                    .next()
-                    .and_then(|g| violation(g, &point.state, level))
-                    .unwrap_or_else(|| "empty RSRSG at a reached statement".to_string());
                 report.violations.push(format!(
                     "seed {seed}, after {} ({}): {} [{} graphs in RSRSG]",
                     point.stmt,
                     psa_ir::pretty::stmt(ir, &ir.stmt(point.stmt).stmt),
-                    why,
+                    uncovered_reasons(rsrsg, &point.state, level),
                     rsrsg.len(),
                 ));
                 if report.violations.len() > 10 {
@@ -148,6 +144,27 @@ pub fn check_coverage(
         }
     }
     report
+}
+
+/// Members whose mismatch an uncovered state's message spells out.
+const MAX_REASONS: usize = 4;
+
+/// Why no member of `rsrsg` covers `state`: each member's first mismatch,
+/// for the first [`MAX_REASONS`] members, then how many members are left.
+fn uncovered_reasons(rsrsg: &Rsrsg, state: &ConcreteState, level: Level) -> String {
+    if rsrsg.is_empty() {
+        return "empty RSRSG at a reached statement".to_string();
+    }
+    let mut why: Vec<String> = rsrsg
+        .iter()
+        .take(MAX_REASONS)
+        .enumerate()
+        .filter_map(|(i, g)| Some(format!("member {i}: {}", violation(g, state, level)?)))
+        .collect();
+    if rsrsg.len() > MAX_REASONS {
+        why.push(format!("… and {} more", rsrsg.len() - MAX_REASONS));
+    }
+    why.join("; ")
 }
 
 #[cfg(test)]
@@ -279,6 +296,74 @@ mod tests {
         assert!(rep.violations.is_empty(), "{:#?}", rep.violations);
         assert_eq!(rep.checked_points, 0);
         assert_eq!(rep.verdict(), DiffVerdict::Inconclusive);
+    }
+
+    #[test]
+    fn uncovered_state_names_every_members_mismatch() {
+        // Replace the RSRSG after the last statement by members that each
+        // miss the concrete state: the first on a scalar fact unrelated to
+        // the heap, the second on the heap. The message names both.
+        let src = r#"
+            struct node { int v; struct node *nxt; };
+            int main() {
+                struct node *p; int flag;
+                flag = 1;
+                p = (struct node *) malloc(sizeof(struct node));
+                p->nxt = NULL;
+                return 0;
+            }
+        "#;
+        let (program, table) = psa_cfront::parse_and_type(src).unwrap();
+        let ir = psa_ir::lower_program(&program, &table, "main").unwrap();
+        let mut result = Engine::new(&ir, EngineConfig::at_level(Level::L1))
+            .run()
+            .unwrap();
+        let execs = execute(&ir, &InterpConfig::default(), &[1]);
+        let last = execs[0].1.trace.last().expect("a traced run").stmt;
+        let covering = result.at(last).iter().next().unwrap().clone();
+        let flag = ir.scalars.iter().position(|s| s == "flag").unwrap() as u32;
+        let p = ir.pvars.iter().position(|v| v.name == "p").unwrap() as u32;
+        let with_flag = |k: i64| {
+            let mut g = covering.clone();
+            g.set_scalar(flag, k);
+            g
+        };
+        let mut heap_miss = covering.clone();
+        let pn = heap_miss.pl(psa_ir::PvarId(p)).unwrap();
+        heap_miss
+            .node_mut(pn)
+            .set_must_in(psa_cfront::types::SelectorId(0));
+
+        let ctx = psa_rsg::ShapeCtx::from_ir(&ir);
+        let mut two = Rsrsg::new();
+        two.push_raw(with_flag(7), &ctx);
+        two.push_raw(heap_miss.clone(), &ctx);
+        result.after_stmt[last.0 as usize] = two;
+        let rep = check_coverage(&ir, &result, &execs);
+        assert_eq!(rep.violations.len(), 1, "{:#?}", rep.violations);
+        let msg = &rep.violations[0];
+        assert!(
+            msg.contains("member 0: scalar sc") && msg.contains("but 7 abstractly"),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("member 1: location") && msg.contains("admits no abstract node"),
+            "{msg}"
+        );
+        assert!(msg.ends_with("[2 graphs in RSRSG]"), "{msg}");
+
+        let mut six = Rsrsg::new();
+        six.push_raw(with_flag(7), &ctx);
+        six.push_raw(heap_miss, &ctx);
+        for k in 8..12 {
+            six.push_raw(with_flag(k), &ctx);
+        }
+        result.after_stmt[last.0 as usize] = six;
+        let rep = check_coverage(&ir, &result, &execs);
+        let msg = &rep.violations[0];
+        assert!(msg.contains("member 3: scalar"), "{msg}");
+        assert!(!msg.contains("member 4"), "{msg}");
+        assert!(msg.contains("; … and 2 more [6 graphs in RSRSG]"), "{msg}");
     }
 
     #[test]

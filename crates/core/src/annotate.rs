@@ -5,13 +5,12 @@
 //! annotation comment above every loop the parallelism client proves
 //! independent, and a warning above every loop it cannot.
 //!
-//! Loop positions come from the source spans the lowering kept on every
-//! statement: a loop's anchor line is the smallest source line among the
-//! statements tagged with it.
+//! A loop's annotation sits above its loop statement, on the source line
+//! the lowering recorded for it (`LoopInfo::line`).
 
 use crate::engine::AnalysisResult;
 use crate::parallel;
-use psa_ir::{FuncIr, LoopId, Stmt};
+use psa_ir::FuncIr;
 use std::collections::BTreeMap;
 
 /// One annotation to be inserted.
@@ -23,31 +22,11 @@ pub struct Annotation {
     pub text: String,
 }
 
-/// Compute the annotations for every loop with at least one statement that
-/// has a real source span.
+/// Compute the annotations for every loop.
 pub fn loop_annotations(ir: &FuncIr, result: &AnalysisResult) -> Vec<Annotation> {
-    // Anchor line per loop: smallest line among its own statements.
-    let mut anchor: BTreeMap<LoopId, u32> = BTreeMap::new();
-    for info in &ir.stmts {
-        if info.span.is_synth() {
-            continue;
-        }
-        // Scalar bookkeeping statements may sit above the loop syntax; only
-        // real statements anchor.
-        if matches!(info.stmt, Stmt::Scalar(_)) {
-            continue;
-        }
-        if let Some(&innermost) = info.loops.last() {
-            let e = anchor.entry(innermost).or_insert(info.span.line);
-            *e = (*e).min(info.span.line);
-        }
-    }
-
     let mut out = Vec::new();
     for report in parallel::loop_reports(ir, result) {
-        let Some(&line) = anchor.get(&report.loop_id) else {
-            continue;
-        };
+        let line = ir.loops[report.loop_id.0 as usize].line;
         let text = if report.parallelizable {
             if report.heap_writes.is_empty() {
                 format!(
@@ -132,7 +111,7 @@ int main() {
     }
 
     #[test]
-    fn annotated_source_inserts_above_loop_bodies() {
+    fn annotated_source_inserts_above_loop_statements() {
         let a = Analyzer::new(SRC, AnalysisOptions::default()).unwrap();
         let res = a.run().unwrap();
         let anns = loop_annotations(a.ir(), &res);
@@ -141,12 +120,21 @@ int main() {
         for line in SRC.lines() {
             assert!(annotated.contains(line));
         }
-        // The annotations are present and indented like their anchors.
-        assert_eq!(annotated.matches("/* psa: loop").count(), 2);
-        assert!(
-            annotated.contains("        /* psa: loop"),
-            "body indentation kept"
-        );
+        // The annotations are present, each right above its loop statement
+        // and indented like it.
+        let lines: Vec<&str> = annotated.lines().collect();
+        let at: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].contains("/* psa: loop"))
+            .collect();
+        assert_eq!(at.len(), 2);
+        for i in at {
+            assert!(lines[i].starts_with("    /* psa: loop"), "{}", lines[i]);
+            let next = lines[i + 1];
+            assert!(
+                next.starts_with("    for (") || next.starts_with("    while ("),
+                "annotation precedes `{next}`"
+            );
+        }
     }
 
     #[test]

@@ -51,6 +51,12 @@ const WIDEN_CAP: usize = 12;
 /// never trip).
 const MAX_ITERATIONS: usize = 100_000;
 
+/// Graphs in one statement's RSRSG before a run gives up with
+/// [`BudgetKind::Graphs`]. The widening ([`WIDEN_CAP`]) joins only members
+/// with equal pinning signatures, so only members that differ in them
+/// accumulate this far.
+const MAX_GRAPHS: usize = 512;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -92,12 +98,12 @@ pub enum BudgetKind {
         /// The configured limit.
         limit: usize,
     },
-    /// A statement's RSRSG exceeded the hard graph-count cap
-    /// [`Budget::max_graphs`].
+    /// A statement's RSRSG exceeded the engine's hard graph-count cap
+    /// (`MAX_GRAPHS`, 512).
     Graphs {
         /// How many graphs accumulated.
         graphs: usize,
-        /// The configured limit.
+        /// The cap.
         limit: usize,
     },
     /// The engine's block-visit safety net (`MAX_ITERATIONS`, 100 000) was
@@ -402,7 +408,7 @@ impl<'a> Engine<'a> {
     /// populated at L1. The tables are the one oracle switch: on
     /// [`psa_rsg::intern::SharedTables::without_cache`] tables the engine is
     /// the test-only reference oracle (raw subsumption search, every graph
-    /// re-transferred with no memo or delta worklist, rescan PRUNE).
+    /// re-transferred with no memo or delta worklist).
     pub fn with_shape_ctx(ir: &'a FuncIr, config: EngineConfig, ctx: ShapeCtx) -> Engine<'a> {
         Engine {
             callees: &ir.callees,
@@ -660,11 +666,11 @@ impl<'a> Engine<'a> {
                         tracer.instant(TraceKind::ForceCompress, sid.0 as u64, 0);
                     }
                 }
-                if cur.len() > budget.max_graphs {
+                if cur.len() > MAX_GRAPHS {
                     return Err(AnalysisError::budget(
                         BudgetKind::Graphs {
                             graphs: cur.len(),
-                            limit: budget.max_graphs,
+                            limit: MAX_GRAPHS,
                         },
                         Some(sid),
                     ));
@@ -1184,21 +1190,27 @@ mod tests {
 
     #[test]
     fn budget_graph_cap_names_statement() {
-        let (p, t) = parse_and_type(LIST_BUILD).unwrap();
+        // Ten independent branches that each may bind one more pvar: their
+        // 2^10 pinning signatures differ, so the widening cannot join them.
+        let mut src = String::from("struct node { struct node *nxt; };\nint main() {\n");
+        for i in 0..10 {
+            src += &format!("    struct node *p{i};\n");
+        }
+        src += "    int k;\n";
+        for i in 0..10 {
+            src += &format!(
+                "    if (k > {i}) {{ p{i} = (struct node *) malloc(sizeof(struct node)); }}\n"
+            );
+        }
+        src += "    k = 0;\n    return 0;\n}\n";
+        let (p, t) = parse_and_type(&src).unwrap();
         let ir = lower_program(&p, &t, "main").unwrap();
-        let cfg = EngineConfig {
-            level: Level::L1,
-            budget: Budget {
-                max_graphs: 1,
-                ..Budget::default()
-            },
-        };
-        match Engine::new(&ir, cfg).run() {
+        match Engine::new(&ir, EngineConfig::at_level(Level::L1)).run() {
             Err(AnalysisError::BudgetExceeded {
-                which: BudgetKind::Graphs { limit: 1, .. },
-                at_stmt: Some(_),
-            }) => {}
-            other => panic!("expected BudgetExceeded(Graphs), got {other:?}"),
+                which: BudgetKind::Graphs { graphs, limit },
+                at_stmt: Some(StmtId(10)),
+            }) => assert_eq!((graphs, limit), (1024, MAX_GRAPHS)),
+            other => panic!("expected BudgetExceeded(Graphs) at st10, got {other:?}"),
         }
     }
 

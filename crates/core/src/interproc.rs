@@ -147,13 +147,11 @@ pub(crate) fn transfer_call(
                     record_site(stats, sid, info);
                     return (cur.clone(), Some(InterprocReason::Cutpoint));
                 }
-                // The reference oracle's cache-less tables prune by rescan.
-                let rescan = !ctx.tables.cache_enabled();
-                for mut v in psa_rsg::divide::divide_at(&g, src, sel, rescan) {
+                for mut v in psa_rsg::divide::divide_at(&g, src, sel) {
                     if let Some(t) = v.succs(src, sel).first() {
                         if v.node(t).summary {
                             let m = psa_rsg::materialize::materialize(&mut v, src, sel, t);
-                            match psa_rsg::prune::prune_with(&v, rescan) {
+                            match psa_rsg::prune::prune(&v) {
                                 Some(p) => v = p,
                                 None => continue,
                             }

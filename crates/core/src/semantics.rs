@@ -17,10 +17,10 @@ use crate::stats::AnalysisStats;
 use psa_cfront::types::SelectorId;
 use psa_ir::{Cond, PtrStmt, PvarId};
 use psa_rsg::compress::compress;
-use psa_rsg::divide::divide_with;
+use psa_rsg::divide::divide;
 use psa_rsg::intern::{CanonEntry, TransferOutcome};
 use psa_rsg::materialize::materialize;
-use psa_rsg::prune::prune_with;
+use psa_rsg::prune::prune;
 use psa_rsg::scratch;
 use psa_rsg::trace::TraceKind;
 use psa_rsg::{Level, NodeId, Rsg, ShapeCtx};
@@ -75,24 +75,22 @@ impl<'a> TransferCtx<'a> {
         counter(&self.ctx.tables.metrics).fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Prune as a traced span: the worklist PRUNE, or the whole-graph
-    /// rescan ([`psa_rsg::prune::prune_reference`]) on the reference
-    /// oracle's cache-less tables.
+    /// Prune as a traced span.
     fn prune(&self, g: &Rsg) -> Option<Rsg> {
         self.count(|m| &m.prune_calls);
         let tracer = &self.ctx.tables.tracer;
         let t0 = tracer.enabled().then(Instant::now);
-        let out = prune_with(g, !self.ctx.tables.cache_enabled());
+        let out = prune(g);
         tracer.span_since(TraceKind::Prune, t0, self.stmt as u64, 0);
         out
     }
 
-    /// Divide through the tables' prune implementation, as a traced span.
+    /// Divide as a traced span.
     fn divide(&self, g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
         self.count(|m| &m.divide_calls);
         let tracer = &self.ctx.tables.tracer;
         let t0 = tracer.enabled().then(Instant::now);
-        let out = divide_with(g, x, sel, !self.ctx.tables.cache_enabled());
+        let out = divide(g, x, sel);
         tracer.span_since(TraceKind::Divide, t0, self.stmt as u64, 0);
         out
     }

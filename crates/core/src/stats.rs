@@ -101,45 +101,32 @@ pub struct CallSiteInfo {
 ///
 /// Two families with different failure modes:
 ///
-/// * **Hard caps** (`max_bytes`, `max_graphs`) abort the run with
+/// * **Hard caps** (`max_bytes`) abort the run with
 ///   [`AnalysisError::BudgetExceeded`](crate::AnalysisError) — the paper's
-///   "compiler runs out of memory" outcome. The engine's fixed block-visit
-///   safety net aborts the same way.
+///   "compiler runs out of memory" outcome. The engine's fixed graph cap
+///   (512 graphs in one statement's RSRSG) and block-visit safety net
+///   abort the same way.
 /// * **Degradation caps** (`max_nodes`, `max_rsgs`, `deadline`) never
 ///   abort. `max_nodes` triggers forced summarization (sound but coarser
 ///   graphs, statements marked degraded); the others stop the run and
 ///   return a partial result with
 ///   [`AnalysisResult::stopped`](crate::AnalysisResult) set.
 ///
-/// All new caps default to `None`/unset, in which case the engine's
+/// Every cap defaults to `None`/unset, in which case the engine's
 /// behaviour (and its output, bit for bit) is unchanged.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Budget {
     /// Abort when peak structural bytes exceed this.
     pub max_bytes: Option<usize>,
-    /// Abort when a statement's RSRSG exceeds this many graphs.
-    pub max_graphs: usize,
     /// Force-summarize any RSG above this many nodes (k-limiting COMPRESS
     /// with relaxed compatibility); the affected statement is marked
     /// degraded but the fixed point still completes.
     pub max_nodes: Option<usize>,
     /// Stop the run when a statement's RSRSG exceeds this many graphs
-    /// (softer than `max_graphs`: partial result, not an error).
+    /// (softer than the engine's graph cap: partial result, not an error).
     pub max_rsgs: Option<usize>,
     /// Stop the run after this much wall-clock time.
     pub deadline: Option<Duration>,
-}
-
-impl Default for Budget {
-    fn default() -> Self {
-        Budget {
-            max_bytes: None,
-            max_graphs: 512,
-            max_nodes: None,
-            max_rsgs: None,
-            deadline: None,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -304,6 +304,9 @@ pub struct LoopInfo {
     pub ipvars: Vec<PvarId>,
     /// Nesting depth (0 = outermost).
     pub depth: u32,
+    /// 1-based source line of the loop statement: its `for`, `while` or
+    /// `do` keyword (in the callee's source for a loop the inliner copied).
+    pub line: u32,
 }
 
 /// A fully lowered function, ready for symbolic execution.

@@ -745,13 +745,13 @@ impl Lowerer {
                 self.switch_to(join_bb);
                 Ok(())
             }
-            AStmt::While(cond, body, _) => {
+            AStmt::While(cond, body, span) => {
                 let header = self.new_block();
                 let body_bb = self.new_block();
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(header));
-                let lid = self.begin_loop(header, header, true, after);
+                let lid = self.begin_loop(header, header, true, after, span.line);
                 self.entry_edges.entry((pre, header)).or_default().push(lid);
                 self.switch_to(header);
                 self.lower_cond_with_exits(cond, body_bb, after)?;
@@ -762,13 +762,13 @@ impl Lowerer {
                 self.switch_to(after);
                 Ok(())
             }
-            AStmt::DoWhile(body, cond, _) => {
+            AStmt::DoWhile(body, cond, span) => {
                 let body_bb = self.new_block();
                 let cond_bb = self.new_block();
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(body_bb));
-                let lid = self.begin_loop(cond_bb, cond_bb, false, after);
+                let lid = self.begin_loop(cond_bb, cond_bb, false, after, span.line);
                 self.entry_edges
                     .entry((pre, body_bb))
                     .or_default()
@@ -792,7 +792,7 @@ impl Lowerer {
                 self.switch_to(after);
                 Ok(())
             }
-            AStmt::For(init, cond, step, body, _) => {
+            AStmt::For(init, cond, step, body, span) => {
                 self.push_scope();
                 if let Some(i) = init {
                     self.lower_stmt(i)?;
@@ -803,7 +803,7 @@ impl Lowerer {
                 let after = self.new_block();
                 let pre = self.cur;
                 self.seal(Terminator::Goto(header));
-                let lid = self.begin_loop(header, step_bb, false, after);
+                let lid = self.begin_loop(header, step_bb, false, after, span.line);
                 self.entry_edges.entry((pre, header)).or_default().push(lid);
                 self.switch_to(header);
                 match cond {
@@ -935,6 +935,7 @@ impl Lowerer {
         continue_bb: BlockId,
         continue_is_back: bool,
         break_bb: BlockId,
+        line: u32,
     ) -> LoopId {
         let id = LoopId(self.loops.len() as u32);
         let parent = self.loop_stack.last().map(|l| l.id);
@@ -944,6 +945,7 @@ impl Lowerer {
             header,
             ipvars: Vec::new(),
             depth,
+            line,
         });
         self.loop_stack.push(LoopCtx {
             id,

@@ -10,7 +10,7 @@
 //! pruned; contradictory outputs are dropped.
 
 use crate::graph::Rsg;
-use crate::prune::prune_with;
+use crate::prune::prune;
 use psa_cfront::types::SelectorId;
 use psa_ir::PvarId;
 
@@ -20,25 +20,17 @@ use psa_ir::PvarId;
 /// is unbound (NULL) the input graph is returned unchanged — the caller
 /// decides how to treat the null dereference.
 pub fn divide(g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
-    divide_with(g, x, sel, false)
-}
-
-/// [`divide`] with an explicit PRUNE implementation choice: `rescan`
-/// routes every post-division prune through the rescan reference path (see
-/// [`crate::prune::prune_reference`]) instead of the worklist — the
-/// reference oracle's choice.
-pub fn divide_with(g: &Rsg, x: PvarId, sel: SelectorId, rescan: bool) -> Vec<Rsg> {
     let Some(n) = g.pl(x) else {
         return vec![g.clone()];
     };
-    divide_at(g, n, sel, rescan)
+    divide_at(g, n, sel)
 }
 
 /// Divide `g` with respect to a *node* and `sel` — the pvar-free core of
 /// [`divide`]. The interprocedural localization uses this to resolve a
 /// caller-frame edge `<n, sel, ·>` to a single definite target before
 /// materializing that target out of a summary node.
-pub fn divide_at(g: &Rsg, n: crate::node::NodeId, sel: SelectorId, rescan: bool) -> Vec<Rsg> {
+pub fn divide_at(g: &Rsg, n: crate::node::NodeId, sel: SelectorId) -> Vec<Rsg> {
     let succs = g.succs(n, sel);
     let must = g.node(n).selout.contains(sel);
     let mut out = Vec::with_capacity(succs.len() + 1);
@@ -55,7 +47,7 @@ pub fn divide_at(g: &Rsg, n: crate::node::NodeId, sel: SelectorId, rescan: bool)
         if !gi.node(target).summary {
             gi.node_mut(target).set_must_in(sel);
         }
-        if let Some(p) = prune_with(&gi, rescan) {
+        if let Some(p) = prune(&gi) {
             out.push(p);
         }
     }
@@ -67,7 +59,7 @@ pub fn divide_at(g: &Rsg, n: crate::node::NodeId, sel: SelectorId, rescan: bool)
             gn.remove_link(n, sel, other);
         }
         gn.node_mut(n).clear_out(sel);
-        if let Some(p) = prune_with(&gn, rescan) {
+        if let Some(p) = prune(&gn) {
             out.push(p);
         }
     }

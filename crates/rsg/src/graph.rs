@@ -789,14 +789,6 @@ impl Rsg {
     /// no care: a survivor linking *to* a node makes that node reachable, so
     /// survivor→garbage links cannot exist.)
     pub fn gc(&mut self) -> usize {
-        self.gc_track(&mut Vec::new())
-    }
-
-    /// [`Rsg::gc`], additionally appending every surviving node whose
-    /// in-links or must-in claims were touched by the collection (the
-    /// targets of garbage-held crossing links) to `touched` — the seed set
-    /// the worklist PRUNE uses to avoid a whole-graph rescan.
-    pub fn gc_track(&mut self, touched: &mut Vec<NodeId>) -> usize {
         let mut reachable = vec![false; self.num_slots()];
         let mut stack: Vec<NodeId> = self.pl.iter().flatten().copied().collect();
         for &n in &stack {
@@ -853,9 +845,6 @@ impl Rsg {
                     self.node_mut(b).weaken_in(s);
                 }
             }
-            touched.extend(crossing.iter().map(|&(_, b)| b));
-            touched.sort_unstable();
-            touched.dedup();
         }
         dead.len()
     }
@@ -1203,15 +1192,17 @@ mod tests {
     }
 
     #[test]
-    fn gc_track_reports_crossing_targets() {
+    fn gc_weakens_must_in_witnessed_only_by_garbage() {
         let mut g = Rsg::empty(1);
         let a = g.add_fresh(StructId(0));
         let b = g.add_fresh(StructId(0));
         g.add_link(b, sel(0), a);
+        g.node_mut(a).set_must_in(sel(0));
         g.set_pl(PvarId(0), a);
-        let mut touched = Vec::new();
-        assert_eq!(g.gc_track(&mut touched), 1);
-        assert_eq!(touched, vec![a], "survivor that lost an in-link");
+        assert_eq!(g.gc(), 1);
+        assert!(g.in_links(a).is_empty(), "garbage's link is gone");
+        assert!(!g.node(a).selin.contains(sel(0)), "must-in weakened");
+        assert!(g.node(a).pos_selin.contains(sel(0)));
     }
 
     #[test]

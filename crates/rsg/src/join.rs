@@ -7,7 +7,7 @@
 //! by each pvar: equal TYPE, SHARED, SHSEL and TOUCH, compatible reference
 //! patterns and compatible simple paths.
 //!
-//! Both kernels read one pvar pairing, [`pin_pairs`]: the one-to-one map
+//! Both kernels read one pvar pairing, `pin_pairs`: the one-to-one map
 //! between the nodes that the same pvars are bound to. COMPATIBLE runs
 //! C_NODES on each pair. JOIN merges each pair (MERGE_NODES), pairs every
 //! remaining `g1` node, in node-id order, with the first remaining `g2`
@@ -112,7 +112,7 @@ fn one_paths_compatible(g1: &Rsg, n1: NodeId, g2: &Rsg, n2: NodeId, pairs: &PinP
 
 /// COMPATIBLE (§4): may `g1` and `g2` be joined?
 ///
-/// Reads only the pinned nodes: equal scalar facts, a [`pin_pairs`]
+/// Reads only the pinned nodes: equal scalar facts, a `pin_pairs`
 /// pairing, and C_NODES on each pair.
 pub fn compatible(g1: &Rsg, g2: &Rsg, level: Level) -> bool {
     // Same known scalar facts: merging configs with different flag values

@@ -23,66 +23,30 @@
 //! If a pvar-pointed node is pruned the whole graph is contradictory — it
 //! described no real memory configuration — and `None` is returned.
 //!
-//! # Worklist seeding contract
-//!
-//! [`prune`] runs the rules as a *round-synchronous worklist*: round 0
-//! examines the whole graph (any element of an arbitrary input may violate
-//! a rule), and every later round re-examines only the elements whose rule
-//! premises can have changed, seeded by what the previous round touched:
-//!
-//! * both endpoints of every removed link (rules 1–3 premises mention a
-//!   link's own endpoints and the back-links between them);
-//! * the former neighbors of every removed node (their link sets shrank);
-//! * the survivors that garbage collection stripped in-links from
-//!   ([`Rsg::gc_track`] reports them);
-//! * for the sharing rule, additionally the out-targets of every seeded
-//!   node and of every node whose *presence* ([`Rsg::present_nodes`])
-//!   flipped between rounds — definiteness of a link `<a, sel, n>` depends
-//!   on `present[a]` and on `succs(a, sel)`, both of which change at `a`,
-//!   not at the pruned element itself.
-//!
-//! Each round evaluates the same rule predicates on the same round-start
-//! state as a whole-graph rescan would, and the seed sets above
-//! over-approximate every premise change, so the per-round removal batches
-//! — and therefore the final graph, bit for bit — are identical to
-//! [`prune_reference`], the original rescan-until-stable loop kept as the
-//! differential baseline. The proptest suite and the engine's reference
-//! oracle (a psa-core engine on [`crate::intern::SharedTables::without_cache`]
-//! tables) check that equivalence end to end.
+//! Each round evaluates rules 2–4 over the whole graph on the round-start
+//! state and removes the doomed links as one batch, then evaluates rule 1
+//! on the post-link-removal state and removes its nodes in ascending id
+//! order, then collects garbage. Rounds repeat until one changes nothing.
+//! After round 0, a round that removed no link and no node skips the
+//! collection: the previous round's collection left no garbage, so this
+//! one would be a no-op.
 
 use crate::graph::Rsg;
 use crate::node::NodeId;
 use crate::scratch;
 use psa_cfront::types::SelectorId;
 
-/// Prune `g` to a fixed point (worklist implementation). Returns `None`
-/// when the graph turns out to be contradictory (a pvar-pointed node was
-/// removed).
+/// Prune `g` to a fixed point. Returns `None` when the graph turns out to
+/// be contradictory (a pvar-pointed node was removed).
 pub fn prune(g: &Rsg) -> Option<Rsg> {
     let mut g = g.clone();
-    let mut dirty = scratch::node_buf();
-    let mut prev_present: Vec<bool> = Vec::new();
+    let mut doomed_links = scratch::link_buf();
     let mut round0 = true;
     loop {
-        let mut doomed_links = scratch::link_buf();
-
-        // Rules 2 + 3 on links whose premises may have changed.
-        if round0 {
-            for (a, sel, b) in g.links() {
-                check_link_rules(&g, a, sel, b, &mut doomed_links);
-            }
-        } else {
-            for &d in dirty.iter() {
-                if !g.is_live(d) {
-                    continue;
-                }
-                for &(s, b) in g.out_links(d) {
-                    check_link_rules(&g, d, s, b, &mut doomed_links);
-                }
-                for &(a, s) in g.in_links(d) {
-                    check_link_rules(&g, a, s, d, &mut doomed_links);
-                }
-            }
+        // Rules 2 + 3: collect doomed links.
+        doomed_links.clear();
+        for (a, sel, b) in g.links() {
+            check_link_rules(&g, a, sel, b, &mut doomed_links);
         }
 
         // Rule 4: sharing exclusivity. Definiteness requires the link
@@ -90,114 +54,37 @@ pub fn prune(g: &Rsg) -> Option<Rsg> {
         // `Rsg::present_nodes`) — otherwise joined graphs holding
         // alternative substructures would prune each other's links away.
         let present = g.present_nodes();
-        if round0 {
-            for n in g.node_ids() {
-                rule4_at(&g, &present, n, &mut doomed_links);
-            }
-        } else {
-            let mut cands = scratch::node_buf();
-            for &d in dirty.iter() {
-                if g.is_live(d) {
-                    cands.push(d);
-                    cands.extend(g.out_links(d).iter().map(|&(_, b)| b));
-                }
-            }
-            for (i, (&now, &before)) in present.iter().zip(prev_present.iter()).enumerate() {
-                if now != before {
-                    let a = NodeId(i as u32);
-                    if g.is_live(a) {
-                        cands.extend(g.out_links(a).iter().map(|&(_, b)| b));
-                    }
-                }
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            for &n in cands.iter() {
-                if g.is_live(n) {
-                    rule4_at(&g, &present, n, &mut doomed_links);
-                }
-            }
+        for n in g.node_ids() {
+            rule4_at(&g, &present, n, &mut doomed_links);
         }
 
         doomed_links.sort_unstable();
         doomed_links.dedup();
-        let mut removed_any_link = false;
+        let mut changed = false;
         for &(a, sel, b) in doomed_links.iter() {
-            if g.remove_link(a, sel, b) {
-                removed_any_link = true;
-            }
+            changed |= g.remove_link(a, sel, b);
         }
 
-        // Rule 1: N_PRUNE — evaluated on the post-link-removal state, over
-        // the nodes whose link or must sets can have changed; collect
-        // first, then remove in ascending id order.
-        let doomed_nodes: Vec<NodeId> = if round0 {
-            g.node_ids().filter(|&n| rule1_fires(&g, n)).collect()
-        } else {
-            let mut cands = scratch::node_buf();
-            cands.extend(dirty.iter().copied());
-            for &(a, _, b) in doomed_links.iter() {
-                cands.push(a);
-                cands.push(b);
-            }
-            cands.sort_unstable();
-            cands.dedup();
-            cands
-                .iter()
-                .copied()
-                .filter(|&n| g.is_live(n) && rule1_fires(&g, n))
-                .collect()
-        };
-
-        let mut next_dirty = scratch::node_buf();
-        for &(a, _, b) in doomed_links.iter() {
-            next_dirty.push(a);
-            next_dirty.push(b);
-        }
-        let mut removed_any_node = false;
+        // Rule 1: N_PRUNE.
+        let doomed_nodes: Vec<NodeId> = g.node_ids().filter(|&n| rule1_fires(&g, n)).collect();
         for n in doomed_nodes {
             if !g.pvars_of(n).is_empty() {
                 // A pvar-pointed node is impossible: the whole graph is.
                 return None;
             }
-            next_dirty.extend(g.out_links(n).iter().map(|&(_, b)| b));
-            next_dirty.extend(g.in_links(n).iter().map(|&(a, _)| a));
             g.remove_node(n);
-            removed_any_node = true;
+            changed = true;
         }
 
-        // Rule 5: garbage. After round 0, a round that removed nothing
-        // left the graph exactly as the previous round's gc did, so the
-        // collection is provably a no-op and is skipped.
-        let mut changed = removed_any_link || removed_any_node;
-        if round0 || changed {
-            let mut gc_touched = Vec::new();
-            if g.gc_track(&mut gc_touched) > 0 {
-                changed = true;
-            }
-            next_dirty.extend(gc_touched);
+        // Rule 5: garbage.
+        if (round0 || changed) && g.gc() > 0 {
+            changed = true;
         }
 
         if !changed {
             return Some(g);
         }
-        next_dirty.retain(|&n| g.is_live(n));
-        next_dirty.sort_unstable();
-        next_dirty.dedup();
-        dirty = next_dirty;
-        prev_present = present;
         round0 = false;
-    }
-}
-
-/// Route to [`prune`] (worklist) or [`prune_reference`] (rescan) —
-/// `reference = true` is the differential baseline the engine's reference
-/// oracle selects.
-pub fn prune_with(g: &Rsg, reference: bool) -> Option<Rsg> {
-    if reference {
-        prune_reference(g)
-    } else {
-        prune(g)
     }
 }
 
@@ -261,57 +148,6 @@ fn rule1_fires(g: &Rsg, n: NodeId) -> bool {
         || nd.selin.iter().any(|sel| g.preds(n, sel).is_empty())
 }
 
-/// The original rescan-until-stable PRUNE, kept verbatim as the
-/// differential reference for the worklist implementation. Every round
-/// re-examines the whole graph; [`prune`] must produce bit-identical
-/// output on every input.
-pub fn prune_reference(g: &Rsg) -> Option<Rsg> {
-    let mut g = g.clone();
-    loop {
-        let mut changed = false;
-
-        // Rule 2 + 3: collect doomed links.
-        let mut doomed_links: Vec<(NodeId, SelectorId, NodeId)> = Vec::new();
-        for (a, sel, b) in g.links() {
-            check_link_rules(&g, a, sel, b, &mut doomed_links);
-        }
-
-        // Rule 4: sharing exclusivity over every node.
-        let present = g.present_nodes();
-        for n in g.node_ids().collect::<Vec<_>>() {
-            rule4_at(&g, &present, n, &mut doomed_links);
-        }
-
-        doomed_links.sort_unstable();
-        doomed_links.dedup();
-        for (a, sel, b) in doomed_links {
-            if g.remove_link(a, sel, b) {
-                changed = true;
-            }
-        }
-
-        // Rule 1: N_PRUNE.
-        let doomed_nodes: Vec<NodeId> = g.node_ids().filter(|&n| rule1_fires(&g, n)).collect();
-        for n in doomed_nodes {
-            if !g.pvars_of(n).is_empty() {
-                // A pvar-pointed node is impossible: the whole graph is.
-                return None;
-            }
-            g.remove_node(n);
-            changed = true;
-        }
-
-        // Rule 5: garbage.
-        if g.gc() > 0 {
-            changed = true;
-        }
-
-        if !changed {
-            return Some(g);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,7 +194,6 @@ mod tests {
             prune(&g).is_none(),
             "pvar-pointed node pruned => graph impossible"
         );
-        assert!(prune_reference(&g).is_none());
     }
 
     #[test]
@@ -486,23 +321,5 @@ mod tests {
         let p1 = prune(&g).expect("consistent");
         let p2 = prune(&p1).expect("consistent");
         assert_eq!(p1, p2);
-    }
-
-    #[test]
-    fn worklist_matches_reference_on_builders() {
-        let cases: Vec<Rsg> = vec![
-            builder::singly_linked_list(5, 2, PvarId(0), sel(0)),
-            builder::doubly_linked_list(4, 1, PvarId(0), sel(0), sel(1)),
-            builder::fig1_dll(PvarId(0), 1, sel(0), sel(1)).0,
-        ];
-        for (i, g) in cases.iter().enumerate() {
-            assert_eq!(prune(g), prune_reference(g), "case {i}");
-            // And on graphs made inconsistent in assorted ways.
-            let mut bad = g.clone();
-            if let Some(n) = bad.node_ids().last() {
-                bad.node_mut(n).set_must_out(sel(1));
-            }
-            assert_eq!(prune(&bad), prune_reference(&bad), "mutated case {i}");
-        }
     }
 }

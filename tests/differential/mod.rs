@@ -1,9 +1,9 @@
 //! Shared harness of the differential regression suites
 //! (`differential_reference`, `differential_cache`, `differential_kernels`,
-//! `differential_transfer_memo`): the subsumption memo, the transfer memo,
-//! the delta worklist and the worklist PRUNE of the default engine path
-//! must together be *observationally identical* to the
-//! recompute-everything reference oracle, an engine on
+//! `differential_transfer_memo`): the subsumption memo, the transfer memo
+//! and the delta worklist of the default engine path must together be
+//! *observationally identical* to the recompute-everything reference
+//! oracle, an engine on
 //! [`SharedTables::without_cache`] tables. Each program is
 //! analyzed both ways, and the exit set, every per-statement and
 //! per-block-input signature, the warnings, the revisits and any error must

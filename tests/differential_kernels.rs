@@ -1,7 +1,11 @@
-//! Differential regression suite for the worklist PRUNE: the default path,
-//! which prunes from a seeded worklist, must be observationally identical
-//! to the reference oracle, which rescans the whole graph. The comparison
-//! itself lives in the shared harness (`differential/mod.rs`).
+//! Differential regression suite named for the two PRUNEs the engine once
+//! had, a seeded worklist on the default path and a whole-graph rescan on
+//! the reference oracle; its test names are kept from then. Both paths now
+//! run the one PRUNE (`psa_rsg::prune`), so these tests hold the default
+//! path to the reference oracle on the paper codes and random programs,
+//! like the other differential suites, and `tests/prop_rsg.rs` holds PRUNE
+//! itself to a copy of the earlier rescan. The comparison lives in the
+//! shared harness (`differential/mod.rs`).
 
 mod differential;
 

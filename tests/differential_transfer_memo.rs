@@ -134,7 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The default path equals the reference oracle on arbitrary programs:
-    /// no memo, delta fold or worklist PRUNE may change the fixed point.
+    /// no memo or delta fold may change the fixed point.
     #[test]
     fn delta_equals_full_on_random_programs(
         seed in 0u64..1u64 << 32,

@@ -7,7 +7,7 @@ use psa::rsg::compress::compress;
 use psa::rsg::divide::divide;
 use psa::rsg::intern::PinSignature;
 use psa::rsg::join::{compatible, join};
-use psa::rsg::prune::{prune, prune_with};
+use psa::rsg::prune::prune;
 use psa::rsg::subsume::subsumes;
 use psa::rsg::{builder, Level, NodeId, Rsg, ShapeCtx};
 use psa_cfront::types::{SelectorId, StructId};
@@ -112,9 +112,9 @@ proptest! {
     #[test]
     fn worklist_prune_matches_reference(g in arb_rsg(), muts in proptest::collection::vec((any::<u8>(), any::<u8>(), 0u8..2), 0..6)) {
         // Inject property/link violations so the rules actually fire, then
-        // require the seeded-worklist prune and the whole-graph rescan
-        // reference to produce bit-identical results (same `Option`, same
-        // node slots, same links, same properties).
+        // require PRUNE and the test-only copy of its earlier rescan
+        // (`reference::prune`) to produce bit-identical results (same
+        // `Option`, same node slots, same links, same properties).
         let mut g = g;
         for (kind, x, s) in muts {
             let ids: Vec<_> = g.node_ids().collect();
@@ -135,19 +135,21 @@ proptest! {
                 }
             }
         }
-        let fast = prune_with(&g, false);
-        let reference = prune_with(&g, true);
-        prop_assert_eq!(fast, reference, "worklist PRUNE must be bit-identical to the rescan reference");
+        prop_assert_eq!(prune(&g), reference::prune(&g), "PRUNE must be bit-identical to the rescan reference");
     }
 
     #[test]
     fn worklist_prune_matches_reference_after_divide(g in arb_rsg()) {
-        // Division exercises the post-operation seeding (removed links,
-        // promoted must-sets) that the synthetic mutations above do not.
-        for reference in [false, true] {
-            let parts = psa::rsg::divide::divide_with(&g, PvarId(0), SelectorId(0), reference);
-            let other = psa::rsg::divide::divide_with(&g, PvarId(0), SelectorId(0), !reference);
-            prop_assert_eq!(parts, other, "divide output must not depend on the prune path");
+        // Division removes links and promotes must-sets before it prunes,
+        // which leaves garbage and rule premises the synthetic mutations
+        // above do not: DIVIDE through PRUNE must match DIVIDE through the
+        // rescan reference.
+        for sel in [SelectorId(0), SelectorId(1)] {
+            prop_assert_eq!(
+                divide(&g, PvarId(0), sel),
+                reference::divide(&g, PvarId(0), sel),
+                "divide output must match the rescan reference"
+            );
         }
     }
 
@@ -283,16 +285,144 @@ fn bind_alias(mut g: Rsg, x: u8) -> Rsg {
     g
 }
 
-/// Test-only copies of the reduction kernels as they were before they
-/// were rewritten: COMPATIBLE over whole-graph SPATHs and alias-class
-/// maps, COMPRESS partitioning through a `BTreeMap`, JOIN through a
-/// disjoint union and a union-find, each MERGE_NODES written out. The
+/// Test-only copies of the kernels as they were before they were
+/// rewritten: COMPATIBLE over whole-graph SPATHs and alias-class maps,
+/// COMPRESS partitioning through a `BTreeMap`, JOIN through a disjoint
+/// union and a union-find, each MERGE_NODES written out, and PRUNE as a
+/// rescan that collects garbage every round (with DIVIDE over it). The
 /// kernels must match them bit for bit.
 mod reference {
     use psa::ir::PvarId;
     use psa::rsg::spath::{self, SPath};
     use psa::rsg::{CycleSet, Level, Node, NodeId, Rsg, SelSet};
+    use psa_cfront::types::SelectorId;
     use std::collections::BTreeMap;
+
+    fn check_link_rules(
+        g: &Rsg,
+        a: NodeId,
+        sel: SelectorId,
+        b: NodeId,
+        doomed: &mut Vec<(NodeId, SelectorId, NodeId)>,
+    ) {
+        let na = g.node(a);
+        let nb = g.node(b);
+        if !na.may_selout().contains(sel) || !nb.may_selin().contains(sel) {
+            doomed.push((a, sel, b));
+            return;
+        }
+        let cyc_bad = na
+            .cyclelinks
+            .iter()
+            .any(|(s1, s2)| s1 == sel && !g.has_link(b, s2, a));
+        if cyc_bad {
+            doomed.push((a, sel, b));
+        }
+    }
+
+    fn rule4_at(
+        g: &Rsg,
+        present: &[bool],
+        n: NodeId,
+        doomed: &mut Vec<(NodeId, SelectorId, NodeId)>,
+    ) {
+        if g.node(n).summary {
+            return;
+        }
+        let in_links = g.in_links(n);
+        for &(a, sel) in in_links {
+            if !g.is_definite_link_with(present, a, sel, n) {
+                continue;
+            }
+            if !g.node(n).shsel.contains(sel) {
+                for &(b, s2) in in_links {
+                    if s2 == sel && b != a {
+                        doomed.push((b, s2, n));
+                    }
+                }
+            }
+            if !g.node(n).shared {
+                for &(b, s2) in in_links {
+                    if (b, s2) != (a, sel) {
+                        doomed.push((b, s2, n));
+                    }
+                }
+            }
+        }
+    }
+
+    fn rule1_fires(g: &Rsg, n: NodeId) -> bool {
+        let nd = g.node(n);
+        nd.selout.iter().any(|sel| g.succs(n, sel).is_empty())
+            || nd.selin.iter().any(|sel| g.preds(n, sel).is_empty())
+    }
+
+    pub fn prune(g: &Rsg) -> Option<Rsg> {
+        let mut g = g.clone();
+        loop {
+            let mut changed = false;
+            let mut doomed_links: Vec<(NodeId, SelectorId, NodeId)> = Vec::new();
+            for (a, sel, b) in g.links() {
+                check_link_rules(&g, a, sel, b, &mut doomed_links);
+            }
+            let present = g.present_nodes();
+            for n in g.node_ids().collect::<Vec<_>>() {
+                rule4_at(&g, &present, n, &mut doomed_links);
+            }
+            doomed_links.sort_unstable();
+            doomed_links.dedup();
+            for (a, sel, b) in doomed_links {
+                if g.remove_link(a, sel, b) {
+                    changed = true;
+                }
+            }
+            let doomed_nodes: Vec<NodeId> = g.node_ids().filter(|&n| rule1_fires(&g, n)).collect();
+            for n in doomed_nodes {
+                if !g.pvars_of(n).is_empty() {
+                    return None;
+                }
+                g.remove_node(n);
+                changed = true;
+            }
+            if g.gc() > 0 {
+                changed = true;
+            }
+            if !changed {
+                return Some(g);
+            }
+        }
+    }
+
+    pub fn divide(g: &Rsg, x: PvarId, sel: SelectorId) -> Vec<Rsg> {
+        let Some(n) = g.pl(x) else {
+            return vec![g.clone()];
+        };
+        let succs = g.succs(n, sel);
+        let must = g.node(n).selout.contains(sel);
+        let mut out = Vec::new();
+        for target in succs {
+            let mut gi = g.clone();
+            for other in succs {
+                if other != target {
+                    gi.remove_link(n, sel, other);
+                }
+            }
+            gi.node_mut(n).set_must_out(sel);
+            if !gi.node(target).summary {
+                gi.node_mut(target).set_must_in(sel);
+            }
+            out.extend(prune(&gi));
+        }
+        if !must {
+            let mut gn = g.clone();
+            for other in succs {
+                gn.remove_link(n, sel, other);
+            }
+            gn.node_mut(n).clear_out(sel);
+            out.extend(prune(&gn));
+        }
+        out
+    }
 
     fn alias_classes(g: &Rsg) -> Vec<Vec<PvarId>> {
         let mut by_node: BTreeMap<NodeId, Vec<PvarId>> = BTreeMap::new();
