@@ -322,8 +322,9 @@ fn print_op_stats(ops: &psa_core::stats::OpStats) {
         ops.cache_hit_rate() * 100.0
     );
     println!(
-        "  interner: {} distinct forms ({} hits, {} misses); memo table: {} pairs",
-        ops.interner_size, ops.intern_hits, ops.intern_misses, ops.cache_size
+        "  interner: {} distinct forms, {} canonical bytes ({} hits, {} misses); \
+         memo table: {} pairs",
+        ops.interner_size, ops.interner_bytes, ops.intern_hits, ops.intern_misses, ops.cache_size
     );
     println!(
         "  transfer memo: {} queries — {} hits, {} misses ({:.1}% hit rate); {} entries",

@@ -324,6 +324,51 @@ fn budget_nodes_in_recursive_callee_stops_soundly() {
     );
 }
 
+/// `main` with `n` independent branches that each may bind one more pvar,
+/// and no statement after the last one: 2^n graphs meet only at the last
+/// join block's input and the exit set.
+fn fan_out(n: usize) -> String {
+    let mut src = String::from("struct node { struct node *nxt; };\nint main() {\n");
+    for i in 0..n {
+        src += &format!("    struct node *p{i};\n");
+    }
+    src += "    int k;\n";
+    for i in 0..n {
+        src += &format!(
+            "    if (k > {i}) {{ p{i} = (struct node *) malloc(sizeof(struct node)); }}\n"
+        );
+    }
+    src + "    return 0;\n}\n"
+}
+
+#[test]
+fn graph_caps_see_the_last_join() {
+    // 1 024 graphs: the hard cap (512) trips before the soft cap of 600.
+    let f = write_tmp("fan_out_10.c", &fan_out(10));
+    let out = psa()
+        .args(["analyze", f.to_str().unwrap(), "--budget-rsgs", "600"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("RSRSG grew to 1024 graphs (limit 512)"),
+        "{stderr}"
+    );
+    // 512 graphs: under the hard cap, over a soft cap of 300.
+    let f = write_tmp("fan_out_9.c", &fan_out(9));
+    let out = psa()
+        .args(["analyze", f.to_str().unwrap(), "--budget-rsgs", "300"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("stopped early: RSRSG reached 512 graphs (soft cap 300)"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn budget_json_carries_degradation_fields() {
     let out = psa()

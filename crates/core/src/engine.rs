@@ -51,7 +51,8 @@ const WIDEN_CAP: usize = 12;
 /// never trip).
 const MAX_ITERATIONS: usize = 100_000;
 
-/// Graphs in one statement's RSRSG before a run gives up with
+/// Graphs in one RSRSG (a statement's output, a block's input after
+/// widening, or the exit set) before a run gives up with
 /// [`BudgetKind::Graphs`]. The widening ([`WIDEN_CAP`]) joins only members
 /// with equal pinning signatures, so only members that differ in them
 /// accumulate this far.
@@ -98,8 +99,8 @@ pub enum BudgetKind {
         /// The configured limit.
         limit: usize,
     },
-    /// A statement's RSRSG exceeded the engine's hard graph-count cap
-    /// (`MAX_GRAPHS`, 512).
+    /// An RSRSG (a statement's output, a block's input or the exit set)
+    /// exceeded the engine's hard graph-count cap (`MAX_GRAPHS`, 512).
     Graphs {
         /// How many graphs accumulated.
         graphs: usize,
@@ -112,7 +113,8 @@ pub enum BudgetKind {
         /// Iterations executed.
         iterations: usize,
     },
-    /// A statement's RSRSG reached the soft cap [`Budget::max_rsgs`].
+    /// An RSRSG (a statement's output, a block's input or the exit set)
+    /// exceeded the soft cap [`Budget::max_rsgs`].
     Rsgs {
         /// How many graphs accumulated.
         graphs: usize,
@@ -261,7 +263,10 @@ pub enum AnalysisError {
     BudgetExceeded {
         /// Which cap, with its observed and configured values.
         which: BudgetKind,
-        /// The statement being transferred, when the cap is per-statement.
+        /// Where the cap tripped, when it is per program point: the
+        /// statement being transferred, or the first statement of the
+        /// block whose input grew past the graph cap. `None` for the exit
+        /// set and for run-wide caps.
         at_stmt: Option<StmtId>,
     },
     /// The engine panicked; the panic was contained at the `run()` boundary
@@ -568,6 +573,22 @@ impl<'a> Engine<'a> {
         };
         let mut degraded = vec![false; nstmts];
         let mut stopped: Option<BudgetKind> = None;
+        // Both graph caps, on every RSRSG the run stores (a statement's
+        // output, a block's input after widening, the exit set): the hard
+        // cap is an error naming `at`, the soft cap a stop to journal.
+        let graph_caps = |graphs: usize, at: Option<StmtId>| {
+            if graphs > MAX_GRAPHS {
+                let which = BudgetKind::Graphs {
+                    graphs,
+                    limit: MAX_GRAPHS,
+                };
+                return Err(AnalysisError::budget(which, at));
+            }
+            Ok(budget
+                .max_rsgs
+                .filter(|&limit| graphs > limit)
+                .map(|limit| BudgetKind::Rsgs { graphs, limit }))
+        };
 
         // Engine state is interned: per-point vectors of canonical ids
         // instead of deep-cloned RSRSGs. Graphs are materialized from the
@@ -666,28 +687,15 @@ impl<'a> Engine<'a> {
                         tracer.instant(TraceKind::ForceCompress, sid.0 as u64, 0);
                     }
                 }
-                if cur.len() > MAX_GRAPHS {
-                    return Err(AnalysisError::budget(
-                        BudgetKind::Graphs {
-                            graphs: cur.len(),
-                            limit: MAX_GRAPHS,
-                        },
-                        Some(sid),
-                    ));
-                }
                 // Soft stops, first match wins: an interprocedural give-up
                 // at this statement (the call passed its input through,
                 // sound only under the stopped discipline), the RSG cap,
                 // then the deadline, which the fold loop polls mid-statement.
+                // The hard graph cap is checked before any of them.
+                let rsgs = graph_caps(cur.len(), Some(sid))?;
                 stopped = interproc
                     .map(|reason| BudgetKind::Interproc { reason })
-                    .or_else(|| {
-                        let graphs = cur.len();
-                        budget
-                            .max_rsgs
-                            .filter(|&limit| graphs > limit)
-                            .map(|limit| BudgetKind::Rsgs { graphs, limit })
-                    })
+                    .or(rsgs)
                     .or_else(deadline_stop)
                     .map(journal);
                 stats.max_graphs_per_stmt = stats.max_graphs_per_stmt.max(cur.len());
@@ -743,6 +751,12 @@ impl<'a> Engine<'a> {
                 }
                 Terminator::Return => {
                     exit.union_with(&cur, &self.ctx, level);
+                    // Nothing is downstream of the exit set: a soft stop
+                    // here leaves only the pending blocks stale.
+                    stopped = graph_caps(exit.len(), None)?.map(journal);
+                    if stopped.is_some() {
+                        break;
+                    }
                     vec![]
                 }
             };
@@ -770,12 +784,23 @@ impl<'a> Engine<'a> {
                     succ_in.widen(&self.ctx, level, WIDEN_CAP);
                     changed = succ_in.sorted_ids() != before || changed;
                 }
+                let first_stmt = self.ir.block(succ).stmts.first().copied();
+                stopped = graph_caps(succ_in.len(), first_stmt)?.map(journal);
                 charge(&mut in_bytes[si], &mut live_in, succ_in.approx_bytes());
                 block_in_ids[si] = succ_in.canon_ids();
+                if stopped.is_some() {
+                    // The capped input's block is stale, and so is every
+                    // successor still waiting for its contribution.
+                    worklist.extend(block.term.successors());
+                    break;
+                }
                 if changed && !on_list[si] {
                     on_list[si] = true;
                     worklist.insert(succ);
                 }
+            }
+            if stopped.is_some() {
+                break;
             }
         }
 
@@ -1212,6 +1237,75 @@ mod tests {
             }) => assert_eq!((graphs, limit), (1024, MAX_GRAPHS)),
             other => panic!("expected BudgetExceeded(Graphs) at st10, got {other:?}"),
         }
+    }
+
+    /// `main` with `n` independent branches that each may bind one more
+    /// pvar (2^n pinning signatures the widening cannot join), then `tail`
+    /// and `return 0;`.
+    fn fan_out_src(n: usize, tail: &str) -> String {
+        let mut src = String::from("struct node { struct node *nxt; };\nint main() {\n");
+        for i in 0..n {
+            src += &format!("    struct node *p{i};\n");
+        }
+        src += "    int k;\n";
+        for i in 0..n {
+            src += &format!(
+                "    if (k > {i}) {{ p{i} = (struct node *) malloc(sizeof(struct node)); }}\n"
+            );
+        }
+        src + tail + "    return 0;\n}\n"
+    }
+
+    #[test]
+    fn graph_cap_sees_graphs_past_the_last_statement() {
+        // No statement follows the last branch: only its join block's
+        // input and the exit set hold all 1 024 graphs.
+        let (p, t) = parse_and_type(&fan_out_src(10, "")).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
+        match Engine::new(&ir, EngineConfig::at_level(Level::L1)).run() {
+            Err(AnalysisError::BudgetExceeded {
+                which: BudgetKind::Graphs { graphs, limit },
+                ..
+            }) => assert_eq!((graphs, limit), (1024, MAX_GRAPHS)),
+            other => panic!("expected BudgetExceeded(Graphs), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rsg_cap_sees_block_inputs() {
+        // 512 graphs meet only at the last join block's input: the soft
+        // cap stops the run there, journals one `cancel`, and marks no
+        // statement before the last branch.
+        let (p, t) = parse_and_type(&fan_out_src(9, "")).unwrap();
+        let ir = lower_program(&p, &t, "main").unwrap();
+        let cfg = EngineConfig {
+            level: Level::L1,
+            budget: Budget {
+                max_rsgs: Some(300),
+                ..Budget::default()
+            },
+        };
+        let engine = Engine::new(&ir, cfg);
+        engine.ctx().tables.tracer.enable();
+        let res = engine.run().unwrap();
+        assert_eq!(
+            res.stopped,
+            Some(BudgetKind::Rsgs {
+                graphs: 512,
+                limit: 300
+            })
+        );
+        assert!(res.exit.is_empty(), "the stop precedes the exit union");
+        assert!(!res.degraded.iter().any(|&d| d), "{:?}", res.degraded);
+        let cancels = engine
+            .ctx()
+            .tables
+            .tracer
+            .drain()
+            .into_iter()
+            .filter(|e| e.kind == psa_rsg::TraceKind::Cancel)
+            .count();
+        assert_eq!(cancels, 1);
     }
 
     #[test]

@@ -308,6 +308,7 @@ impl Server {
         let mut j = Json::obj();
         j.set("requests", totals.requests);
         j.set("interner_size", sizes.interner_size);
+        j.set("interner_bytes", sizes.interner_bytes);
         j.set("subsume_entries", sizes.cache_size);
         j.set("transfer_entries", sizes.transfer_cache_size);
         j.set("ops", ops_to_json(&totals.ops));

@@ -37,7 +37,7 @@ pub use func::{
     Block, BlockId, CallArg, CallScalarArg, CallStmt, CalleeFunc, Cond, FuncIr, LoopId, LoopInfo,
     PtrStmt, PvarId, PvarInfo, ScalarId, Stmt, StmtId, StmtInfo, Terminator,
 };
-pub use hash::{fnv1a, splitmix64};
+pub use hash::{fnv1a, splitmix64, word_hash, WordBuildHasher, WordHasher};
 pub use lower::{lower_program, LowerError};
 
 #[cfg(test)]

@@ -6,21 +6,22 @@
 //! selectors are globally named and fixed).
 //!
 //! One search computes the canonical labelling. Node colors are u64
-//! hashes, seeded from each node's full property vector and the pvars
-//! pointing at it, then refined Weisfeiler–Leman style (each round folds a
-//! node's color with its hash-sorted `(direction, selector, neighbor
-//! color)` terms) until the partition is discrete or stops splitting. A
-//! discrete partition ranks nodes by hash. A stalled one (a symmetry or a
-//! hash collision) individualizes each member of its smallest tied class
-//! in turn with a fresh color and recurses; the lexicographically smallest
-//! serialization wins. After COMPRESS an RSG's nodes are pairwise
+//! hashes, seeded from each node's property fields and the pvars pointing
+//! at it, then refined Weisfeiler–Leman style (each round folds a node's
+//! color with its hash-sorted `(direction, selector, neighbor color)`
+//! terms) until the partition is discrete or stops splitting. A discrete
+//! partition ranks nodes by hash. A stalled one (a symmetry or a hash
+//! collision) individualizes each member of its smallest tied class in
+//! turn with a fresh color and recurses; the lexicographically smallest
+//! encoding wins. After COMPRESS an RSG's nodes are pairwise
 //! property-distinct, so the search almost never branches.
 //!
 //! Colors depend on node ids only through id-independent inputs, and the
 //! branch tries every member of a class chosen by hash value, so the result
 //! is isomorphism-invariant; a collision only merges classes, which moves
-//! an individualization earlier. The bytes serialize the whole graph under
-//! a total node order, so equal bytes imply isomorphic graphs. Past
+//! an individualization earlier. The bytes encode the whole graph under a
+//! total node order in a self-delimiting varint layout (see
+//! [`canonical_bytes`]), so equal bytes imply isomorphic graphs. Past
 //! `MAX_INDIVIDUALIZE_DEPTH`, ties are ranked by node id: isomorphic graphs
 //! may then compare unequal (one extra engine iteration), never the
 //! reverse. The working set lives in a reused thread-local `CanonScratch`,
@@ -29,18 +30,15 @@
 
 use crate::graph::Rsg;
 use crate::node::NodeId;
-use psa_ir::{fnv1a, splitmix64 as mix};
+use psa_ir::{splitmix64 as mix, WordHasher};
 use std::cell::RefCell;
+use std::hash::Hasher;
 
 /// Reusable buffers for canonicalization.
 #[derive(Default)]
 struct CanonScratch {
     /// Live node ids of the graph being encoded, ascending.
     ids: Vec<NodeId>,
-    /// Flat arena of initial-color bytes, one span per node in `ids` order.
-    init_bytes: Vec<u8>,
-    /// `(start, end)` byte offsets into `init_bytes`, parallel to `ids`.
-    init_spans: Vec<(u32, u32)>,
     /// Current hash colors, indexed by raw node id.
     h: Vec<u64>,
     /// Next-iteration hash colors.
@@ -61,8 +59,22 @@ thread_local! {
     static SCRATCH: RefCell<CanonScratch> = RefCell::new(CanonScratch::default());
 }
 
-/// A canonical byte serialization: equal bytes ⇔ isomorphic graphs (over
-/// fixed pvar/selector universes).
+/// A canonical byte encoding: equal bytes ⇔ isomorphic graphs (over fixed
+/// pvar/selector universes).
+///
+/// Every number is an unsigned LEB128 varint (7 bits per byte, the high bit
+/// set on all but the last), so the encoding is self-delimiting:
+///
+/// * the node count, then the pvar-slot count;
+/// * one record per node in rank order: TYPE, one flag byte (bit 0 SHARED,
+///   bit 1 summary), the SHSEL, SELIN, SELOUT, posSELIN and posSELOUT
+///   masks, then CYCLELINKS and TOUCH, each a count and its entries;
+/// * the link count, then the sorted `(source rank, selector, target rank)`
+///   triples;
+/// * the PL count, then `(pvar, rank)` pairs in pvar order;
+/// * the scalar count, then `(variable, zigzag value)` pairs.
+///
+/// The empty graph uses the same layout with zero nodes.
 pub fn canonical_bytes(g: &Rsg) -> Vec<u8> {
     SCRATCH.with(|s| match s.try_borrow_mut() {
         Ok(mut scratch) => canonical_bytes_scratch(g, &mut scratch),
@@ -75,65 +87,46 @@ pub fn canonical_bytes(g: &Rsg) -> Vec<u8> {
 fn canonical_bytes_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     s.ids.clear();
     s.ids.extend(g.node_ids());
-    if s.ids.is_empty() {
-        let mut out = b"empty;".to_vec();
-        // Even an empty graph records which pvars are NULL (none bound)
-        // and the known scalar facts.
-        out.extend_from_slice(&(g.num_pvar_slots() as u32).to_le_bytes());
-        for (v, k) in g.scalars() {
-            out.extend_from_slice(&v.to_le_bytes());
-            out.extend_from_slice(&k.to_le_bytes());
-        }
-        return out;
-    }
     seed_colors(g, s);
     search(g, s, 0)
 }
 
-/// Write the initial colors of `s.ids` into the flat arena (one span per
-/// node) and seed `s.h` with their hashes.
+/// Salt of a pvar folded into the seed color of the node it points at.
+const PVAR_SEED: u64 = 0x9F1A_5EED_0000_0000;
+
+/// Seed `s.h` for the nodes in `s.ids`: a word hash of each node's
+/// property fields, then each bound pvar folded into its node's color in
+/// pvar order.
 fn seed_colors(g: &Rsg, s: &mut CanonScratch) {
-    s.init_bytes.clear();
-    s.init_spans.clear();
     s.h.clear();
     s.h.resize(s.ids.last().map_or(0, |id| id.0 as usize + 1), 0);
     for &id in &s.ids {
-        let start = s.init_bytes.len();
-        initial_color_into(g, id, &mut s.init_bytes);
-        s.init_spans.push((start as u32, s.init_bytes.len() as u32));
-        s.h[id.0 as usize] = mix(fnv1a(&s.init_bytes[start..]));
+        let nd = g.node(id);
+        let mut w = WordHasher::default();
+        w.write_u32(nd.ty.0);
+        w.write_u8(nd.shared as u8 | (nd.summary as u8) << 1);
+        for set in [nd.shsel, nd.selin, nd.selout, nd.pos_selin, nd.pos_selout] {
+            w.write_u64(set.0);
+        }
+        w.write_usize(nd.cyclelinks.len());
+        for (a, b) in nd.cyclelinks.iter() {
+            w.write_u64(u64::from(a.0) << 32 | u64::from(b.0));
+        }
+        w.write_usize(nd.touch.len());
+        for p in nd.touch.iter() {
+            w.write_u32(p.0);
+        }
+        s.h[id.0 as usize] = w.finish();
+    }
+    for (p, n) in g.pl_iter() {
+        let h = &mut s.h[n.0 as usize];
+        *h = mix(*h ^ PVAR_SEED ^ u64::from(p.0));
     }
 }
 
 /// Are two graphs isomorphic (as RSGs)?
 pub fn isomorphic(a: &Rsg, b: &Rsg) -> bool {
     canonical_bytes(a) == canonical_bytes(b)
-}
-
-/// Append a node's initial color to `c`: every property plus the sorted
-/// pvar set pointing at it.
-fn initial_color_into(g: &Rsg, n: NodeId, c: &mut Vec<u8>) {
-    let nd = g.node(n);
-    c.extend_from_slice(&nd.ty.0.to_le_bytes());
-    c.push(nd.shared as u8);
-    c.push(nd.summary as u8);
-    c.extend_from_slice(&nd.shsel.0.to_le_bytes());
-    c.extend_from_slice(&nd.selin.0.to_le_bytes());
-    c.extend_from_slice(&nd.selout.0.to_le_bytes());
-    c.extend_from_slice(&nd.pos_selin.0.to_le_bytes());
-    c.extend_from_slice(&nd.pos_selout.0.to_le_bytes());
-    for (a, b) in nd.cyclelinks.iter() {
-        c.extend_from_slice(&a.0.to_le_bytes());
-        c.extend_from_slice(&b.0.to_le_bytes());
-    }
-    c.push(0xfe);
-    for p in nd.touch.iter() {
-        c.extend_from_slice(&p.0.to_le_bytes());
-    }
-    c.push(0xfd);
-    for p in g.pvars_of(n) {
-        c.extend_from_slice(&p.0.to_le_bytes());
-    }
 }
 
 /// Nested individualizations before ties are ranked by node id.
@@ -248,22 +241,43 @@ fn rank_by_color(s: &mut CanonScratch) {
     }
 }
 
-/// The canonical-form writer: nodes in `order`, initial-color bytes from
-/// the flat arena, link/pvar ranks from the dense `rank` vector
+/// Append `v` to `out` as an unsigned LEB128 varint.
+fn put(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// The canonical-form writer ([`canonical_bytes`] documents the layout):
+/// nodes in `order`, link and pvar ranks from the dense `rank` vector
 /// ([`rank_by_color`] fills both).
 fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
     let (order, rank, links) = (&s.order, &s.rank, &mut s.links);
-    let mut out = Vec::with_capacity(order.len() * 48);
-    out.extend_from_slice(&(order.len() as u32).to_le_bytes());
+    let mut out = Vec::with_capacity(8 + order.len() * 12 + g.num_links() * 3);
+    put(&mut out, order.len() as u64);
     // The slot count is part of the form even when the trailing slots are
     // unbound: the shared interner serves many universes (the warm
     // daemon), and the minted representative's PL vector must
     // be indexable by every pvar of the universe that interned it.
-    out.extend_from_slice(&(g.num_pvar_slots() as u32).to_le_bytes());
+    put(&mut out, g.num_pvar_slots() as u64);
     for &i in order.iter() {
-        let (a, b) = s.init_spans[i as usize];
-        out.extend_from_slice(&s.init_bytes[a as usize..b as usize]);
-        out.push(0xFF);
+        let nd = g.node(s.ids[i as usize]);
+        put(&mut out, u64::from(nd.ty.0));
+        out.push(nd.shared as u8 | (nd.summary as u8) << 1);
+        for set in [nd.shsel, nd.selin, nd.selout, nd.pos_selin, nd.pos_selout] {
+            put(&mut out, set.0);
+        }
+        put(&mut out, nd.cyclelinks.len() as u64);
+        for (a, b) in nd.cyclelinks.iter() {
+            put(&mut out, u64::from(a.0));
+            put(&mut out, u64::from(b.0));
+        }
+        put(&mut out, nd.touch.len() as u64);
+        for p in nd.touch.iter() {
+            put(&mut out, u64::from(p.0));
+        }
     }
     links.clear();
     links.extend(
@@ -271,20 +285,21 @@ fn serialize_from_scratch(g: &Rsg, s: &mut CanonScratch) -> Vec<u8> {
             .map(|(a, sl, b)| (rank[a.0 as usize], sl.0, rank[b.0 as usize])),
     );
     links.sort_unstable();
+    put(&mut out, links.len() as u64);
     for &(a, sl, b) in links.iter() {
-        out.extend_from_slice(&a.to_le_bytes());
-        out.extend_from_slice(&sl.to_le_bytes());
-        out.extend_from_slice(&b.to_le_bytes());
+        put(&mut out, u64::from(a));
+        put(&mut out, u64::from(sl));
+        put(&mut out, u64::from(b));
     }
-    out.push(0xFC);
+    put(&mut out, g.pl_iter().count() as u64);
     for (p, n) in g.pl_iter() {
-        out.extend_from_slice(&p.0.to_le_bytes());
-        out.extend_from_slice(&rank[n.0 as usize].to_le_bytes());
+        put(&mut out, u64::from(p.0));
+        put(&mut out, u64::from(rank[n.0 as usize]));
     }
-    out.push(0xFB);
-    for (v, k) in g.scalars() {
-        out.extend_from_slice(&v.to_le_bytes());
-        out.extend_from_slice(&k.to_le_bytes());
+    put(&mut out, g.scalars().len() as u64);
+    for (&v, &k) in g.scalars() {
+        put(&mut out, u64::from(v));
+        put(&mut out, ((k << 1) ^ (k >> 63)) as u64);
     }
     out
 }

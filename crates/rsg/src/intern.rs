@@ -10,7 +10,7 @@
 //! * [`Interner`] — a run-wide table mapping canonical bytes to a compact
 //!   [`CanonId`], so duplicate detection is a hash lookup and an RSRSG
 //!   member carries a 16-byte [`CanonEntry`]: the id plus its two pinning
-//!   keys. The dedup index holds the only copy of the canonical bytes.
+//!   keys. Each minted form keeps the only copy of its canonical bytes.
 //!   Each entry also retains a representative of its canonical form (the
 //!   caller's `Arc<Rsg>` that minted it, shared rather than copied), so an
 //!   id can be resolved back into a graph — this is what lets the engine
@@ -49,11 +49,14 @@
 //! lock-striped map, `Striped`: entries are distributed over
 //! `STRIPES` segments by key hash, each behind its own `Mutex`, so
 //! concurrent serve requests interning or memoizing different keys do not
-//! convoy on one global lock. The interner additionally resolves ids
-//! **without any lock**: minted entries go into an append-only segmented
-//! slab of `OnceLock` slots, filled *before* the id is published (inserted
-//! into the dedup index / returned to a caller), so every id a reader can
-//! legitimately hold names an already-initialized slot.
+//! convoy on one global lock. Every map hashes with [`WordBuildHasher`],
+//! and the interner hashes each canonical byte string once, with
+//! [`word_hash`]: that one value picks the stripe and is the map's key.
+//! The interner additionally resolves ids **without any lock**: minted
+//! entries go into an append-only segmented slab of `OnceLock` slots,
+//! filled *before* the id is published (inserted into the dedup index /
+//! returned to a caller), so every id a reader can legitimately hold names
+//! an already-initialized slot.
 //!
 //! Every stripe-lock acquisition goes through `Striped::lock`: an
 //! uncontended `try_lock` costs nothing extra, while a contended fall-back
@@ -69,7 +72,7 @@ use crate::ctx::Level;
 use crate::graph::Rsg;
 use crate::subsume::{embedding_stage, pinned_stage, subsumes};
 use crate::trace::{TraceKind, Tracer};
-use psa_ir::{fnv1a, splitmix64 as mix};
+use psa_ir::{splitmix64 as mix, word_hash, WordBuildHasher};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -185,7 +188,7 @@ impl PinSignature {
     /// 32-bit hash of the full signature [`PinSignature::bytes`]: graphs
     /// with different keys have different signatures.
     pub fn sig_key(&self) -> u32 {
-        let h = mix(fnv1a(&self.bytes));
+        let h = word_hash(&self.bytes);
         (h ^ (h >> 32)) as u32
     }
 }
@@ -226,6 +229,12 @@ impl CanonEntry {
 struct InternedForm {
     entry: CanonEntry,
     graph: Arc<Rsg>,
+    /// The form's canonical bytes: the interner's only copy.
+    bytes: Box<[u8]>,
+    /// The form minted before this one under the same byte hash: the next
+    /// link of the hash's collision chain, which the dedup index enters
+    /// at its newest form.
+    same_hash: Option<CanonId>,
 }
 
 /// One lazily materialized slab segment of published forms.
@@ -237,6 +246,9 @@ const SLAB_SEG_LEN: usize = 1 << 10;
 /// above any real run; exceeding it is a hard panic, not silent loss.
 const SLAB_MAX_SEGS: usize = 1 << 12;
 
+/// A [`WordBuildHasher`] map: the shape of every shared table.
+type WordMap<K, V> = HashMap<K, V, WordBuildHasher>;
+
 /// A hash map split over [`STRIPES`] mutex-guarded stripes, picked by a
 /// mixed 64-bit key hash, so threads touching different keys do not convoy
 /// on one lock. The interner's dedup index and the three memos are instances;
@@ -244,14 +256,14 @@ const SLAB_MAX_SEGS: usize = 1 << 12;
 #[derive(Debug)]
 pub(crate) struct Striped<K, V> {
     table: LockTable,
-    stripes: Box<[Mutex<HashMap<K, V>>]>,
+    stripes: Box<[Mutex<WordMap<K, V>>]>,
 }
 
 impl<K: Eq + Hash, V> Striped<K, V> {
     fn new(table: LockTable) -> Self {
         Striped {
             table,
-            stripes: (0..STRIPES).map(|_| Mutex::new(HashMap::new())).collect(),
+            stripes: (0..STRIPES).map(|_| Mutex::default()).collect(),
         }
     }
 
@@ -268,7 +280,7 @@ impl<K: Eq + Hash, V> Striped<K, V> {
         hash: u64,
         metrics: &OpMetrics,
         tracer: &Tracer,
-    ) -> MutexGuard<'_, HashMap<K, V>> {
+    ) -> MutexGuard<'_, WordMap<K, V>> {
         let stripe = &self.stripes[(mix(hash) & (STRIPES as u64 - 1)) as usize];
         match stripe.try_lock() {
             Ok(g) => return g,
@@ -293,14 +305,17 @@ impl<K: Eq + Hash, V> Striped<K, V> {
 
 /// Run-wide hash-consing table for canonical forms.
 ///
-/// The dedup index is a `Striped` map keyed by the canonical bytes, and
-/// holds the only copy of them; id → entry resolution is lock-free through
-/// an append-only segmented slab whose slots are filled before their ids
-/// are published. Graphs are interned through [`SharedTables::intern`].
+/// The dedup index is a `Striped` map from the [`word_hash`] of the
+/// canonical bytes to the newest form minted under that hash; the forms
+/// themselves, bytes included, live in an append-only segmented slab
+/// whose slots are filled before their ids are published, so id → entry
+/// resolution is lock-free. Forms whose bytes share a hash are chained
+/// through `InternedForm::same_hash`, and a lookup compares bytes along
+/// the chain. Graphs are interned through [`SharedTables::intern`].
 #[derive(Debug)]
 pub struct Interner {
-    /// `canonical bytes → id`, striped by byte hash.
-    index: Striped<Box<[u8]>, u32>,
+    /// `byte hash → newest id under it`, striped by that hash.
+    index: Striped<u64, CanonId>,
     /// Append-only id → form slab. Segments materialize on demand; each
     /// slot is written exactly once, before its id escapes the minting
     /// thread, so readers never observe an empty slot for a valid id.
@@ -309,6 +324,9 @@ pub struct Interner {
     next: AtomicU32,
     /// Count of fully published entries (the `len()` gauge).
     published: AtomicU64,
+    /// Canonical bytes held, summed over minted forms (the `bytes()`
+    /// gauge).
+    stored_bytes: AtomicU64,
 }
 
 impl Default for Interner {
@@ -318,6 +336,7 @@ impl Default for Interner {
             segments: (0..SLAB_MAX_SEGS).map(|_| OnceLock::new()).collect(),
             next: AtomicU32::new(0),
             published: AtomicU64::new(0),
+            stored_bytes: AtomicU64::new(0),
         }
     }
 }
@@ -375,43 +394,54 @@ impl Interner {
     }
 
     /// The dedup-or-mint step behind [`SharedTables::intern`]; `bytes`
-    /// must be `canonical_bytes(g)`. A fresh id keeps a handle to `g`
-    /// itself as its representative graph, so the caller's graph and the
-    /// interner's share one node arena.
+    /// must be `canonical_bytes(g)` and `hash` its [`word_hash`] (a
+    /// parameter so tests can force a collision). A fresh id keeps a handle
+    /// to `g` itself as its representative graph, so the caller's graph and
+    /// the interner's share one node arena.
     fn intern_with_bytes(
         &self,
         g: &Arc<Rsg>,
         bytes: Vec<u8>,
+        hash: u64,
         metrics: &OpMetrics,
         tracer: &Tracer,
     ) -> CanonEntry {
-        let mut map = self.index.lock(fnv1a(&bytes), metrics, tracer);
-        if let Some(&id) = map.get(bytes.as_slice()) {
-            metrics.intern_hits.fetch_add(1, Ordering::Relaxed);
-            tracer.instant(TraceKind::InternHit, id as u64, 0);
-            self.entry(CanonId(id))
-        } else {
-            metrics.intern_misses.fetch_add(1, Ordering::Relaxed);
-            let id = self.next.fetch_add(1, Ordering::Relaxed);
-            tracer.instant(TraceKind::InternMiss, id as u64, 0);
-            let sig = PinSignature::of(g);
-            let entry = CanonEntry {
-                id: CanonId(id),
-                sig_key: sig.sig_key(),
-                pin_hash: sig.pin_hash,
-            };
-            // Fill-before-publish: the slab slot must be readable before
-            // the id appears in the map or escapes to the caller.
-            self.publish(
-                id,
-                InternedForm {
-                    entry,
-                    graph: Arc::clone(g),
-                },
-            );
-            map.insert(bytes.into_boxed_slice(), id);
-            entry
+        let mut map = self.index.lock(hash, metrics, tracer);
+        let newest = map.get(&hash).copied();
+        let mut chain = newest;
+        while let Some(id) = chain {
+            let form = self.form(id);
+            if *form.bytes == *bytes {
+                metrics.intern_hits.fetch_add(1, Ordering::Relaxed);
+                tracer.instant(TraceKind::InternHit, id.0 as u64, 0);
+                return form.entry;
+            }
+            chain = form.same_hash;
         }
+        metrics.intern_misses.fetch_add(1, Ordering::Relaxed);
+        let id = self.next.fetch_add(1, Ordering::Relaxed);
+        tracer.instant(TraceKind::InternMiss, id as u64, 0);
+        let sig = PinSignature::of(g);
+        let entry = CanonEntry {
+            id: CanonId(id),
+            sig_key: sig.sig_key(),
+            pin_hash: sig.pin_hash,
+        };
+        self.stored_bytes
+            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        // Fill-before-publish: the slab slot must be readable before the id
+        // appears in the map or escapes to the caller.
+        self.publish(
+            id,
+            InternedForm {
+                entry,
+                graph: Arc::clone(g),
+                bytes: bytes.into_boxed_slice(),
+                same_hash: newest,
+            },
+        );
+        map.insert(hash, CanonId(id));
+        entry
     }
 
     /// Number of distinct canonical forms interned so far. Lock-free.
@@ -422,6 +452,12 @@ impl Interner {
     /// True when nothing has been interned.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Canonical bytes held, summed over the forms minted so far.
+    /// Lock-free.
+    pub fn bytes(&self) -> usize {
+        self.stored_bytes.load(Ordering::Relaxed) as usize
     }
 
     /// The [`CanonEntry`] of an interned id. Lock-free.
@@ -699,6 +735,9 @@ op_metrics! {
     gauges {
         /// Distinct canonical forms interned (set at snapshot time).
         interner_size,
+        /// Canonical bytes the interner holds, summed over its minted
+        /// forms (set at snapshot time).
+        interner_bytes,
         /// Memoized subsumption pairs (set at snapshot time).
         cache_size,
         /// Memoized transfer triples (set at snapshot time).
@@ -770,7 +809,7 @@ impl OpStats {
 /// slots in transfer-memo keys. Ids mint densely in first-seen order.
 #[derive(Debug, Default)]
 pub struct KeyRegistry {
-    map: Mutex<HashMap<u64, u32>>,
+    map: Mutex<WordMap<u64, u32>>,
 }
 
 impl KeyRegistry {
@@ -825,7 +864,7 @@ pub struct SummaryEntry {
 /// [`CanonId`].
 #[derive(Debug, Default)]
 pub struct SummaryCache {
-    entries: Mutex<HashMap<(u64, u32, CanonId), SummaryEntry>>,
+    entries: Mutex<WordMap<(u64, u32, CanonId), SummaryEntry>>,
     /// Bumped on every entry change; the outermost fixpoint driver re-runs
     /// until a full round leaves the version untouched.
     version: AtomicU64,
@@ -1038,8 +1077,9 @@ impl SharedTables {
         let bytes = canonical_bytes(g);
         self.tracer
             .span_since(TraceKind::Canon, t0, bytes.len() as u64, 1);
+        let hash = word_hash(&bytes);
         self.interner
-            .intern_with_bytes(g, bytes, &self.metrics, &self.tracer)
+            .intern_with_bytes(g, bytes, hash, &self.metrics, &self.tracer)
     }
 
     /// The memoized verdict of `subsumes(general, specific)`, if any.
@@ -1161,6 +1201,9 @@ impl SharedTables {
             .interner_size
             .store(self.interner.len() as u64, Ordering::Relaxed);
         self.metrics
+            .interner_bytes
+            .store(self.interner.bytes() as u64, Ordering::Relaxed);
+        self.metrics
             .cache_size
             .store(self.subsume.len() as u64, Ordering::Relaxed);
         self.metrics
@@ -1198,6 +1241,30 @@ mod tests {
         assert_eq!(snap.intern_hits, 1);
         assert_eq!(snap.intern_misses, 2);
         assert_eq!(snap.interner_size, 2);
+        let held = canonical_bytes(&sll(3)).len() + canonical_bytes(&sll(4)).len();
+        assert_eq!(snap.interner_bytes, held as u64, "one copy per minted form");
+        assert_eq!(t.interner.bytes(), held);
+    }
+
+    #[test]
+    fn equal_hashes_keep_distinct_forms_apart() {
+        // Two non-isomorphic graphs filed under one forced hash share a
+        // stripe and an index key: the lookup compares bytes along the
+        // chain, so each graph keeps its own id and re-interning hits it.
+        let t = SharedTables::new();
+        let intern = |g: &Arc<Rsg>| {
+            t.interner
+                .intern_with_bytes(g, canonical_bytes(g), 42, &t.metrics, &t.tracer)
+        };
+        let (a, b) = (sll(3), sll(4));
+        assert_ne!(canonical_bytes(&a), canonical_bytes(&b));
+        let (ea, eb) = (intern(&a), intern(&b));
+        assert_ne!(ea.id, eb.id);
+        assert_eq!(intern(&sll(3)), ea, "the older form, behind the newest");
+        assert_eq!(intern(&sll(4)), eb, "the newest form, at the chain head");
+        let snap = t.snapshot();
+        assert_eq!((snap.intern_misses, snap.intern_hits), (2, 2));
+        assert_eq!(t.interner.len(), 2);
     }
 
     #[test]

@@ -48,81 +48,81 @@ fn exit_signature_hash(src: &str, level: Level) -> u64 {
 const PINS: &[(&str, u64, u64, u64)] = &[
     (
         "alias_copy.c",
-        0x91a2939e5ca14b9b,
-        0x91a2939e5ca14b9b,
-        0x91a2939e5ca14b9b,
+        0x4c46c781a23d945a,
+        0x4c46c781a23d945a,
+        0x4c46c781a23d945a,
     ),
     (
         "circular_pair.c",
-        0xa2d7b1d090a50df4,
-        0xa2d7b1d090a50df4,
-        0xa2d7b1d090a50df4,
+        0x4c91be6384149db6,
+        0x4c91be6384149db6,
+        0x4c91be6384149db6,
     ),
     (
         "cycle_break.c",
-        0x1265469da3aa3675,
-        0x1265469da3aa3675,
-        0x1265469da3aa3675,
+        0x88c2e9de39ccfc50,
+        0x88c2e9de39ccfc50,
+        0x88c2e9de39ccfc50,
     ),
     (
         "dead_cursor_leak.c",
-        0x084d9e4dba24dda1,
-        0xcd5d7a5b9b120555,
-        0xcd5d7a5b9b120555,
+        0x498a3e56bbb9e650,
+        0xd9e438f6d75cc8a4,
+        0xd9e438f6d75cc8a4,
     ),
     (
         "dll_fig1.c",
-        0x6f2f1792678362bb,
-        0x8c41185c641dfbae,
-        0x8c41185c641dfbae,
+        0xbdcc46ff97cd9369,
+        0x6a37f245f5bccb73,
+        0x6a37f245f5bccb73,
     ),
     (
         "free_then_null.c",
-        0x7fa9bdcc02f858b1,
-        0x7fa9bdcc02f858b1,
-        0x7fa9bdcc02f858b1,
+        0xa483f2715ced8cf8,
+        0xa483f2715ced8cf8,
+        0xa483f2715ced8cf8,
     ),
     (
         "list_unshared.c",
-        0x050b630e55e40657,
-        0x8367a16158190a10,
-        0x8367a16158190a10,
+        0x22dc6581e0cd640d,
+        0x1fa055cbb2596ad2,
+        0x1fa055cbb2596ad2,
     ),
     (
         "loop_site.c",
-        0x050b630e55e40657,
-        0x8367a16158190a10,
-        0x8367a16158190a10,
+        0x22dc6581e0cd640d,
+        0x1fa055cbb2596ad2,
+        0x1fa055cbb2596ad2,
     ),
     (
         "reach_chain.c",
-        0x1265469da3aa3675,
-        0x1265469da3aa3675,
-        0x1265469da3aa3675,
+        0x88c2e9de39ccfc50,
+        0x88c2e9de39ccfc50,
+        0x88c2e9de39ccfc50,
     ),
     (
         "shared_diamond.c",
-        0xf781f01a10275efe,
-        0xf781f01a10275efe,
-        0xf781f01a10275efe,
+        0x52b7f8b96530e410,
+        0x52b7f8b96530e410,
+        0x52b7f8b96530e410,
     ),
     (
         "swap_pointers.c",
-        0xd1bc78e79e2e93d6,
-        0xd1bc78e79e2e93d6,
-        0xd1bc78e79e2e93d6,
+        0x1c321c4dd97acfb7,
+        0x1c321c4dd97acfb7,
+        0x1c321c4dd97acfb7,
     ),
     (
         "tree_leaves.c",
-        0xbb4862b03a263e43,
-        0xbb4862b03a263e43,
-        0xbb4862b03a263e43,
+        0x30c4ae382bd214de,
+        0x30c4ae382bd214de,
+        0x30c4ae382bd214de,
     ),
     (
         "wrong_alias.c",
-        0x10fb35989cb59bc4,
-        0x10fb35989cb59bc4,
-        0x10fb35989cb59bc4,
+        0x95650eedf53ab014,
+        0x95650eedf53ab014,
+        0x95650eedf53ab014,
     ),
 ];
 

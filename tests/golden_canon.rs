@@ -45,17 +45,17 @@ fn golden_singly_linked_lists() {
     check(
         "sll(1)",
         &builder::singly_linked_list(1, 2, P0, NXT),
-        0x0ca0ac7864d5c9ed,
+        0x1ce72a54038d012b,
     );
     check(
         "sll(2)",
         &builder::singly_linked_list(2, 2, P0, NXT),
-        0x0d665156bda909d8,
+        0xcd7e18c5dd7207c7,
     );
     check(
         "sll(3)",
         &builder::singly_linked_list(3, 2, P0, NXT),
-        0x95f9e9e257836dc8,
+        0x7a3043e123f9e47d,
     );
 }
 
@@ -66,7 +66,7 @@ fn golden_circular_list() {
     check(
         "circ(3)",
         &builder::circular_list(3, 2, P0, NXT),
-        0x91b5166a068e4cbb,
+        0x2eed74ff6edc3663,
     );
 }
 
@@ -75,14 +75,14 @@ fn golden_doubly_linked_list() {
     check(
         "dll(3)",
         &builder::doubly_linked_list(3, 2, P0, NXT, PRV),
-        0xce74123c43bb2997,
+        0x0485c3e58d20349c,
     );
 }
 
 #[test]
 fn golden_fig1_dll() {
     let (g, _) = builder::fig1_dll(P0, 3, NXT, PRV);
-    check("fig1", &g, 0xa8ef15604611632f);
+    check("fig1", &g, 0x88e7d3540bd695a7);
 }
 
 #[test]
@@ -90,7 +90,7 @@ fn golden_binary_tree() {
     check(
         "tree(2)",
         &builder::binary_tree(2, 2, P0, NXT, PRV),
-        0x048fc78586524291,
+        0x41180e36ed6b7a8f,
     );
 }
 
@@ -114,12 +114,12 @@ fn golden_shared_hub() {
     g.add_link(tail, NXT, hub);
     g.node_mut(tail).pos_selout.insert(NXT);
     g.node_mut(hub).pos_selin.insert(NXT);
-    check("hub", &g, 0x1861de45347ba7c6);
+    check("hub", &g, 0x0cc490ff17f95ef5);
 }
 
 #[test]
 fn golden_empty_graph() {
-    check("empty", &Rsg::empty(2), 0x61a576248d9a487d);
+    check("empty", &Rsg::empty(2), 0xa4c6f7c878c0702d);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Property-based tests for the canonical-form interner and the memoized
-//! subsumption front-end: interning must be a bijection between canonical
-//! byte strings and ids, invariant under graph renumbering, the entry's
-//! pinning keys (its fingerprint) must be sound filters, and the
-//! memo/pre-filter path must agree with the raw backtracking search on
-//! every pair.
+//! subsumption front-end: the canonical encoding must decode back to an
+//! isomorphic graph (so equal bytes imply isomorphic graphs), interning
+//! must be a bijection between canonical byte strings and ids, invariant
+//! under graph renumbering, the entry's pinning keys (its fingerprint) must
+//! be sound filters, and the memo/pre-filter path must agree with the raw
+//! backtracking search on every pair.
 
 use proptest::prelude::*;
 use psa::core::rsrsg::Rsrsg;
@@ -13,7 +14,7 @@ use psa::rsg::compress::compress;
 use psa::rsg::intern::{CanonEntry, SharedTables};
 use psa::rsg::join::compatible;
 use psa::rsg::subsume::subsumes;
-use psa::rsg::{builder, Level, Rsg, ShapeCtx};
+use psa::rsg::{builder, CycleSet, Level, Node, NodeId, Rsg, SelSet, ShapeCtx};
 use psa_cfront::types::{SelectorId, StructId};
 use std::sync::Arc;
 
@@ -121,8 +122,188 @@ fn renumbered(g: &Rsg) -> Rsg {
     h
 }
 
+/// A cursor over canonical bytes for [`decode`].
+struct Reader<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+impl Reader<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.bytes[self.at];
+        self.at += 1;
+        b
+    }
+
+    /// One unsigned LEB128 varint.
+    fn varint(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7F) << shift;
+            if b & 0x80 == 0 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+
+    fn u32(&mut self) -> u32 {
+        u32::try_from(self.varint()).expect("a u32 field")
+    }
+
+    /// A count-prefixed list of `item`s.
+    fn list<T>(&mut self, mut item: impl FnMut(&mut Self) -> T) -> Vec<T> {
+        let n = self.varint();
+        (0..n).map(|_| item(self)).collect()
+    }
+}
+
+/// Test-only decoder of `canonical_bytes` (its doc comment gives the
+/// layout): the graph the bytes describe, node `i` from the `i`-th record.
+/// Panics on trailing bytes.
+fn decode(bytes: &[u8]) -> Rsg {
+    let mut r = Reader { bytes, at: 0 };
+    let nodes = r.varint();
+    let mut g = Rsg::empty(r.varint() as usize);
+    let ids: Vec<NodeId> = (0..nodes)
+        .map(|_| {
+            let ty = StructId(r.u32());
+            let flags = r.byte();
+            assert!(flags < 4, "flag byte {flags:#x}");
+            let mut sets = [SelSet::EMPTY; 5];
+            for set in &mut sets {
+                *set = SelSet(r.varint());
+            }
+            let [shsel, selin, selout, pos_selin, pos_selout] = sets;
+            let pairs = r.list(|r| (SelectorId(r.u32()), SelectorId(r.u32())));
+            let touch = r.list(|r| PvarId(r.u32()));
+            g.add_node(Node {
+                ty,
+                shared: flags & 1 != 0,
+                summary: flags & 2 != 0,
+                shsel,
+                selin,
+                selout,
+                pos_selin,
+                pos_selout,
+                cyclelinks: CycleSet::from_pairs(pairs),
+                touch: touch.into_iter().collect(),
+            })
+        })
+        .collect();
+    for (a, sel, b) in r.list(|r| (r.u32(), SelectorId(r.u32()), r.u32())) {
+        g.add_link(ids[a as usize], sel, ids[b as usize]);
+    }
+    for (p, n) in r.list(|r| (PvarId(r.u32()), r.u32())) {
+        g.set_pl(p, ids[n as usize]);
+    }
+    for (v, z) in r.list(|r| (r.u32(), r.varint())) {
+        g.set_scalar(v, (z >> 1) as i64 ^ -((z & 1) as i64));
+    }
+    assert_eq!(r.at, bytes.len(), "trailing bytes");
+    g
+}
+
+/// Brute-force RSG isomorphism: some bijection of the nodes preserves
+/// every node property, pvar binding and link. Nodes are matched in id
+/// order, pruning a partial map as soon as a property or a link between
+/// mapped nodes disagrees.
+fn isomorphic_brute(a: &Rsg, b: &Rsg) -> bool {
+    let (na, nb): (Vec<NodeId>, Vec<NodeId>) = (a.node_ids().collect(), b.node_ids().collect());
+    if na.len() != nb.len()
+        || a.num_links() != b.num_links()
+        || a.num_pvar_slots() != b.num_pvar_slots()
+        || a.scalars() != b.scalars()
+    {
+        return false;
+    }
+    // `map[i]` is the index into `nb` of `na[i]`'s image.
+    fn extend(a: &Rsg, b: &Rsg, na: &[NodeId], nb: &[NodeId], map: &mut Vec<usize>) -> bool {
+        let i = map.len();
+        if i == na.len() {
+            return true;
+        }
+        let x = na[i];
+        for (j, &y) in nb.iter().enumerate() {
+            if map.contains(&j)
+                || a.node(x).to_node() != b.node(y).to_node()
+                || a.pvars_of(x) != b.pvars_of(y)
+            {
+                continue;
+            }
+            map.push(j);
+            // Links among the mapped nodes, `x`'s own included, agree both
+            // ways (equal totals then make the whole link sets agree).
+            let image = |k: usize| nb[map[k]];
+            let links_agree = (0..=i).all(|k| {
+                let sels = |g: &Rsg, s: NodeId, t: NodeId| -> Vec<SelectorId> {
+                    g.out_links(s)
+                        .iter()
+                        .filter(|l| l.1 == t)
+                        .map(|l| l.0)
+                        .collect()
+                };
+                sels(a, x, na[k]) == sels(b, y, image(k))
+                    && sels(a, na[k], x) == sels(b, image(k), y)
+            });
+            if links_agree && extend(a, b, na, nb, map) {
+                return true;
+            }
+            map.pop();
+        }
+        false
+    }
+    extend(a, b, &na, &nb, &mut Vec::new())
+}
+
+/// The decoder property: `g`'s canonical bytes decode to a graph that
+/// re-encodes to the same bytes and is isomorphic to `g`. Since equal bytes
+/// decode to one graph, equal bytes imply isomorphic graphs: the encoding
+/// is injective on isomorphism classes.
+fn check_decodes(g: &Rsg) {
+    let bytes = canonical_bytes(g);
+    let back = decode(&bytes);
+    assert_eq!(canonical_bytes(&back), bytes, "re-encoding {g:?}");
+    assert!(isomorphic_brute(&back, g), "decoded {back:?}\nfrom {g:?}");
+}
+
+#[test]
+fn builder_shapes_decode_to_isomorphic_graphs() {
+    let (p0, nxt, prv) = (PvarId(0), SelectorId(0), SelectorId(1));
+    let mut shapes = vec![Rsg::empty(2), builder::fig1_dll(p0, 3, nxt, prv).0];
+    for len in 1..=7 {
+        shapes.push(builder::singly_linked_list(len, 2, p0, nxt));
+        let ring = builder::circular_list(len, 2, p0, nxt);
+        let mut unpinned = ring.clone();
+        unpinned.clear_pl(p0);
+        shapes.extend([ring, unpinned]);
+        if len >= 2 {
+            shapes.push(builder::doubly_linked_list(len, 2, p0, nxt, prv));
+        }
+    }
+    for depth in 0..=2 {
+        shapes.push(builder::binary_tree(depth, 2, p0, nxt, prv));
+    }
+    for g in &shapes {
+        check_decodes(g);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn canonical_bytes_decode_to_an_isomorphic_graph(g in arb_rsg()) {
+        check_decodes(&g);
+        // COMPRESS makes summary nodes and possible-link sets.
+        let ctx = ShapeCtx::synthetic(3, 2);
+        check_decodes(&compress(g.clone(), &ctx, Level::L1));
+        let mut scalars = g;
+        scalars.set_scalar(3, -5);
+        scalars.set_scalar(9, i64::MIN);
+        check_decodes(&scalars);
+    }
 
     #[test]
     fn intern_roundtrips_canonical_bytes(g in arb_rsg()) {

@@ -2,7 +2,8 @@
 //!
 //! Each row pins the deterministic work of one sequential `psa bench-code
 //! <code> --level <L>` run at default sizes: fixpoint iterations, COMPRESS
-//! and JOIN calls, subsumption searches and peak structural bytes. The
+//! and JOIN calls, subsumption searches, peak structural bytes and the
+//! canonical bytes the interner holds. The
 //! counts are identical in every build profile and on every machine, so
 //! runner noise cannot trip the gate, and unlike a committed timing it
 //! cannot go stale while still passing. Timing is psa-bench's job
@@ -17,49 +18,52 @@ use psa::core::{AnalysisOptions, Analyzer};
 use psa::rsg::Level::{self, L1, L2, L3};
 
 /// `(code, level, iterations, COMPRESS calls, JOIN calls, subsume
-/// searches, peak bytes)`. COMPRESS counts kernel runs: a transfer-memo or
-/// JOIN-memo hit runs none, so a memo that stops hitting raises it. JOIN
-/// counts the reduction loop's JOINs, memo hits included.
-type Row = (&'static str, Level, usize, u64, u64, u64, usize);
+/// searches, peak bytes, interner bytes)`. COMPRESS counts kernel runs: a
+/// transfer-memo or JOIN-memo hit runs none, so a memo that stops hitting
+/// raises it. JOIN counts the reduction loop's JOINs, memo hits included.
+/// Interner bytes are the `interner_bytes` gauge: the canonical encoding's
+/// size summed over the run's interned forms, so an encoding that grows
+/// keys shows up here.
+type Row = (&'static str, Level, usize, u64, u64, u64, usize, u64);
 
 #[rustfmt::skip]
 const TABLE: &[Row] = &[
-    ("matvec",     L1,  190,    885,   112,      400,    438692),
-    ("matvec",     L2,  270,   1413,   250,      912,    668884),
-    ("matvec",     L3,  274,   1636,   253,     1046,    692780),
-    ("matmat",     L1,  339,   2610,   291,     1233,   1409372),
-    ("matmat",     L2,  553,   3644,   552,     2302,   1851972),
-    ("matmat",     L3,  558,   4175,   548,     2428,   1905404),
-    ("lu",         L1,  340,   1507,   291,      674,    765512),
-    ("lu",         L2,  581,   2972,   513,     2842,   1098192),
-    ("lu",         L3,  420,   2573,   516,     2619,   1284652),
-    ("barnes-hut", L1,  460,   2980,   631,     1526,   1471016),
-    ("barnes-hut", L2,  610,   4005,   567,     4549,   1992396),
-    ("barnes-hut", L3,  631,   5436,   786,     5707,   2406644),
-    ("treeadd",    L1,    1,    220,    31,       49,      2800),
-    ("treeadd",    L2,    1,    399,    54,       88,      4000),
-    ("treeadd",    L3,    1,    399,    54,       88,      4000),
-    ("power",      L1,  163,    722,   131,      409,    308360),
-    ("power",      L2,  210,   1123,   251,     1032,    530852),
-    ("power",      L3,  227,   1311,   204,     1154,    504744),
-    ("em3d",       L1,  123,    650,    41,      194,    499560),
-    ("em3d",       L2,  139,    699,    18,      268,    652848),
-    ("em3d",       L3,  139,    832,    18,      321,    656560),
-    ("bisort",     L1,    9,    234,    64,       42,     15568),
-    ("bisort",     L2,    9,    492,   156,      101,     19648),
-    ("bisort",     L3,    9,    492,   156,      101,     19648),
-    ("tsp",        L1,  353,   1227,   172,      660,    686468),
-    ("tsp",        L2,  585,   2070,   376,     2365,    751468),
-    ("tsp",        L3,  596,   2228,   389,     2564,    771248),
-    ("health",     L1,  233,    993,    95,      340,    507896),
-    ("health",     L2,  347,   1659,   284,      793,    744596),
-    ("health",     L3,  341,   1775,   333,      830,    749868),
-    ("perimeter",  L1,    1,    328,    68,       70,      3416),
-    ("perimeter",  L2,    1,   1683,   342,      246,      6584),
-    ("perimeter",  L3,    1,   1683,   342,      246,      6584),
-    ("voronoi",    L1,  352,   1101,   165,      611,    499024),
-    ("voronoi",    L2,  565,   1953,   381,     2416,    783868),
-    ("voronoi",    L3,  573,   2095,   392,     2593,    803856),
+    ("matvec",     L1,  190,    885,   112,      400,    438692,    49798),
+    ("matvec",     L2,  270,   1413,   250,      912,    668884,   125910),
+    ("matvec",     L3,  274,   1636,   253,     1046,    692780,   148571),
+    ("matmat",     L1,  339,   2610,   291,     1233,   1409372,   209963),
+    ("matmat",     L2,  553,   3644,   552,     2302,   1851972,   414609),
+    ("matmat",     L3,  558,   4175,   548,     2428,   1905404,   480146),
+    ("lu",         L1,  340,   1507,   291,      674,    765512,    95133),
+    ("lu",         L2,  581,   2972,   513,     2842,   1098192,   335230),
+    ("lu",         L3,  420,   2573,   516,     2619,   1284652,   315206),
+    ("barnes-hut", L1,  460,   2980,   631,     1526,   1471016,   492053),
+    ("barnes-hut", L2,  610,   4005,   567,     4549,   1992396,   703525),
+    ("barnes-hut", L3,  631,   5436,   786,     5707,   2406644,  1162523),
+    ("treeadd",    L1,    1,    220,    31,       49,      2800,     7946),
+    ("treeadd",    L2,    1,    399,    54,       88,      4000,    16076),
+    ("treeadd",    L3,    1,    399,    54,       88,      4000,    16076),
+    ("power",      L1,  163,    722,   131,      409,    308360,    43742),
+    ("power",      L2,  210,   1123,   251,     1032,    530852,   106251),
+    ("power",      L3,  227,   1311,   204,     1154,    504744,   104665),
+    ("em3d",       L1,  123,    650,    41,      194,    499560,    52527),
+    ("em3d",       L2,  139,    699,    18,      268,    652848,    72614),
+    ("em3d",       L3,  139,    832,    18,      321,    656560,    85095),
+    ("bisort",     L1,    9,    234,    64,       42,     15568,     8388),
+    ("bisort",     L2,    9,    492,   156,      101,     19648,    22212),
+    ("bisort",     L3,    9,    492,   156,      101,     19648,    22212),
+    ("tsp",        L1,  353,   1227,   172,      660,    686468,   170527),
+    ("tsp",        L2,  585,   2070,   376,     2365,    751468,   231085),
+    ("tsp",        L3,  596,   2228,   389,     2564,    771248,   255745),
+    ("health",     L1,  233,    993,    95,      340,    507896,    91365),
+    ("health",     L2,  347,   1659,   284,      793,    744596,   215335),
+    ("health",     L3,  341,   1775,   333,      830,    749868,   234767),
+    ("perimeter",  L1,    1,    328,    68,       70,      3416,    17994),
+    ("perimeter",  L2,    1,   1683,   342,      246,      6584,    87631),
+    ("perimeter",  L3,    1,   1683,   342,      246,      6584,    87631),
+    ("voronoi",    L1,  352,   1101,   165,      611,    499024,   119076),
+    ("voronoi",    L2,  565,   1953,   381,     2416,    783868,   221663),
+    ("voronoi",    L3,  573,   2095,   392,     2593,    803856,   242905),
 ];
 
 /// The row of one `psa bench-code` run: the CLI's path, at one level.
@@ -78,14 +82,15 @@ fn measure(code: &'static str, src: &str, level: Level) -> Row {
         ops.join_calls,
         ops.subsume_searches,
         res.stats.peak_bytes,
+        ops.interner_bytes,
     )
 }
 
 /// One row in the table's own syntax.
-fn render(&(code, level, iterations, compress, join, searches, peak): &Row) -> String {
+fn render(&(code, level, iterations, compress, join, searches, peak, interned): &Row) -> String {
     let code = format!("{code:?},");
     format!(
-        "    ({code:<13} {level}, {iterations:>4}, {compress:>6}, {join:>5}, {searches:>8}, {peak:>9}),"
+        "    ({code:<13} {level}, {iterations:>4}, {compress:>6}, {join:>5}, {searches:>8}, {peak:>9}, {interned:>8}),"
     )
 }
 
